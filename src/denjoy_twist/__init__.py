@@ -28,8 +28,6 @@ from .circle_map import (
     RigidRotation,
     build_circle_homeo,
     homeo_eval,
-    local_diffeo_eval,
-    local_diffeo_invert,
     rotation_number_estimate,
 )
 from .twist_map import (
@@ -37,8 +35,6 @@ from .twist_map import (
     build_twist_system,
     manifold_segment,
     phi_eval,
-    twist_backward,
-    twist_forward,
 )
 
 __version__ = "0.1.0"

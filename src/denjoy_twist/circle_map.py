@@ -1,4 +1,4 @@
-"""The Denjoy-type circle homeomorphism g assembled from per-gap diffeos.
+"""The Denjoy-type circle homeomorphism g, one piece table plus one h_k family.
 
 Structure of g as a sorted table of pieces over one fundamental domain:
 
@@ -12,26 +12,28 @@ Structure of g as a sorted table of pieces over one fundamental domain:
   interval, and a short residual interval around the preimage of I_{-M}
   opens up affinely onto that gap.
 
+Every h_k is the same two profile shapes (eta and one jump profile) scaled
+by four numbers: ell_k, K_k, alpha_k and the jump side. The family is one
+LocalDiffeo holding them as columns indexed by k + M; its value,
+derivatives and inverse broadcast over points from mixed gaps.
+
 With the patches kept narrow, the semi-conjugacy to the rotation is exact
 outside two intervals of t-measure a few 1e-4, which pins the rotation
-number to omega far beyond the 1/n acceptance window.
-
-Evaluation, inversion, derivatives (one-sided at the gap midpoints) and lift
-bookkeeping all run off the same piece table; the object is immutable after
-build and safe for concurrent read-only use.
+number to omega far beyond the 1/n acceptance window. The object is
+immutable after build and safe for concurrent read-only use.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from .layout import GapTable, frac_part
-from .profiles import ProfileSet, profile_eval
+from .profiles import _TABLE_PANELS, ProfileSet, profile_eval
+from .sequences import ConstructionError
 
 _GAP = 0
 _AFFINE = 1
@@ -39,112 +41,156 @@ _AFFINE = 1
 _INVERT_REL_TOL = 1e-14
 _INVERT_MAX_ITER = 200
 _EPS = np.finfo(float).eps
+_BREAKS = np.array([0.0, 0.375, 0.5, 0.625, 1.0])   # breakpoints of h_k, in s
 
 
-@dataclass
 class LocalDiffeo:
-    """h_k on [0, ell_k]: integral of 1 + K_k eta_k + alpha_k gamma_k.
+    """The family h_k, k in [-M, M-1]: h_k on [0, ell_k] is the integral of
+    1 + K_k eta + alpha_k gamma_k.
 
-    gamma_kind picks which jump profile shapes the slope discontinuity at
-    ell_k/2 ("plus": linear left piece has slope 1+K, right 1+K+alpha;
-    "minus": mirrored). Treat instances as immutable after construction.
+    Columns ell, ell_next, K, alpha and plus are indexed by k + M. plus picks
+    the jump profile that shapes the slope discontinuity at ell_k/2 (True:
+    gamma_plus, the linear left piece has slope 1+K and the right 1+K+alpha;
+    False: gamma_minus, mirrored). Every method broadcasts its points against
+    k, so one call serves points from mixed gaps. Treat as immutable after
+    construction.
     """
 
-    k: int
-    ell: float
-    ell_next: float
-    K: float
-    alpha: float
-    gamma_kind: str
-    eta: object = field(repr=False, default=None)
-    gamma: object = field(repr=False, default=None)
-    _bp_u: np.ndarray = field(repr=False, default=None)
-    _bp_v: np.ndarray = field(repr=False, default=None)
+    def __init__(self, seqs, profiles: ProfileSet, swap_gamma: bool = False):
+        self.M = seqs.M
+        ks = np.arange(-self.M, self.M)
+        self.ell, self.ell_next = seqs.ell(ks), seqs.ell(ks + 1)
+        self.K, self.alpha = seqs.K(ks), seqs.alpha(ks)
+        self.plus = (ks >= 1) != swap_gamma
+        self.eta, self.gamma_plus, self.gamma_minus = (
+            profiles.eta, profiles.gamma_plus, profiles.gamma_minus)
+        self._check_monotone()
+        self._bp_u = self.ell[:, None] * _BREAKS
+        self._bp_v = self.value(self._bp_u, ks[:, None])
 
-    def __post_init__(self):
-        self._bp_u = np.array([0.0, 0.375 * self.ell, 0.5 * self.ell,
-                               0.625 * self.ell, self.ell])
-        self._bp_v = np.asarray(self.value(self._bp_u))
+    def __len__(self) -> int:
+        return len(self.ell)
 
-    @property
-    def slope_left(self) -> float:
-        return 1.0 + self.K + (self.alpha if self.gamma_kind == "minus" else 0.0)
+    def _check_monotone(self):
+        """ConstructionError unless every h_k' = 1 + K_k eta + alpha_k gamma_k > 0.
 
-    @property
-    def slope_right(self) -> float:
-        return 1.0 + self.K + (self.alpha if self.gamma_kind == "plus" else 0.0)
+        For fixed s the slope is linear in (K_k, alpha_k), so its minimum over
+        the curve s -> (eta(s), gamma_plus(s)), tabulated on the profile table
+        grid, sits at a vertex of the curve's convex hull. eta is mirror
+        symmetric, so gamma_minus traces the same pairs.
+        """
+        s = np.linspace(0.0, 1.0, _TABLE_PANELS + 1)
+        curve = np.column_stack([profile_eval(self.eta, s),
+                                 profile_eval(self.gamma_plus, s)])
+        eta_v, gamma_v = curve[ConvexHull(curve).vertices].T
+        low = np.min(1.0 + self.K[:, None] * eta_v + self.alpha[:, None] * gamma_v,
+                     axis=1)
+        j = int(np.argmin(low))
+        if not low[j] > 0.0:
+            raise ConstructionError(
+                f"h_{j - self.M} is not monotone: minimum slope {low[j]:.6g}")
 
-    def _intercept(self, right: bool) -> float:
-        slope = self.slope_right if right else self.slope_left
-        if slope == 1.0 + self.K:
-            return 0.0
-        return -self.alpha * self.ell / 2.0
+    def gamma(self, s, plus, order, side=None):
+        """gamma_plus at s where plus is set, gamma_minus elsewhere.
 
-    def value(self, u):
-        s = np.asarray(u, dtype=float) / self.ell
+        One profile_eval per profile that occurs; plus is a slice of the
+        plus column, broadcast against s.
+        """
+        n_plus = np.count_nonzero(plus)
+        if n_plus in (0, plus.size):
+            prof = self.gamma_plus if n_plus else self.gamma_minus
+            return profile_eval(prof, s, order, side=side)
+        s = np.asarray(s, dtype=float)
+        plus = np.broadcast_to(plus, s.shape)
+        out = np.empty(s.shape)
+        out[plus] = profile_eval(self.gamma_plus, s[plus], order, side=side)
+        out[~plus] = profile_eval(self.gamma_minus, s[~plus], order, side=side)
+        return out
+
+    def value(self, u, k):
+        u = np.asarray(u, dtype=float)
+        j = k + self.M
+        ell = self.ell[j]
+        s = u / ell
         E = profile_eval(self.eta, s, "antiderivative")
-        G = profile_eval(self.gamma, s, "antiderivative")
-        out = np.asarray(u) + self.K * self.ell * E + self.alpha * self.ell * G
-        return float(out) if np.ndim(u) == 0 else out
+        G = self.gamma(s, self.plus[j], "antiderivative")
+        return u + self.K[j] * ell * E + self.alpha[j] * ell * G
 
-    def deriv(self, u, side=None):
-        s = np.asarray(u, dtype=float) / self.ell
+    def deriv(self, u, k, side=None):
+        j = k + self.M
+        s = np.asarray(u, dtype=float) / self.ell[j]
         e = profile_eval(self.eta, s, 0)
-        gmm = profile_eval(self.gamma, s, 0, side=side)
-        out = 1.0 + self.K * e + self.alpha * gmm
-        return float(out) if np.ndim(u) == 0 else out
+        gmm = self.gamma(s, self.plus[j], 0, side=side)
+        return 1.0 + self.K[j] * e + self.alpha[j] * gmm
 
-    def second_deriv(self, u, side=None):
-        s = np.asarray(u, dtype=float) / self.ell
-        out = (self.K * profile_eval(self.eta, s, 1)
-               + self.alpha * profile_eval(self.gamma, s, 1, side=side)) / self.ell
-        return float(out) if np.ndim(u) == 0 else out
+    def second_deriv(self, u, k, side=None):
+        j = k + self.M
+        s = np.asarray(u, dtype=float) / self.ell[j]
+        return (self.K[j] * profile_eval(self.eta, s, 1)
+                + self.alpha[j] * self.gamma(s, self.plus[j], 1, side=side)) / self.ell[j]
 
-    def invert(self, v):
+    def invert(self, v, k):
         """u with h_k(u) = v, for v in [0, ell_{k+1}].
 
         Exact closed form on the two linear middle pieces, safeguarded
         Newton elsewhere, to |h(u) - v| <= 1e-14 ell_{k+1}.
         """
-        scalar = np.ndim(v) == 0
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        us, vs = self._bp_u, self._bp_v
-        tol = _INVERT_REL_TOL * self.ell_next
-        if np.any(v < -tol) or np.any(v > vs[-1] + tol):
-            raise ValueError(f"inverse argument outside [0, ell_{self.k + 1}]")
-        v = np.clip(v, 0.0, vs[-1])
+        v, k = np.asarray(v, dtype=float), np.asarray(k)
+        if v.shape != k.shape:
+            v, k = np.broadcast_arrays(v, k)
+        shape = v.shape
+        v, k = v.ravel(), k.ravel()
+        j = k + self.M
+        us, vs = self._bp_u[j], self._bp_v[j]
+        tol = _INVERT_REL_TOL * self.ell_next[j]
+        bad = (v < -tol) | (v > vs[:, 4] + tol)
+        if bad.any():
+            raise ValueError(
+                f"inverse argument outside [0, ell_{int(k[bad][0]) + 1}]")
+        v = np.clip(v, 0.0, vs[:, 4])
         out = np.empty_like(v)
 
-        left_lin = (v >= vs[1]) & (v <= vs[2])
-        right_lin = (v > vs[2]) & (v <= vs[3])
-        out[left_lin] = (v[left_lin] - self._intercept(False)) / self.slope_left
-        out[right_lin] = (v[right_lin] - self._intercept(True)) / self.slope_right
+        # the linear pieces: slope 1+K, and 1+K+alpha on the jump side
+        # (right of the midpoint for gamma_plus, left for gamma_minus)
+        lin = (v >= vs[:, 1]) & (v <= vs[:, 3])
+        K, alpha = self.K[j], self.alpha[j]
+        slope = 1.0 + K + np.where((v > vs[:, 2]) == self.plus[j], alpha, 0.0)
+        intercept = np.where(slope == 1.0 + K, 0.0, -alpha * self.ell[j] / 2.0)
+        out[lin] = (v[lin] - intercept[lin]) / slope[lin]
 
-        for lo_u, hi_u, lo_v, hi_v, mask in (
-                (us[0], us[1], vs[0], vs[1], v < vs[1]),
-                (us[3], us[4], vs[3], vs[4], v > vs[3])):
-            if not np.any(mask):
-                continue
-            vv = v[mask]
-            lo = np.full(vv.shape, lo_u)
-            hi = np.full(vv.shape, hi_u)
-            u = lo_u + (hi_u - lo_u) * (vv - lo_v) / (hi_v - lo_v)
-            converged = False
-            for _ in range(_INVERT_MAX_ITER):
-                f = self.value(u) - vv
-                if np.all(np.abs(f) <= tol):
-                    converged = True
-                    break
-                hi = np.where(f > 0.0, u, hi)
-                lo = np.where(f > 0.0, lo, u)
-                un = u - f / self.deriv(u)
-                outside = (un <= lo) | (un >= hi)
-                un = np.where(outside, 0.5 * (lo + hi), un)
-                u = np.where(np.abs(f) <= tol, u, un)
-            if not converged:
-                raise RuntimeError(f"inversion of h_{self.k} failed to converge")
-            out[mask] = u
-        return float(out[0]) if scalar else out
+        left = v < vs[:, 1]
+        sh = np.flatnonzero(left | (v > vs[:, 3]))
+        if sh.size:
+            out[sh] = self._newton(v[sh], k[sh], left[sh], us[sh], vs[sh], tol[sh])
+        return out.reshape(shape)[()]
+
+    def _newton(self, v, k, left, us, vs, tol):
+        """Safeguarded Newton on the shoulders, all points in one pass.
+
+        Each point keeps its own bracket and leaves the pass once converged,
+        so its result does not depend on which other points share the call.
+        """
+        lo = np.where(left, us[:, 0], us[:, 3])
+        hi = np.where(left, us[:, 1], us[:, 4])
+        lo_v = np.where(left, vs[:, 0], vs[:, 3])
+        hi_v = np.where(left, vs[:, 1], vs[:, 4])
+        u = lo + (hi - lo) * (v - lo_v) / (hi_v - lo_v)
+        out = np.empty_like(u)
+        idx = np.arange(len(u))
+        for _ in range(_INVERT_MAX_ITER):
+            f = self.value(u, k) - v
+            done = np.abs(f) <= tol
+            if done.any():
+                out[idx[done]] = u[done]
+                if done.all():
+                    return out
+                idx, u, k, v, tol, lo, hi, f = (
+                    a[~done] for a in (idx, u, k, v, tol, lo, hi, f))
+            hi = np.where(f > 0.0, u, hi)
+            lo = np.where(f > 0.0, lo, u)
+            un = u - f / self.deriv(u, k)
+            u = np.where((un <= lo) | (un >= hi), 0.5 * (lo + hi), un)
+        raise RuntimeError(f"inversion of h_{int(k[0])} failed to converge")
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +207,7 @@ class CircleHomeo:
         self.profiles = profiles
         self.swap_gamma = swap_gamma
         self.M = table.M
-        self.local = {}
-        for k in range(-self.M, self.M):
-            plus = (k >= 1) != swap_gamma
-            self.local[k] = LocalDiffeo(
-                k=k, ell=float(seqs.ell(k)), ell_next=float(seqs.ell(k + 1)),
-                K=float(seqs.K(k)), alpha=float(seqs.alpha(k)),
-                gamma_kind="plus" if plus else "minus",
-                eta=profiles.eta,
-                gamma=profiles.gamma_plus if plus else profiles.gamma_minus)
+        self.local = LocalDiffeo(seqs, profiles, swap_gamma)
         self._build_pieces()
 
     # -- construction ------------------------------------------------------
@@ -216,71 +254,68 @@ class CircleHomeo:
         w_B = 0.3 * min(self._atom_free_dist(t_prime), self._atom_free_dist(t_gap_hi),
                         cross1, cross2)
         if not (w_A > 0.0 and w_B > 0.0):
-            raise AssertionError("degenerate patch width at the truncation boundary")
+            raise ConstructionError("degenerate patch width at the truncation boundary")
         self.patch_widths = (w_A, w_B)
 
-        # anchors: (x_lo, x_hi, y_lo_raw, y_width, kind, k)
-        anchors = []
-        for k in range(-M, M):
-            lam = float(tb.lam_of(k))
-            anchors.append((lam, lam + float(tb.ell_of(k)),
-                            float(tb.lam_of(k + 1)), float(tb.ell_of(k + 1)),
-                            _GAP, k))
+        # anchors, one column each: x_lo, x_hi, y_lo_raw, y_width, kind, k;
+        # the 2M gap pieces, then the two patches
+        ks = np.arange(-M, M)
         lamM, ellM = float(tb.lam_of(M)), float(tb.ell_of(M))
-        anchors.append((lamM - res * w_B, lamM + ellM + res * w_B,
-                        self._psi_eval(t_prime - w_B), 2.0 * res * w_B,
-                        _AFFINE, None))
         lamN, ellN = float(tb.lam_of(-M)), float(tb.ell_of(-M))
-        anchors.append((self._psi_eval(t_star - w_A), self._psi_eval(t_star + w_A),
-                        lamN - res * w_A, ellN + 2.0 * res * w_A,
-                        _AFFINE, None))
-        anchors.sort(key=lambda a: a[0])
+        lam = tb.lam_of(ks)
+        a_x_lo = np.append(lam, [lamM - res * w_B, self._psi_eval(t_star - w_A)])
+        a_x_hi = np.append(lam + tb.ell_of(ks),
+                           [lamM + ellM + res * w_B, self._psi_eval(t_star + w_A)])
+        a_y_lo = np.append(tb.lam_of(ks + 1),
+                           [self._psi_eval(t_prime - w_B), lamN - res * w_A])
+        a_y_w = np.append(tb.ell_of(ks + 1), [2.0 * res * w_B, ellN + 2.0 * res * w_A])
+        a_kind = np.append(np.full(2 * M, _GAP), [_AFFINE, _AFFINE])
+        a_k = np.append(ks, [10**9, 10**9])
+        by_x = np.argsort(a_x_lo, kind="stable")
+        a_x_lo, a_x_hi, a_y_lo, a_y_w, a_kind, a_k = (
+            c[by_x] for c in (a_x_lo, a_x_hi, a_y_lo, a_y_w, a_kind, a_k))
 
         # fill the stretches between consecutive anchors with affine transport
-        pieces = []
-        n_anch = len(anchors)
-        for i, a in enumerate(anchors):
-            pieces.append(a)
-            nxt = anchors[(i + 1) % n_anch]
-            x_lo = a[1]
-            x_hi = nxt[0] + (1.0 if i == n_anch - 1 else 0.0)
-            if x_hi < x_lo - 1e-12:
-                raise AssertionError("anchor pieces overlap")
-            if x_hi - x_lo <= 0.0:
-                continue
-            y_lo = (a[2] + a[3]) % 1.0
-            width = nxt[2] - y_lo
-            if width < -1e-9:
-                width += 1.0
-            if width <= 0.0:
-                raise AssertionError("transport piece with nonpositive image width")
-            pieces.append((x_lo, x_hi, y_lo, width, _AFFINE, None))
+        t_x_hi = np.roll(a_x_lo, -1)
+        t_x_hi[-1] += 1.0
+        if np.any(t_x_hi < a_x_hi - 1e-12):
+            raise ConstructionError("anchor pieces overlap")
+        t_y_lo = (a_y_lo + a_y_w) % 1.0
+        t_w = np.roll(a_y_lo, -1) - t_y_lo
+        t_w = np.where(t_w < -1e-9, t_w + 1.0, t_w)
+        keep = t_x_hi - a_x_hi > 0.0
+        if np.any(t_w[keep] <= 0.0):
+            raise ConstructionError("transport piece with nonpositive image width")
 
-        if pieces[0][0] != 0.0:
-            raise AssertionError("piece table must start at x = 0")
+        # each anchor followed by its transport piece, where that is nonempty
+        real = np.column_stack([np.ones_like(keep), keep]).ravel()
 
-        self._x_lo = np.array([p[0] for p in pieces])
-        self._kind = np.array([p[4] for p in pieces], dtype=int)
-        self._gap_k = np.array([p[5] if p[4] == _GAP else 10**9 for p in pieces],
-                               dtype=int)
-        x_hi = np.array([p[1] for p in pieces])
-        widths = np.array([p[3] for p in pieces])
+        def pieces(anchor, transport):
+            return np.column_stack([anchor, transport]).ravel()[real]
+
+        self._x_lo = pieces(a_x_lo, a_x_hi)
+        if self._x_lo[0] != 0.0:
+            raise ConstructionError("piece table must start at x = 0")
+        self._kind = pieces(a_kind, np.full_like(a_kind, _AFFINE))
+        self._gap_k = pieces(a_k, np.full_like(a_k, 10**9))
+        x_hi = pieces(a_x_hi, t_x_hi)
+        widths = pieces(a_y_w, t_w)
+        y_first = a_y_lo[0]
         seam = 1.0 - float(np.sum(widths))
         if abs(seam) > 1e-10:
-            raise AssertionError(f"image widths sum to 1 {seam:+.3e}")
+            raise ConstructionError(f"image widths sum to 1 {seam:+.3e}")
         # absorb the closing seam into the widest transport piece so the lift
         # closes up to period 1 exactly
         j = int(np.argmax(np.where(self._kind == _AFFINE, widths, -1.0)))
         widths[j] += seam
-        self._y_lo = np.concatenate(([pieces[0][2]],
-                                     pieces[0][2] + np.cumsum(widths)))
+        self._y_lo = np.concatenate(([y_first], y_first + np.cumsum(widths)))
         self._widths = widths
         self._slope = widths / (x_hi - self._x_lo)
-        self.n_pieces = len(pieces)
+        self.n_pieces = len(self._x_lo)
         self.y_start = float(self._y_lo[0])
 
         if np.any(np.diff(self._x_lo) <= 0.0) or np.any(self._slope <= 0.0):
-            raise AssertionError("piece table is not strictly monotone")
+            raise ConstructionError("piece table is not strictly monotone")
 
     # -- evaluation --------------------------------------------------------
 
@@ -290,8 +325,7 @@ class CircleHomeo:
         fr = x - n
         i = int(np.searchsorted(self._x_lo, fr, side="right")) - 1
         if self._kind[i] == _GAP:
-            h = self.local[int(self._gap_k[i])]
-            val = self._y_lo[i] + h.value(fr - self._x_lo[i])
+            val = self._y_lo[i] + self.local.value(fr - self._x_lo[i], self._gap_k[i])
         else:
             val = self._y_lo[i] + self._slope[i] * (fr - self._x_lo[i])
         return n + float(val)
@@ -306,8 +340,7 @@ class CircleHomeo:
         i = min(int(np.searchsorted(self._y_lo, yf, side="right")) - 1,
                 self.n_pieces - 1)
         if self._kind[i] == _GAP:
-            h = self.local[int(self._gap_k[i])]
-            x = self._x_lo[i] + h.invert(yf - self._y_lo[i])
+            x = self._x_lo[i] + self.local.invert(yf - self._y_lo[i], self._gap_k[i])
         else:
             x = self._x_lo[i] + (yf - self._y_lo[i]) / self._slope[i]
         return float(x) + m
@@ -317,7 +350,7 @@ class CircleHomeo:
         return v - math.floor(v)
 
     def lift_many(self, xs) -> np.ndarray:
-        """Vectorized lift, grouping points by piece."""
+        """Vectorized lift: affine pieces inline, all gap points in one call."""
         xs = np.asarray(xs, dtype=float)
         ns = np.floor(xs)
         fr = xs - ns
@@ -326,14 +359,13 @@ class CircleHomeo:
         aff = self._kind[idx] == _AFFINE
         ia = idx[aff]
         out[aff] = self._y_lo[ia] + self._slope[ia] * (fr[aff] - self._x_lo[ia])
-        for i in np.unique(idx[~aff]):
-            sel = idx == i
-            h = self.local[int(self._gap_k[i])]
-            out[sel] = self._y_lo[i] + h.value(fr[sel] - self._x_lo[i])
+        ig = idx[~aff]
+        out[~aff] = self._y_lo[ig] + self.local.value(fr[~aff] - self._x_lo[ig],
+                                                      self._gap_k[ig])
         return ns + out
 
     def inverse_lift_many(self, ys) -> np.ndarray:
-        """Vectorized inverse lift, grouping points by piece."""
+        """Vectorized inverse lift: affine pieces inline, all gap points in one call."""
         ys = np.asarray(ys, dtype=float)
         ms = np.floor(ys - self.y_start)
         yf = ys - ms
@@ -343,24 +375,24 @@ class CircleHomeo:
         aff = self._kind[idx] == _AFFINE
         ia = idx[aff]
         out[aff] = self._x_lo[ia] + (yf[aff] - self._y_lo[ia]) / self._slope[ia]
-        for i in np.unique(idx[~aff]):
-            sel = idx == i
-            h = self.local[int(self._gap_k[i])]
-            out[sel] = self._x_lo[i] + h.invert(yf[sel] - self._y_lo[i])
+        ig = idx[~aff]
+        out[~aff] = self._x_lo[ig] + self.local.invert(yf[~aff] - self._y_lo[ig],
+                                                       self._gap_k[ig])
         return out + ms
 
     # -- derivatives -------------------------------------------------------
 
     def _gap_deriv(self, i: int, fr: float, side, order: int) -> float:
-        h = self.local[int(self._gap_k[i])]
+        k = self._gap_k[i]
         u = fr - self._x_lo[i]
-        half = 0.5 * h.ell
+        half = 0.5 * self.local.ell[k + self.M]
         # snap within rounding of the midpoint so the side flag governs
         # there; the window covers the global-to-local coordinate rounding
         # (a few ulp at circle scale) and is far below any gap width
         if abs(u - half) <= 8.0 * _EPS:
             u = half
-        return h.deriv(u, side=side) if order == 1 else h.second_deriv(u, side=side)
+        d = self.local.deriv if order == 1 else self.local.second_deriv
+        return d(u, k, side=side)
 
     def derivative(self, x: float, side: str = "right") -> float:
         fr = float(frac_part(x))
@@ -368,8 +400,8 @@ class CircleHomeo:
         if side == "left" and fr == self._x_lo[i]:
             j = (i - 1) % self.n_pieces
             if self._kind[j] == _GAP:
-                h = self.local[int(self._gap_k[j])]
-                return float(h.deriv(h.ell, side="left"))
+                k = self._gap_k[j]
+                return float(self.local.deriv(self.local.ell[k + self.M], k, side="left"))
             return float(self._slope[j])
         if self._kind[i] == _GAP:
             return float(self._gap_deriv(i, fr, side, 1))
@@ -432,27 +464,6 @@ class RigidRotation:
 
 def build_circle_homeo(table, seqs, profiles, swap_gamma=False) -> CircleHomeo:
     return CircleHomeo(table, seqs, profiles, swap_gamma=swap_gamma)
-
-
-def local_diffeo_eval(g: CircleHomeo, k: int, u, order=0):
-    """h_k value or derivative in local coordinates; order in {0,'1L','1R','2'}.
-
-    Order 2 exactly at the midpoint carries one-sided data only and raises
-    OneSidedLimitRequired.
-    """
-    h = g.local[k]
-    if order == 0:
-        return h.value(u)
-    if order in ("1L", "1R"):
-        return h.deriv(u, side="left" if order == "1L" else "right")
-    if order == 2:
-        return h.second_deriv(u)
-    raise ValueError("order must be one of 0, '1L', '1R', 2")
-
-
-def local_diffeo_invert(g: CircleHomeo, k: int, v):
-    """u in [0, ell_k] with h_k(u) = v."""
-    return g.local[k].invert(v)
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +531,13 @@ def wandering_interval_check(g: CircleHomeo, n_max: int) -> dict:
 
 def derivative_jump_table(g: CircleHomeo) -> list:
     """(k, left derivative, right derivative, jump) at each gap midpoint."""
-    rows = []
-    for k in range(-g.M, g.M):
-        h = g.local[k]
-        u = 0.5 * h.ell
-        left = float(h.deriv(u, side="left"))
-        right = float(h.deriv(u, side="right"))
-        rows.append((k, left, right, right - left))
-    return rows
+    h = g.local
+    ks = np.arange(-g.M, g.M)
+    mid = 0.5 * h.ell
+    left = h.deriv(mid, ks, side="left")
+    right = h.deriv(mid, ks, side="right")
+    return list(zip(ks.tolist(), left.tolist(), right.tolist(),
+                    (right - left).tolist()))
 
 
 def derivative_jump_scan(g: CircleHomeo, n_samples: int, seed: int = 0) -> dict:
@@ -549,8 +559,3 @@ def dump_orbit_csv(g, x0: float, n: int, path) -> None:
         w.writerow(["n", "theta", "lift"])
         for i, v in enumerate(lifts):
             w.writerow([i, repr(float(frac_part(v))), repr(float(v))])
-
-
-def dump_wandering_report(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)

@@ -29,6 +29,10 @@ from .circle_map import CircleHomeo
 from .layout import circle_delta, frac_part
 from .profiles import profile_eval
 
+# gaps per array pass of the second-derivative scan: 64 x 256 grid points
+# keep its temporaries to a few MB whatever M is
+_SCAN_BLOCK = 64
+
 
 @dataclass
 class GeneratingFunction:
@@ -296,10 +300,10 @@ class TwistSystem:
             const_devs.append(abs(const - expected_const))
         # local-coordinate identity at index 1, where the adjusted head
         # relation makes h_1 + h_0^{-1} affine with offset -alpha_1 ell_1 / 2
-        h1, h0 = self.g.local[1], self.g.local[0]
-        ell1 = h1.ell
+        h = self.g.local
+        ell1 = h.ell[M + 1]
         us = ell1 * np.linspace(0.375, 0.625, n_points)
-        local_sum = h1.value(us) + h0.invert(us)
+        local_sum = h.value(us, 1) + h.invert(us, 0)
         expected = seqs.m1_adjusted * us - float(seqs.alpha(1)) * ell1 / 2.0
         local_offset_dev = float(np.max(np.abs(local_sum - expected)))
         return {
@@ -323,32 +327,35 @@ class TwistSystem:
         finite difference of the analytic first derivative and (ii) the
         direct chain-rule second derivative.
         """
-        g, seqs = self.g, self.seqs
-        M = self.table.M
-        ks = list(range(-M + 1, M))
-        rows = {name: [] for name in
-                ("sup_d2", "sup_II", "sup_III", "sup_IV", "sup_V",
-                 "sup_dzeta", "sup_zeta", "rel_fd_dev", "abs_analytic_dev")}
-        s_grid = (np.arange(n_grid) + 0.5) / n_grid
-        for k in ks:
-            hk = g.local[k]
-            hkm1 = g.local[k - 1]
-            ell_k, ell_km1 = hk.ell, hkm1.ell
-            K_k, K_km1 = hk.K, hkm1.K
-            a_k, a_km1 = hk.alpha, hkm1.alpha
-            gam_k, gam_km1 = hk.gamma, hkm1.gamma
-            u = s_grid * ell_k
-            v = hkm1.invert(u)
-            st = v / ell_km1
-            s = s_grid
+        h, M = self.g.local, self.table.M
+        eta = self.profiles.eta
+        s = (np.arange(n_grid) + 0.5) / n_grid
+        # the s-grid terms are the same for every gap: once per profile
+        eta1_s = profile_eval(eta, s, 1)
+        g1_plus = profile_eval(h.gamma_plus, s, 1)
+        g1_minus = profile_eval(h.gamma_minus, s, 1)
+        ks = np.arange(-M + 1, M)
+        rows = {}
 
-            eta = self.profiles.eta
-            eta1_s = profile_eval(eta, s, 1)
+        def sup(x):
+            return np.max(np.abs(x), axis=1)
+
+        for lo in range(0, len(ks), _SCAN_BLOCK):
+            # one row per gap k of the block, one column per grid point
+            k = ks[lo:lo + _SCAN_BLOCK, None]
+            j = k + M
+            ell_k, ell_km1 = h.ell[j], h.ell[j - 1]
+            K_k, K_km1 = h.K[j], h.K[j - 1]
+            a_k, a_km1 = h.alpha[j], h.alpha[j - 1]
+            u = s * ell_k
+            v = h.invert(u, k - 1)
+            st = v / ell_km1
+
             eta1_st = profile_eval(eta, st, 1)
-            gk1_s = profile_eval(gam_k, s, 1)
-            gkm1_1_s = profile_eval(gam_km1, s, 1)
-            gkm1_1_st = profile_eval(gam_km1, st, 1)
-            psi_v = K_km1 * profile_eval(eta, st, 0) + a_km1 * profile_eval(gam_km1, st, 0)
+            gk1_s = np.where(h.plus[j], g1_plus, g1_minus)
+            gkm1_1_s = np.where(h.plus[j - 1], g1_plus, g1_minus)
+            gkm1_1_st = h.gamma(st, h.plus[j - 1], 1)
+            psi_v = K_km1 * profile_eval(eta, st, 0) + a_km1 * h.gamma(st, h.plus[j - 1], 0)
             dpsi_v = (K_km1 * eta1_st + a_km1 * gkm1_1_st) / ell_km1
             df_inv = (ell_k / ell_km1) / (1.0 + psi_v)
 
@@ -370,32 +377,31 @@ class TwistSystem:
             hstep = fd_step_rel * ell_k
 
             def dzeta(uu):
-                vv = hkm1.invert(uu)
+                vv = h.invert(uu, k - 1)
                 ss = uu / ell_k
                 sst = vv / ell_km1
                 psi_k_u = (K_k * profile_eval(eta, ss, 0)
-                           + a_k * profile_eval(gam_k, ss, 0))
+                           + a_k * h.gamma(ss, h.plus[j], 0))
                 psi_km1_v = (K_km1 * profile_eval(eta, sst, 0)
-                             + a_km1 * profile_eval(gam_km1, sst, 0))
+                             + a_km1 * h.gamma(sst, h.plus[j - 1], 0))
                 return psi_k_u - psi_km1_v / (1.0 + psi_km1_v)
 
             fd = (-dzeta(u + 2 * hstep) + 8.0 * dzeta(u + hstep)
                   - 8.0 * dzeta(u - hstep) + dzeta(u - 2 * hstep)) / (12.0 * hstep)
 
-            zeta = hk.value(u) + v - 2.0 * u
+            zeta = h.value(u, k) + v - 2.0 * u
             dz = dzeta(u)
 
-            rows["sup_d2"].append(float(np.max(np.abs(total))))
-            rows["sup_II"].append(float(np.max(np.abs(II))))
-            rows["sup_III"].append(float(np.max(np.abs(III))))
-            rows["sup_IV"].append(float(np.max(np.abs(IV))))
-            rows["sup_V"].append(float(np.max(np.abs(V))))
-            rows["sup_dzeta"].append(float(np.max(np.abs(dz))))
-            rows["sup_zeta"].append(float(np.max(np.abs(zeta))))
-            rows["rel_fd_dev"].append(
-                float(np.max(np.abs(total - fd)) / np.max(np.abs(fd))))
-            rows["abs_analytic_dev"].append(float(np.max(np.abs(total - direct))))
-        return RegularityReport(k=ks, **rows)
+            block = {
+                "sup_d2": sup(total), "sup_II": sup(II), "sup_III": sup(III),
+                "sup_IV": sup(IV), "sup_V": sup(V), "sup_dzeta": sup(dz),
+                "sup_zeta": sup(zeta),
+                "rel_fd_dev": sup(total - fd) / sup(fd),
+                "abs_analytic_dev": sup(total - direct),
+            }
+            for name, col in block.items():
+                rows.setdefault(name, []).extend(col.tolist())
+        return RegularityReport(k=ks.tolist(), **rows)
 
 
 @dataclass
@@ -596,14 +602,15 @@ def curve_side_check(system: TwistSystem, n_points: int = 64) -> dict:
     tb, seqs = system.table, system.seqs
     s1 = manifold_segment(system, 1, "stable")
     mu1 = s1.base[0]
-    # the free half is where the curve's local slope is K + alpha
-    sgn1 = 1.0 if system.g.local[1].gamma_kind == "plus" else -1.0
+    # the free half is where the curve's local slope is K + alpha: right of
+    # mu_1 and left of mu_0, mirrored when the jump profiles are exchanged
+    sgn1 = -1.0 if system.g.swap_gamma else 1.0
     xs = mu1 + sgn1 * np.linspace(1e-3, 1.0, n_points) * s1.x_half_width
     gap1 = np.asarray(system.curve_height(xs)) - np.asarray(s1.height(xs))
     expected1 = float(seqs.alpha(1)) * (xs - mu1)
     u0 = manifold_segment(system, 0, "unstable")
     mu0 = u0.base[0]
-    sgn0 = -1.0 if system.g.local[0].gamma_kind == "minus" else 1.0
+    sgn0 = -sgn1
     xs0 = mu0 + sgn0 * np.linspace(1e-3, 1.0, n_points) * u0.x_half_width
     gap0 = np.asarray(system.curve_height(xs0)) - np.asarray(u0.height(xs0))
     expected0 = float(seqs.alpha(0)) * (xs0 - mu0)
@@ -705,16 +712,6 @@ def diffusion_probe(system: TwistSystem, theta0: float, offset: float, n: int,
 
 def build_twist_system(g, table=None, seqs=None, profiles=None) -> TwistSystem:
     return TwistSystem(g, table=table, seqs=seqs, profiles=profiles)
-
-
-def twist_forward(system: TwistSystem, theta: float, r: float):
-    """(theta, r) -> (theta + r, r + phi(theta + r)), theta mod 1, r real."""
-    return system.forward(theta, r)
-
-
-def twist_backward(system: TwistSystem, theta: float, r: float):
-    """(theta, r) -> (theta - r + phi(theta), r - phi(theta))."""
-    return system.backward(theta, r)
 
 
 def dump_segments_csv(system: TwistSystem, k_lo: int, k_hi: int, path) -> None:

@@ -3,67 +3,82 @@ import math
 import numpy as np
 import pytest
 
-from denjoy_twist.circle_map import (RigidRotation, derivative_jump_scan,
+from denjoy_twist.circle_map import (LocalDiffeo, RigidRotation, derivative_jump_scan,
                                      derivative_jump_table, dump_orbit_csv,
                                      homeo_eval, orbit_lift,
                                      rotation_number_estimate,
                                      wandering_interval_check)
 
 
+def columns(g, k):
+    """ell, ell_next, K and alpha of gap k, from the h_k family's columns."""
+    h, j = g.local, k + g.M
+    return float(h.ell[j]), float(h.ell_next[j]), float(h.K[j]), float(h.alpha[j])
+
+
+def test_one_family_for_all_gaps(small):
+    assert isinstance(small.g.local, LocalDiffeo)
+    assert len(small.g.local) == 2 * small.g.M
+
+
 def test_local_diffeo_endpoints(small):
+    h = small.g.local
     for k in (-30, -1, 0, 1, 17):
-        h = small.g.local[k]
-        assert h.value(0.0) == 0.0
-        assert abs(h.value(h.ell) - h.ell_next) <= 1e-13
+        ell, ell_next, _, _ = columns(small.g, k)
+        assert h.value(0.0, k) == 0.0
+        assert abs(h.value(ell, k) - ell_next) <= 1e-13
 
 
 def test_local_diffeo_one_sided_midpoint(small):
+    h = small.g.local
     for k in (1, 5, 30):
-        h = small.g.local[k]
-        u = 0.5 * h.ell
-        assert abs(h.deriv(u, side="left") - (1.0 + h.K)) <= 1e-15
-        assert abs(h.deriv(u, side="right") - (1.0 + h.K + h.alpha)) <= 1e-15
+        ell, _, K, alpha = columns(small.g, k)
+        u = 0.5 * ell
+        assert abs(h.deriv(u, k, side="left") - (1.0 + K)) <= 1e-15
+        assert abs(h.deriv(u, k, side="right") - (1.0 + K + alpha)) <= 1e-15
     for k in (0, -4, -30):
-        h = small.g.local[k]
-        u = 0.5 * h.ell
-        assert abs(h.deriv(u, side="left") - (1.0 + h.K + h.alpha)) <= 1e-15
-        assert abs(h.deriv(u, side="right") - (1.0 + h.K)) <= 1e-15
+        ell, _, K, alpha = columns(small.g, k)
+        u = 0.5 * ell
+        assert abs(h.deriv(u, k, side="left") - (1.0 + K + alpha)) <= 1e-15
+        assert abs(h.deriv(u, k, side="right") - (1.0 + K)) <= 1e-15
 
 
 def test_exact_linear_pieces(small):
+    h = small.g.local
     for k in (1, 9):
-        h = small.g.local[k]
-        u = h.ell * np.linspace(0.375, 0.5, 11)
-        assert np.max(np.abs(h.value(u) - (1.0 + h.K) * u)) <= 1e-13
-        u = h.ell * np.linspace(0.5, 0.625, 11)
-        expected = (1.0 + h.K + h.alpha) * u - h.alpha * h.ell / 2.0
-        assert np.max(np.abs(h.value(u) - expected)) <= 1e-13
+        ell, _, K, alpha = columns(small.g, k)
+        u = ell * np.linspace(0.375, 0.5, 11)
+        assert np.max(np.abs(h.value(u, k) - (1.0 + K) * u)) <= 1e-13
+        u = ell * np.linspace(0.5, 0.625, 11)
+        expected = (1.0 + K + alpha) * u - alpha * ell / 2.0
+        assert np.max(np.abs(h.value(u, k) - expected)) <= 1e-13
     for k in (0, -9):
-        h = small.g.local[k]
-        u = h.ell * np.linspace(0.375, 0.5, 11)
-        expected = (1.0 + h.K + h.alpha) * u - h.alpha * h.ell / 2.0
-        assert np.max(np.abs(h.value(u) - expected)) <= 1e-13
-        u = h.ell * np.linspace(0.5, 0.625, 11)
-        assert np.max(np.abs(h.value(u) - (1.0 + h.K) * u)) <= 1e-13
+        ell, _, K, alpha = columns(small.g, k)
+        u = ell * np.linspace(0.375, 0.5, 11)
+        expected = (1.0 + K + alpha) * u - alpha * ell / 2.0
+        assert np.max(np.abs(h.value(u, k) - expected)) <= 1e-13
+        u = ell * np.linspace(0.5, 0.625, 11)
+        assert np.max(np.abs(h.value(u, k) - (1.0 + K) * u)) <= 1e-13
 
 
 def test_invert_basics(small):
-    h = small.g.local[3]
-    assert h.invert(0.0) == 0.0
+    h = small.g.local
+    ell, ell_next, _, _ = columns(small.g, 3)
+    assert h.invert(0.0, 3) == 0.0
     rng = np.random.default_rng(31)
-    u = rng.random(1000) * h.ell
-    back = h.invert(h.value(u))
+    u = rng.random(1000) * ell
+    back = h.invert(h.value(u, 3), 3)
     assert np.max(np.abs(back - u)) <= 1e-13
     # midpoints correspond through the left linear piece
-    assert abs(h.invert(h.ell_next / 2.0) - h.ell / 2.0) <= 1e-15
+    assert abs(h.invert(ell_next / 2.0, 3) - ell / 2.0) <= 1e-15
     with pytest.raises(ValueError):
-        h.invert(h.ell_next * 1.5)
+        h.invert(ell_next * 1.5, 3)
 
 
 def test_monotone_increasing(small):
-    h = small.g.local[-2]
-    u = np.linspace(0.0, h.ell, 2000)
-    assert np.all(np.diff(h.value(u)) > 0.0)
+    ell, _, _, _ = columns(small.g, -2)
+    u = np.linspace(0.0, ell, 2000)
+    assert np.all(np.diff(small.g.local.value(u, -2)) > 0.0)
 
 
 def test_gap_endpoint_images(small):
@@ -106,9 +121,15 @@ def test_lift_periodicity(small):
 
 
 def test_scalar_vector_consistency(small):
-    g = small.g
+    g, tb = small.g, small.table
     rng = np.random.default_rng(34)
-    xs = rng.random(64)
+    # uniform points, plus points on both shoulders of every gap, so one
+    # batched call mixes all gaps and both jump profiles
+    ks = np.arange(-g.M, g.M)
+    shoulders = np.concatenate([rng.uniform(0.26, 0.37, ks.size),
+                                rng.uniform(0.63, 0.74, ks.size)])
+    xs = np.concatenate([rng.random(64),
+                         tb.lam_of(np.tile(ks, 2)) + shoulders * tb.ell_of(np.tile(ks, 2))])
     vec = g.lift_many(xs)
     scal = np.array([g.lift(float(x)) for x in xs])
     assert np.array_equal(vec, scal)
@@ -116,6 +137,16 @@ def test_scalar_vector_consistency(small):
     vec_inv = g.inverse_lift_many(ys)
     scal_inv = np.array([g.inverse_lift(float(y)) for y in ys])
     assert np.array_equal(vec_inv, scal_inv)
+    assert np.array_equal(g.inverse_lift_many(xs),
+                          np.array([g.inverse_lift(float(x)) for x in xs]))
+    # the family's batched derivative against the scalar one, both sides
+    i = np.searchsorted(g._x_lo, xs[64:], side="right") - 1
+    k = np.tile(ks, 2)
+    assert np.array_equal(g._gap_k[i], k)
+    for side in ("left", "right"):
+        vec_d = g.local.deriv(xs[64:] - g._x_lo[i], k, side=side)
+        scal_d = np.array([g.derivative(float(x), side) for x in xs[64:]])
+        assert np.array_equal(vec_d, scal_d)
 
 
 def test_homeo_eval_dispatch(small):
@@ -182,10 +213,11 @@ def test_one_sided_agreement_off_midpoints(small):
 
 
 def test_derivative_one_at_gap_edges(small):
+    h = small.g.local
     for k in (-10, 0, 10):
-        h = small.g.local[k]
-        assert h.deriv(0.0) == 1.0
-        assert h.deriv(h.ell) == 1.0
+        ell, _, _, _ = columns(small.g, k)
+        assert h.deriv(0.0, k) == 1.0
+        assert h.deriv(ell, k) == 1.0
 
 
 def test_derivative_tends_to_one(small):
@@ -194,25 +226,21 @@ def test_derivative_tends_to_one(small):
     grid = np.linspace(0.01, 0.99, 101)
 
     def gap_sup(k):
-        h = g.local[k]
-        return float(np.max(np.abs(h.deriv(grid * h.ell) - 1.0)))
+        ell, _, _, _ = columns(g, k)
+        return float(np.max(np.abs(g.local.deriv(grid * ell, k) - 1.0)))
 
     inner = max(gap_sup(k) for k in range(-M // 2, M // 2))
     outer = max(gap_sup(k) for k in list(range(-M, -M // 2)) + list(range(M // 2, M)))
     assert outer < inner
 
 
-def test_wandering_intervals(small, tmp_path):
-    from denjoy_twist.circle_map import dump_wandering_report
+def test_wandering_intervals(small):
     rep = wandering_interval_check(small.g, min(50, small.table.M))
     assert rep["max_endpoint_deviation_forward"] <= 1e-10
     assert rep["max_endpoint_deviation_backward"] <= 1e-10
     assert rep["lengths_decreasing"]
     rep0 = wandering_interval_check(small.g, 0)
     assert rep0["max_endpoint_deviation_forward"] == 0.0
-    dump_wandering_report(rep, tmp_path / "wandering.json")
-    import json
-    assert json.loads((tmp_path / "wandering.json").read_text()) == rep
     with pytest.raises(ValueError):
         wandering_interval_check(small.g, small.table.M + 1)
 
@@ -254,22 +282,21 @@ def test_plateau_region_smooth(small):
 
 
 def test_local_diffeo_eval_surface(small):
-    from denjoy_twist.circle_map import local_diffeo_eval, local_diffeo_invert
     from denjoy_twist.profiles import OneSidedLimitRequired
-    g = small.g
-    h = g.local[2]
-    u = 0.3 * h.ell
-    assert local_diffeo_eval(g, 2, u, 0) == h.value(u)
-    mid = 0.5 * h.ell
-    assert local_diffeo_eval(g, 2, mid, "1L") == h.deriv(mid, side="left")
-    assert local_diffeo_eval(g, 2, mid, "1R") == h.deriv(mid, side="right")
-    assert local_diffeo_eval(g, 2, u, 2) == h.second_deriv(u)
+    h = small.g.local
+    ell, _, _, _ = columns(small.g, 2)
+    u = 0.3 * ell
+    mid = 0.5 * ell
+    # one call over several gaps agrees with the one-gap calls
+    ks = np.array([2, -5, 7])
+    us = np.array([u, 0.3 * columns(small.g, -5)[0], 0.3 * columns(small.g, 7)[0]])
+    assert np.array_equal(h.value(us, ks), [h.value(x, k) for x, k in zip(us, ks)])
+    assert h.deriv(mid, 2, side="left") != h.deriv(mid, 2, side="right")
+    assert h.second_deriv(u, 2) == h.second_deriv(u, 2, side="left")
     with pytest.raises(OneSidedLimitRequired):
-        local_diffeo_eval(g, 2, mid, 2)
-    with pytest.raises(ValueError):
-        local_diffeo_eval(g, 2, u, "2X")
-    v = h.value(u)
-    assert abs(local_diffeo_invert(g, 2, v) - u) <= 1e-15
+        h.second_deriv(mid, 2)
+    v = h.value(u, 2)
+    assert abs(h.invert(v, 2) - u) <= 1e-15
 
 
 def test_orbit_csv(small, tmp_path):

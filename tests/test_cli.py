@@ -58,6 +58,28 @@ def test_verify_unattainable_tolerance_fails(tmp_path):
     assert all(c["measured"] > 0.0 for c in failing)
 
 
+def test_verify_smallest_truncation(tmp_path):
+    # the orbit-convergence check shortens its orbit to the stored range
+    assert run(["verify"] + FAST + ["--set", "params.M=8"], tmp_path, "v8") == 0
+    rep = json.loads((tmp_path / "v8" / "verify.json").read_text())
+    assert rep["pass"] and all(c["pass"] for c in rep["checks"])
+
+
+def test_unconfirmable_quadrature_tolerance_exits_2(tmp_path, capsys):
+    code = run(["build", "--set", "params.quadrature_tolerance=1e-20"],
+               tmp_path, "q")
+    assert code == 2
+    assert "kernel mass check failed" in capsys.readouterr().err
+
+
+def test_non_monotone_gap_diffeo_exits_2(tmp_path, capsys):
+    assert run(["build", "--set", "params.C=10"], tmp_path, "c10") == 2
+    err = capsys.readouterr().err
+    assert "h_0 is not monotone" in err and "minimum slope -0.0153" in err
+    assert run(["build", "--set", "params.C=20"], tmp_path, "c20") == 0
+    assert run(["build"], tmp_path, "c100") == 0
+
+
 def test_verify_rigid_rotation_mode(tmp_path):
     code = run(["verify", "--set", "params.mode=rigid_rotation"], tmp_path, "vr")
     assert code == 0

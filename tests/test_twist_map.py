@@ -152,16 +152,16 @@ def test_regularity_scan(small):
 
 def test_zeta_affine_on_middle_segment(small):
     # direct check on one gap: D2 zeta == 0 on the interior of J_k
-    g = small.g
+    h = small.g.local
     k = 4
-    hk, hkm1 = g.local[k], g.local[k - 1]
-    u = hk.ell * np.linspace(0.39, 0.61, 41)
-    u = u[np.abs(u / hk.ell - 0.5) > 5e-3]
-    v = hkm1.invert(u)
-    zeta = hk.value(u) + v - 2.0 * u
+    ell_k = h.ell[k + small.g.M]
+    u = ell_k * np.linspace(0.39, 0.61, 41)
+    u = u[np.abs(u / ell_k - 0.5) > 5e-3]
+    v = h.invert(u, k - 1)
+    zeta = h.value(u, k) + v - 2.0 * u
     slope = (zeta[-1] - zeta[0]) / (u[-1] - u[0])
     dev = zeta - (zeta[0] + slope * (u - u[0]))
-    assert np.max(np.abs(dev)) <= 1e-11 * hk.ell
+    assert np.max(np.abs(dev)) <= 1e-11 * ell_k
 
 
 # -- segments ------------------------------------------------------------------
