@@ -145,8 +145,14 @@ class LocalDiffeo:
         tol = _INVERT_REL_TOL * self.ell_next[j]
         bad = (v < -tol) | (v > vs[:, 4] + tol)
         if bad.any():
-            raise ValueError(
-                f"inverse argument outside [0, ell_{int(k[bad][0]) + 1}]")
+            # pass a few ulp at circle scale too: a gap's image piece in the
+            # global table can be that much wider than h_k(ell_k), so g^{-1}
+            # at a gap's right end lands just outside
+            slack = tol[bad] + 8.0 * _EPS
+            far = (v[bad] < -slack) | (v[bad] > vs[bad, 4] + slack)
+            if far.any():
+                raise ValueError(
+                    f"inverse argument outside [0, ell_{int(k[bad][far][0]) + 1}]")
         v = np.clip(v, 0.0, vs[:, 4])
         out = np.empty_like(v)
 
@@ -190,7 +196,9 @@ class LocalDiffeo:
             lo = np.where(f > 0.0, lo, u)
             un = u - f / self.deriv(u, k)
             u = np.where((un <= lo) | (un >= hi), 0.5 * (lo + hi), un)
-        raise RuntimeError(f"inversion of h_{int(k[0])} failed to converge")
+        raise ConstructionError(
+            f"inversion of h_{int(k[0])} failed to converge: {len(k)} of "
+            f"{len(out)} points after {_INVERT_MAX_ITER} Newton steps")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sequences import ConstructionError
+
 
 def frac_part(x):
     """x mod 1 in [0, 1), mapping negative inputs correctly."""
@@ -80,6 +82,13 @@ class GapTable:
         e = self.ell_of(k)
         return (m - e / 8.0, m + e / 8.0)
 
+    def lookup(self, x):
+        """For circle points x in [0, 1): the circular rank i of the last gap
+        starting at or below x (-1 if none) and whether x lies in that gap,
+        both endpoints counting as the gap's. Broadcasts over arrays."""
+        i = np.searchsorted(self._sorted_lam, x, side="right") - 1
+        return i, (i >= 0) & (x <= self._sorted_ends[i])
+
     def locate(self, x):
         """Classify a circle point: inside gap k or in the residual set.
 
@@ -89,8 +98,9 @@ class GapTable:
         """
         x = float(frac_part(x))
         n = len(self._sorted_lam)
-        i = int(np.searchsorted(self._sorted_lam, x, side="right")) - 1
-        if i >= 0 and x <= self._sorted_ends[i]:
+        i, inside = self.lookup(x)
+        i = int(i)
+        if inside:
             k = int(self.sorted_to_k[i])
             return ("gap", k, x - float(self._sorted_lam[i]))
         left = i if i >= 0 else n - 1
@@ -139,7 +149,7 @@ def build_gap_table(seqs, params=None) -> GapTable:
 
     ends = sorted_lam + sorted_ell
     if np.any(ends[:-1] > sorted_lam[1:]) or ends[-1] >= 1.0:
-        raise AssertionError("internal consistency failure: gaps overlap")
+        raise ConstructionError("placed gaps overlap")
 
     table = GapTable(
         M=M, omega=omega, orbit_t=orbit_t, lam=lam, ell=ell,
@@ -168,19 +178,19 @@ class SemiConjugacy:
     def __call__(self, x):
         return self.eval(x)
 
-    def eval(self, x: float) -> float:
-        kind, a, b = self.table.locate(x)
-        if kind == "gap":
-            return float(self.table.t_of(a))
-        return self.eval_residual_t(x)
+    def eval(self, x):
+        """j at circle points: a float for a scalar x, else an array.
 
-    def eval_residual_t(self, x: float) -> float:
-        """Invert Psi on the residual: t = (x - gap mass below) / residual."""
-        t0 = self.table
-        x = float(frac_part(x))
-        i = int(np.searchsorted(t0._sorted_lam, x, side="right")) - 1
-        mass_below = float(t0.prefix[i] + t0.ell[t0.sorted_to_k[i] + t0.M]) if i >= 0 else 0.0
-        return (x - mass_below) / t0.residual_mass
+        Gap points map to their orbit point; residual points invert the
+        placement measure, t = (x - gap mass below) / residual mass.
+        """
+        tb = self.table
+        x = frac_part(x)
+        i, inside = tb.lookup(x)
+        k = tb.sorted_to_k[i] + tb.M
+        mass_below = np.where(i >= 0, tb.prefix[i] + tb.ell[k], 0.0)
+        t = np.where(inside, tb.orbit_t[k], (x - mass_below) / tb.residual_mass)
+        return float(t) if t.ndim == 0 else t
 
     def lift(self, x: float) -> float:
         n = math.floor(x)

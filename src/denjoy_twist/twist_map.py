@@ -116,38 +116,41 @@ class TwistSystem:
         fr = np.asarray(frac_part(theta), dtype=float)
         return self.g.lift_many(fr) - fr
 
+    # Each step takes theta and r as floats, giving Python floats, or as
+    # arrays of one shape, stepping every point with one phi.eval_many call;
+    # the arithmetic is the same for both, so the results agree bitwise.
+
+    def _ops(self, theta):
+        """floor and phi for a scalar or an array step."""
+        if np.ndim(theta) == 0:
+            return math.floor, self.phi.eval
+        return np.floor, self.phi.eval_many
+
     def forward(self, theta, r):
+        floor, phi = self._ops(theta)
         # split r into integer and fractional parts (both exact) so the
         # theta output commutes bitwise with vertical integer translation
-        fr = r - math.floor(r)
-        w = (theta - math.floor(theta)) + fr
-        theta1 = w - 1.0 if w >= 1.0 else w
-        return theta1, r + self.phi.eval(theta1)
+        fr = r - floor(r)
+        w = (theta - floor(theta)) + fr
+        theta1 = w - (w >= 1.0)   # back into [0, 1)
+        return theta1, r + phi(theta1)
 
     def backward(self, theta, r):
-        th = theta - math.floor(theta)
-        p = self.phi.eval(th)
-        w = th - (r - math.floor(r)) + p
-        return w - math.floor(w), r - p
+        floor, phi = self._ops(theta)
+        th = theta - floor(theta)
+        p = phi(th)
+        w = th - (r - floor(r)) + p
+        return w - floor(w), r - p
 
     def forward_lift(self, theta, r):
+        _, phi = self._ops(theta)
         w = theta + r
-        return w, r + self.phi.eval(w)
+        return w, r + phi(w)
 
     def backward_lift(self, theta, r):
-        p = self.phi.eval(theta)
+        _, phi = self._ops(theta)
+        p = phi(theta)
         return theta - r + p, r - p
-
-    def iterate(self, theta, r, n):
-        """n-step orbit (forward for n > 0, backward for n < 0), lift in theta."""
-        out = np.empty((abs(n) + 1, 2))
-        out[0] = theta, r
-        step = self.forward_lift if n > 0 else self.backward_lift
-        th, rr = theta, r
-        for i in range(1, abs(n) + 1):
-            th, rr = step(th, rr)
-            out[i] = th, rr
-        return out
 
     # -- checks ------------------------------------------------------------
 
@@ -190,19 +193,24 @@ class TwistSystem:
             "max_r_residual": float(res_r.max()),
         }
 
+    # The sampled checks below draw their samples in a Python loop, since
+    # vectorised draws would consume the generator in another order and
+    # change the samples, then evaluate all samples in one array step.
+    # Reductions are np.max, so a NaN sample fails its check instead of
+    # vanishing as it would in a Python max.
+
     def roundtrip_check(self, n_samples: int = 10000, seed: int = 1) -> float:
         """max over samples of |f^{-1}(f(theta, r)) - (theta, r)| and converse."""
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(n_samples):
-            th, r = rng.random(), rng.uniform(-1.5, 1.5)
-            t1, r1 = self.forward(th, r)
-            t2, r2 = self.backward(t1, r1)
-            worst = max(worst, abs(float(circle_delta(t2, th))), abs(r2 - r))
-            t1, r1 = self.backward(th, r)
-            t2, r2 = self.forward(t1, r1)
-            worst = max(worst, abs(float(circle_delta(t2, th))), abs(r2 - r))
-        return worst
+        th, r = np.empty(n_samples), np.empty(n_samples)
+        for i in range(n_samples):
+            th[i], r[i] = rng.random(), rng.uniform(-1.5, 1.5)
+        devs = []
+        for first, second in ((self.forward, self.backward),
+                              (self.backward, self.forward)):
+            t2, r2 = second(*first(th, r))
+            devs += [np.abs(circle_delta(t2, th)), np.abs(r2 - r)]
+        return float(np.max(devs, initial=0.0))
 
     def vertical_translation_check(self, n_samples: int = 256, seed: int = 2) -> dict:
         """f(theta, r+1) - f(theta, r) = (0, 1): theta bitwise, r to an ulp.
@@ -212,51 +220,49 @@ class TwistSystem:
         at different exponents.
         """
         rng = np.random.default_rng(seed)
-        worst_t, worst_r = 0.0, 0.0
-        for _ in range(n_samples):
-            th = rng.random()
-            r = rng.integers(-2048, 2048) / 1024.0
-            t1, r1 = self.forward(th, r)
-            t2, r2 = self.forward(th, r + 1.0)
-            worst_t = max(worst_t, abs(t2 - t1))
-            worst_r = max(worst_r, abs((r2 - r1) - 1.0))
-        return {"max_theta_dev": worst_t, "max_r_dev": worst_r}
+        th, r = np.empty(n_samples), np.empty(n_samples)
+        for i in range(n_samples):
+            th[i] = rng.random()
+            r[i] = rng.integers(-2048, 2048) / 1024.0
+        t1, r1 = self.forward(th, r)
+        t2, r2 = self.forward(th, r + 1.0)
+        return {"max_theta_dev": float(np.max(np.abs(t2 - t1), initial=0.0)),
+                "max_r_dev": float(np.max(np.abs((r2 - r1) - 1.0), initial=0.0))}
 
     def det_check(self, n_samples: int = 1000, seed: int = 3,
                   step: float = 1e-6) -> float:
         """|det Df - 1| by central differences at differentiable points."""
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(n_samples):
+        theta, r = np.empty(n_samples), np.empty(n_samples)
+        for i in range(n_samples):
             if self.table is not None:
                 # gap interiors with margin: differentiable, and theta +- step
                 # cannot straddle a slope kink there
                 k = int(rng.integers(-min(400, self.table.M), min(400, self.table.M)))
                 s = rng.uniform(0.1, 0.4) if rng.random() < 0.5 else rng.uniform(0.6, 0.9)
-                theta = float(self.table.lam_of(k)) + s * float(self.table.ell_of(k))
+                theta[i] = float(self.table.lam_of(k)) + s * float(self.table.ell_of(k))
             else:
-                theta = rng.random()
-            r = rng.uniform(-0.5, 0.5)
-            w = theta - r  # probe at theta+r == theta, away from kinks
-            F = self.forward_lift
-            a = (F(w + step, r)[0] - F(w - step, r)[0]) / (2 * step)
-            b = (F(w, r + step)[0] - F(w, r - step)[0]) / (2 * step)
-            c = (F(w + step, r)[1] - F(w - step, r)[1]) / (2 * step)
-            d = (F(w, r + step)[1] - F(w, r - step)[1]) / (2 * step)
-            worst = max(worst, abs(a * d - b * c - 1.0))
-        return worst
+                theta[i] = rng.random()
+            r[i] = rng.uniform(-0.5, 0.5)
+        w = theta - r  # probe at theta+r == theta, away from kinks
+        F = self.forward_lift
+        (tp, rp), (tm, rm) = F(w + step, r), F(w - step, r)
+        (tu, ru), (td, rd) = F(w, r + step), F(w, r - step)
+        a, c = (tp - tm) / (2 * step), (rp - rm) / (2 * step)
+        b, d = (tu - td) / (2 * step), (ru - rd) / (2 * step)
+        return float(np.max(np.abs(a * d - b * c - 1.0), initial=0.0))
 
     def twist_check(self, n_samples: int = 100, seed: int = 4,
                     step: float = 1e-6) -> dict:
         """d theta' / d r: affine-in-r by the formula; confirmed by differences."""
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(n_samples):
-            th, r = rng.random(), rng.uniform(-1.0, 1.0)
-            d = (self.forward_lift(th, r + step)[0]
-                 - self.forward_lift(th, r - step)[0]) / (2 * step)
-            worst = max(worst, abs(d - 1.0))
-        return {"symbolic": 1.0, "max_fd_dev": worst}
+        th, r = np.empty(n_samples), np.empty(n_samples)
+        for i in range(n_samples):
+            th[i], r[i] = rng.random(), rng.uniform(-1.0, 1.0)
+        d = (self.forward_lift(th, r + step)[0]
+             - self.forward_lift(th, r - step)[0]) / (2 * step)
+        return {"symbolic": 1.0,
+                "max_fd_dev": float(np.max(np.abs(d - 1.0), initial=0.0))}
 
     def periodicity_check(self, n_samples: int = 1000, seed: int = 5) -> float:
         rng = np.random.default_rng(seed)
@@ -282,22 +288,23 @@ class TwistSystem:
         """
         tb, seqs = self.table, self.seqs
         M = tb.M
-        ks, devs, slope_devs, const_devs = [], [], [], []
-        for k in range(-M + 1, M):
-            mu = float(tb.mu_of(k))
-            ell = float(tb.ell_of(k))
-            xs = mu + np.linspace(-ell / 8.0, ell / 8.0, n_points)
-            vals = self.phi.eval_many(xs)
-            A = np.vstack([xs - mu, np.ones_like(xs)]).T
-            (slope, const), *_ = np.linalg.lstsq(A, vals, rcond=None)
-            fit_dev = float(np.max(np.abs(A @ np.array([slope, const]) - vals)))
-            m_k = seqs.m1_adjusted if k == 1 else float(seqs.m(k))
-            expected_const = (float(circle_delta(tb.mu_of(k + 1), mu))
-                              + float(circle_delta(tb.mu_of(k - 1), mu)))
-            ks.append(k)
-            devs.append(fit_dev)
-            slope_devs.append(abs(slope - (m_k - 2.0)))
-            const_devs.append(abs(const - expected_const))
+        ks = np.arange(-M + 1, M)
+        mu, ell = tb.mu_of(ks), tb.ell_of(ks)
+        # one row of n_points per gap, all gaps in one phi evaluation
+        xs = mu[:, None] + np.linspace(-ell / 8.0, ell / 8.0, n_points, axis=1)
+        vals = self.phi.eval_many(xs)
+        devs, slopes, consts = [], [], []
+        for i in range(len(ks)):
+            A = np.vstack([xs[i] - mu[i], np.ones(n_points)]).T
+            (slope, const), *_ = np.linalg.lstsq(A, vals[i], rcond=None)
+            devs.append(float(np.max(np.abs(A @ np.array([slope, const]) - vals[i]))))
+            slopes.append(slope)
+            consts.append(const)
+        m = np.where(ks == 1, seqs.m1_adjusted, seqs.m(ks))
+        expected_const = (circle_delta(tb.mu_of(ks + 1), mu)
+                          + circle_delta(tb.mu_of(ks - 1), mu))
+        slope_devs = np.abs(np.array(slopes) - (m - 2.0))
+        const_devs = np.abs(np.array(consts) - expected_const)
         # local-coordinate identity at index 1, where the adjusted head
         # relation makes h_1 + h_0^{-1} affine with offset -alpha_1 ell_1 / 2
         h = self.g.local
@@ -307,13 +314,13 @@ class TwistSystem:
         expected = seqs.m1_adjusted * us - float(seqs.alpha(1)) * ell1 / 2.0
         local_offset_dev = float(np.max(np.abs(local_sum - expected)))
         return {
-            "k": ks,
+            "k": ks.tolist(),
             "max_fit_deviation": float(np.max(devs)),
             "max_slope_deviation": float(np.max(slope_devs)),
             "max_const_deviation": float(np.max(const_devs)),
             "local_offset_dev_k1": local_offset_dev,
             "fit_deviation": devs,
-            "slope_deviation": slope_devs,
+            "slope_deviation": slope_devs.tolist(),
         }
 
     # -- regularity scan -----------------------------------------------------
@@ -468,15 +475,20 @@ def manifold_segment(system: TwistSystem, k: int, kind: str) -> ManifoldSegment:
         return extend_family(system, "stable", k)[-1]
     if kind == "unstable" and k > 0:
         return extend_family(system, "unstable", k)[-1]
-    tb, seqs = system.table, system.seqs
-    mu = float(tb.mu_of(k))
-    ell = float(tb.ell_of(k))
-    base_r = float(system.curve_height(mu))
-    slope = float(seqs.K(k))
-    xs = np.array([mu - ell / 8.0, mu, mu + ell / 8.0])
+    mu, base_r, slope, hw = (float(a[0]) for a in _base_segments(system, [k]))
+    xs = np.array([mu - hw, mu, mu + hw])
     markers = np.column_stack([xs, base_r + slope * (xs - mu)])
     return ManifoldSegment(k=k, kind=kind, base=(mu, base_r), slope=slope,
-                           x_half_width=ell / 8.0, markers=markers)
+                           x_half_width=hw, markers=markers)
+
+
+def _base_segments(system: TwistSystem, ks):
+    """Base points (mu_k, gamma(mu_k)), slopes K_k and half-widths ell_k/8 of
+    the base segments over J_k, as arrays over the indices ks."""
+    ks = np.asarray(ks)
+    mu = system.table.mu_of(ks)
+    return (mu, system.curve_height(mu), system.seqs.K(ks),
+            system.table.ell_of(ks) / 8.0)
 
 
 def _in_band(system, markers, k):
@@ -502,7 +514,7 @@ def extend_family(system: TwistSystem, kind: str, k_target: int) -> list:
         in_band = True
         for k in range(0, k_target - 1, -1):
             in_band = in_band and _in_band(system, markers, k + 1)
-            markers = np.array([system.backward_lift(x, r) for x, r in markers])
+            markers = np.column_stack(system.backward_lift(markers[:, 0], markers[:, 1]))
             out.append(ManifoldSegment(
                 k=k, kind="stable", base=tuple(markers[1]),
                 slope=_marker_slope(markers),
@@ -516,7 +528,7 @@ def extend_family(system: TwistSystem, kind: str, k_target: int) -> list:
         in_band = True
         for k in range(1, k_target + 1):
             in_band = in_band and _in_band(system, markers, k - 1)
-            markers = np.array([system.forward_lift(x, r) for x, r in markers])
+            markers = np.column_stack(system.forward_lift(markers[:, 0], markers[:, 1]))
             out.append(ManifoldSegment(
                 k=k, kind="unstable", base=tuple(markers[1]),
                 slope=_marker_slope(markers),
@@ -546,47 +558,39 @@ def manifold_iterate_check(system: TwistSystem, k_max: int,
     (the affine contraction factor; Euclidean length differs by a slope
     correction of order K^2).
     """
-    tb, seqs = system.table, system.seqs
-    if k_max + 2 > tb.M:
+    if k_max + 2 > system.table.M:
         # gap M itself sits inside the truncation patch, so the last
         # formula-backed target segment is at index M - 1
         raise ValueError("k_max must not exceed M - 2")
-    worst_dist = 0.0
-    worst_ratio = 0.0
-    worst_base = 0.0
-    for k in range(1, k_max + 1):
-        seg = manifold_segment(system, k, "stable")
-        nxt = manifold_segment(system, k + 1, "stable")
-        xs = seg.base[0] + np.linspace(-seg.x_half_width, seg.x_half_width, n_points)
-        for x in xs:
-            x1, r1 = system.forward_lift(x, float(seg.height(x)))
-            worst_dist = max(worst_dist,
-                             abs(r1 - float(nxt.height(frac_part(x1)))))
-        x_lo, _ = system.forward_lift(xs[0], float(seg.height(xs[0])))
-        x_hi, _ = system.forward_lift(xs[-1], float(seg.height(xs[-1])))
-        ratio = (x_hi - x_lo) / (xs[-1] - xs[0])
-        worst_ratio = max(worst_ratio,
-                          abs(ratio - float(seqs.ell(k + 1)) / float(seqs.ell(k))))
-        # base point orbit: f(mu_k, gamma(mu_k)) = (mu_{k+1}, gamma(mu_{k+1}))
-        bx, br = system.forward_lift(seg.base[0], seg.base[1])
-        worst_base = max(worst_base,
-                         abs(float(circle_delta(bx, nxt.base[0]))),
-                         abs(br - nxt.base[1]))
-    for k in range(0, -k_max, -1):
-        seg = manifold_segment(system, k, "unstable")
-        nxt = manifold_segment(system, k - 1, "unstable")
-        xs = seg.base[0] + np.linspace(-seg.x_half_width, seg.x_half_width, n_points)
-        for x in xs:
-            x1, r1 = system.backward_lift(x, float(seg.height(x)))
-            worst_dist = max(worst_dist,
-                             abs(r1 - float(nxt.height(frac_part(x1)))))
-        x_lo, _ = system.backward_lift(xs[0], float(seg.height(xs[0])))
-        x_hi, _ = system.backward_lift(xs[-1], float(seg.height(xs[-1])))
-        ratio = (x_hi - x_lo) / (xs[-1] - xs[0])
-        worst_ratio = max(worst_ratio,
-                          abs(ratio - float(seqs.ell(k - 1)) / float(seqs.ell(k))))
-    return {"k_max": k_max, "max_image_distance": worst_dist,
-            "max_ratio_error": worst_ratio, "max_base_orbit_error": worst_base}
+    # stable segments k = 1..k_max map forward onto k + 1, unstable ones
+    # k = 0..-(k_max - 1) backward onto k - 1; each family in one array step
+    stable = _segment_images(system, np.arange(1, k_max + 2),
+                             system.forward_lift, n_points)
+    unstable = _segment_images(system, np.arange(0, -k_max - 1, -1),
+                               system.backward_lift, n_points)
+    return {"k_max": k_max,
+            "max_image_distance": max(stable["image"], unstable["image"]),
+            "max_ratio_error": max(stable["ratio"], unstable["ratio"]),
+            "max_base_orbit_error": stable["base"]}
+
+
+def _segment_images(system: TwistSystem, ks, step, n_points: int) -> dict:
+    """Worst deviations of step(segment k) from segment k' over consecutive
+    (k, k') in ks: image heights, x-projected length ratio against
+    ell_k' / ell_k, and the image of the base point."""
+    mu, base_r, slope, hw = _base_segments(system, ks)
+    src, dst = slice(None, -1), slice(1, None)   # k, k'
+    xs = mu[src, None] + np.linspace(-hw[src], hw[src], n_points, axis=1)
+    x1, r1 = step(xs, base_r[src, None] + slope[src, None] * (xs - mu[src, None]))
+    image = np.abs(r1 - (base_r[dst, None]
+                         + slope[dst, None] * (frac_part(x1) - mu[dst, None])))
+    ells = system.seqs.ell(ks)
+    ratio = (x1[:, -1] - x1[:, 0]) / (xs[:, -1] - xs[:, 0])
+    bx, br = step(mu[src], base_r[src])
+    base = np.maximum(np.abs(circle_delta(bx, mu[dst])), np.abs(br - base_r[dst]))
+    return {"image": float(np.max(image, initial=0.0)),
+            "ratio": float(np.max(np.abs(ratio - ells[dst] / ells[src]), initial=0.0)),
+            "base": float(np.max(base, initial=0.0))}
 
 
 def curve_side_check(system: TwistSystem, n_points: int = 64) -> dict:
@@ -733,19 +737,29 @@ def dump_segments_csv(system: TwistSystem, k_lo: int, k_hi: int, path) -> None:
 
 def dump_phase_portrait_csv(system: TwistSystem, orbits, n_steps: int, path,
                             curve_samples: int = 512) -> None:
-    """(orbit, step, theta, r) rows; orbit 0 samples the invariant curve."""
+    """(orbit, step, theta, r) rows; orbit 0 samples the invariant curve.
+
+    The orbits step in lockstep, one array step per time step; the rows are
+    written orbit by orbit.
+    """
+    ths = (np.arange(curve_samples) + 0.5) / curve_samples
+    th = np.array([float(t) for t, _ in orbits])
+    r = np.array([float(v) for _, v in orbits])
+    n_orbits = th.size
+    theta_at = np.empty((n_orbits, n_steps + 1))
+    r_at = np.empty((n_orbits, n_steps + 1))
+    theta_at[:, 0], r_at[:, 0] = frac_part(th), r
+    for s in range(1, n_steps + 1):
+        th, r = system.forward(th, r)
+        theta_at[:, s], r_at[:, s] = th, r
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["orbit", "step", "theta", "r"])
-        ths = (np.arange(curve_samples) + 0.5) / curve_samples
-        for j, th in enumerate(ths):
-            w.writerow([0, j, repr(float(th)), repr(float(system.curve_height(th)))])
-        for i, (th0, r0) in enumerate(orbits, start=1):
-            th, r = float(th0), float(r0)
-            w.writerow([i, 0, repr(float(frac_part(th))), repr(r)])
-            for s in range(1, n_steps + 1):
-                th, r = system.forward(th, r)
-                w.writerow([i, s, repr(th), repr(r)])
+        w.writerows([0, j, repr(t), repr(v)] for j, (t, v) in
+                    enumerate(zip(ths.tolist(), system.curve_height(ths).tolist())))
+        for i in range(n_orbits):
+            w.writerows([i + 1, s, repr(t), repr(v)] for s, (t, v) in
+                        enumerate(zip(theta_at[i].tolist(), r_at[i].tolist())))
 
 
 def dump_json(obj: dict, path) -> None:

@@ -147,6 +147,19 @@ def test_scalar_vector_consistency(small):
         vec_d = g.local.deriv(xs[64:] - g._x_lo[i], k, side=side)
         scal_d = np.array([g.derivative(float(x), side) for x in xs[64:]])
         assert np.array_equal(vec_d, scal_d)
+    # the twist steps: the array form equals per-point scalar steps, at
+    # residual points, shoulder points and gap endpoints, with r and r + 1
+    sysm = small.system
+    ends = np.concatenate([tb.lam_of(ks), tb.lam_of(ks) + tb.ell_of(ks)])
+    th = np.concatenate([xs, ends])
+    r = rng.uniform(-1.5, 1.5, th.size)
+    th, r = np.tile(th, 2), np.concatenate([r, r + 1.0])
+    for step in (sysm.forward, sysm.backward, sysm.forward_lift, sysm.backward_lift):
+        vec_t, vec_r = step(th, r)
+        scal = [step(float(a), float(b)) for a, b in zip(th, r)]
+        assert all(type(v) is float for pair in scal for v in pair)
+        assert np.array_equal(vec_t, [t for t, _ in scal])
+        assert np.array_equal(vec_r, [v for _, v in scal])
 
 
 def test_homeo_eval_dispatch(small):

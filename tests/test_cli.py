@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from denjoy_twist.cli import main
+from denjoy_twist import circle_map
+from denjoy_twist.cli import BuiltSystem, main
 from denjoy_twist.config import ConfigError, load_config, parse_float_list
 from denjoy_twist.reporting import deterministic_dump
 
@@ -80,6 +81,13 @@ def test_non_monotone_gap_diffeo_exits_2(tmp_path, capsys):
     assert run(["build"], tmp_path, "c100") == 0
 
 
+def test_nonconvergent_inversion_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(circle_map, "_INVERT_MAX_ITER", 1)
+    assert run(["verify", "--set", "params.M=16"], tmp_path, "nc") == 2
+    err = capsys.readouterr().err
+    assert "failed to converge" in err and "Traceback" not in err
+
+
 def test_verify_rigid_rotation_mode(tmp_path):
     code = run(["verify", "--set", "params.mode=rigid_rotation"], tmp_path, "vr")
     assert code == 0
@@ -102,6 +110,16 @@ def test_portrait_row_contract(tmp_path):
     assert code == 0
     lines = (tmp_path / "p" / "portrait.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 8 + 2 * 31
+    rows = [line.split(",") for line in lines[1:]]
+    order = [(int(o), int(s)) for o, s, _, _ in rows]
+    assert order == ([(0, j) for j in range(8)]
+                     + [(i, s) for i in (1, 2) for s in range(31)])
+    # every orbit row, re-stepped through the scalar map, gives the next row
+    system = BuiltSystem(load_config(None, ["params.M=16"])).system
+    for row, nxt in zip(rows[8:], rows[9:]):
+        if nxt[1] != "0":
+            assert system.forward(float(row[2]), float(row[3])) == (
+                float(nxt[2]), float(nxt[3]))
 
 
 def test_manifolds_cmd(tmp_path):

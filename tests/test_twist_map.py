@@ -94,6 +94,21 @@ def test_roundtrip(small):
     assert small.system.roundtrip_check(3000, seed=42) <= 1e-12
 
 
+def test_nan_sample_fails_the_check(small, monkeypatch):
+    # one NaN phi value must surface in the reduction, not be dropped by it
+    phi = small.system.phi
+    clean = phi.eval_many
+
+    def with_nan(xs):
+        out = clean(xs)
+        out.flat[0] = np.nan
+        return out
+
+    monkeypatch.setattr(phi, "eval_many", with_nan)
+    assert math.isnan(small.system.roundtrip_check(50, seed=42))
+    assert math.isnan(small.system.det_check(50, seed=44))
+
+
 def test_vertical_translation(small):
     rep = small.system.vertical_translation_check(seed=43)
     assert rep["max_theta_dev"] == 0.0
