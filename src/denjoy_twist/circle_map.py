@@ -29,7 +29,6 @@ import csv
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .layout import GapTable, frac_part
 from .profiles import _TABLE_PANELS, ProfileSet, profile_eval
@@ -42,6 +41,34 @@ _INVERT_REL_TOL = 1e-14
 _INVERT_MAX_ITER = 200
 _EPS = np.finfo(float).eps
 _BREAKS = np.array([0.0, 0.375, 0.5, 0.625, 1.0])   # breakpoints of h_k, in s
+
+
+def _hull_vertices(points):
+    """Vertices of the convex hull of 2-D points, counter-clockwise from the
+    leftmost one, the lowest of those on a tie (Andrew's monotone chain).
+
+    Duplicate points count once; points on a hull edge, collinear within
+    the sign of the cross product, are not vertices.
+    """
+    pts = points[np.lexsort(points.T[::-1])]
+    pts = pts[np.append(True, np.any(pts[1:] != pts[:-1], axis=1))]
+    if len(pts) < 3:
+        return pts
+
+    def chain(seq):
+        # keep only left turns; the last point starts the other chain
+        out = []
+        for x, y in seq:
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0.0:
+                    break
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
+
+    rows = pts.tolist()
+    return np.array(chain(rows) + chain(rows[::-1]))
 
 
 class LocalDiffeo:
@@ -72,7 +99,8 @@ class LocalDiffeo:
         return len(self.ell)
 
     def _check_monotone(self):
-        """ConstructionError unless every h_k' = 1 + K_k eta + alpha_k gamma_k > 0.
+        """ConstructionError unless every h_k' = 1 + K_k eta + alpha_k gamma_k > 0;
+        returns each gap's minimum slope.
 
         For fixed s the slope is linear in (K_k, alpha_k), so its minimum over
         the curve s -> (eta(s), gamma_plus(s)), tabulated on the profile table
@@ -82,13 +110,14 @@ class LocalDiffeo:
         s = np.linspace(0.0, 1.0, _TABLE_PANELS + 1)
         curve = np.column_stack([profile_eval(self.eta, s),
                                  profile_eval(self.gamma_plus, s)])
-        eta_v, gamma_v = curve[ConvexHull(curve).vertices].T
+        eta_v, gamma_v = _hull_vertices(curve).T
         low = np.min(1.0 + self.K[:, None] * eta_v + self.alpha[:, None] * gamma_v,
                      axis=1)
         j = int(np.argmin(low))
         if not low[j] > 0.0:
             raise ConstructionError(
                 f"h_{j - self.M} is not monotone: minimum slope {low[j]:.6g}")
+        return low
 
     def gamma(self, s, plus, order, side=None):
         """gamma_plus at s where plus is set, gamma_minus elsewhere.
@@ -390,37 +419,43 @@ class CircleHomeo:
 
     # -- derivatives -------------------------------------------------------
 
-    def _gap_deriv(self, i: int, fr: float, side, order: int) -> float:
-        k = self._gap_k[i]
+    def _deriv(self, x, side, order: int):
+        """g' (order 1) or g'' (order 2) at circle points, floats or arrays.
+
+        Affine pieces are inline and all gap points go to the family in one
+        call. side picks the one-sided limit at a gap midpoint and, for g',
+        at a piece's left edge, where the left limit is the previous piece's.
+        """
+        fr = np.atleast_1d(frac_part(x))
+        i = np.searchsorted(self._x_lo, fr, side="right") - 1
         u = fr - self._x_lo[i]
-        half = 0.5 * self.local.ell[k + self.M]
-        # snap within rounding of the midpoint so the side flag governs
-        # there; the window covers the global-to-local coordinate rounding
-        # (a few ulp at circle scale) and is far below any gap width
-        if abs(u - half) <= 8.0 * _EPS:
-            u = half
-        d = self.local.deriv if order == 1 else self.local.second_deriv
-        return d(u, k, side=side)
+        edge = np.zeros(fr.shape, dtype=bool)
+        if order == 1 and side == "left":
+            edge = fr == self._x_lo[i]
+            i = np.where(edge, (i - 1) % self.n_pieces, i)
+        out = self._slope[i] if order == 1 else np.zeros(fr.shape)
+        gap = np.flatnonzero(self._kind[i] == _GAP)
+        if gap.size:
+            k = self._gap_k[i[gap]]
+            ell = self.local.ell[k + self.M]
+            half = 0.5 * ell
+            # snap within rounding of the midpoint so the side flag governs
+            # there; the window covers the global-to-local coordinate rounding
+            # (a few ulp at circle scale) and is far below any gap width
+            ug = u[gap]
+            ug = np.where(np.abs(ug - half) <= 8.0 * _EPS, half, ug)
+            ug = np.where(edge[gap], ell, ug)
+            d = self.local.deriv if order == 1 else self.local.second_deriv
+            out[gap] = d(ug, k, side=side)
+        if np.ndim(x) == 0:
+            return float(out[0])
+        return out.reshape(np.shape(x))
 
-    def derivative(self, x: float, side: str = "right") -> float:
-        fr = float(frac_part(x))
-        i = int(np.searchsorted(self._x_lo, fr, side="right")) - 1
-        if side == "left" and fr == self._x_lo[i]:
-            j = (i - 1) % self.n_pieces
-            if self._kind[j] == _GAP:
-                k = self._gap_k[j]
-                return float(self.local.deriv(self.local.ell[k + self.M], k, side="left"))
-            return float(self._slope[j])
-        if self._kind[i] == _GAP:
-            return float(self._gap_deriv(i, fr, side, 1))
-        return float(self._slope[i])
+    def derivative(self, x, side: str = "right"):
+        return self._deriv(x, side, 1)
 
-    def second_derivative(self, x: float, side: str = "right") -> float:
-        fr = float(frac_part(x))
-        i = int(np.searchsorted(self._x_lo, fr, side="right")) - 1
-        if self._kind[i] == _GAP:
-            return float(self._gap_deriv(i, fr, side, 2))
-        return 0.0
+    def second_derivative(self, x, side: str = "right"):
+        return self._deriv(x, side, 2)
 
     def inverse_derivative(self, y: float, side: str = "right") -> float:
         return 1.0 / self.derivative(self.inverse_eval(y), side=side)
@@ -550,13 +585,9 @@ def derivative_jump_table(g: CircleHomeo) -> list:
 
 def derivative_jump_scan(g: CircleHomeo, n_samples: int, seed: int = 0) -> dict:
     """One-sided derivative agreement at random non-midpoint circle points."""
-    rng = np.random.default_rng(seed)
-    xs = rng.random(n_samples)
-    worst = 0.0
-    for x in xs:
-        d = abs(g.derivative(x, side="right") - g.derivative(x, side="left"))
-        worst = max(worst, d)
-    return {"n_samples": n_samples, "max_offmid_jump": worst}
+    xs = np.random.default_rng(seed).random(n_samples)
+    jump = np.abs(g.derivative(xs, side="right") - g.derivative(xs, side="left"))
+    return {"n_samples": n_samples, "max_offmid_jump": float(np.max(jump, initial=0.0))}
 
 
 def dump_orbit_csv(g, x0: float, n: int, path) -> None:

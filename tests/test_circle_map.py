@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from denjoy_twist.circle_map import (LocalDiffeo, RigidRotation, derivative_jump_scan,
-                                     derivative_jump_table, dump_orbit_csv,
-                                     homeo_eval, orbit_lift,
+from denjoy_twist.circle_map import (_AFFINE, LocalDiffeo, RigidRotation, _hull_vertices,
+                                     derivative_jump_scan, derivative_jump_table,
+                                     dump_orbit_csv, homeo_eval, orbit_lift,
                                      rotation_number_estimate,
                                      wandering_interval_check)
+from denjoy_twist.profiles import _TABLE_PANELS, profile_eval
+from denjoy_twist.sequences import SeqParams, build_sequences
 
 
 def columns(g, k):
@@ -160,6 +162,55 @@ def test_scalar_vector_consistency(small):
         assert all(type(v) is float for pair in scal for v in pair)
         assert np.array_equal(vec_t, [t for t, _ in scal])
         assert np.array_equal(vec_r, [v for _, v in scal])
+
+
+def test_derivative_array_form(small):
+    g, tb = small.g, small.table
+    rng = np.random.default_rng(37)
+    ks = np.arange(-g.M, g.M)
+    shoulders = tb.lam_of(ks) + rng.uniform(0.26, 0.37, ks.size) * tb.ell_of(ks)
+    ends = np.concatenate([tb.lam_of(ks), tb.lam_of(ks) + tb.ell_of(ks)])
+    xs = np.concatenate([rng.random(200), shoulders, ends, tb.mu_of(ks), g._x_lo])
+    for side in ("left", "right"):
+        for d in (g.derivative, g.second_derivative):
+            vec = d(xs, side)
+            scal = [d(float(x), side) for x in xs]
+            assert all(type(v) is float for v in scal)
+            assert np.array_equal(vec, scal)
+    # at a piece's left edge the left limit is the previous piece's slope
+    left = g.derivative(g._x_lo, "left")
+    prev = np.roll(np.arange(g.n_pieces), 1)
+    for i, j in enumerate(prev):
+        if g._kind[j] == _AFFINE:
+            assert left[i] == g._slope[j]
+        else:
+            k = int(g._gap_k[j])
+            assert left[i] == g.local.deriv(g.local.ell[k + g.M], k, side="left")
+    # the scan is one array call per side, equal to the per-point maximum
+    scan = derivative_jump_scan(g, 500, seed=38)
+    pts = np.random.default_rng(38).random(500)
+    worst = max(abs(g.derivative(float(x), "right") - g.derivative(float(x), "left"))
+                for x in pts)
+    assert scan["max_offmid_jump"] == worst
+
+
+def test_hull_vertices_small_set():
+    # duplicates, collinear points on three edges and an interior point
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [2.0, 2.0],
+                    [1.0, 1.0], [0.0, 2.0], [0.0, 0.0], [2.0, 2.0], [0.0, 1.0],
+                    [0.5, 0.5]])
+    assert _hull_vertices(pts).tolist() == [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0],
+                                            [0.0, 2.0]]
+    assert _hull_vertices(pts[:2]).tolist() == [[0.0, 0.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("C", [100.0, 20.0])
+def test_monotone_check_minima_equal_brute_force(profiles, C):
+    h = LocalDiffeo(build_sequences(SeqParams(bigC=C)), profiles)
+    s = np.linspace(0.0, 1.0, _TABLE_PANELS + 1)
+    eta, gamma = profile_eval(h.eta, s), profile_eval(h.gamma_plus, s)
+    brute = np.min(1.0 + h.K[:, None] * eta + h.alpha[:, None] * gamma, axis=1)
+    assert np.array_equal(h._check_monotone(), brute)
 
 
 def test_homeo_eval_dispatch(small):

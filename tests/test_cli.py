@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import denjoy_twist
 from denjoy_twist import circle_map
 from denjoy_twist.cli import BuiltSystem, main
 from denjoy_twist.config import ConfigError, load_config, parse_float_list
@@ -25,6 +29,22 @@ def test_build_writes_summary_and_csvs(tmp_path):
     assert 0.0 < rep["summary"]["residual_mass"] < 1.0
     for name in ("sequences.csv", "gaps.csv", "profiles.csv"):
         assert (tmp_path / "b" / name).exists()
+
+
+def test_run_path_imports_no_scipy(tmp_path):
+    # a fresh interpreter: importing the CLI and running a build loads no scipy
+    code = ("import sys\n"
+            "from denjoy_twist import cli\n"
+            f"assert cli.main(['build', '--set', 'params.M=16', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(denjoy_twist.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "build.json").exists()
 
 
 def test_build_minimal_truncation(tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicHermiteSpline
 
-from denjoy_twist.profiles import (CalibrationError, bump, calibrate_profiles,
-                                   export_profile_csv, profile_eval,
-                                   smooth_step, smooth_step_d1)
+from denjoy_twist.profiles import (CalibrationError, _check_mass, _cumulative_table,
+                                   bump, calibrate_profiles, export_profile_csv,
+                                   profile_eval, smooth_step, smooth_step_d1)
 
 
 def test_smooth_step_tails_and_symmetry():
@@ -57,6 +58,32 @@ def test_gamma_plus_negative_lobe_against_quadrature(profiles):
     pos_mass, _ = quad(lambda t: float(profile_eval(profiles.gamma_plus, t, 0)),
                        0.5, 0.6875, epsabs=1e-14, limit=200)
     assert abs(lobe_mass - pos_mass) <= 1e-12
+
+
+@pytest.mark.parametrize("kernel", [smooth_step, bump])
+def test_hermite_table_matches_scipy_spline(kernel):
+    # scipy is the oracle: the same nodes, values and slopes give the same
+    # floats at the nodes, one ulp either side, the ends and random points
+    table, mass = _cumulative_table(kernel, kernel)
+    x = table.x
+    y = np.append(table._rows[4], mass)
+    d = np.append(table._rows[3], kernel(x[-1]))
+    spline = CubicHermiteSpline(x, y, d)
+    pts = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                          [0.0, 1.0], np.random.default_rng(14).random(20000)])
+    ours, ref = table(pts), spline(pts)
+    assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+    assert table(1.0) == mass
+
+
+def test_mass_check_against_quad(profiles):
+    for kernel, mass in ((smooth_step, profiles.step_mass),
+                         (bump, profiles.bump_mass)):
+        q, err = _check_mass(kernel)
+        ref, _ = quad(lambda s: float(kernel(s)), 0.0, 1.0, epsabs=1e-15, limit=200)
+        assert abs(q - ref) <= 1e-14
+        assert abs(q - mass) <= err <= 1e-13
+    assert profiles.achieved_error <= 1e-13
 
 
 def test_calibration_coefficients_positive(profiles):
