@@ -27,14 +27,12 @@ from .circle_map import (
     CircleHomeo,
     RigidRotation,
     build_circle_homeo,
-    homeo_eval,
     rotation_number_estimate,
 )
 from .twist_map import (
     TwistSystem,
     build_twist_system,
     manifold_segment,
-    phi_eval,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,6 @@ immutable after build and safe for concurrent read-only use.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -467,7 +466,8 @@ class CircleHomeo:
 
 
 class RigidRotation:
-    """Test double: the rotation by omega, with the same evaluation surface."""
+    """Test double: the rotation by omega, with the lift surface the twist
+    map and the rigid-mode checks use."""
 
     def __init__(self, omega: float):
         self.omega = float(omega)
@@ -475,34 +475,14 @@ class RigidRotation:
     def lift(self, x):
         return x + self.omega
 
-    def eval(self, x):
-        v = x + self.omega
-        return v - math.floor(v)
-
     def inverse_lift(self, y):
         return y - self.omega
-
-    def inverse_eval(self, y):
-        v = y - self.omega
-        return v - math.floor(v)
 
     def lift_many(self, xs):
         return np.asarray(xs, dtype=float) + self.omega
 
     def inverse_lift_many(self, ys):
         return np.asarray(ys, dtype=float) - self.omega
-
-    def derivative(self, x, side="right"):
-        return 1.0
-
-    def second_derivative(self, x, side="right"):
-        return 0.0
-
-    def inverse_derivative(self, y, side="right"):
-        return 1.0
-
-    def inverse_second_derivative(self, y, side="right"):
-        return 0.0
 
 
 def build_circle_homeo(table, seqs, profiles, swap_gamma=False) -> CircleHomeo:
@@ -512,25 +492,6 @@ def build_circle_homeo(table, seqs, profiles, swap_gamma=False) -> CircleHomeo:
 # ---------------------------------------------------------------------------
 # operations on the built map
 # ---------------------------------------------------------------------------
-
-def homeo_eval(g, x, direction: str = "fwd", as_lift: bool = False):
-    """Evaluate g or its inverse at a circle point or lift."""
-    if direction == "fwd":
-        return g.lift(x) if as_lift else g.eval(x)
-    if direction == "inv":
-        return g.inverse_lift(x) if as_lift else g.inverse_eval(x)
-    raise ValueError("direction must be 'fwd' or 'inv'")
-
-
-def rotation_number_estimate(g, x0: float, n: int) -> float:
-    """(g~^n(x0) - x0)/n with exact winding bookkeeping."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    x = float(x0)
-    for _ in range(n):
-        x = g.lift(x)
-    return (x - x0) / n
-
 
 def orbit_lift(g, x0: float, n: int) -> np.ndarray:
     """The lift orbit x0, g~(x0), ..., g~^n(x0)."""
@@ -542,32 +503,35 @@ def orbit_lift(g, x0: float, n: int) -> np.ndarray:
     return out
 
 
+def rotation_number_estimate(g, x0: float, n: int) -> float:
+    """(g~^n(x0) - x0)/n with exact winding bookkeeping."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return float((orbit_lift(g, x0, n)[-1] - x0) / n)
+
+
 def wandering_interval_check(g: CircleHomeo, n_max: int) -> dict:
-    """Iterate the endpoints of I_0 and compare against the stored table."""
+    """Iterate the endpoints of I_0 forward and backward and compare against
+    the stored table."""
     tb = g.table
     if n_max > tb.M:
         raise ValueError("n_max exceeds the stored range")
-    dev_fwd = 0.0
-    a = float(tb.lam_of(0))
-    b = a + float(tb.ell_of(0))
-    for n in range(1, n_max + 1):
-        a, b = g.eval(a), g.eval(b)
-        dev_fwd = max(dev_fwd,
-                      abs(a - float(tb.lam_of(n))),
-                      abs(b - (float(tb.lam_of(n)) + float(tb.ell_of(n)))))
-    dev_bwd = 0.0
-    a = float(tb.lam_of(0))
-    b = a + float(tb.ell_of(0))
-    for n in range(1, n_max + 1):
-        a, b = g.inverse_eval(a), g.inverse_eval(b)
-        dev_bwd = max(dev_bwd,
-                      abs(a - float(tb.lam_of(-n))),
-                      abs(b - (float(tb.lam_of(-n)) + float(tb.ell_of(-n)))))
+    dev = {}
+    for name, step, sign in (("forward", g.eval, 1), ("backward", g.inverse_eval, -1)):
+        worst = 0.0
+        a = float(tb.lam_of(0))
+        b = a + float(tb.ell_of(0))
+        for n in range(1, n_max + 1):
+            a, b = step(a), step(b)
+            lam = float(tb.lam_of(sign * n))
+            worst = max(worst, abs(a - lam),
+                        abs(b - (lam + float(tb.ell_of(sign * n)))))
+        dev[name] = worst
     lengths = np.asarray(tb.ell_of(np.arange(0, n_max + 1)), dtype=float)
     return {
         "n_max": n_max,
-        "max_endpoint_deviation_forward": dev_fwd,
-        "max_endpoint_deviation_backward": dev_bwd,
+        "max_endpoint_deviation_forward": dev["forward"],
+        "max_endpoint_deviation_backward": dev["backward"],
         "lengths_decreasing": bool(np.all(np.diff(lengths) < 0)),
     }
 
@@ -589,12 +553,3 @@ def derivative_jump_scan(g: CircleHomeo, n_samples: int, seed: int = 0) -> dict:
     jump = np.abs(g.derivative(xs, side="right") - g.derivative(xs, side="left"))
     return {"n_samples": n_samples, "max_offmid_jump": float(np.max(jump, initial=0.0))}
 
-
-def dump_orbit_csv(g, x0: float, n: int, path) -> None:
-    """Orbit dump with columns (n, theta, lift)."""
-    lifts = orbit_lift(g, x0, n)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "theta", "lift"])
-        for i, v in enumerate(lifts):
-            w.writerow([i, repr(float(frac_part(v))), repr(float(v))])

@@ -26,8 +26,7 @@ from .sequences import (ConstructionError, SeqParams, build_sequences,
                         verify_sequence_estimates)
 from .twist_map import (build_twist_system, curve_side_check, diffusion_probe,
                         dump_json, dump_phase_portrait_csv, dump_segments_csv,
-                        manifold_iterate_check, manifold_segment,
-                        orbit_convergence_check)
+                        manifold_iterate_check, orbit_convergence_check)
 
 
 class BuiltSystem:
@@ -90,6 +89,27 @@ def cmd_build(cfg: RunConfig, outdir: str) -> int:
     return 0
 
 
+def _manifold_checks(built: BuiltSystem, rb: ReportBuilder, k_max: int) -> dict:
+    """The segment, curve-side and orbit-convergence checks of verify and
+    manifolds; returns the manifold_iterate_check result."""
+    sysm, tb, tol = built.system, built.table, built.cfg.tol
+    mi = manifold_iterate_check(sysm, k_max)
+    rb.check_leq("manifold_image_distance", mi["max_image_distance"],
+                 tol("manifold_map"))
+    rb.check_leq("manifold_ratio_error", mi["max_ratio_error"],
+                 tol("contraction_ratio"))
+    cs = curve_side_check(sysm)
+    rb.check_leq("curve_side_formula", cs["max_formula_dev"], tol("curve_side"))
+    rb.check_true("curve_side_strict", cs["strict_sign_ok"],
+                  detail={"zone_below_curve": cs["zone_below_curve"]})
+    # an off-base point halfway along the first stable segment's half-width
+    oc = orbit_convergence_check(sysm, float(tb.ell_of(1)) / 16.0,
+                                 min(20, tb.M - 1))
+    rb.check_leq("orbit_convergence_rel", oc["max_rel_ratio_error"],
+                 tol("orbit_convergence_rel"))
+    return mi
+
+
 def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
     cfg = built.cfg
     sysm, seqs, g, table = built.system, built.seqs, built.g, built.table
@@ -145,19 +165,7 @@ def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
     rb.add_timing("linearity", time.time() - t0)
 
     t0 = time.time()
-    mi = manifold_iterate_check(sysm, min(v["manifold_k_max"], table.M - 2))
-    rb.check_leq("manifold_image_distance", mi["max_image_distance"],
-                 tol("manifold_map"))
-    rb.check_leq("manifold_ratio_error", mi["max_ratio_error"],
-                 tol("contraction_ratio"))
-    cs = curve_side_check(sysm)
-    rb.check_leq("curve_side_formula", cs["max_formula_dev"], tol("curve_side"))
-    rb.check_true("curve_side_strict", cs["strict_sign_ok"],
-                  detail={"zone_below_curve": cs["zone_below_curve"]})
-    oc = orbit_convergence_check(sysm, float(table.ell_of(1)) / 16.0,
-                                 min(20, table.M - 1))
-    rb.check_leq("orbit_convergence_rel", oc["max_rel_ratio_error"],
-                 tol("orbit_convergence_rel"))
+    _manifold_checks(built, rb, min(v["manifold_k_max"], table.M - 2))
     rb.add_timing("manifolds", time.time() - t0)
 
     t0 = time.time()
@@ -316,23 +324,9 @@ def cmd_manifolds(cfg: RunConfig, outdir: str) -> int:
     k_max = min(m["k_max"], built.table.M - 2)
     dump_segments_csv(built.system, -k_max, k_max,
                       os.path.join(outdir, "segments.csv"))
-    mi = manifold_iterate_check(built.system, k_max)
-    rb.check_leq("manifold_image_distance", mi["max_image_distance"],
-                 cfg.tol("manifold_map"))
-    rb.check_leq("manifold_ratio_error", mi["max_ratio_error"],
-                 cfg.tol("contraction_ratio"))
+    mi = _manifold_checks(built, rb, k_max)
     rb.check_leq("manifold_base_orbit", mi["max_base_orbit_error"],
                  cfg.tol("manifold_map"))
-    cs = curve_side_check(built.system)
-    rb.check_leq("curve_side_formula", cs["max_formula_dev"],
-                 cfg.tol("curve_side"))
-    rb.check_true("curve_side_strict", cs["strict_sign_ok"],
-                  detail={"zone_below_curve": cs["zone_below_curve"]})
-    seg = manifold_segment(built.system, 1, "stable")
-    oc = orbit_convergence_check(built.system, seg.x_half_width / 2.0,
-                                 min(20, built.table.M - 1))
-    rb.check_leq("orbit_convergence_rel", oc["max_rel_ratio_error"],
-                 cfg.tol("orbit_convergence_rel"))
     report = rb.finish()
     write_report(report, os.path.join(outdir, "manifolds.json"))
     print(f"manifolds: {'PASS' if report['pass'] else 'FAIL'}")

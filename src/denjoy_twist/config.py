@@ -92,6 +92,17 @@ _DEFAULTS = {
 }
 
 
+# sample counts, orbit lengths and difference steps of the checks: at zero
+# a check would pass having measured nothing
+_POSITIVE = (
+    ("verify", "invariance_samples"), ("verify", "rotation_n"),
+    ("verify", "manifold_k_max"), ("verify", "jump_scan_samples"),
+    ("verify", "roundtrip_samples"), ("verify", "det_samples"),
+    ("verify", "fd_step"), ("regularity", "grid"),
+    ("regularity", "fd_step_rel"), ("manifolds", "k_max"),
+)
+
+
 @dataclass
 class RunConfig:
     """Parsed configuration with defaults filled in."""
@@ -163,6 +174,11 @@ def load_config(path=None, overrides=()) -> RunConfig:
     cfg = RunConfig(sections=sections)
     if cfg.sections["params"]["mode"] not in ("full", "rigid_rotation"):
         raise ConfigError("params.mode must be 'full' or 'rigid_rotation'")
+    for sec, key in _POSITIVE:
+        if not sections[sec][key] > 0:
+            raise ConfigError(f"{sec}.{key} must be positive, got {sections[sec][key]!r}")
+    if not parse_float_list(sections["verify"]["rotation_starts"]):
+        raise ConfigError("verify.rotation_starts must list at least one start")
     return cfg
 
 

@@ -41,8 +41,8 @@ class GapTable:
 
     Arrays are indexed by k + M. sorted_to_k[i] gives the gap index of the
     i-th gap in circular order; prefix[i] is the total gap length strictly
-    before it. No placed gap straddles the point 0 = 1 for these builds
-    (gap 0 starts exactly at 0) but wrap flags are kept for the contract.
+    before it. No placed gap straddles the point 0 = 1: gap 0 starts
+    exactly at 0 and build_gap_table rejects a last gap reaching 1.
     """
 
     M: int
@@ -51,7 +51,6 @@ class GapTable:
     lam: np.ndarray
     ell: np.ndarray
     mu: np.ndarray
-    wraps: np.ndarray
     residual_mass: float
     sorted_to_k: np.ndarray
     rank_of_k: np.ndarray    # inverse permutation: circular rank of gap k
@@ -153,7 +152,7 @@ def build_gap_table(seqs, params=None) -> GapTable:
 
     table = GapTable(
         M=M, omega=omega, orbit_t=orbit_t, lam=lam, ell=ell,
-        mu=lam + ell / 2.0, wraps=np.zeros(2 * M + 1, dtype=bool),
+        mu=lam + ell / 2.0,
         residual_mass=residual, sorted_to_k=sorted_to_k,
         rank_of_k=rank_of_k, prefix=prefix)
     return table
@@ -174,9 +173,6 @@ class SemiConjugacy:
     """
 
     table: GapTable
-
-    def __call__(self, x):
-        return self.eval(x)
 
     def eval(self, x):
         """j at circle points: a float for a scalar x, else an array.
@@ -199,11 +195,12 @@ class SemiConjugacy:
 
 def dump_gap_table_csv(table: GapTable, path) -> None:
     """Gap table dump with columns (k, lambda, mu, ell, J_lo, J_hi, wrap)."""
+    ks = np.arange(-table.M, table.M + 1)
+    cols = [table.lam_of(ks), table.mu_of(ks), table.ell_of(ks), *table.J_of(ks)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "lambda", "mu", "ell", "J_lo", "J_hi", "wrap"])
-        for k in range(-table.M, table.M + 1):
-            j_lo, j_hi = table.J_of(k)
-            w.writerow([k, repr(float(table.lam_of(k))), repr(float(table.mu_of(k))),
-                        repr(float(table.ell_of(k))), repr(float(j_lo)),
-                        repr(float(j_hi)), int(table.wraps[k + table.M])])
+        # csv writes Python floats by repr, which round-trips; no gap wraps
+        # around 0 = 1 (see GapTable), so the wrap column is a constant 0
+        w.writerows([*row, 0] for row in
+                    zip(ks.tolist(), *(c.tolist() for c in cols)))

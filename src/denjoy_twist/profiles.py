@@ -148,15 +148,16 @@ def bump_d2(s):
 # antiderivative tables for the two kernels on [0, 1]
 # ---------------------------------------------------------------------------
 
-_TABLE_PANELS = 4096
+_TABLE_PANELS = 4096   # a power of two: _HermiteTable needs exact nodes i/n
 _GL_ORDER = 12
 
 
 class _HermiteTable:
-    """Piecewise cubic Hermite interpolant through (x, y) with slopes d.
+    """Piecewise cubic Hermite interpolant through (x, y) with slopes d, on
+    the nodes x_i = i/n of [0, 1] for a power of two n.
 
     Coefficients, interval rule (each interval closed on the left, the last
-    one closed on both sides, the end cubics extended outside [x0, xn]) and
+    one closed on both sides, the end cubics extended outside [0, 1]) and
     the order of the power sum are those of the standard piecewise-power
     (PPoly) form of a cubic Hermite spline, so the values match that form
     bit for bit.
@@ -166,7 +167,7 @@ class _HermiteTable:
         dx = np.diff(x)
         slope = np.diff(y) / dx
         t = (d[:-1] + d[1:] - 2.0 * slope) / dx
-        self.x = x
+        self.n = len(x) - 1
         # node and coefficients of each interval as columns, one take per call
         self._rows = np.array([x[:-1], t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1]])
 
@@ -175,8 +176,10 @@ class _HermiteTable:
         if v.size == 0:
             # most calls carry an empty branch mask: skip their ~10 array ops
             return v.copy()
-        # searching the inner nodes gives the interval index already clipped
-        i = np.searchsorted(self.x[1:-1], v, "right")
+        # the nodes are exactly i/n and n v is exact, so floor(n v), clipped,
+        # is the interval a search of the nodes would find; fmin/fmax send
+        # NaN to a valid interval, where it stays NaN through the power sum
+        i = np.fmax(np.fmin(np.floor(self.n * v), self.n - 1), 0).astype(np.intp)
         x0, c0, c1, c2, c3 = np.take(self._rows, i, axis=1)
         s = v - x0
         ss = s * s
@@ -441,10 +444,8 @@ def export_profile_csv(profiles: ProfileSet, path, n: int = 2001) -> None:
         w = csv.writer(fh)
         w.writerow(["profile", "t", "value", "d1", "d2", "antiderivative"])
         for p in (profiles.eta, profiles.gamma_plus, profiles.gamma_minus):
-            v0 = profile_eval(p, ts, 0, side="right")
-            v1 = profile_eval(p, ts, 1, side="right")
-            v2 = profile_eval(p, ts, 2, side="right")
-            va = profile_eval(p, ts, "antiderivative")
-            for i, t in enumerate(ts):
-                w.writerow([p.kind, repr(float(t)), repr(float(v0[i])),
-                            repr(float(v1[i])), repr(float(v2[i])), repr(float(va[i]))])
+            cols = [profile_eval(p, ts, order, side="right") for order in (0, 1, 2)]
+            cols.append(profile_eval(p, ts, "antiderivative"))
+            # csv writes Python floats by repr, which round-trips
+            w.writerows([p.kind, *row] for row in
+                        zip(ts.tolist(), *(c.tolist() for c in cols)))

@@ -247,17 +247,10 @@ def recurrence_residuals(seqs: GapSequences) -> np.ndarray:
     m1 in the form 1/(1+beta_0) + 1 + K_1 = m1_adjusted.
     """
     M = seqs.M
-    res = np.empty(2 * M)
-    i = 0
-    for k in range(-M, M):
-        if k == 0:
-            r = abs(1.0 / (1.0 + float(seqs.beta(0))) + 1.0 + float(seqs.K(1))
-                    - seqs.m1_adjusted)
-        else:
-            r = abs(1.0 + float(seqs.beta(k + 1)) + 1.0 / (1.0 + float(seqs.beta(k)))
-                    - float(seqs.m(k + 1)))
-        res[i] = r
-        i += 1
+    k = np.arange(-M, M)
+    res = np.abs(1.0 + seqs.beta(k + 1) + 1.0 / (1.0 + seqs.beta(k)) - seqs.m(k + 1))
+    res[M] = abs(1.0 / (1.0 + float(seqs.beta(0))) + 1.0 + float(seqs.K(1))
+                 - seqs.m1_adjusted)
     return res
 
 
@@ -289,9 +282,11 @@ def verify_sequence_estimates(seqs: GapSequences, params: SeqParams) -> dict:
 
     # K_k - K_{k-1} comparable to K_k^2, per side (the k = 0 pair straddles
     # the symmetry center where K flips sign; see the crossing section)
-    same_side = [k for k in range(-M, M + 1) if k != 0]
-    steps = np.array([float(seqs.K(k)) - float(seqs.K(k - 1)) for k in same_side])
-    sq = np.array([float(seqs.K(k)) ** 2 for k in same_side])
+    # squares in this report are np.float_power, bitwise Python's x ** 2
+    # (C pow); numpy's K * K differs from it in the last bit for a few K
+    same_side = ks[ks != 0]
+    steps = seqs.K(same_side) - seqs.K(same_side - 1)
+    sq = np.float_power(seqs.K(same_side), 2.0)
     ratio = steps / sq
     est["ratio_step"] = {
         "min": float(ratio.min()), "max": float(ratio.max()),
@@ -323,19 +318,18 @@ def verify_sequence_estimates(seqs: GapSequences, params: SeqParams) -> dict:
     }
 
     # m_{k} - 2 comparable to K_{k-1}^2 away from the crossing
-    m_ks = [k for k in range(-M + 1, M + 1) if k not in (0, 1)]
-    mdev = np.array([abs(float(seqs.m(k)) - 2.0) for k in m_ks])
-    msq = np.array([float(seqs.K(k - 1)) ** 2 for k in m_ks])
+    m_ks = ks[(ks > -M) & (ks != 0) & (ks != 1)]
+    mdev = np.abs(seqs.m(m_ks) - 2.0)
+    msq = np.float_power(seqs.K(m_ks - 1), 2.0)
     est["m_near_two"] = {
         "max_ratio": float((mdev / msq).max()),
         "max_dev": float(mdev.max()),
         "pass": bool((mdev / msq).max() <= tol["m_slack"]),
     }
     # the exact identity m_{k+1} - 2 - (K_{k+1} - K_k) = K_k^2/(1+K_k)
-    all_k = np.arange(-M, M)
-    lhs = np.array([float(seqs.m(k + 1)) - 2.0
-                    - (float(seqs.K(k + 1)) - float(seqs.K(k))) for k in all_k])
-    rhs = np.array([float(seqs.K(k)) ** 2 / (1.0 + float(seqs.K(k))) for k in all_k])
+    all_k = ks[:-1]
+    lhs = seqs.m(all_k + 1) - 2.0 - (seqs.K(all_k + 1) - seqs.K(all_k))
+    rhs = np.float_power(seqs.K(all_k), 2.0) / (1.0 + seqs.K(all_k))
     est["m_identity"] = {
         "max_abs_dev": float(np.max(np.abs(lhs - rhs))),
         "pass": bool(np.max(np.abs(lhs - rhs)) <= 1e-14),
@@ -388,11 +382,10 @@ def verify_sequence_estimates(seqs: GapSequences, params: SeqParams) -> dict:
 
 def dump_sequences_csv(seqs: GapSequences, path) -> None:
     """Sequence dump with columns (k, ell, K, m, alpha, beta)."""
-    M = seqs.M
+    ks = np.arange(-seqs.M, seqs.M + 1)
+    cols = (seqs.ell(ks), seqs.K(ks), seqs.m(ks), seqs.alpha(ks), seqs.beta(ks))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "ell", "K", "m", "alpha", "beta"])
-        for k in range(-M, M + 1):
-            w.writerow([k, repr(float(seqs.ell(k))), repr(float(seqs.K(k))),
-                        repr(float(seqs.m(k))), repr(float(seqs.alpha(k))),
-                        repr(float(seqs.beta(k)))])
+        # csv writes Python floats by repr, which round-trips
+        w.writerows(zip(ks.tolist(), *(c.tolist() for c in cols)))

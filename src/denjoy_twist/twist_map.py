@@ -40,9 +40,6 @@ class GeneratingFunction:
 
     g: object
 
-    def __call__(self, x):
-        return self.eval(x)
-
     def eval(self, x: float) -> float:
         fr = float(frac_part(x))
         return (self.g.lift(fr) - fr) + (self.g.inverse_lift(fr) - fr)
@@ -60,19 +57,6 @@ class GeneratingFunction:
         fr = float(frac_part(x))
         return (self.g.second_derivative(fr, side=side)
                 + self.g.inverse_second_derivative(fr, side=side))
-
-
-def phi_eval(system, x, order=0):
-    """phi or a one-sided derivative: order in {0, '1L', '1R', '2L', '2R'}."""
-    phi = system.phi
-    if order == 0:
-        return phi.eval(x)
-    side = {"L": "left", "R": "right"}[order[1]]
-    if order[0] == "1":
-        return phi.deriv(x, side=side)
-    if order[0] == "2":
-        return phi.second_deriv(x, side=side)
-    raise ValueError(f"unknown order {order!r}")
 
 
 @dataclass
@@ -505,35 +489,26 @@ def extend_family(system: TwistSystem, kind: str, k_target: int) -> list:
     pullback stays inside the band where the map is affine; the in_linear_band
     flag tracks it.
     """
-    out = []
+    # per family: base index, indices reached, step, and the offset from k
+    # to the band the markers sit in before the step
     if kind == "stable":
         if k_target > 0:
             raise ValueError("extension covers k <= 0 for stable segments")
-        seg = manifold_segment(system, 1, "stable")
-        markers = seg.markers.copy()
-        in_band = True
-        for k in range(0, k_target - 1, -1):
-            in_band = in_band and _in_band(system, markers, k + 1)
-            markers = np.column_stack(system.backward_lift(markers[:, 0], markers[:, 1]))
-            out.append(ManifoldSegment(
-                k=k, kind="stable", base=tuple(markers[1]),
-                slope=_marker_slope(markers),
-                x_half_width=abs(markers[2, 0] - markers[0, 0]) / 2.0,
-                markers=markers.copy(), in_linear_band=in_band))
+        base_k, ks, step, prev = 1, range(0, k_target - 1, -1), system.backward_lift, 1
     else:
         if k_target < 1:
             raise ValueError("extension covers k >= 1 for unstable segments")
-        seg = manifold_segment(system, 0, "unstable")
-        markers = seg.markers.copy()
-        in_band = True
-        for k in range(1, k_target + 1):
-            in_band = in_band and _in_band(system, markers, k - 1)
-            markers = np.column_stack(system.forward_lift(markers[:, 0], markers[:, 1]))
-            out.append(ManifoldSegment(
-                k=k, kind="unstable", base=tuple(markers[1]),
-                slope=_marker_slope(markers),
-                x_half_width=abs(markers[2, 0] - markers[0, 0]) / 2.0,
-                markers=markers.copy(), in_linear_band=in_band))
+        base_k, ks, step, prev = 0, range(1, k_target + 1), system.forward_lift, -1
+    markers = manifold_segment(system, base_k, kind).markers
+    in_band = True
+    out = []
+    for k in ks:
+        in_band = in_band and _in_band(system, markers, k + prev)
+        markers = np.column_stack(step(markers[:, 0], markers[:, 1]))
+        out.append(ManifoldSegment(
+            k=k, kind=kind, base=tuple(markers[1]), slope=_marker_slope(markers),
+            x_half_width=abs(markers[2, 0] - markers[0, 0]) / 2.0,
+            markers=markers, in_linear_band=in_band))
     return out
 
 
@@ -603,32 +578,25 @@ def curve_side_check(system: TwistSystem, n_points: int = 64) -> dict:
     profiles puts the free halves on the other side and flips every gap
     sign (zone above the curve).
     """
-    tb, seqs = system.table, system.seqs
-    s1 = manifold_segment(system, 1, "stable")
-    mu1 = s1.base[0]
     # the free half is where the curve's local slope is K + alpha: right of
     # mu_1 and left of mu_0, mirrored when the jump profiles are exchanged
-    sgn1 = -1.0 if system.g.swap_gamma else 1.0
-    xs = mu1 + sgn1 * np.linspace(1e-3, 1.0, n_points) * s1.x_half_width
-    gap1 = np.asarray(system.curve_height(xs)) - np.asarray(s1.height(xs))
-    expected1 = float(seqs.alpha(1)) * (xs - mu1)
-    u0 = manifold_segment(system, 0, "unstable")
-    mu0 = u0.base[0]
-    sgn0 = -sgn1
-    xs0 = mu0 + sgn0 * np.linspace(1e-3, 1.0, n_points) * u0.x_half_width
-    gap0 = np.asarray(system.curve_height(xs0)) - np.asarray(u0.height(xs0))
-    expected0 = float(seqs.alpha(0)) * (xs0 - mu0)
-    zone_below = not system.g.swap_gamma
-    sign_ok = (bool(np.all(gap1 > 0.0) and np.all(gap0 > 0.0)) if zone_below
-               else bool(np.all(gap1 < 0.0) and np.all(gap0 < 0.0)))
+    sgn = -1.0 if system.g.swap_gamma else 1.0
+    gaps, devs = [], []
+    for k, kind, side in ((1, "stable", sgn), (0, "unstable", -sgn)):
+        seg = manifold_segment(system, k, kind)
+        mu = seg.base[0]
+        xs = mu + side * np.linspace(1e-3, 1.0, n_points) * seg.x_half_width
+        gap = np.asarray(system.curve_height(xs)) - np.asarray(seg.height(xs))
+        devs.append(np.max(np.abs(gap - float(system.seqs.alpha(k)) * (xs - mu))))
+        gaps.append(gap)
+    gaps = np.concatenate(gaps)
     return {
-        "max_formula_dev": float(max(np.max(np.abs(gap1 - expected1)),
-                                     np.max(np.abs(gap0 - expected0)))),
-        "zone_below_curve": zone_below,
-        "strict_sign_ok": sign_ok,
-        "strictly_positive": bool(np.all(gap1 > 0.0) and np.all(gap0 > 0.0)),
-        "min_gap": float(min(gap1.min(), gap0.min())),
-        "max_gap": float(max(gap1.max(), gap0.max())),
+        "max_formula_dev": float(max(devs)),
+        "zone_below_curve": not system.g.swap_gamma,
+        # every gap has the sign of sgn: positive when the zone is under
+        "strict_sign_ok": bool(np.all(sgn * gaps > 0.0)),
+        "min_gap": float(gaps.min()),
+        "max_gap": float(gaps.max()),
     }
 
 
@@ -646,21 +614,19 @@ def orbit_convergence_check(system: TwistSystem, x_offset: float, n: int) -> dic
     seg = manifold_segment(system, 1, "stable")
     if not -seg.x_half_width <= x_offset <= seg.x_half_width:
         raise ValueError("x_offset outside the segment")
-    base = np.array([seg.base[0], seg.base[1]])
-    pt = np.array([seg.base[0] + x_offset, float(seg.height(seg.base[0] + x_offset))])
-    d0 = pt[0] - base[0]
-    dx = [abs(d0)]
-    de = [math.hypot(pt[0] - base[0], pt[1] - base[1])]
-    for _ in range(n):
-        base = np.array(system.forward_lift(*base))
-        pt = np.array(system.forward_lift(*pt))
-        dx.append(abs(pt[0] - base[0]))
-        de.append(math.hypot(pt[0] - base[0], pt[1] - base[1]))
+    # row i holds the base point and the off-base point after i steps,
+    # stepped together
+    x, r = np.empty((n + 1, 2)), np.empty((n + 1, 2))
+    x[0] = seg.base[0], seg.base[0] + x_offset
+    r[0] = seg.base[1], seg.height(x[0, 1])
+    for i in range(n):
+        x[i + 1], r[i + 1] = system.forward_lift(x[i], r[i])
+    dx = np.abs(x[:, 1] - x[:, 0])
+    de = np.hypot(x[:, 1] - x[:, 0], r[:, 1] - r[:, 0])
     ells = np.asarray(seqs.ell(np.arange(1, n + 2)), dtype=float)
     expected = ells[1:] / ells[0]
-    measured = np.array(dx[1:]) / dx[0] if dx[0] != 0 else np.zeros(n)
-    rel = np.max(np.abs(measured / expected - 1.0)) if dx[0] != 0 else 0.0
-    return {"n": n, "d_x": dx, "d_euclid": de,
+    rel = np.max(np.abs((dx[1:] / dx[0]) / expected - 1.0)) if dx[0] != 0 else 0.0
+    return {"n": n, "d_x": dx.tolist(), "d_euclid": de.tolist(),
             "max_rel_ratio_error": float(rel)}
 
 
@@ -723,16 +689,13 @@ def dump_segments_csv(system: TwistSystem, k_lo: int, k_hi: int, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "kind", "marker", "x", "r", "in_linear_band"])
-        for k in range(max(k_lo, 1), k_hi + 1):
-            seg = manifold_segment(system, k, "stable")
-            for name, (x, r) in zip(("lo", "mid", "hi"), seg.markers):
-                w.writerow([k, "stable", name, repr(float(x)), repr(float(r)),
-                            int(seg.in_linear_band)])
-        for k in range(min(k_hi, 0), k_lo - 1, -1):
-            seg = manifold_segment(system, k, "unstable")
-            for name, (x, r) in zip(("lo", "mid", "hi"), seg.markers):
-                w.writerow([k, "unstable", name, repr(float(x)), repr(float(r)),
-                            int(seg.in_linear_band)])
+        for kind, ks in (("stable", range(max(k_lo, 1), k_hi + 1)),
+                         ("unstable", range(min(k_hi, 0), k_lo - 1, -1))):
+            for k in ks:
+                seg = manifold_segment(system, k, kind)
+                for name, (x, r) in zip(("lo", "mid", "hi"), seg.markers):
+                    w.writerow([k, kind, name, repr(float(x)), repr(float(r)),
+                                int(seg.in_linear_band)])
 
 
 def dump_phase_portrait_csv(system: TwistSystem, orbits, n_steps: int, path,

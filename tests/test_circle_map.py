@@ -5,8 +5,7 @@ import pytest
 
 from denjoy_twist.circle_map import (_AFFINE, LocalDiffeo, RigidRotation, _hull_vertices,
                                      derivative_jump_scan, derivative_jump_table,
-                                     dump_orbit_csv, homeo_eval, orbit_lift,
-                                     rotation_number_estimate,
+                                     orbit_lift, rotation_number_estimate,
                                      wandering_interval_check)
 from denjoy_twist.profiles import _TABLE_PANELS, profile_eval
 from denjoy_twist.sequences import SeqParams, build_sequences
@@ -213,15 +212,6 @@ def test_monotone_check_minima_equal_brute_force(profiles, C):
     assert np.array_equal(h._check_monotone(), brute)
 
 
-def test_homeo_eval_dispatch(small):
-    g = small.g
-    x = 0.3
-    assert homeo_eval(g, x, "fwd") == g.eval(x)
-    assert homeo_eval(g, x, "inv", as_lift=True) == g.inverse_lift(x)
-    with pytest.raises(ValueError):
-        homeo_eval(g, x, "sideways")
-
-
 def test_rotation_rigid_double():
     omega = (math.sqrt(5.0) - 1.0) / 2.0
     rr = RigidRotation(omega)
@@ -362,10 +352,3 @@ def test_local_diffeo_eval_surface(small):
     v = h.value(u, 2)
     assert abs(h.invert(v, 2) - u) <= 1e-15
 
-
-def test_orbit_csv(small, tmp_path):
-    path = tmp_path / "orbit.csv"
-    dump_orbit_csv(small.g, 0.2, 50, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "n,theta,lift"
-    assert len(lines) == 52

@@ -148,6 +148,19 @@ def test_manifolds_cmd(tmp_path):
     assert rep["pass"]
 
 
+def test_verify_and_manifolds_share_their_checks(tmp_path):
+    shared = ["manifold_image_distance", "manifold_ratio_error",
+              "curve_side_formula", "curve_side_strict", "orbit_convergence_rel"]
+    assert run(["verify"] + FAST, tmp_path, "v") == 0
+    assert run(["manifolds", "--set", "params.M=32"], tmp_path, "m") == 0
+    measured = []
+    for sub, name in (("v", "verify.json"), ("m", "manifolds.json")):
+        rep = json.loads((tmp_path / sub / name).read_text())
+        by_name = {c["name"]: c["measured"] for c in rep["checks"]}
+        measured.append([by_name[n] for n in shared])
+    assert measured[0] == measured[1]
+
+
 def test_diffusion_cmd_deterministic(tmp_path):
     args = ["diffusion", "--set", "params.M=16", "--set", "diffusion.n=300"]
     assert run(args, tmp_path, "d1") == 0
@@ -183,6 +196,29 @@ def test_config_rejects_unknown(tmp_path):
         load_config(None, ["params.unknown=3"])
     with pytest.raises(ConfigError):
         load_config(None, ["params.mode=sideways"])
+
+
+@pytest.mark.parametrize("command, override", [
+    ("verify", "verify.rotation_starts="),
+    ("verify", "verify.rotation_starts= , "),
+    ("verify", "verify.rotation_n=0"),
+    ("verify", "verify.roundtrip_samples=0"),
+    ("verify", "verify.jump_scan_samples=0"),
+    ("verify", "verify.det_samples=0"),
+    ("verify", "verify.invariance_samples=0"),
+    ("verify", "verify.manifold_k_max=0"),
+    ("verify", "verify.fd_step=0"),
+    ("verify", "verify.fd_step=nan"),
+    ("manifolds", "manifolds.k_max=0"),
+    ("regularity", "regularity.grid=0"),
+    ("regularity", "regularity.fd_step_rel=-1e-4"),
+])
+def test_checks_with_nothing_to_measure_exit_2(tmp_path, capsys, command, override):
+    # each would otherwise pass a check on no samples, or die inside numpy
+    assert run([command, "--set", "params.M=16", "--set", override],
+               tmp_path, "z") == 2
+    err = capsys.readouterr().err
+    assert override.split("=")[0] in err and "Traceback" not in err
 
 
 def test_parse_float_list():

@@ -60,7 +60,7 @@ def test_gaps_disjoint(desk):
     ends = lam + tb.ell[order]
     assert np.all(ends[:-1] <= lam[1:] + 1e-15)
     assert ends[-1] < 1.0
-    assert not tb.wraps.any()
+    assert lam[0] == 0.0   # gap 0 starts at 0: no gap wraps around 0 = 1
 
 
 def test_order_isomorphism(desk):
@@ -133,6 +133,10 @@ def test_csv_dump(small, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "k,lambda,mu,ell,J_lo,J_hi,wrap"
     assert len(lines) == 1 + 2 * small.table.M + 1
+    tb = small.table
+    for k, line in zip(range(-tb.M, tb.M + 1), lines[1:]):
+        vals = (tb.lam_of(k), tb.mu_of(k), tb.ell_of(k), *tb.J_of(k))
+        assert line == ",".join([str(k)] + [repr(float(v)) for v in vals] + ["0"])
 
 
 def test_sequences_table_roundtrip(small):

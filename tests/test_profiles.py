@@ -63,17 +63,23 @@ def test_gamma_plus_negative_lobe_against_quadrature(profiles):
 @pytest.mark.parametrize("kernel", [smooth_step, bump])
 def test_hermite_table_matches_scipy_spline(kernel):
     # scipy is the oracle: the same nodes, values and slopes give the same
-    # floats at the nodes, one ulp either side, the ends and random points
+    # floats at the nodes, one ulp either side, the ends, points outside
+    # [0, 1] and random points; NaN stays NaN
     table, mass = _cumulative_table(kernel, kernel)
-    x = table.x
+    x = np.append(table._rows[0], 1.0)
+    assert np.array_equal(x, np.arange(table.n + 1) / table.n)   # exactly i/n
     y = np.append(table._rows[4], mass)
     d = np.append(table._rows[3], kernel(x[-1]))
     spline = CubicHermiteSpline(x, y, d)
+    outside = [-1.0, -1e-3, -5e-324, 1.0 + 2.0**-52, 1.001, 2.5, 1e3]
     pts = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
-                          [0.0, 1.0], np.random.default_rng(14).random(20000)])
+                          [0.0, 1.0], outside, np.random.default_rng(14).random(20000)])
     ours, ref = table(pts), spline(pts)
     assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
     assert table(1.0) == mass
+    nan = np.array([np.nan, 0.5, np.nan])
+    assert np.array_equal(np.isnan(table(nan)), [True, False, True])
+    assert np.array_equal(np.isnan(spline(nan)), [True, False, True])
 
 
 def test_mass_check_against_quad(profiles):

@@ -120,8 +120,16 @@ def test_sign_pattern_and_regression(desk):
 
 
 def test_recurrence_residuals(desk):
-    res = recurrence_residuals(desk.seqs)
+    seqs = desk.seqs
+    res = recurrence_residuals(seqs)
     assert float(res.max()) <= 1e-13
+    # the per-k loop the array form replaced, as the bitwise reference
+    ref = [abs(1.0 / (1.0 + float(seqs.beta(0))) + 1.0 + float(seqs.K(1))
+               - seqs.m1_adjusted) if k == 0
+           else abs(1.0 + float(seqs.beta(k + 1)) + 1.0 / (1.0 + float(seqs.beta(k)))
+                    - float(seqs.m(k + 1)))
+           for k in range(-seqs.M, seqs.M)]
+    assert np.array_equal(res, ref)
 
 
 def test_homeomorphism_condition(desk):
@@ -157,6 +165,32 @@ def test_estimate_report(desk):
     assert rep["crossing"]["identity_pass"]
 
 
+def test_estimates_equal_the_scalar_loops():
+    # per-k Python-float loops as the bitwise reference for the reported
+    # values, at the bench's build size
+    params = SeqParams(truncation_M=4000)
+    seqs = build_sequences(params)
+    est = verify_sequence_estimates(seqs, params)["estimates"]
+    M = seqs.M
+
+    def K(k):
+        return float(seqs.K(k))
+
+    def m(k):
+        return float(seqs.m(k))
+
+    ratio = np.array([(K(k) - K(k - 1)) / K(k) ** 2 for k in range(-M, M + 1) if k != 0])
+    assert (est["ratio_step"]["min"], est["ratio_step"]["max"]) == (ratio.min(), ratio.max())
+    m_ks = [k for k in range(-M + 1, M + 1) if k not in (0, 1)]
+    mdev = np.array([abs(m(k) - 2.0) for k in m_ks])
+    assert est["m_near_two"]["max_dev"] == mdev.max()
+    assert est["m_near_two"]["max_ratio"] == max(
+        d / K(k - 1) ** 2 for d, k in zip(mdev, m_ks))
+    dev = [abs(m(k + 1) - 2.0 - (K(k + 1) - K(k)) - K(k) ** 2 / (1.0 + K(k)))
+           for k in range(-M, M)]
+    assert est["m_identity"]["max_abs_dev"] == max(dev)
+
+
 def test_seed_rejection():
     with pytest.raises(ConstructionError):
         build_sequences(SeqParams(alpha1_policy="value:0.5"))
@@ -183,3 +217,7 @@ def test_csv_dump(small, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "k,ell,K,m,alpha,beta"
     assert len(lines) == 1 + 2 * small.seqs.M + 1
+    seqs = small.seqs
+    for k, line in zip(range(-seqs.M, seqs.M + 1), lines[1:]):
+        cols = (seqs.ell, seqs.K, seqs.m, seqs.alpha, seqs.beta)
+        assert line == ",".join([str(k)] + [repr(float(c(k))) for c in cols])

@@ -10,7 +10,7 @@ from denjoy_twist.twist_map import (build_twist_system, curve_side_check,
                                     dump_segments_csv, extend_family,
                                     manifold_iterate_check, manifold_segment,
                                     marker_collinearity,
-                                    orbit_convergence_check, phi_eval)
+                                    orbit_convergence_check)
 
 
 @pytest.fixture(scope="module")
@@ -58,21 +58,18 @@ def test_phi_against_bisection_oracle(small):
 def test_phi_one_sided_derivatives(small):
     # at the gap midpoints the derivative jumps of g and g^{-1} cancel
     # exactly through the recurrence, leaving phi affine with slope m_k - 2
-    tb, seqs = small.table, small.seqs
+    tb, seqs, phi = small.table, small.seqs, small.system.phi
     for k in (3, -3):
         x = float(tb.mu_of(k))
-        dl = phi_eval(small.system, x, "1L")
-        dr = phi_eval(small.system, x, "1R")
+        dl = phi.deriv(x, side="left")
+        dr = phi.deriv(x, side="right")
         assert abs(dr - dl) <= 1e-12
         assert abs(dl - (float(seqs.m(k)) - 2.0)) <= 1e-10
-        assert abs(phi_eval(small.system, x, "2L")) <= 1e-9
-        assert abs(phi_eval(small.system, x, "2R")) <= 1e-9
+        assert abs(phi.second_deriv(x, side="left")) <= 1e-9
+        assert abs(phi.second_deriv(x, side="right")) <= 1e-9
     # away from midpoints the sides agree too
     x = float(tb.lam_of(3)) + 0.3 * float(tb.ell_of(3))
-    assert abs(phi_eval(small.system, x, "1L")
-               - phi_eval(small.system, x, "1R")) <= 1e-12
-    with pytest.raises(ValueError):
-        phi_eval(small.system, x, "3L")
+    assert abs(phi.deriv(x, side="left") - phi.deriv(x, side="right")) <= 1e-12
 
 
 def test_phi_periodic(small):
