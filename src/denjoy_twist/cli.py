@@ -267,7 +267,7 @@ def cmd_regularity(cfg: RunConfig, outdir: str) -> int:
     rb.check_leq("term_sum_vs_fd_rel", summ["max_rel_fd_dev"],
                  cfg.tol("regularity_term_rel"))
     factor = r["compare_C_factor"]
-    if factor and factor > 0:
+    if factor:
         cfg2 = RunConfig(sections={s: dict(kv) for s, kv in cfg.sections.items()})
         cfg2.sections["params"]["C"] = cfg["params"]["C"] * factor
         built2 = BuiltSystem(cfg2)

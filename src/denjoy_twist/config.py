@@ -93,14 +93,26 @@ _DEFAULTS = {
 
 
 # sample counts, orbit lengths and difference steps of the checks: at zero
-# a check would pass having measured nothing
+# a check would pass having measured nothing; likewise the orbit lengths of
+# portrait and diffusion
 _POSITIVE = (
     ("verify", "invariance_samples"), ("verify", "rotation_n"),
     ("verify", "manifold_k_max"), ("verify", "jump_scan_samples"),
     ("verify", "roundtrip_samples"), ("verify", "det_samples"),
     ("verify", "fd_step"), ("regularity", "grid"),
     ("regularity", "fd_step_rel"), ("manifolds", "k_max"),
+    ("portrait", "steps"), ("diffusion", "n"),
 )
+# counts, widths and factors for which 0 means none or off
+_NON_NEGATIVE = (
+    ("portrait", "orbits"), ("portrait", "r_band"), ("portrait", "curve_samples"),
+    ("regularity", "compare_C_factor"),
+)
+# comma-separated numbers, kept as written; True: at least one is needed
+_FLOAT_LISTS = {
+    ("verify", "rotation_starts"): True, ("diffusion", "offsets"): True,
+    ("diffusion", "thresholds"): False,
+}
 
 
 @dataclass
@@ -128,19 +140,52 @@ class RunConfig:
                 for s, kv in self.sections.items()}
 
 
-def _coerce(default, raw: str):
+def _coerce(name: str, default, raw: str):
     if isinstance(default, bool):
         low = raw.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
+        raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
+    if isinstance(default, (int, float)):
+        try:
+            return type(default)(raw)
+        except ValueError:
+            raise ConfigError(f"{name}: expected {type(default).__name__}, got {raw!r}") from None
     return raw.strip()
+
+
+def _finite_numbers(raw: str):
+    """The comma-separated numbers in raw, or None unless all are finite."""
+    try:
+        values = parse_float_list(raw)
+    except ValueError:
+        return None
+    return values if all(map(math.isfinite, values)) else None
+
+
+def _check_values(sections) -> None:
+    """ConfigError naming the key of the first value no command can run with."""
+    def bad(sec, key, why):
+        return ConfigError(f"{sec}.{key}: {why}, got {sections[sec][key]!r}")
+
+    if sections["params"]["mode"] not in ("full", "rigid_rotation"):
+        raise bad("params", "mode", "must be 'full' or 'rigid_rotation'")
+    for sec, key in _POSITIVE:
+        if not 0 < sections[sec][key] < math.inf:
+            raise bad(sec, key, "must be positive and finite")
+    for sec, key in _NON_NEGATIVE:
+        if not 0 <= sections[sec][key] < math.inf:
+            raise bad(sec, key, "must be finite and 0 or more")
+    for (sec, key), needed in _FLOAT_LISTS.items():
+        values = _finite_numbers(sections[sec][key])
+        if values is None or (needed and not values):
+            raise bad(sec, key, "expected finite numbers separated by commas"
+                      + (", at least one" if needed else ""))
+    theta0 = sections["diffusion"]["theta0"]
+    if theta0 != "mu1" and ("," in theta0 or len(_finite_numbers(theta0) or ()) != 1):
+        raise bad("diffusion", "theta0", "expected 'mu1' or a finite number")
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
@@ -162,7 +207,7 @@ def load_config(path=None, overrides=()) -> RunConfig:
             for key, raw in parser.items(sec):
                 if key not in sections[sec]:
                     raise ConfigError(f"unknown key {key!r} in section [{sec}]")
-                sections[sec][key] = _coerce(sections[sec][key], raw)
+                sections[sec][key] = _coerce(f"{sec}.{key}", sections[sec][key], raw)
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override {item!r} must look like section.key=value")
@@ -170,16 +215,9 @@ def load_config(path=None, overrides=()) -> RunConfig:
         sec, key = target.split(".", 1)
         if sec not in sections or key not in sections[sec]:
             raise ConfigError(f"unknown override target {target!r}")
-        sections[sec][key] = _coerce(sections[sec][key], raw)
-    cfg = RunConfig(sections=sections)
-    if cfg.sections["params"]["mode"] not in ("full", "rigid_rotation"):
-        raise ConfigError("params.mode must be 'full' or 'rigid_rotation'")
-    for sec, key in _POSITIVE:
-        if not sections[sec][key] > 0:
-            raise ConfigError(f"{sec}.{key} must be positive, got {sections[sec][key]!r}")
-    if not parse_float_list(sections["verify"]["rotation_starts"]):
-        raise ConfigError("verify.rotation_starts must list at least one start")
-    return cfg
+        sections[sec][key] = _coerce(target, sections[sec][key], raw)
+    _check_values(sections)
+    return RunConfig(sections=sections)
 
 
 def parse_float_list(raw: str) -> list:

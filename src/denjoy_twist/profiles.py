@@ -1,25 +1,35 @@
-"""Smooth plateau profiles used to shape the per-gap circle diffeomorphisms.
+"""Smooth plateau profiles used to shape the per-gap circle diffeomorphisms:
+``eta``, a nonnegative mirror-symmetric bump of unit integral; ``gamma_plus``,
+of zero integral, with a jump at 1/2 and a calibrated negative lobe further
+out; and ``gamma_minus``, the exact mirror gamma_plus(1 - t).
 
-Three profiles are built here:
+Each is a table of pieces on x = t (gamma_minus reads gamma_plus's table at
+x = 1 - t), a piece 0 or gain * sum(coeff * f(s)) at s = scale * (u - shift),
+u = x or, on a mirrored piece, 1 - x, for kernels f among S = smooth_step,
+B = bump and 1. With TS, TB the antiderivatives of S, B from 0 and Ms, Mb
+their masses, value | antiderivative by region:
 
-* ``eta``        -- nonnegative bump, support in [1/4, 3/4], identically 1 on
-                    [3/8, 5/8], mirror symmetric, unit integral;
-* ``gamma_plus`` -- zero on [0, 1/2], identically 1 on (1/2, 5/8], smooth off
-                    the jump at 1/2, zero integral (a calibrated negative lobe
-                    sits in (11/16, 15/16));
-* ``gamma_minus``-- the exact mirror gamma_plus(1 - t).
+* eta, u = t up to 1/2, mirrored above: 0 | 0 up to 1/4; S(s) + c B(s) |
+  (TS(s) + c TB(s)) / 8 at s = 8 (u - 1/4) below 3/8; 1 | (Ms + c Mb) / 8
+  + (u - 3/8) from 3/8 on;
+* gamma_plus: 0 | 0 up to 1/2; 1 | x - 1/2 up to 5/8; S(s) | 1/8 +
+  (Ms - TS(s)) / 16 at s = 16 (11/16 - x) below 11/16; 0 | 0 at 11/16, a
+  one-point dip of the antiderivative that profiles.csv records; -c B(s) |
+  1/8 + Ms/16 - (c/4) TB(s) at s = 4 (x - 11/16) below 15/16; then 0 | 0.
 
-Plateaus and zero regions are exact by construction (no quadrature error
-there), which downstream code relies on for the piecewise-linear identities.
-Antiderivatives on the curved shoulder pieces come from a dense precomputed
-table with cubic Hermite interpolation (the interpolant's derivative is the
-profile itself, sampled exactly).
+The n-th derivative carries the chain factor gain * scale^n. A mirrored point
+negates the first derivative, and its antiderivative is F(1) - F(1 - t), with
+F(1) = 2 (Ms + c Mb) / 8 + 1/4 for eta and -0.0 for the gamma pair. At t = 1/2
+the gamma profiles take the piece on the side asked for. NaN gives NaN.
+Plateaus and zero regions are exact by construction, which downstream code
+relies on for the piecewise-linear identities; TS and TB are dense cubic
+Hermite tables whose slopes are S and B sampled exactly.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,124 +39,66 @@ class CalibrationError(RuntimeError):
 
 
 class OneSidedLimitRequired(ValueError):
-    """Derivative queried exactly at the jump point without a side flag.
-
-    The gamma profiles carry genuinely distinct one-sided data at 1/2; the
-    caller must pick side="left" or side="right".
-    """
+    """Derivative queried exactly at the jump point without a side flag: the
+    gamma profiles carry distinct one-sided data at 1/2, so the caller must
+    pick side="left" or side="right"."""
 
 
-# ---------------------------------------------------------------------------
-# smooth step and bump kernels
-# ---------------------------------------------------------------------------
+# --- smooth step and bump kernels -------------------------------------------
 
-def _flat_exp(s):
-    """exp(-1/s) extended by 0 for s <= 0, the standard flat kernel."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    out[pos] = np.exp(-1.0 / s[pos])
-    return out
-
-
-def smooth_step(s):
-    """C-infinity step: 0 for s <= 0, 1 for s >= 1, strictly increasing between.
-
-    Built from the flat kernel as psi(s) / (psi(s) + psi(1-s)), hence
-    symmetric: smooth_step(s) + smooth_step(1-s) == 1.
-    """
-    s = np.asarray(s, dtype=float)
-    a = _flat_exp(s)
-    b = _flat_exp(1.0 - s)
-    out = np.zeros_like(s)
-    mid = (s > 0) & (s < 1)
-    out[mid] = a[mid] / (a[mid] + b[mid])
-    out[s >= 1] = 1.0
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def smooth_step_d1(s):
-    """First derivative of smooth_step (0 outside (0, 1))."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    mid = (s > 0) & (s < 1)
-    sm = s[mid]
-    a = np.exp(-1.0 / sm)
-    b = np.exp(-1.0 / (1.0 - sm))
-    da = a / sm**2
-    db = -b / (1.0 - sm) ** 2
+def _step(s, order):
+    """smooth_step on 0 < s < 1 and its first two derivatives, all from the
+    one pair of exps psi(s), psi(1-s) with psi(s) = exp(-1/s)."""
+    r = 1.0 - s
+    a, b = np.exp(-1.0 / s), np.exp(-1.0 / r)
     tot = a + b
-    out[mid] = (da * tot - a * (da + db)) / tot**2
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def smooth_step_d2(s):
-    """Second derivative of smooth_step."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    mid = (s > 0) & (s < 1)
-    sm = s[mid]
-    a = np.exp(-1.0 / sm)
-    b = np.exp(-1.0 / (1.0 - sm))
-    da = a / sm**2
-    db = -b / (1.0 - sm) ** 2
-    d2a = a * (1.0 - 2.0 * sm) / sm**4
-    d2b = b * (1.0 - 2.0 * (1.0 - sm)) / (1.0 - sm) ** 4
-    tot = a + b
+    if order == 0:
+        return a / tot
+    da, db = a / s**2, -b / r**2
     dtot = da + db
-    d2tot = d2a + d2b
-    # d2 of a/tot
-    out[mid] = (d2a * tot - a * d2tot) / tot**2 - 2.0 * dtot * (da * tot - a * dtot) / tot**3
-    if out.ndim == 0:
-        return float(out)
-    return out
+    if order == 1:
+        return (da * tot - a * dtot) / tot**2
+    d2a, d2b = a * (1.0 - 2.0 * s) / s**4, b * (1.0 - 2.0 * r) / r**4
+    return ((d2a * tot - a * (d2a + d2b)) / tot**2
+            - 2.0 * dtot * (da * tot - a * dtot) / tot**3)
 
 
-def bump(s):
-    """Standard exponential bump exp(-1/(s(1-s))) on (0,1), zero elsewhere."""
+def _bump(s, order):
+    """bump on 0 < s < 1 and its first two derivatives, all from the one exp:
+    b' = b f', b'' = b (f'^2 + f'') with f = -1/q, q = s(1-s)."""
+    q = s * (1.0 - s)
+    e = np.exp(-1.0 / q)
+    if order == 0:
+        return e
+    dq = 1.0 - 2.0 * s
+    if order == 1:
+        return e * dq / q**2
+    return e * ((dq / q**2) ** 2 - 2.0 / q**2 - 2.0 * dq**2 / q**3)
+
+
+def _extend(kernel, s, order, above):
+    """kernel(s, order) on 0 < s < 1, extended by 0 below and by above above."""
     s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
+    out = np.where(s >= 1, above, 0.0)
     mid = (s > 0) & (s < 1)
-    sm = s[mid]
-    out[mid] = np.exp(-1.0 / (sm * (1.0 - sm)))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out[mid] = kernel(s[mid], order)
+    return float(out) if out.ndim == 0 else out
 
 
-def bump_d1(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    mid = (s > 0) & (s < 1)
-    sm = s[mid]
-    q = sm * (1.0 - sm)
-    out[mid] = np.exp(-1.0 / q) * (1.0 - 2.0 * sm) / q**2
-    if out.ndim == 0:
-        return float(out)
-    return out
+def smooth_step(s, order=0):
+    """C-infinity step psi(s) / (psi(s) + psi(1-s)) (order 0), or its first
+    or second derivative: 0 for s <= 0, 1 for s >= 1, strictly increasing
+    between, and symmetric: smooth_step(s) + smooth_step(1-s) == 1."""
+    return _extend(_step, s, order, 0.0 if order else 1.0)
 
 
-def bump_d2(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    mid = (s > 0) & (s < 1)
-    sm = s[mid]
-    q = sm * (1.0 - sm)
-    dq = 1.0 - 2.0 * sm
-    # b'' = b * (f'^2 + f'') with f = -1/q, f' = dq/q^2, f'' = -2/q^2 - 2 dq^2/q^3
-    out[mid] = np.exp(-1.0 / q) * ((dq / q**2) ** 2 - 2.0 / q**2 - 2.0 * dq**2 / q**3)
-    if out.ndim == 0:
-        return float(out)
-    return out
+def bump(s, order=0):
+    """Standard exponential bump exp(-1/(s(1-s))) on (0,1), zero elsewhere
+    (order 0), or its first or second derivative."""
+    return _extend(_bump, s, order, 0.0)
 
 
-# ---------------------------------------------------------------------------
-# antiderivative tables for the two kernels on [0, 1]
-# ---------------------------------------------------------------------------
+# --- antiderivative tables for the two kernels on [0, 1] --------------------
 
 _TABLE_PANELS = 4096   # a power of two: _HermiteTable needs exact nodes i/n
 _GL_ORDER = 12
@@ -154,14 +106,10 @@ _GL_ORDER = 12
 
 class _HermiteTable:
     """Piecewise cubic Hermite interpolant through (x, y) with slopes d, on
-    the nodes x_i = i/n of [0, 1] for a power of two n.
-
-    Coefficients, interval rule (each interval closed on the left, the last
-    one closed on both sides, the end cubics extended outside [0, 1]) and
-    the order of the power sum are those of the standard piecewise-power
-    (PPoly) form of a cubic Hermite spline, so the values match that form
-    bit for bit.
-    """
+    the nodes x_i = i/n of [0, 1] for a power of two n. Coefficients,
+    interval rule (closed on the left, the last on both sides, the end cubics
+    extended outside [0, 1]) and power-sum order are those of the standard
+    piecewise-power (PPoly) form, so the values match that form bit for bit."""
 
     def __init__(self, x, y, d):
         dx = np.diff(x)
@@ -173,13 +121,11 @@ class _HermiteTable:
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
-        if v.size == 0:
-            # most calls carry an empty branch mask: skip their ~10 array ops
-            return v.copy()
-        # the nodes are exactly i/n and n v is exact, so floor(n v), clipped,
-        # is the interval a search of the nodes would find; fmin/fmax send
-        # NaN to a valid interval, where it stays NaN through the power sum
-        i = np.fmax(np.fmin(np.floor(self.n * v), self.n - 1), 0).astype(np.intp)
+        # the nodes are exactly i/n and n v is exact, so n v clipped to
+        # [0, n - 1] and truncated is the interval a search of the nodes would
+        # find; fmin/fmax send NaN to a valid interval, where it stays NaN
+        # through the power sum
+        i = np.fmax(np.fmin(self.n * v, self.n - 1), 0).astype(np.intp)
         x0, c0, c1, c2, c3 = np.take(self._rows, i, axis=1)
         s = v - x0
         ss = s * s
@@ -196,71 +142,91 @@ def _panel_integrals(f, order, n_panels):
     return 0.5 * h[:, 0] * (f(pts) @ weights)
 
 
-def _cumulative_table(f, df, n_panels=_TABLE_PANELS):
-    """High-accuracy antiderivative of f on [0,1] as a cubic Hermite table.
-
-    Per-panel Gauss-Legendre integration (order 12 on panels of width
-    1/n_panels puts the truncation error far below 1e-30 for these kernels),
-    followed by a compensated cumulative sum so node values carry no
-    accumulation error. Hermite slopes are exact samples of f.
-    """
+def _cumulative_table(f, n_panels=_TABLE_PANELS):
+    """High-accuracy antiderivative of f on [0,1] as a cubic Hermite table,
+    and the mass of f: per-panel Gauss-Legendre integration (order 12 on
+    panels of width 1/n_panels puts the truncation error far below 1e-30 for
+    these kernels), then a compensated cumulative sum so node values carry
+    no accumulation error. Hermite slopes are exact samples of f."""
     panel = _panel_integrals(f, _GL_ORDER, n_panels)
     # Neumaier compensated running sum: keeps node values within one ulp.
-    cum = np.empty(n_panels + 1)
-    cum[0] = 0.0
-    s = 0.0
-    comp = 0.0
+    cum = np.zeros(n_panels + 1)
+    s = comp = 0.0
     for i, term in enumerate(panel):
         t = s + term
-        if abs(s) >= abs(term):
-            comp += (s - t) + term
-        else:
-            comp += (term - t) + s
+        comp += (s - t) + term if abs(s) >= abs(term) else (term - t) + s
         s = t
         cum[i + 1] = s + comp
     edges = np.linspace(0.0, 1.0, n_panels + 1)
-    return _HermiteTable(edges, cum, df(edges)), float(cum[-1])
-
-
-_CHECK_ORDER = 20
-_CHECK_PANELS = 64
+    return _HermiteTable(edges, cum, f(edges)), float(cum[-1])
 
 
 def _check_mass(f):
     """Mass of f on [0, 1] and an error estimate, by a rule independent of
     the table's: composite 20-point Gauss-Legendre on 64 and on 128 panels.
-
     The estimate is the difference of the two plus a roundoff floor of
-    50 eps |mass|, the floor adaptive quadrature (QUADPACK) puts on its own.
-    """
-    coarse = float(np.sum(_panel_integrals(f, _CHECK_ORDER, _CHECK_PANELS)))
-    fine = float(np.sum(_panel_integrals(f, _CHECK_ORDER, 2 * _CHECK_PANELS)))
+    50 eps |mass|, the floor adaptive quadrature (QUADPACK) puts on its own."""
+    coarse = float(np.sum(_panel_integrals(f, 20, 64)))
+    fine = float(np.sum(_panel_integrals(f, 20, 128)))
     return fine, abs(fine - coarse) + 50.0 * 2.0**-52 * abs(fine)
 
 
-# ---------------------------------------------------------------------------
-# the calibrated profile objects
-# ---------------------------------------------------------------------------
+# --- the piece tables -------------------------------------------------------
 
-_ORDERS = (0, 1, 2, "antiderivative")
+_ANTI = "antiderivative"
+_ORDERS = (0, 1, 2, _ANTI)
+# the plateaus' kernel, the constant 1: its derivatives and antiderivative
+_ONE = (lambda s, order: 0.0 if order else 1.0, lambda s: s)
+
+
+@dataclass(frozen=True)
+class _Piece:
+    """A table row for x from lo up to the next row's lo, as the module
+    docstring has it; antiderivative offset + gain / scale * (sum(coeff *
+    F(s)) - base). A factor 1 and a zero offset or base are skipped: the same
+    floats, signed zeros included, in fewer array passes."""
+
+    lo: float
+    mirror: bool = False
+    scale: float = 1.0
+    shift: float = 0.0
+    terms: tuple = ()       # ((f, F), coeff): f(s, order) and F from 0
+    gain: float = 1.0
+    offset: float = 0.0
+    base: float = 0.0
+
+    def eval(self, x, order):
+        if not self.terms:
+            return 0.0
+        s = self.scale * ((1.0 - x if self.mirror else x) - self.shift)
+        w = None
+        for (f, F), coeff in self.terms:
+            v = F(s) if order == _ANTI else f(s, order)
+            v = v if coeff == 1.0 else coeff * v
+            w = v if w is None else w + v
+        anti = order == _ANTI
+        k = self.gain / self.scale if anti else self.gain * self.scale**order
+        w = w - self.base if anti and self.base else w
+        w = w if k == 1.0 else k * w
+        return self.offset + w if anti and self.offset else w
 
 
 @dataclass(frozen=True)
 class PlateauProfile:
-    """One calibrated profile with exact plateau/zero regions.
-
-    Immutable after calibration; safe to share across threads for read-only
-    evaluation.
-    """
+    """One calibrated profile with exact plateau/zero regions: a piece table
+    read at x = t, or at x = 1 - t if reflect is set. Frozen after
+    calibration, so safe to share across threads."""
 
     kind: str                      # "eta" | "gamma_plus" | "gamma_minus"
     shoulder_coefficient: float    # calibration constant for the bump lobe(s)
-    plateau_bounds: tuple          # region where the profile is exactly 1
-    support_bounds: tuple          # profile vanishes outside this region
-    _tables: dict = field(repr=False, default=None)
+    pieces: tuple = field(repr=False)
+    reflect: bool = False
+    anti_one: float = -0.0         # the antiderivative at t = 1
+    jump: float = np.nan           # the x where side= picks the row
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __call__(self, t, order=0, side=None):
-        return profile_eval(self, t, order, side=side)
+    def __post_init__(self):
+        object.__setattr__(self, "starts", np.array([[pc.lo] for pc in self.pieces]))
 
 
 @dataclass(frozen=True)
@@ -285,8 +251,8 @@ def calibrate_profiles(quadrature_tolerance: float = 1e-13) -> ProfileSet:
     if not quadrature_tolerance > 0:
         raise ValueError("quadrature tolerance must be positive")
 
-    step_table, step_mass = _cumulative_table(smooth_step, smooth_step)
-    bump_table, bump_mass = _cumulative_table(bump, bump)
+    step_table, step_mass = _cumulative_table(smooth_step)
+    bump_table, bump_mass = _cumulative_table(bump)
 
     # Independent check of the two kernel masses.
     q_step, err_step = _check_mass(smooth_step)
@@ -298,113 +264,35 @@ def calibrate_profiles(quadrature_tolerance: float = 1e-13) -> ProfileSet:
             f"kernel mass check failed: achieved error {achieved:.3e} "
             f"> tolerance {quadrature_tolerance:.3e}")
 
+    step, bmp = (_step, step_table), (_bump, bump_table)
+    above = np.nextafter   # above(x, 1): the start of a row open at x
     # eta: plateau (length 1/4) + two smooth_step edges (mass step_mass/8 each)
-    # leave a deficit against the unit integral; two mirrored bumps on the
-    # shoulders supply it.
-    eta_coeff = (1.0 - 0.25 - 2.0 * step_mass / 8.0) / (2.0 * bump_mass / 8.0)
+    # leave a deficit against the unit integral; two mirrored bumps supply it.
+    c = (1.0 - 0.25 - 2.0 * step_mass / 8.0) / (2.0 * bump_mass / 8.0)
+    rise = _Piece(above(0.25, 1), False, 8.0, 0.25, ((step, 1.0), (bmp, c)))
+    plateau = _Piece(0.375, False, 1.0, 0.375, ((_ONE, 1.0),),
+                     offset=(step_mass + c * bump_mass) / 8.0)
+    eta = PlateauProfile("eta", c, (
+        _Piece(-np.inf), rise, plateau,
+        replace(plateau, lo=above(0.5, 1), mirror=True),
+        replace(rise, lo=above(0.625, 1), mirror=True),
+        _Piece(0.75, True),
+    ), anti_one=2.0 * (step_mass + c * bump_mass) / 8.0 + 0.25)
     # gamma_plus: positive mass = plateau (1/2,5/8] plus the descent edge;
     # one negative lobe of the same mass sits in (11/16, 15/16).
-    gp_pos_mass = 1.0 / 8.0 + step_mass / 16.0
-    gp_coeff = gp_pos_mass / (bump_mass / 4.0)
-
-    tables = {
-        "step": step_table, "bump": bump_table,
-        "step_mass": step_mass, "bump_mass": bump_mass,
-    }
-    eta = PlateauProfile("eta", eta_coeff, (0.375, 0.625), (0.25, 0.75), tables)
-    gp = PlateauProfile("gamma_plus", gp_coeff, (0.5, 0.625), (0.5, 0.9375), tables)
-    gm = PlateauProfile("gamma_minus", gp_coeff, (0.375, 0.5), (0.0625, 0.5), tables)
+    c = (1.0 / 8.0 + step_mass / 16.0) / (bump_mass / 4.0)
+    gp = PlateauProfile("gamma_plus", c, (
+        _Piece(-np.inf),
+        _Piece(above(0.5, 1), False, 1.0, 0.5, ((_ONE, 1.0),)),
+        _Piece(above(0.625, 1), False, -16.0, 0.6875, ((step, 1.0),),
+               offset=0.125, base=step_mass),
+        _Piece(0.6875),
+        _Piece(above(0.6875, 1), False, 4.0, 0.6875, ((bmp, 1.0),), gain=-c,
+               offset=0.125 + step_mass / 16.0),
+        _Piece(0.9375),
+    ), jump=0.5)
+    gm = replace(gp, kind="gamma_minus", reflect=True)
     return ProfileSet(eta, gp, gm, step_mass, bump_mass, achieved)
-
-
-# --- branch evaluators ------------------------------------------------------
-
-def _eta_half_eval(p, u, order):
-    """eta on the left half u in [0, 1/2]; mirror handled by the caller."""
-    tb = p._tables
-    c = p.shoulder_coefficient
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    rise = (u > 0.25) & (u < 0.375)
-    plat = u >= 0.375
-    s = 8.0 * (u[rise] - 0.25)
-    if order == 0:
-        out[rise] = smooth_step(s) + c * bump(s)
-        out[plat] = 1.0
-    elif order == 1:
-        out[rise] = 8.0 * (smooth_step_d1(s) + c * bump_d1(s))
-    elif order == 2:
-        out[rise] = 64.0 * (smooth_step_d2(s) + c * bump_d2(s))
-    else:  # antiderivative from 0
-        shoulder_mass = (tb["step_mass"] + c * tb["bump_mass"]) / 8.0
-        out[rise] = (tb["step"](s) + c * tb["bump"](s)) / 8.0
-        out[plat] = shoulder_mass + (u[plat] - 0.375)
-    return out
-
-
-def _eta_eval(p, t, order, side):
-    t = np.asarray(t, dtype=float)
-    left = t <= 0.5
-    u = np.where(left, t, 1.0 - t)
-    vals = _eta_half_eval(p, u, order)
-    if order == 1:
-        vals = np.where(left, vals, -vals)
-    elif order == "antiderivative":
-        total = 2.0 * (p._tables["step_mass"] + p.shoulder_coefficient
-                       * p._tables["bump_mass"]) / 8.0 + 0.25
-        vals = np.where(left, vals, total - vals)
-    return vals
-
-
-def _gamma_plus_eval(p, t, order, side):
-    tb = p._tables
-    c = p.shoulder_coefficient
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    at_jump = t == 0.5
-    if order in (1, 2) and side is None and bool(np.any(at_jump)):
-        raise OneSidedLimitRequired(
-            "gamma derivative at t = 1/2 is one-sided only; pass side=")
-    plat = (t > 0.5) & (t <= 0.625)
-    desc = (t > 0.625) & (t < 0.6875)
-    lobe = (t > 0.6875) & (t < 0.9375)
-    s_desc = 16.0 * (0.6875 - t[desc])
-    s_lobe = 4.0 * (t[lobe] - 0.6875)
-    if order == 0:
-        out[plat] = 1.0
-        out[desc] = smooth_step(s_desc)
-        out[lobe] = -c * bump(s_lobe)
-        # value at the jump: 0 by convention (the left branch), 1 if the
-        # caller explicitly asks for the right limit
-        if side == "right":
-            out[at_jump] = 1.0
-    elif order == 1:
-        out[desc] = -16.0 * smooth_step_d1(s_desc)
-        out[lobe] = -4.0 * c * bump_d1(s_lobe)
-        # one-sided derivative limits at the jump are both 0 (flat regions)
-    elif order == 2:
-        out[desc] = 256.0 * smooth_step_d2(s_desc)
-        out[lobe] = -16.0 * c * bump_d2(s_lobe)
-    else:  # antiderivative
-        plat_a = (t > 0.5) & (t <= 0.625)
-        out[plat_a] = t[plat_a] - 0.5
-        out[desc] = 0.125 + (tb["step_mass"] - tb["step"](s_desc)) / 16.0
-        g1116 = 0.125 + tb["step_mass"] / 16.0
-        out[lobe] = g1116 - (c / 4.0) * tb["bump"](s_lobe)
-        # beyond the lobe the integral has returned to zero by calibration
-    return out
-
-
-def _gamma_minus_eval(p, t, order, side):
-    t = np.asarray(t, dtype=float)
-    mirrored = 1.0 - t
-    flip = {"left": "right", "right": "left", None: None}[side]
-    vals = _gamma_plus_eval(p, mirrored, order, flip)
-    if order == 1:
-        vals = -vals
-    elif order == "antiderivative":
-        vals = -vals
-    return vals
 
 
 def profile_eval(p: PlateauProfile, t, order=0, side=None):
@@ -418,19 +306,31 @@ def profile_eval(p: PlateauProfile, t, order=0, side=None):
         raise ValueError(f"order must be one of {_ORDERS}")
     if side not in (None, "left", "right"):
         raise ValueError("side must be None, 'left' or 'right'")
-    scalar = np.ndim(t) == 0
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if p.kind == "eta":
-        vals = _eta_eval(p, t_arr, order, side)
-    elif p.kind == "gamma_plus":
-        vals = _gamma_plus_eval(p, t_arr, order, side)
-    elif p.kind == "gamma_minus":
-        vals = _gamma_minus_eval(p, t_arr, order, side)
-    else:
-        raise ValueError(f"unknown profile kind {p.kind!r}")
-    if scalar:
-        return float(vals[0])
-    return vals.reshape(np.shape(t))
+    t = np.asarray(t, dtype=float)
+    x = (1.0 - t if p.reflect else t).ravel()
+    at_jump = x == p.jump
+    if side is None and order in (1, 2) and at_jump.any():
+        raise OneSidedLimitRequired("gamma derivative at t = 1/2 is one-sided; pass side=")
+    # x is in row n_at - 1, n_at the count of starts at or below x: for so
+    # few starts many times faster than np.searchsorted. A NaN is at or
+    # above none and stays NaN in slot 0.
+    n_at = np.add.reduce(p.starts <= x, axis=0, dtype=np.uint8)
+    if side is not None and (side == "right") != p.reflect:
+        n_at += at_jump   # the jump closes the row on its left
+    out = np.zeros(x.shape)
+    first, last = int(n_at.min(initial=255)), int(n_at.max(initial=0))
+    for k in range(first, last + 1):
+        pc = p.pieces[k - 1] if k else None
+        flip = pc is not None and pc.mirror != p.reflect
+        # a zero row leaves out at +0.0 unless its mirror image changes it
+        if pc is None or pc.terms or (flip and order in (1, _ANTI)):
+            ii = slice(None) if first == last else np.flatnonzero(n_at == k)
+            v = np.nan if pc is None else pc.eval(x[ii], order)
+            if flip:
+                # the mirror image negates the slope and integrates from 1
+                v = -v if order == 1 else p.anti_one - v if order == _ANTI else v
+            out[ii] = v
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 def export_profile_csv(profiles: ProfileSet, path, n: int = 2001) -> None:

@@ -212,6 +212,19 @@ def test_config_rejects_unknown(tmp_path):
     ("manifolds", "manifolds.k_max=0"),
     ("regularity", "regularity.grid=0"),
     ("regularity", "regularity.fd_step_rel=-1e-4"),
+    ("verify", "params.M=abc"),
+    ("verify", "verify.rotation_starts=a,b"),
+    ("diffusion", "diffusion.thresholds=a"),
+    ("diffusion", "diffusion.theta0=abc"),
+    ("diffusion", "diffusion.theta0=0.3,"),
+    ("diffusion", "diffusion.n=-5"),
+    ("diffusion", "diffusion.offsets="),
+    ("portrait", "portrait.steps=-3"),
+    ("portrait", "portrait.r_band=-1"),
+    ("portrait", "portrait.r_band=inf"),
+    ("verify", "verify.fd_step=inf"),
+    ("portrait", "portrait.curve_samples=-1"),
+    ("regularity", "regularity.compare_C_factor=-3"),
 ])
 def test_checks_with_nothing_to_measure_exit_2(tmp_path, capsys, command, override):
     # each would otherwise pass a check on no samples, or die inside numpy

@@ -3,9 +3,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 
-from denjoy_twist.profiles import (CalibrationError, _check_mass, _cumulative_table,
-                                   bump, calibrate_profiles, export_profile_csv,
-                                   profile_eval, smooth_step, smooth_step_d1)
+from denjoy_twist.profiles import (_TABLE_PANELS, CalibrationError, _check_mass,
+                                   _cumulative_table, bump, calibrate_profiles,
+                                   export_profile_csv, profile_eval, smooth_step)
 
 
 def test_smooth_step_tails_and_symmetry():
@@ -22,9 +22,10 @@ def test_smooth_step_tails_and_symmetry():
 def test_smooth_step_derivatives_match_fd():
     s = np.linspace(0.05, 0.95, 19)
     h = 1e-6
-    fd = (smooth_step(s + h) - smooth_step(s - h)) / (2 * h)
-    assert np.max(np.abs(fd - smooth_step_d1(s))) <= 1e-7 * max(
-        1.0, np.max(np.abs(smooth_step_d1(s))))
+    for order in (1, 2):
+        fd = (smooth_step(s + h, order - 1) - smooth_step(s - h, order - 1)) / (2 * h)
+        exact = smooth_step(s, order)
+        assert np.max(np.abs(fd - exact)) <= 1e-7 * max(1.0, np.max(np.abs(exact)))
 
 
 def test_plateau_values(profiles):
@@ -65,7 +66,7 @@ def test_hermite_table_matches_scipy_spline(kernel):
     # scipy is the oracle: the same nodes, values and slopes give the same
     # floats at the nodes, one ulp either side, the ends, points outside
     # [0, 1] and random points; NaN stays NaN
-    table, mass = _cumulative_table(kernel, kernel)
+    table, mass = _cumulative_table(kernel)
     x = np.append(table._rows[0], 1.0)
     assert np.array_equal(x, np.arange(table.n + 1) / table.n)   # exactly i/n
     y = np.append(table._rows[4], mass)
@@ -206,3 +207,80 @@ def test_csv_export(profiles, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "profile,t,value,d1,d2,antiderivative"
     assert len(lines) == 1 + 3 * 101
+
+
+def test_nan_gives_nan(profiles, small):
+    for p in (profiles.eta, profiles.gamma_plus, profiles.gamma_minus):
+        for order in (0, 1, 2, "antiderivative"):
+            assert np.isnan(profile_eval(p, np.nan, order))
+            v = profile_eval(p, np.array([0.3, np.nan, 0.7]), order)
+            assert np.array_equal(np.isnan(v), [False, True, False])
+    # so a NaN slope no longer reads as a clean 1
+    assert np.isnan(small.g.local.deriv(np.nan, 0))
+
+
+@pytest.fixture(scope="module")
+def kernel_tables():
+    return _cumulative_table(smooth_step), _cumulative_table(bump)
+
+
+def _closed_form(profiles, tables, kind, t, order, side):
+    """Each profile region by region, as the module docstring states it."""
+    (TS, Ms), (TB, Mb) = tables
+    anti = order == "antiderivative"
+    if kind == "eta":
+        c = profiles.eta.shoulder_coefficient
+        left = t <= 0.5
+        x = np.where(left, t, 1.0 - t)
+        s = 8.0 * (x - 0.25)
+        regions = [(x > 0.25) & (x < 0.375), x >= 0.375]
+        if anti:
+            v = np.select(regions, [(TS(s) + c * TB(s)) / 8.0,
+                                    (Ms + c * Mb) / 8.0 + (x - 0.375)], 0.0)
+            return np.where(left, v, (2.0 * (Ms + c * Mb) / 8.0 + 0.25) - v)
+        v = np.select(regions, [8.0**order * (smooth_step(s, order) + c * bump(s, order)),
+                                0.0 if order else 1.0], 0.0)
+        return np.where(left | (order != 1), v, -v)
+    c = profiles.gamma_plus.shoulder_coefficient
+    plus = kind == "gamma_plus"
+    x = t if plus else 1.0 - t
+    right_of_jump = side == ("right" if plus else "left")
+    s_desc, s_lobe = 16.0 * (0.6875 - x), 4.0 * (x - 0.6875)
+    regions = [((x > 0.5) & (x <= 0.625)) | (right_of_jump & (x == 0.5)),
+               (x > 0.625) & (x < 0.6875), (x > 0.6875) & (x < 0.9375)]
+    if anti:
+        v = np.select(regions, [x - 0.5, 0.125 + (Ms - TS(s_desc)) / 16.0,
+                                (0.125 + Ms / 16.0) - (c / 4.0) * TB(s_lobe)], 0.0)
+        return v if plus else -0.0 - v
+    v = np.select(regions, [0.0 if order else 1.0,
+                            (-16.0)**order * smooth_step(s_desc, order),
+                            -c * 4.0**order * bump(s_lobe, order)], 0.0)
+    return v if plus or order != 1 else -v
+
+
+_BREAKS = np.array([0.0, 0.0625, 0.25, 0.3125, 0.375, 0.5, 0.625, 0.6875, 0.75,
+                    0.9375, 1.0])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, "antiderivative"])
+@pytest.mark.parametrize("kind", ["eta", "gamma_plus", "gamma_minus"])
+def test_piece_table_bitwise_equals_closed_forms(profiles, kernel_tables, kind, order):
+    # every breakpoint, every Hermite node of the curved pieces and the
+    # kernel edges where exp(-1/s) runs through the subnormals and the order
+    # of the products shows, each with its mirror image and its two
+    # neighbours; 1/2 from both sides, the export grid and seeded points
+    # beyond [0, 1]; equal bits, so signed zeros count
+    s = 1.0 / np.linspace(700.0, 750.0, 400)
+    s = np.concatenate([s, 1.0 - s, np.arange(_TABLE_PANELS + 1) / _TABLE_PANELS])
+    x = np.concatenate([_BREAKS, 0.25 + s / 8.0, 0.6875 - s / 16.0, 0.6875 + s / 4.0])
+    x = np.concatenate([x, 1.0 - x])
+    t = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                        np.linspace(0.0, 1.0, 2001),
+                        np.random.default_rng(16).uniform(-0.5, 1.5, 10**4)])
+    p = getattr(profiles, kind)
+    # 1 - t rounds to 1/2 one ulp below 1/2 too: no side there is an error
+    off_jump = t[(t != 0.5) & (1.0 - t != 0.5)]
+    for side, pts in (("left", t), ("right", t), (None, off_jump)):
+        ours = profile_eval(p, pts, order, side=side)
+        ref = _closed_form(profiles, kernel_tables, kind, pts, order, side)
+        assert np.array_equal(ours.view(np.int64), ref.view(np.int64)), (side, order)

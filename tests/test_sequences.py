@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from denjoy_twist.profiles import profile_eval
 from denjoy_twist.sequences import (ConstructionError, SeqParams,
                                     build_gap_lengths, build_ratio_sequences,
                                     build_sequences, dump_sequences_csv,
@@ -147,8 +148,8 @@ def test_positivity_margin(desk, profiles):
     # 1 + psi stays positive: |K| sup(eta) + |alpha| sup(gamma) < 1
     seqs = desk.seqs
     t = np.linspace(0.0, 1.0, 20001)
-    sup_eta = float(np.max(profiles.eta(t)))
-    sup_gam = float(np.max(np.abs(profiles.gamma_plus(t))))
+    sup_eta = float(np.max(profile_eval(profiles.eta, t)))
+    sup_gam = float(np.max(np.abs(profile_eval(profiles.gamma_plus, t))))
     ks = np.arange(-seqs.M, seqs.M + 1)
     margin = 1.0 - np.abs(seqs.K(ks)) * sup_eta - np.abs(seqs.alpha(ks)) * sup_gam
     assert float(margin.min()) > 0.0
