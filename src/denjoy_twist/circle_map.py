@@ -25,16 +25,19 @@ immutable after build and safe for concurrent read-only use.
 
 from __future__ import annotations
 
+import bisect
 import math
+from array import array
 
 import numpy as np
 
 from .layout import GapTable, frac_part
-from .profiles import _TABLE_PANELS, ProfileSet, profile_eval
+from .profiles import _ANTI, _TABLE_PANELS, ProfileSet, profile_eval
 from .sequences import ConstructionError
 
 _GAP = 0
 _AFFINE = 1
+_NOT_GAP = 10**9   # the gap k of a piece that is not a gap
 
 _INVERT_REL_TOL = 1e-14
 _INVERT_MAX_ITER = 200
@@ -88,8 +91,7 @@ class LocalDiffeo:
         self.ell, self.ell_next = seqs.ell(ks), seqs.ell(ks + 1)
         self.K, self.alpha = seqs.K(ks), seqs.alpha(ks)
         self.plus = (ks >= 1) != swap_gamma
-        self.eta, self.gamma_plus, self.gamma_minus = (
-            profiles.eta, profiles.gamma_plus, profiles.gamma_minus)
+        self.eta, self.gamma_plus = profiles.eta, profiles.gamma_plus
         self._check_monotone()
         self._bp_u = self.ell[:, None] * _BREAKS
         self._bp_v = self.value(self._bp_u, ks[:, None])
@@ -118,44 +120,29 @@ class LocalDiffeo:
                 f"h_{j - self.M} is not monotone: minimum slope {low[j]:.6g}")
         return low
 
-    def gamma(self, s, plus, order, side=None):
-        """gamma_plus at s where plus is set, gamma_minus elsewhere.
-
-        One profile_eval per profile that occurs; plus is a slice of the
-        plus column, broadcast against s.
-        """
-        n_plus = np.count_nonzero(plus)
-        if n_plus in (0, plus.size):
-            prof = self.gamma_plus if n_plus else self.gamma_minus
-            return profile_eval(prof, s, order, side=side)
-        s = np.asarray(s, dtype=float)
-        plus = np.broadcast_to(plus, s.shape)
-        out = np.empty(s.shape)
-        out[plus] = profile_eval(self.gamma_plus, s[plus], order, side=side)
-        out[~plus] = profile_eval(self.gamma_minus, s[~plus], order, side=side)
-        return out
+    def _h(self, u, k, orders, side=None):
+        """h_k, h_k' or h_k'' at u for each profile order of orders
+        ("antiderivative", 0 or 1), from one profile_eval per profile;
+        gamma_minus is gamma_plus read reflected at the points of minus
+        gaps."""
+        j = k + self.M
+        ell, K, alpha = self.ell[j], self.K[j], self.alpha[j]
+        u = np.asarray(u, dtype=float)
+        s = u / ell
+        es = profile_eval(self.eta, s, orders)
+        gs = profile_eval(self.gamma_plus, s, orders, side=side, reflect=~self.plus[j])
+        return [u + K * ell * e + alpha * ell * g if o == _ANTI else
+                1.0 + K * e + alpha * g if o == 0 else
+                (K * e + alpha * g) / ell for o, e, g in zip(orders, es, gs)]
 
     def value(self, u, k):
-        u = np.asarray(u, dtype=float)
-        j = k + self.M
-        ell = self.ell[j]
-        s = u / ell
-        E = profile_eval(self.eta, s, "antiderivative")
-        G = self.gamma(s, self.plus[j], "antiderivative")
-        return u + self.K[j] * ell * E + self.alpha[j] * ell * G
+        return self._h(u, k, (_ANTI,))[0]
 
     def deriv(self, u, k, side=None):
-        j = k + self.M
-        s = np.asarray(u, dtype=float) / self.ell[j]
-        e = profile_eval(self.eta, s, 0)
-        gmm = self.gamma(s, self.plus[j], 0, side=side)
-        return 1.0 + self.K[j] * e + self.alpha[j] * gmm
+        return self._h(u, k, (0,), side)[0]
 
     def second_deriv(self, u, k, side=None):
-        j = k + self.M
-        s = np.asarray(u, dtype=float) / self.ell[j]
-        return (self.K[j] * profile_eval(self.eta, s, 1)
-                + self.alpha[j] * self.gamma(s, self.plus[j], 1, side=side)) / self.ell[j]
+        return self._h(u, k, (1,), side)[0]
 
     def invert(self, v, k):
         """u with h_k(u) = v, for v in [0, ell_{k+1}].
@@ -187,13 +174,15 @@ class LocalDiffeo:
         # the linear pieces: slope 1+K, and 1+K+alpha on the jump side
         # (right of the midpoint for gamma_plus, left for gamma_minus)
         lin = (v >= vs[:, 1]) & (v <= vs[:, 3])
-        K, alpha = self.K[j], self.alpha[j]
-        slope = 1.0 + K + np.where((v > vs[:, 2]) == self.plus[j], alpha, 0.0)
-        intercept = np.where(slope == 1.0 + K, 0.0, -alpha * self.ell[j] / 2.0)
-        out[lin] = (v[lin] - intercept[lin]) / slope[lin]
+        if lin.any():
+            jl, vl = j[lin], v[lin]
+            K, alpha = self.K[jl], self.alpha[jl]
+            slope = 1.0 + K + np.where((vl > vs[lin, 2]) == self.plus[jl], alpha, 0.0)
+            intercept = np.where(slope == 1.0 + K, 0.0, -alpha * self.ell[jl] / 2.0)
+            out[lin] = (vl - intercept) / slope
 
         left = v < vs[:, 1]
-        sh = np.flatnonzero(left | (v > vs[:, 3]))
+        sh = (left | (v > vs[:, 3])).nonzero()[0]
         if sh.size:
             out[sh] = self._newton(v[sh], k[sh], left[sh], us[sh], vs[sh], tol[sh])
         return out.reshape(shape)[()]
@@ -212,17 +201,19 @@ class LocalDiffeo:
         out = np.empty_like(u)
         idx = np.arange(len(u))
         for _ in range(_INVERT_MAX_ITER):
-            f = self.value(u, k) - v
+            f, d = self._h(u, k, (_ANTI, 0))
+            f = f - v
             done = np.abs(f) <= tol
             if done.any():
                 out[idx[done]] = u[done]
                 if done.all():
                     return out
-                idx, u, k, v, tol, lo, hi, f = (
-                    a[~done] for a in (idx, u, k, v, tol, lo, hi, f))
-            hi = np.where(f > 0.0, u, hi)
-            lo = np.where(f > 0.0, lo, u)
-            un = u - f / self.deriv(u, k)
+                idx, u, k, v, tol, lo, hi, f, d = (
+                    a[~done] for a in (idx, u, k, v, tol, lo, hi, f, d))
+            above = f > 0.0
+            hi = np.where(above, u, hi)
+            lo = np.where(above, lo, u)
+            un = u - f / d
             u = np.where((un <= lo) | (un >= hi), 0.5 * (lo + hi), un)
         raise ConstructionError(
             f"inversion of h_{int(k[0])} failed to converge: {len(k)} of "
@@ -306,7 +297,7 @@ class CircleHomeo:
                            [self._psi_eval(t_prime - w_B), lamN - res * w_A])
         a_y_w = np.append(tb.ell_of(ks + 1), [2.0 * res * w_B, ellN + 2.0 * res * w_A])
         a_kind = np.append(np.full(2 * M, _GAP), [_AFFINE, _AFFINE])
-        a_k = np.append(ks, [10**9, 10**9])
+        a_k = np.append(ks, [_NOT_GAP, _NOT_GAP])
         by_x = np.argsort(a_x_lo, kind="stable")
         a_x_lo, a_x_hi, a_y_lo, a_y_w, a_kind, a_k = (
             c[by_x] for c in (a_x_lo, a_x_hi, a_y_lo, a_y_w, a_kind, a_k))
@@ -333,7 +324,7 @@ class CircleHomeo:
         if self._x_lo[0] != 0.0:
             raise ConstructionError("piece table must start at x = 0")
         self._kind = pieces(a_kind, np.full_like(a_kind, _AFFINE))
-        self._gap_k = pieces(a_k, np.full_like(a_k, 10**9))
+        self._gap_k = pieces(a_k, np.full_like(a_k, _NOT_GAP))
         x_hi = pieces(a_x_hi, t_x_hi)
         widths = pieces(a_y_w, t_w)
         y_first = a_y_lo[0]
@@ -349,6 +340,12 @@ class CircleHomeo:
         self._slope = widths / (x_hi - self._x_lo)
         self.n_pieces = len(self._x_lo)
         self.y_start = float(self._y_lo[0])
+        # the columns the scalar lift reads, as Python arrays: bisect finds
+        # the piece and the arithmetic is on Python floats, the same bits as
+        # the numpy columns give without their per-call cost
+        self._scalar = tuple(array(code, col.tobytes()) for code, col in (
+            ("d", self._x_lo), ("d", self._y_lo), ("d", self._slope),
+            ("q", self._gap_k.astype(np.int64))))
 
         if np.any(np.diff(self._x_lo) <= 0.0) or np.any(self._slope <= 0.0):
             raise ConstructionError("piece table is not strictly monotone")
@@ -359,12 +356,11 @@ class CircleHomeo:
         """Continuous increasing lift with g~(x+1) = g~(x)+1 exactly."""
         n = math.floor(x)
         fr = x - n
-        i = int(np.searchsorted(self._x_lo, fr, side="right")) - 1
-        if self._kind[i] == _GAP:
-            val = self._y_lo[i] + self.local.value(fr - self._x_lo[i], self._gap_k[i])
-        else:
-            val = self._y_lo[i] + self._slope[i] * (fr - self._x_lo[i])
-        return n + float(val)
+        x_lo, y_lo, slope, gap_k = self._scalar
+        i = bisect.bisect_right(x_lo, fr) - 1
+        if gap_k[i] == _NOT_GAP:
+            return n + (y_lo[i] + slope[i] * (fr - x_lo[i]))
+        return n + float(y_lo[i] + self.local.value(fr - x_lo[i], gap_k[i]))
 
     def eval(self, x: float) -> float:
         v = self.lift(x)
@@ -373,13 +369,11 @@ class CircleHomeo:
     def inverse_lift(self, y: float) -> float:
         m = math.floor(y - self.y_start)
         yf = y - m
-        i = min(int(np.searchsorted(self._y_lo, yf, side="right")) - 1,
-                self.n_pieces - 1)
-        if self._kind[i] == _GAP:
-            x = self._x_lo[i] + self.local.invert(yf - self._y_lo[i], self._gap_k[i])
-        else:
-            x = self._x_lo[i] + (yf - self._y_lo[i]) / self._slope[i]
-        return float(x) + m
+        x_lo, y_lo, slope, gap_k = self._scalar
+        i = min(bisect.bisect_right(y_lo, yf) - 1, self.n_pieces - 1)
+        if gap_k[i] == _NOT_GAP:
+            return (x_lo[i] + (yf - y_lo[i]) / slope[i]) + m
+        return float(x_lo[i] + self.local.invert(yf - y_lo[i], gap_k[i])) + m
 
     def inverse_eval(self, y: float) -> float:
         v = self.inverse_lift(y)

@@ -77,9 +77,10 @@ def _bump(s, order):
 
 
 def _extend(kernel, s, order, above):
-    """kernel(s, order) on 0 < s < 1, extended by 0 below and by above above."""
+    """kernel(s, order) on 0 < s < 1, extended by 0 below and by above above;
+    NaN gives NaN."""
     s = np.asarray(s, dtype=float)
-    out = np.where(s >= 1, above, 0.0)
+    out = np.where(s >= 1, above, np.where(s <= 0, 0.0, np.nan))
     mid = (s > 0) & (s < 1)
     out[mid] = kernel(s[mid], order)
     return float(out) if out.ndim == 0 else out
@@ -118,6 +119,18 @@ class _HermiteTable:
         self.n = len(x) - 1
         # node and coefficients of each interval as columns, one take per call
         self._rows = np.array([x[:-1], t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1]])
+        self._curves = ()
+
+    @classmethod
+    def stack(cls, tables):
+        """One table of the curves of tables, which share their nodes: a call
+        gives a row per curve, from one index and one take."""
+        out = cls.__new__(cls)
+        out.n, out._curves = tables[0].n, (len(tables),)
+        out._rows = tables[0]._rows if len(tables) == 1 else np.concatenate(
+            [tables[0]._rows[:1]] + [np.array([tb._rows[c] for tb in tables])
+                                     for c in range(1, 5)])
+        return out
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
@@ -126,8 +139,9 @@ class _HermiteTable:
         # find; fmin/fmax send NaN to a valid interval, where it stays NaN
         # through the power sum
         i = np.fmax(np.fmin(self.n * v, self.n - 1), 0).astype(np.intp)
-        x0, c0, c1, c2, c3 = np.take(self._rows, i, axis=1)
-        s = v - x0
+        rows = np.take(self._rows, i, axis=1)
+        c0, c1, c2, c3 = rows[1:].reshape((4, *self._curves, *v.shape))
+        s = v - rows[0]
         ss = s * s
         return ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
 
@@ -175,8 +189,16 @@ def _check_mass(f):
 
 _ANTI = "antiderivative"
 _ORDERS = (0, 1, 2, _ANTI)
-# the plateaus' kernel, the constant 1: its derivatives and antiderivative
-_ONE = (lambda s, order: 0.0 if order else 1.0, lambda s: s)
+
+
+def _one(s, order):
+    """The plateaus' kernel, the constant 1, and its derivatives."""
+    return 0.0 if order else 1.0
+
+
+def _one_anti(s):
+    """The antiderivative of _one from 0, as the one row of its terms."""
+    return (s,)
 
 
 @dataclass(frozen=True)
@@ -190,25 +212,28 @@ class _Piece:
     mirror: bool = False
     scale: float = 1.0
     shift: float = 0.0
-    terms: tuple = ()       # ((f, F), coeff): f(s, order) and F from 0
+    terms: tuple = ()       # (f, coeff): f(s, order)
+    antis: object = None    # the terms' F from 0 at s, a row each, in one call
     gain: float = 1.0
     offset: float = 0.0
     base: float = 0.0
 
-    def eval(self, x, order):
-        if not self.terms:
-            return 0.0
-        s = self.scale * ((1.0 - x if self.mirror else x) - self.shift)
-        w = None
-        for (f, F), coeff in self.terms:
-            v = F(s) if order == _ANTI else f(s, order)
-            v = v if coeff == 1.0 else coeff * v
-            w = v if w is None else w + v
-        anti = order == _ANTI
-        k = self.gain / self.scale if anti else self.gain * self.scale**order
-        w = w - self.base if anti and self.base else w
-        w = w if k == 1.0 else k * w
-        return self.offset + w if anti and self.offset else w
+    def eval(self, u, orders):
+        """The row at u (x, or 1 - x on a mirrored row), a result per order."""
+        s = self.scale * (u - self.shift)
+        out = []
+        for order in orders:
+            anti = order == _ANTI
+            vals = self.antis(s) if anti else [f(s, order) for f, _ in self.terms]
+            w = None
+            for v, (_, coeff) in zip(vals, self.terms):
+                v = v if coeff == 1.0 else coeff * v
+                w = v if w is None else w + v
+            k = self.gain / self.scale if anti else self.gain * self.scale**order
+            w = w - self.base if anti and self.base else w
+            w = w if k == 1.0 else k * w
+            out.append(self.offset + w if anti and self.offset else w)
+        return out
 
 
 @dataclass(frozen=True)
@@ -222,11 +247,30 @@ class PlateauProfile:
     pieces: tuple = field(repr=False)
     reflect: bool = False
     anti_one: float = -0.0         # the antiderivative at t = 1
-    jump: float = np.nan           # the x where side= picks the row
+    jump: float | None = None      # the x where side= picks the row, if any
     starts: np.ndarray = field(init=False, repr=False, compare=False)
+    # a row and its mirror image are one twin, read in one pass: twins holds
+    # None (for NaN) and then each row once, up to lo and mirror; per slot
+    # (0 for NaN, row + 1 for a row) its twin's index and its mirror flag,
+    # None if no row is mirrored
+    twins: tuple = field(init=False, repr=False, compare=False)
+    slot_twin: np.ndarray = field(init=False, repr=False, compare=False)
+    slot_mirror: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "starts", np.array([[pc.lo] for pc in self.pieces]))
+        twins, slot_twin = [None], [0]
+        for pc in self.pieces:
+            key = replace(pc, lo=0.0, mirror=False)
+            if key not in twins:
+                twins.append(key)
+            slot_twin.append(twins.index(key))
+        for name, value in (
+                ("starts", np.array([[pc.lo] for pc in self.pieces])),
+                ("twins", tuple(twins)),
+                ("slot_twin", np.array(slot_twin, dtype=np.uint8)),
+                ("slot_mirror", np.array([False] + [pc.mirror for pc in self.pieces])
+                 if any(pc.mirror for pc in self.pieces) else None)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -264,13 +308,15 @@ def calibrate_profiles(quadrature_tolerance: float = 1e-13) -> ProfileSet:
             f"kernel mass check failed: achieved error {achieved:.3e} "
             f"> tolerance {quadrature_tolerance:.3e}")
 
-    step, bmp = (_step, step_table), (_bump, bump_table)
+    stack = _HermiteTable.stack
+    one = ((_one, 1.0),)
     above = np.nextafter   # above(x, 1): the start of a row open at x
     # eta: plateau (length 1/4) + two smooth_step edges (mass step_mass/8 each)
     # leave a deficit against the unit integral; two mirrored bumps supply it.
     c = (1.0 - 0.25 - 2.0 * step_mass / 8.0) / (2.0 * bump_mass / 8.0)
-    rise = _Piece(above(0.25, 1), False, 8.0, 0.25, ((step, 1.0), (bmp, c)))
-    plateau = _Piece(0.375, False, 1.0, 0.375, ((_ONE, 1.0),),
+    rise = _Piece(above(0.25, 1), False, 8.0, 0.25, ((_step, 1.0), (_bump, c)),
+                  stack((step_table, bump_table)))
+    plateau = _Piece(0.375, False, 1.0, 0.375, one, _one_anti,
                      offset=(step_mass + c * bump_mass) / 8.0)
     eta = PlateauProfile("eta", c, (
         _Piece(-np.inf), rise, plateau,
@@ -283,54 +329,96 @@ def calibrate_profiles(quadrature_tolerance: float = 1e-13) -> ProfileSet:
     c = (1.0 / 8.0 + step_mass / 16.0) / (bump_mass / 4.0)
     gp = PlateauProfile("gamma_plus", c, (
         _Piece(-np.inf),
-        _Piece(above(0.5, 1), False, 1.0, 0.5, ((_ONE, 1.0),)),
-        _Piece(above(0.625, 1), False, -16.0, 0.6875, ((step, 1.0),),
-               offset=0.125, base=step_mass),
+        _Piece(above(0.5, 1), False, 1.0, 0.5, one, _one_anti),
+        _Piece(above(0.625, 1), False, -16.0, 0.6875, ((_step, 1.0),),
+               stack((step_table,)), offset=0.125, base=step_mass),
         _Piece(0.6875),
-        _Piece(above(0.6875, 1), False, 4.0, 0.6875, ((bmp, 1.0),), gain=-c,
-               offset=0.125 + step_mass / 16.0),
+        _Piece(above(0.6875, 1), False, 4.0, 0.6875, ((_bump, 1.0),),
+               stack((bump_table,)), gain=-c, offset=0.125 + step_mass / 16.0),
         _Piece(0.9375),
     ), jump=0.5)
     gm = replace(gp, kind="gamma_minus", reflect=True)
     return ProfileSet(eta, gp, gm, step_mass, bump_mass, achieved)
 
 
-def profile_eval(p: PlateauProfile, t, order=0, side=None):
+def profile_eval(p: PlateauProfile, t, order=0, side=None, reflect=False):
     """Evaluate a profile, a derivative, or its antiderivative from 0.
 
-    order is one of 0, 1, 2 or "antiderivative". For the gamma profiles the
-    point t = 1/2 carries one-sided data only; pass side="left"/"right" to
-    pick a branch of the value there (derivative limits agree and are 0).
+    order is one of 0, 1, 2 or "antiderivative", or a tuple of them for a
+    tuple of results from one row lookup. reflect, a bool or one per point
+    (broadcast against t), reads the profile mirrored where set, at 1 - t:
+    gamma_plus so read is gamma_minus. For the gamma profiles the point
+    t = 1/2 carries one-sided data only; pass side="left"/"right" to pick a
+    branch of the value there (derivative limits agree and are 0).
     """
-    if order not in _ORDERS:
-        raise ValueError(f"order must be one of {_ORDERS}")
+    orders = order if isinstance(order, tuple) else (order,)
+    if not orders or not set(orders) <= set(_ORDERS):
+        raise ValueError(f"order must be one of {_ORDERS} or a tuple of them")
     if side not in (None, "left", "right"):
         raise ValueError("side must be None, 'left' or 'right'")
     t = np.asarray(t, dtype=float)
-    x = (1.0 - t if p.reflect else t).ravel()
-    at_jump = x == p.jump
-    if side is None and order in (1, 2) and at_jump.any():
-        raise OneSidedLimitRequired("gamma derivative at t = 1/2 is one-sided; pass side=")
+    x = t.ravel()
+    # where reflect and p.reflect differ, x = 1 - t: one bool when all agree
+    if isinstance(reflect, np.ndarray):
+        if reflect.shape != t.shape:
+            reflect = np.broadcast_to(reflect, t.shape)
+        mirrored = reflect.ravel() != p.reflect
+        some = mirrored.any()
+        if not some or mirrored.all():
+            mirrored = bool(some)
+    else:
+        mirrored = p.reflect != bool(reflect)
+    if isinstance(mirrored, np.ndarray):
+        x = np.where(mirrored, 1.0 - x, x)
+    elif mirrored:
+        x = 1.0 - x
     # x is in row n_at - 1, n_at the count of starts at or below x: for so
     # few starts many times faster than np.searchsorted. A NaN is at or
     # above none and stays NaN in slot 0.
     n_at = np.add.reduce(p.starts <= x, axis=0, dtype=np.uint8)
-    if side is not None and (side == "right") != p.reflect:
-        n_at += at_jump   # the jump closes the row on its left
-    out = np.zeros(x.shape)
-    first, last = int(n_at.min(initial=255)), int(n_at.max(initial=0))
-    for k in range(first, last + 1):
-        pc = p.pieces[k - 1] if k else None
-        flip = pc is not None and pc.mirror != p.reflect
-        # a zero row leaves out at +0.0 unless its mirror image changes it
-        if pc is None or pc.terms or (flip and order in (1, _ANTI)):
-            ii = slice(None) if first == last else np.flatnonzero(n_at == k)
-            v = np.nan if pc is None else pc.eval(x[ii], order)
-            if flip:
+    if p.jump is not None:
+        at_jump = x == p.jump
+        if side is not None:
+            # the jump closes the row on its left
+            n_at += at_jump & (mirrored != (side == "right"))
+        elif {1, 2} & set(orders) and at_jump.any():
+            raise OneSidedLimitRequired("gamma derivative at t = 1/2 is one-sided; pass side=")
+    # each twin that occurs, with its points and their rows' mirror flags
+    first, last = ((int(n_at[0]),) * 2 if n_at.size == 1 else
+                   (int(n_at.min(initial=255)), int(n_at.max(initial=0))))
+    mirror_rows = p.slot_mirror is not None
+    if first == last:
+        groups = [(p.slot_twin[first], slice(None), mirror_rows and bool(p.slot_mirror[first]))]
+    else:
+        twin = p.slot_twin[n_at]
+        row_mirror = p.slot_mirror[n_at] if mirror_rows else None
+        groups = [(k, ii, False if row_mirror is None else row_mirror[ii])
+                  for k in range(twin.min(initial=255), twin.max(initial=0) + 1)
+                  for ii in [(twin == k).nonzero()[0]] if ii.size]
+    outs = [np.zeros(x.shape) for _ in orders]
+    for k, ii, m in groups:
+        pc = p.twins[k]
+        # the mirror transform applies where the row or the read is mirrored, not both
+        flip = m != (mirrored[ii] if isinstance(mirrored, np.ndarray) else mirrored)
+        per_point = isinstance(flip, np.ndarray)
+        if pc is None:
+            vals, flip = [np.nan] * len(orders), False
+        elif pc.terms:
+            u = x[ii]
+            u = np.where(m, 1.0 - u, u) if isinstance(m, np.ndarray) else 1.0 - u if m else u
+            vals = pc.eval(u, orders)
+        elif flip.any() if per_point else flip:
+            vals = [0.0] * len(orders)
+        else:
+            continue   # a zero row leaves out at +0.0
+        for out, o, v in zip(outs, orders, vals):
+            if (o == 1 or o == _ANTI) and (per_point or flip):
                 # the mirror image negates the slope and integrates from 1
-                v = -v if order == 1 else p.anti_one - v if order == _ANTI else v
+                w = -v if o == 1 else p.anti_one - v
+                v = np.where(flip, w, v) if per_point else w
             out[ii] = v
-    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+    outs = [float(out[0]) if t.ndim == 0 else out.reshape(t.shape) for out in outs]
+    return tuple(outs) if isinstance(order, tuple) else outs[0]
 
 
 def export_profile_csv(profiles: ProfileSet, path, n: int = 2001) -> None:
@@ -344,8 +432,8 @@ def export_profile_csv(profiles: ProfileSet, path, n: int = 2001) -> None:
         w = csv.writer(fh)
         w.writerow(["profile", "t", "value", "d1", "d2", "antiderivative"])
         for p in (profiles.eta, profiles.gamma_plus, profiles.gamma_minus):
-            cols = [profile_eval(p, ts, order, side="right") for order in (0, 1, 2)]
-            cols.append(profile_eval(p, ts, "antiderivative"))
+            cols = [*profile_eval(p, ts, (0, 1, 2), side="right"),
+                    profile_eval(p, ts, _ANTI)]
             # csv writes Python floats by repr, which round-trips
             w.writerows([p.kind, *row] for row in
                         zip(ts.tolist(), *(c.tolist() for c in cols)))

@@ -40,13 +40,22 @@ class GeneratingFunction:
 
     g: object
 
+    def terms(self, x):
+        """g~ - Id and g~^{-1} - Id at the fractional part of x, whose sum is
+        phi(x): floats for a float x, arrays for an array."""
+        if not isinstance(x, np.ndarray):
+            fr = float(frac_part(x))
+            return self.g.lift(fr) - fr, self.g.inverse_lift(fr) - fr
+        fr = np.asarray(frac_part(x), dtype=float)
+        return self.g.lift_many(fr) - fr, self.g.inverse_lift_many(fr) - fr
+
     def eval(self, x: float) -> float:
-        fr = float(frac_part(x))
-        return (self.g.lift(fr) - fr) + (self.g.inverse_lift(fr) - fr)
+        up, down = self.terms(float(x))
+        return up + down
 
     def eval_many(self, xs) -> np.ndarray:
-        fr = np.asarray(frac_part(xs), dtype=float)
-        return (self.g.lift_many(fr) - fr) + (self.g.inverse_lift_many(fr) - fr)
+        up, down = self.terms(np.asarray(xs, dtype=float))
+        return up + down
 
     def deriv(self, x: float, side: str = "right") -> float:
         fr = float(frac_part(x))
@@ -101,7 +110,7 @@ class TwistSystem:
         return self.g.lift_many(fr) - fr
 
     # Each step takes theta and r as floats, giving Python floats, or as
-    # arrays of one shape, stepping every point with one phi.eval_many call;
+    # arrays of one shape, stepping every point with one array phi call;
     # the arithmetic is the same for both, so the results agree bitwise.
 
     def _ops(self, theta):
@@ -110,14 +119,21 @@ class TwistSystem:
             return math.floor, self.phi.eval
         return np.floor, self.phi.eval_many
 
-    def forward(self, theta, r):
-        floor, phi = self._ops(theta)
+    def _step(self, theta, r):
+        """forward's step, and gamma(theta1) = g~(theta1) - theta1: phi's
+        first term, which the step computes anyway."""
+        floor, _ = self._ops(theta)
         # split r into integer and fractional parts (both exact) so the
         # theta output commutes bitwise with vertical integer translation
         fr = r - floor(r)
         w = (theta - floor(theta)) + fr
         theta1 = w - (w >= 1.0)   # back into [0, 1)
-        return theta1, r + phi(theta1)
+        height, down = self.phi.terms(theta1)
+        return theta1, r + (height + down), height
+
+    def forward(self, theta, r):
+        theta1, r1, _ = self._step(theta, r)
+        return theta1, r1
 
     def backward(self, theta, r):
         floor, phi = self._ops(theta)
@@ -324,7 +340,7 @@ class TwistSystem:
         # the s-grid terms are the same for every gap: once per profile
         eta1_s = profile_eval(eta, s, 1)
         g1_plus = profile_eval(h.gamma_plus, s, 1)
-        g1_minus = profile_eval(h.gamma_minus, s, 1)
+        g1_minus = profile_eval(h.gamma_plus, s, 1, reflect=True)
         ks = np.arange(-M + 1, M)
         rows = {}
 
@@ -342,11 +358,12 @@ class TwistSystem:
             v = h.invert(u, k - 1)
             st = v / ell_km1
 
-            eta1_st = profile_eval(eta, st, 1)
+            eta1_st, eta_st = profile_eval(eta, st, (1, 0))
             gk1_s = np.where(h.plus[j], g1_plus, g1_minus)
             gkm1_1_s = np.where(h.plus[j - 1], g1_plus, g1_minus)
-            gkm1_1_st = h.gamma(st, h.plus[j - 1], 1)
-            psi_v = K_km1 * profile_eval(eta, st, 0) + a_km1 * h.gamma(st, h.plus[j - 1], 0)
+            gkm1_1_st, gkm1_st = profile_eval(h.gamma_plus, st, (1, 0),
+                                              reflect=~h.plus[j - 1])
+            psi_v = K_km1 * eta_st + a_km1 * gkm1_st
             dpsi_v = (K_km1 * eta1_st + a_km1 * gkm1_1_st) / ell_km1
             df_inv = (ell_k / ell_km1) / (1.0 + psi_v)
 
@@ -371,10 +388,10 @@ class TwistSystem:
                 vv = h.invert(uu, k - 1)
                 ss = uu / ell_k
                 sst = vv / ell_km1
-                psi_k_u = (K_k * profile_eval(eta, ss, 0)
-                           + a_k * h.gamma(ss, h.plus[j], 0))
-                psi_km1_v = (K_km1 * profile_eval(eta, sst, 0)
-                             + a_km1 * h.gamma(sst, h.plus[j - 1], 0))
+                g_u = profile_eval(h.gamma_plus, ss, 0, reflect=~h.plus[j])
+                g_v = profile_eval(h.gamma_plus, sst, 0, reflect=~h.plus[j - 1])
+                psi_k_u = K_k * profile_eval(eta, ss, 0) + a_k * g_u
+                psi_km1_v = K_km1 * profile_eval(eta, sst, 0) + a_km1 * g_v
                 return psi_k_u - psi_km1_v / (1.0 + psi_km1_v)
 
             fd = (-dzeta(u + 2 * hstep) + 8.0 * dzeta(u + hstep)
@@ -661,17 +678,18 @@ def diffusion_probe(system: TwistSystem, theta0: float, offset: float, n: int,
     th = float(frac_part(theta0))
     r = float(system.curve_height(th)) + offset
     max_exc = abs(offset)
-    times = {repr(t): None for t in thresholds}
+    keys = [(t, repr(t)) for t in thresholds]
+    times = {key: None for _, key in keys}
     checkpoints = []
     checkpoint_at = 1
     for i in range(1, n + 1):
-        th, r = system.forward(th, r)
-        exc = abs(r - float(system.curve_height(th)))
+        th, r, height = system._step(th, r)
+        exc = abs(r - height)
         if exc > max_exc:
             max_exc = exc
-        for t in thresholds:
-            if times[repr(t)] is None and exc > t:
-                times[repr(t)] = i
+        for t, key in keys:
+            if times[key] is None and exc > t:
+                times[key] = i
         if i == checkpoint_at or i == n:
             checkpoints.append((i, max_exc))
             checkpoint_at *= 2

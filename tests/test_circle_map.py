@@ -352,3 +352,52 @@ def test_local_diffeo_eval_surface(small):
     v = h.value(u, 2)
     assert abs(h.invert(v, 2) - u) <= 1e-15
 
+
+
+def test_newton_one_profile_eval_per_profile_per_iteration(small, monkeypatch):
+    # each Newton iteration reads eta and gamma_k once each, h_k and h_k'
+    # from the one call: so the calls pair up (eta, gamma) at the same
+    # points, both ask for both orders, and each pair sees new iterates
+    import denjoy_twist.circle_map as cm
+    real, calls = cm.profile_eval, []
+
+    def counted(p, t, order=0, side=None, reflect=False):
+        calls.append((p.kind, np.array(t, dtype=float), order))
+        return real(p, t, order, side=side, reflect=reflect)
+
+    h = small.g.local
+    ks = np.arange(-small.g.M, small.g.M)
+    # both shoulders of every gap, plus and minus: one mixed batch, then one
+    # point on its own
+    u = np.concatenate([0.3 * h.ell, 0.8 * h.ell])
+    k = np.tile(ks, 2)
+    for v, kk in ((h.value(u, k), k), (float(h.value(0.2 * h.ell[3], 3 - small.g.M)), 3 - small.g.M)):
+        monkeypatch.setattr(cm, "profile_eval", counted)
+        calls.clear()
+        h.invert(v, kk)
+        monkeypatch.setattr(cm, "profile_eval", real)
+        assert [c[0] for c in calls] == ["eta", "gamma_plus"] * (len(calls) // 2)
+        for (_, s_eta, o_eta), (_, s_gamma, o_gamma) in zip(calls[::2], calls[1::2]):
+            assert o_eta == o_gamma == ("antiderivative", 0)
+            assert np.array_equal(s_eta, s_gamma)
+        iterates = [c[1] for c in calls[::2]]
+        assert 2 <= len(iterates) < 20
+        assert all(a.shape != b.shape or not np.array_equal(a, b)
+                   for a, b in zip(iterates, iterates[1:]))
+
+
+def test_scalar_lift_bitwise_equals_array_lift_at_piece_edges(small):
+    # the scalar lift reads its pieces from Python arrays by bisect; at every
+    # piece's left edge, one ulp either side and 1 - ulp it agrees bit for
+    # bit with the numpy path, gap and affine pieces alike
+    g = small.g
+
+    def around(e):
+        return np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)])
+
+    xs = np.append(around(g._x_lo), np.nextafter(1.0, 0.0))
+    assert np.array_equal(g.lift_many(xs).view(np.int64),
+                          np.array([g.lift(float(x)) for x in xs]).view(np.int64))
+    ys = np.append(around(g._y_lo), np.nextafter(g.y_start + 1.0, 0.0))
+    assert np.array_equal(g.inverse_lift_many(ys).view(np.int64),
+                          np.array([g.inverse_lift(float(y)) for y in ys]).view(np.int64))

@@ -284,3 +284,93 @@ def test_piece_table_bitwise_equals_closed_forms(profiles, kernel_tables, kind, 
         ours = profile_eval(p, pts, order, side=side)
         ref = _closed_form(profiles, kernel_tables, kind, pts, order, side)
         assert np.array_equal(ours.view(np.int64), ref.view(np.int64)), (side, order)
+
+
+def test_kernels_nan_gives_nan():
+    # like profile_eval: a NaN in is a NaN out, not a clean 0 from the tails
+    for f in (lambda s: smooth_step(s), lambda s: smooth_step(s, 1),
+              lambda s: smooth_step(s, 2), lambda s: bump(s), lambda s: bump(s, 1)):
+        assert np.isnan(f(float("nan")))
+        v = f(np.array([-1.0, np.nan, 0.5, 2.0]))
+        assert np.array_equal(np.isnan(v), [False, True, False, False])
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+def _order_points():
+    """Every breakpoint with its mirror image, each +-1 ulp; the export grid;
+    NaN; and seeded points beyond [0, 1]."""
+    x = np.concatenate([_BREAKS, 1.0 - _BREAKS])
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                           np.linspace(0.0, 1.0, 2001), [np.nan, np.nan],
+                           np.random.default_rng(17).uniform(-0.5, 1.5, 2000)])
+
+
+@pytest.mark.parametrize("kind", ["eta", "gamma_plus", "gamma_minus"])
+def test_orders_in_one_call_bitwise_equal_one_order_calls(profiles, kind):
+    # each order of a combined call is the one-order call bit for bit, sign
+    # bits included, whatever the combination and its order; the one-order
+    # calls are pinned to the closed forms by the test above
+    import itertools
+    p = getattr(profiles, kind)
+    t = _order_points()
+    orders = (0, 1, 2, "antiderivative")
+    for side in (None, "left", "right"):
+        pts = t if side else t[(t != 0.5) & (1.0 - t != 0.5)]
+        single = {o: profile_eval(p, pts, o, side=side) for o in orders}
+        for n in range(1, 5):
+            for combo in itertools.permutations(orders, n):
+                got = profile_eval(p, pts, combo, side=side)
+                assert isinstance(got, tuple) and len(got) == n
+                for o, v in zip(combo, got):
+                    assert np.array_equal(_bits(v), _bits(single[o])), (side, combo, o)
+        # one point at a time: floats, and 1/2 from the side asked for
+        for x in (0.5, 0.3, 0.7, 0.9, np.nan):
+            if side is None and x == 0.5 and p.jump is not None:
+                continue
+            got = profile_eval(p, x, orders, side=side)
+            assert all(type(v) is float for v in got)
+            ref = [profile_eval(p, x, o, side=side) for o in orders]
+            assert np.array_equal(_bits(got), _bits(ref))
+
+
+def test_reflect_per_point_reads_gamma_minus(profiles):
+    # gamma_plus reflected at some points is gamma_minus there, bit for bit,
+    # in one call: points of plus and minus gaps, both halves of [0, 1], 1/2
+    gp, gm = profiles.gamma_plus, profiles.gamma_minus
+    t = _order_points()
+    minus = np.random.default_rng(18).random(t.size) < 0.5
+    for side in ("left", "right"):
+        for o in (0, 1, 2, "antiderivative"):
+            ref = np.where(minus, profile_eval(gm, t, o, side=side),
+                           profile_eval(gp, t, o, side=side))
+            assert np.array_equal(_bits(profile_eval(gp, t, o, side=side, reflect=minus)),
+                                  _bits(ref))
+            # gamma_minus reflected is gamma_plus
+            assert np.array_equal(_bits(profile_eval(gm, t, o, side=side, reflect=~minus)),
+                                  _bits(ref))
+    # reflect broadcasts against t: one flag per row of a grid
+    grid = np.linspace(0.0, 1.0, 33)[None, :] * np.ones((4, 1))
+    rows = np.array([True, False, False, True])[:, None]
+    got = profile_eval(gp, grid, ("antiderivative", 0), side="right", reflect=rows)
+    for v, o in zip(got, ("antiderivative", 0)):
+        ref = np.where(rows, profile_eval(gm, grid, o, side="right"),
+                       profile_eval(gp, grid, o, side="right"))
+        assert v.shape == grid.shape and np.array_equal(_bits(v), _bits(ref))
+    # a uniform flag per point reads like the scalar flag
+    assert np.array_equal(_bits(profile_eval(gp, t, 1, side="left", reflect=np.ones(t.size, bool))),
+                          _bits(profile_eval(gm, t, 1, side="left")))
+
+
+def test_combined_orders_validate(profiles):
+    with pytest.raises(ValueError):
+        profile_eval(profiles.eta, 0.3, ())
+    with pytest.raises(ValueError):
+        profile_eval(profiles.eta, 0.3, (0, 3))
+    from denjoy_twist.profiles import OneSidedLimitRequired
+    with pytest.raises(OneSidedLimitRequired):
+        profile_eval(profiles.gamma_plus, 0.5, ("antiderivative", 1))
+    # the value and antiderivative alone need no side at the jump
+    assert profile_eval(profiles.gamma_plus, 0.5, (0, "antiderivative")) == (0.0, 0.0)

@@ -313,3 +313,21 @@ def test_dumps(small, tmp_path):
                             tmp_path / "portrait.csv", curve_samples=16)
     lines = (tmp_path / "portrait.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 16 + 11
+
+
+def test_diffusion_reads_the_height_its_step_computed(small):
+    # the probe takes gamma(theta_n) from the step, not from a second lift:
+    # the same report as stepping with forward and re-reading curve_height
+    system = small.system
+    tb = small.table
+    theta0 = float(tb.mu_of(1)) + float(tb.ell_of(1)) / 16.0
+    th, r = theta0, float(system.curve_height(theta0)) - 1e-3
+    exc = []
+    for _ in range(400):
+        th1, r1, height = system._step(th, r)
+        assert (th1, r1) == system.forward(th, r)
+        th, r = system.forward(th, r)
+        assert height == float(system.curve_height(th))
+        exc.append(abs(r - float(system.curve_height(th))))
+    rep = diffusion_probe(system, theta0, -1e-3, 400)
+    assert rep.max_excursion == max([1e-3] + exc)
