@@ -28,6 +28,7 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
+from functools import cached_property
 
 import numpy as np
 
@@ -35,8 +36,6 @@ from .layout import GapTable, frac_part
 from .profiles import _ANTI, _TABLE_PANELS, ProfileSet, profile_eval
 from .sequences import ConstructionError
 
-_GAP = 0
-_AFFINE = 1
 _NOT_GAP = 10**9   # the gap k of a piece that is not a gap
 
 _INVERT_REL_TOL = 1e-14
@@ -284,7 +283,7 @@ class CircleHomeo:
             raise ConstructionError("degenerate patch width at the truncation boundary")
         self.patch_widths = (w_A, w_B)
 
-        # anchors, one column each: x_lo, x_hi, y_lo_raw, y_width, kind, k;
+        # anchors, one column each: x_lo, x_hi, y_lo_raw, y_width, k;
         # the 2M gap pieces, then the two patches
         ks = np.arange(-M, M)
         lamM, ellM = float(tb.lam_of(M)), float(tb.ell_of(M))
@@ -296,11 +295,10 @@ class CircleHomeo:
         a_y_lo = np.append(tb.lam_of(ks + 1),
                            [self._psi_eval(t_prime - w_B), lamN - res * w_A])
         a_y_w = np.append(tb.ell_of(ks + 1), [2.0 * res * w_B, ellN + 2.0 * res * w_A])
-        a_kind = np.append(np.full(2 * M, _GAP), [_AFFINE, _AFFINE])
         a_k = np.append(ks, [_NOT_GAP, _NOT_GAP])
         by_x = np.argsort(a_x_lo, kind="stable")
-        a_x_lo, a_x_hi, a_y_lo, a_y_w, a_kind, a_k = (
-            c[by_x] for c in (a_x_lo, a_x_hi, a_y_lo, a_y_w, a_kind, a_k))
+        a_x_lo, a_x_hi, a_y_lo, a_y_w, a_k = (
+            c[by_x] for c in (a_x_lo, a_x_hi, a_y_lo, a_y_w, a_k))
 
         # fill the stretches between consecutive anchors with affine transport
         t_x_hi = np.roll(a_x_lo, -1)
@@ -323,7 +321,6 @@ class CircleHomeo:
         self._x_lo = pieces(a_x_lo, a_x_hi)
         if self._x_lo[0] != 0.0:
             raise ConstructionError("piece table must start at x = 0")
-        self._kind = pieces(a_kind, np.full_like(a_kind, _AFFINE))
         self._gap_k = pieces(a_k, np.full_like(a_k, _NOT_GAP))
         x_hi = pieces(a_x_hi, t_x_hi)
         widths = pieces(a_y_w, t_w)
@@ -333,24 +330,28 @@ class CircleHomeo:
             raise ConstructionError(f"image widths sum to 1 {seam:+.3e}")
         # absorb the closing seam into the widest transport piece so the lift
         # closes up to period 1 exactly
-        j = int(np.argmax(np.where(self._kind == _AFFINE, widths, -1.0)))
+        j = int(np.argmax(np.where(self._gap_k == _NOT_GAP, widths, -1.0)))
         widths[j] += seam
         self._y_lo = np.concatenate(([y_first], y_first + np.cumsum(widths)))
         self._widths = widths
         self._slope = widths / (x_hi - self._x_lo)
         self.n_pieces = len(self._x_lo)
         self.y_start = float(self._y_lo[0])
-        # the columns the scalar lift reads, as Python arrays: bisect finds
-        # the piece and the arithmetic is on Python floats, the same bits as
-        # the numpy columns give without their per-call cost
-        self._scalar = tuple(array(code, col.tobytes()) for code, col in (
-            ("d", self._x_lo), ("d", self._y_lo), ("d", self._slope),
-            ("q", self._gap_k.astype(np.int64))))
 
         if np.any(np.diff(self._x_lo) <= 0.0) or np.any(self._slope <= 0.0):
             raise ConstructionError("piece table is not strictly monotone")
 
     # -- evaluation --------------------------------------------------------
+
+    @cached_property
+    def _scalar(self):
+        """The columns the scalar lift reads, as Python arrays, made on its
+        first call: bisect finds the piece and the arithmetic is on Python
+        floats, the same bits as the numpy columns give without their
+        per-call cost."""
+        return tuple(array(code, col.tobytes()) for code, col in (
+            ("d", self._x_lo), ("d", self._y_lo), ("d", self._slope),
+            ("q", self._gap_k.astype(np.int64))))
 
     def lift(self, x: float) -> float:
         """Continuous increasing lift with g~(x+1) = g~(x)+1 exactly."""
@@ -386,7 +387,7 @@ class CircleHomeo:
         fr = xs - ns
         idx = np.searchsorted(self._x_lo, fr, side="right") - 1
         out = np.empty_like(fr)
-        aff = self._kind[idx] == _AFFINE
+        aff = self._gap_k[idx] == _NOT_GAP
         ia = idx[aff]
         out[aff] = self._y_lo[ia] + self._slope[ia] * (fr[aff] - self._x_lo[ia])
         ig = idx[~aff]
@@ -402,7 +403,7 @@ class CircleHomeo:
         idx = np.minimum(np.searchsorted(self._y_lo, yf, side="right") - 1,
                          self.n_pieces - 1)
         out = np.empty_like(yf)
-        aff = self._kind[idx] == _AFFINE
+        aff = self._gap_k[idx] == _NOT_GAP
         ia = idx[aff]
         out[aff] = self._x_lo[ia] + (yf[aff] - self._y_lo[ia]) / self._slope[ia]
         ig = idx[~aff]
@@ -427,7 +428,7 @@ class CircleHomeo:
             edge = fr == self._x_lo[i]
             i = np.where(edge, (i - 1) % self.n_pieces, i)
         out = self._slope[i] if order == 1 else np.zeros(fr.shape)
-        gap = np.flatnonzero(self._kind[i] == _GAP)
+        gap = np.flatnonzero(self._gap_k[i] != _NOT_GAP)
         if gap.size:
             k = self._gap_k[i[gap]]
             ell = self.local.ell[k + self.M]

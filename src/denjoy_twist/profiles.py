@@ -1,10 +1,11 @@
 """Smooth plateau profiles used to shape the per-gap circle diffeomorphisms:
 ``eta``, a nonnegative mirror-symmetric bump of unit integral; ``gamma_plus``,
 of zero integral, with a jump at 1/2 and a calibrated negative lobe further
-out; and ``gamma_minus``, the exact mirror gamma_plus(1 - t).
+out; and ``gamma_minus``, the exact mirror gamma_plus(1 - t), which is
+gamma_plus read with reflect set.
 
-Each is a table of pieces on x = t (gamma_minus reads gamma_plus's table at
-x = 1 - t), a piece 0 or gain * sum(coeff * f(s)) at s = scale * (u - shift),
+Each is a table of pieces on x = t (x = 1 - t where the read is reflected),
+a piece 0 or gain * sum(coeff * f(s)) at s = scale * (u - shift),
 u = x or, on a mirrored piece, 1 - x, for kernels f among S = smooth_step,
 B = bump and 1. With TS, TB the antiderivatives of S, B from 0 and Ms, Mb
 their masses, value | antiderivative by region:
@@ -189,16 +190,9 @@ def _check_mass(f):
 
 _ANTI = "antiderivative"
 _ORDERS = (0, 1, 2, _ANTI)
-
-
-def _one(s, order):
-    """The plateaus' kernel, the constant 1, and its derivatives."""
-    return 0.0 if order else 1.0
-
-
-def _one_anti(s):
-    """The antiderivative of _one from 0, as the one row of its terms."""
-    return (s,)
+# the plateaus' kernel, the constant 1: its derivatives, and its
+# antiderivative from 0 as the one row of its terms
+_ONE, _ONE_ANTI = (lambda s, order: 0.0 if order else 1.0), (lambda s: (s,))
 
 
 @dataclass(frozen=True)
@@ -238,48 +232,27 @@ class _Piece:
 
 @dataclass(frozen=True)
 class PlateauProfile:
-    """One calibrated profile with exact plateau/zero regions: a piece table
-    read at x = t, or at x = 1 - t if reflect is set. Frozen after
-    calibration, so safe to share across threads."""
+    """One calibrated profile with exact plateau/zero regions: a piece table.
+    Frozen after calibration, so safe to share across threads."""
 
-    kind: str                      # "eta" | "gamma_plus" | "gamma_minus"
+    kind: str                      # "eta" | "gamma_plus"
     shoulder_coefficient: float    # calibration constant for the bump lobe(s)
     pieces: tuple = field(repr=False)
-    reflect: bool = False
     anti_one: float = -0.0         # the antiderivative at t = 1
     jump: float | None = None      # the x where side= picks the row, if any
     starts: np.ndarray = field(init=False, repr=False, compare=False)
-    # a row and its mirror image are one twin, read in one pass: twins holds
-    # None (for NaN) and then each row once, up to lo and mirror; per slot
-    # (0 for NaN, row + 1 for a row) its twin's index and its mirror flag,
-    # None if no row is mirrored
-    twins: tuple = field(init=False, repr=False, compare=False)
-    slot_twin: np.ndarray = field(init=False, repr=False, compare=False)
-    slot_mirror: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        twins, slot_twin = [None], [0]
-        for pc in self.pieces:
-            key = replace(pc, lo=0.0, mirror=False)
-            if key not in twins:
-                twins.append(key)
-            slot_twin.append(twins.index(key))
-        for name, value in (
-                ("starts", np.array([[pc.lo] for pc in self.pieces])),
-                ("twins", tuple(twins)),
-                ("slot_twin", np.array(slot_twin, dtype=np.uint8)),
-                ("slot_mirror", np.array([False] + [pc.mirror for pc in self.pieces])
-                 if any(pc.mirror for pc in self.pieces) else None)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "starts", np.array([[pc.lo] for pc in self.pieces]))
 
 
 @dataclass(frozen=True)
 class ProfileSet:
-    """The three calibrated profiles plus shared kernel constants."""
+    """The calibrated profiles plus shared kernel constants; gamma_minus is
+    gamma_plus read with reflect set."""
 
     eta: PlateauProfile
     gamma_plus: PlateauProfile
-    gamma_minus: PlateauProfile
     step_mass: float        # integral of smooth_step over [0, 1]
     bump_mass: float        # integral of bump over [0, 1]
     achieved_error: float   # worst disagreement with the independent mass check
@@ -309,14 +282,14 @@ def calibrate_profiles(quadrature_tolerance: float = 1e-13) -> ProfileSet:
             f"> tolerance {quadrature_tolerance:.3e}")
 
     stack = _HermiteTable.stack
-    one = ((_one, 1.0),)
+    one = ((_ONE, 1.0),)
     above = np.nextafter   # above(x, 1): the start of a row open at x
     # eta: plateau (length 1/4) + two smooth_step edges (mass step_mass/8 each)
     # leave a deficit against the unit integral; two mirrored bumps supply it.
     c = (1.0 - 0.25 - 2.0 * step_mass / 8.0) / (2.0 * bump_mass / 8.0)
     rise = _Piece(above(0.25, 1), False, 8.0, 0.25, ((_step, 1.0), (_bump, c)),
                   stack((step_table, bump_table)))
-    plateau = _Piece(0.375, False, 1.0, 0.375, one, _one_anti,
+    plateau = _Piece(0.375, False, 1.0, 0.375, one, _ONE_ANTI,
                      offset=(step_mass + c * bump_mass) / 8.0)
     eta = PlateauProfile("eta", c, (
         _Piece(-np.inf), rise, plateau,
@@ -329,7 +302,7 @@ def calibrate_profiles(quadrature_tolerance: float = 1e-13) -> ProfileSet:
     c = (1.0 / 8.0 + step_mass / 16.0) / (bump_mass / 4.0)
     gp = PlateauProfile("gamma_plus", c, (
         _Piece(-np.inf),
-        _Piece(above(0.5, 1), False, 1.0, 0.5, one, _one_anti),
+        _Piece(above(0.5, 1), False, 1.0, 0.5, one, _ONE_ANTI),
         _Piece(above(0.625, 1), False, -16.0, 0.6875, ((_step, 1.0),),
                stack((step_table,)), offset=0.125, base=step_mass),
         _Piece(0.6875),
@@ -337,8 +310,7 @@ def calibrate_profiles(quadrature_tolerance: float = 1e-13) -> ProfileSet:
                stack((bump_table,)), gain=-c, offset=0.125 + step_mass / 16.0),
         _Piece(0.9375),
     ), jump=0.5)
-    gm = replace(gp, kind="gamma_minus", reflect=True)
-    return ProfileSet(eta, gp, gm, step_mass, bump_mass, achieved)
+    return ProfileSet(eta, gp, step_mass, bump_mass, achieved)
 
 
 def profile_eval(p: PlateauProfile, t, order=0, side=None, reflect=False):
@@ -358,19 +330,16 @@ def profile_eval(p: PlateauProfile, t, order=0, side=None, reflect=False):
         raise ValueError("side must be None, 'left' or 'right'")
     t = np.asarray(t, dtype=float)
     x = t.ravel()
-    # where reflect and p.reflect differ, x = 1 - t: one bool when all agree
+    # x = 1 - t where the read is reflected: one bool when all flags agree
     if isinstance(reflect, np.ndarray):
-        if reflect.shape != t.shape:
-            reflect = np.broadcast_to(reflect, t.shape)
-        mirrored = reflect.ravel() != p.reflect
-        some = mirrored.any()
-        if not some or mirrored.all():
-            mirrored = bool(some)
-    else:
-        mirrored = p.reflect != bool(reflect)
-    if isinstance(mirrored, np.ndarray):
-        x = np.where(mirrored, 1.0 - x, x)
-    elif mirrored:
+        reflect = np.broadcast_to(reflect, t.shape).ravel()
+        some = reflect.any()
+        if not some or reflect.all():
+            reflect = bool(some)
+    per_point = isinstance(reflect, np.ndarray)
+    if per_point:
+        x = np.where(reflect, 1.0 - x, x)
+    elif reflect:
         x = 1.0 - x
     # x is in row n_at - 1, n_at the count of starts at or below x: for so
     # few starts many times faster than np.searchsorted. A NaN is at or
@@ -380,43 +349,36 @@ def profile_eval(p: PlateauProfile, t, order=0, side=None, reflect=False):
         at_jump = x == p.jump
         if side is not None:
             # the jump closes the row on its left
-            n_at += at_jump & (mirrored != (side == "right"))
+            n_at += at_jump & (reflect != (side == "right"))
         elif {1, 2} & set(orders) and at_jump.any():
             raise OneSidedLimitRequired("gamma derivative at t = 1/2 is one-sided; pass side=")
-    # each twin that occurs, with its points and their rows' mirror flags
+    # a group per slot, or per slot and flag (key 2 slot + flag) where the
+    # flags differ per point: each group takes one mirror transform
+    if per_point:
+        n_at = 2 * n_at + reflect
     first, last = ((int(n_at[0]),) * 2 if n_at.size == 1 else
                    (int(n_at.min(initial=255)), int(n_at.max(initial=0))))
-    mirror_rows = p.slot_mirror is not None
-    if first == last:
-        groups = [(p.slot_twin[first], slice(None), mirror_rows and bool(p.slot_mirror[first]))]
-    else:
-        twin = p.slot_twin[n_at]
-        row_mirror = p.slot_mirror[n_at] if mirror_rows else None
-        groups = [(k, ii, False if row_mirror is None else row_mirror[ii])
-                  for k in range(twin.min(initial=255), twin.max(initial=0) + 1)
-                  for ii in [(twin == k).nonzero()[0]] if ii.size]
     outs = [np.zeros(x.shape) for _ in orders]
-    for k, ii, m in groups:
-        pc = p.twins[k]
-        # the mirror transform applies where the row or the read is mirrored, not both
-        flip = m != (mirrored[ii] if isinstance(mirrored, np.ndarray) else mirrored)
-        per_point = isinstance(flip, np.ndarray)
-        if pc is None:
-            vals, flip = [np.nan] * len(orders), False
-        elif pc.terms:
-            u = x[ii]
-            u = np.where(m, 1.0 - u, u) if isinstance(m, np.ndarray) else 1.0 - u if m else u
-            vals = pc.eval(u, orders)
-        elif flip.any() if per_point else flip:
-            vals = [0.0] * len(orders)
-        else:
-            continue   # a zero row leaves out at +0.0
-        for out, o, v in zip(outs, orders, vals):
-            if (o == 1 or o == _ANTI) and (per_point or flip):
-                # the mirror image negates the slope and integrates from 1
-                w = -v if o == 1 else p.anti_one - v
-                v = np.where(flip, w, v) if per_point else w
-            out[ii] = v
+    for k in range(first, last + 1):
+        slot, m = divmod(k, 2) if per_point else (k, reflect)
+        pc = p.pieces[slot - 1] if slot else None
+        flip = pc is not None and pc.mirror != m
+        # a zero row leaves out at +0.0 unless its mirror image changes it
+        if pc is None or pc.terms or flip:
+            ii = slice(None) if first == last else (n_at == k).nonzero()[0]
+            if first < last and not ii.size:
+                continue   # no point in this group
+            if pc is None:
+                vals = [np.nan] * len(orders)
+            elif pc.terms:
+                vals = pc.eval(1.0 - x[ii] if pc.mirror else x[ii], orders)
+            else:
+                vals = [0.0] * len(orders)
+            for out, o, v in zip(outs, orders, vals):
+                if flip and (o == 1 or o == _ANTI):
+                    # the mirror image negates the slope and integrates from 1
+                    v = -v if o == 1 else p.anti_one - v
+                out[ii] = v
     outs = [float(out[0]) if t.ndim == 0 else out.reshape(t.shape) for out in outs]
     return tuple(outs) if isinstance(order, tuple) else outs[0]
 
@@ -431,9 +393,11 @@ def export_profile_csv(profiles: ProfileSet, path, n: int = 2001) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["profile", "t", "value", "d1", "d2", "antiderivative"])
-        for p in (profiles.eta, profiles.gamma_plus, profiles.gamma_minus):
-            cols = [*profile_eval(p, ts, (0, 1, 2), side="right"),
-                    profile_eval(p, ts, _ANTI)]
+        for kind, p, reflect in (("eta", profiles.eta, False),
+                                 ("gamma_plus", profiles.gamma_plus, False),
+                                 ("gamma_minus", profiles.gamma_plus, True)):
+            cols = [*profile_eval(p, ts, (0, 1, 2), side="right", reflect=reflect),
+                    profile_eval(p, ts, _ANTI, reflect=reflect)]
             # csv writes Python floats by repr, which round-trips
-            w.writerows([p.kind, *row] for row in
+            w.writerows([kind, *row] for row in
                         zip(ts.tolist(), *(c.tolist() for c in cols)))

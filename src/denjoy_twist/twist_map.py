@@ -42,8 +42,8 @@ class GeneratingFunction:
 
     def terms(self, x):
         """g~ - Id and g~^{-1} - Id at the fractional part of x, whose sum is
-        phi(x): floats for a float x, arrays for an array."""
-        if not isinstance(x, np.ndarray):
+        phi(x): floats for a scalar x, arrays for an array."""
+        if np.ndim(x) == 0:
             fr = float(frac_part(x))
             return self.g.lift(fr) - fr, self.g.inverse_lift(fr) - fr
         fr = np.asarray(frac_part(x), dtype=float)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from denjoy_twist.circle_map import (_AFFINE, LocalDiffeo, RigidRotation, _hull_vertices,
+from denjoy_twist.circle_map import (_NOT_GAP, LocalDiffeo, RigidRotation, _hull_vertices,
                                      derivative_jump_scan, derivative_jump_table,
                                      orbit_lift, rotation_number_estimate,
                                      wandering_interval_check)
@@ -180,7 +180,7 @@ def test_derivative_array_form(small):
     left = g.derivative(g._x_lo, "left")
     prev = np.roll(np.arange(g.n_pieces), 1)
     for i, j in enumerate(prev):
-        if g._kind[j] == _AFFINE:
+        if g._gap_k[j] == _NOT_GAP:
             assert left[i] == g._slope[j]
         else:
             k = int(g._gap_k[j])

@@ -33,14 +33,14 @@ def test_plateau_values(profiles):
     assert profile_eval(profiles.eta, 0.375, 0) == 1.0
     assert profile_eval(profiles.gamma_plus, 0.55, 0) == 1.0
     assert profile_eval(profiles.gamma_plus, 0.3, 0) == 0.0
-    assert profile_eval(profiles.gamma_minus, 0.45, 0) == 1.0
-    assert profile_eval(profiles.gamma_minus, 0.7, 0) == 0.0
+    assert profile_eval(profiles.gamma_plus, 0.45, 0, reflect=True) == 1.0
+    assert profile_eval(profiles.gamma_plus, 0.7, 0, reflect=True) == 0.0
 
 
 def test_integral_constraints(profiles):
     assert abs(profile_eval(profiles.eta, 1.0, "antiderivative") - 1.0) <= 1e-12
     assert abs(profile_eval(profiles.gamma_plus, 1.0, "antiderivative")) <= 1e-12
-    assert abs(profile_eval(profiles.gamma_minus, 1.0, "antiderivative")) <= 1e-12
+    assert abs(profile_eval(profiles.gamma_plus, 1.0, "antiderivative", reflect=True)) <= 1e-12
 
 
 def test_gamma_plus_negative_lobe_against_quadrature(profiles):
@@ -115,6 +115,14 @@ def test_calibration_failure_signalled():
         calibrate_profiles(0.0)
 
 
+def _reader(profiles, kind):
+    """profile_eval of one profile by name, gamma_minus being gamma_plus
+    read with reflect set."""
+    p = profiles.gamma_plus if kind == "gamma_minus" else getattr(profiles, kind)
+    return lambda t, order=0, side=None: profile_eval(p, t, order, side=side,
+                                                      reflect=kind == "gamma_minus")
+
+
 def test_eta_mirror_symmetry_exact(profiles):
     rng = np.random.default_rng(11)
     t = rng.random(1000)
@@ -130,44 +138,43 @@ def test_eta_nonnegative_and_supported(profiles):
     outside = (t < 0.25) | (t > 0.75)
     assert np.all(v[outside] == 0.0)
     assert np.all(profile_eval(profiles.gamma_plus, t[t < 0.5], 0) == 0.0)
-    assert np.all(profile_eval(profiles.gamma_minus, t[t > 0.5], 0) == 0.0)
+    assert np.all(profile_eval(profiles.gamma_plus, t[t > 0.5], 0, reflect=True) == 0.0)
 
 
 def test_gamma_minus_is_exact_mirror(profiles):
     rng = np.random.default_rng(12)
     t = rng.random(500)
-    gm = profile_eval(profiles.gamma_minus, t, 0)
+    gm = profile_eval(profiles.gamma_plus, t, 0, reflect=True)
     gp = profile_eval(profiles.gamma_plus, 1.0 - t, 0)
     assert np.all(gm == gp)
 
 
 @pytest.mark.parametrize("kind", ["eta", "gamma_plus", "gamma_minus"])
 def test_derivatives_match_central_differences(profiles, kind):
-    p = getattr(profiles, kind)
+    p = _reader(profiles, kind)
     # stay on the smooth pieces, away from the jump and branch seams
     rng = np.random.default_rng(13)
     t = rng.random(400)
     t = t[(np.abs(t - 0.5) > 1e-3)]
     h = 1e-5
-    v1 = profile_eval(p, t, 1)
-    fd1 = (profile_eval(p, t + h, 0) - profile_eval(p, t - h, 0)) / (2 * h)
+    v1 = p(t, 1)
+    fd1 = (p(t + h, 0) - p(t - h, 0)) / (2 * h)
     scale1 = np.max(np.abs(v1)) + 1.0
     assert np.max(np.abs(fd1 - v1)) / scale1 <= 1e-5
-    v2 = profile_eval(p, t, 2)
-    fd2 = (profile_eval(p, t + h, 1) - profile_eval(p, t - h, 1)) / (2 * h)
+    v2 = p(t, 2)
+    fd2 = (p(t + h, 1) - p(t - h, 1)) / (2 * h)
     scale2 = np.max(np.abs(v2)) + 1.0
     assert np.max(np.abs(fd2 - v2)) / scale2 <= 1e-5
 
 
 @pytest.mark.parametrize("kind", ["eta", "gamma_plus", "gamma_minus"])
 def test_antiderivative_recovers_profile(profiles, kind):
-    p = getattr(profiles, kind)
+    p = _reader(profiles, kind)
     t = np.linspace(0.003, 0.997, 331)
     t = t[np.abs(t - 0.5) > 2e-3]
     h = 1e-6
-    fd = (profile_eval(p, t + h, "antiderivative")
-          - profile_eval(p, t - h, "antiderivative")) / (2 * h)
-    vals = profile_eval(p, t, 0)
+    fd = (p(t + h, "antiderivative") - p(t - h, "antiderivative")) / (2 * h)
+    vals = p(t, 0)
     assert np.max(np.abs(fd - vals)) <= 1e-9 * (np.max(np.abs(vals)) + 1.0)
 
 
@@ -176,9 +183,8 @@ def test_one_sided_values_at_jump(profiles):
     assert profile_eval(gp, 0.5, 0) == 0.0
     assert profile_eval(gp, 0.5, 0, side="right") == 1.0
     assert profile_eval(gp, 0.5, 0, side="left") == 0.0
-    gm = profiles.gamma_minus
-    assert profile_eval(gm, 0.5, 0) == 0.0
-    assert profile_eval(gm, 0.5, 0, side="left") == 1.0
+    assert profile_eval(gp, 0.5, 0, reflect=True) == 0.0
+    assert profile_eval(gp, 0.5, 0, side="left", reflect=True) == 1.0
     # derivative limits vanish on both sides of the jump
     assert profile_eval(gp, 0.5, 1, side="left") == 0.0
     assert profile_eval(gp, 0.5, 1, side="right") == 0.0
@@ -186,10 +192,10 @@ def test_one_sided_values_at_jump(profiles):
 
 def test_one_sided_signal_at_jump(profiles):
     from denjoy_twist.profiles import OneSidedLimitRequired
-    for p in (profiles.gamma_plus, profiles.gamma_minus):
+    for reflect in (False, True):
         for order in (1, 2):
             with pytest.raises(OneSidedLimitRequired):
-                profile_eval(p, 0.5, order)
+                profile_eval(profiles.gamma_plus, 0.5, order, reflect=reflect)
     # eta is smooth there: no signal
     assert profile_eval(profiles.eta, 0.5, 1) == 0.0
 
@@ -210,10 +216,11 @@ def test_csv_export(profiles, tmp_path):
 
 
 def test_nan_gives_nan(profiles, small):
-    for p in (profiles.eta, profiles.gamma_plus, profiles.gamma_minus):
+    for kind in ("eta", "gamma_plus", "gamma_minus"):
+        p = _reader(profiles, kind)
         for order in (0, 1, 2, "antiderivative"):
-            assert np.isnan(profile_eval(p, np.nan, order))
-            v = profile_eval(p, np.array([0.3, np.nan, 0.7]), order)
+            assert np.isnan(p(np.nan, order))
+            v = p(np.array([0.3, np.nan, 0.7]), order)
             assert np.array_equal(np.isnan(v), [False, True, False])
     # so a NaN slope no longer reads as a clean 1
     assert np.isnan(small.g.local.deriv(np.nan, 0))
@@ -277,11 +284,11 @@ def test_piece_table_bitwise_equals_closed_forms(profiles, kernel_tables, kind, 
     t = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
                         np.linspace(0.0, 1.0, 2001),
                         np.random.default_rng(16).uniform(-0.5, 1.5, 10**4)])
-    p = getattr(profiles, kind)
+    p = _reader(profiles, kind)
     # 1 - t rounds to 1/2 one ulp below 1/2 too: no side there is an error
     off_jump = t[(t != 0.5) & (1.0 - t != 0.5)]
     for side, pts in (("left", t), ("right", t), (None, off_jump)):
-        ours = profile_eval(p, pts, order, side=side)
+        ours = p(pts, order, side)
         ref = _closed_form(profiles, kernel_tables, kind, pts, order, side)
         assert np.array_equal(ours.view(np.int64), ref.view(np.int64)), (side, order)
 
@@ -314,54 +321,53 @@ def test_orders_in_one_call_bitwise_equal_one_order_calls(profiles, kind):
     # bits included, whatever the combination and its order; the one-order
     # calls are pinned to the closed forms by the test above
     import itertools
-    p = getattr(profiles, kind)
+    p = _reader(profiles, kind)
     t = _order_points()
     orders = (0, 1, 2, "antiderivative")
     for side in (None, "left", "right"):
         pts = t if side else t[(t != 0.5) & (1.0 - t != 0.5)]
-        single = {o: profile_eval(p, pts, o, side=side) for o in orders}
+        single = {o: p(pts, o, side) for o in orders}
         for n in range(1, 5):
             for combo in itertools.permutations(orders, n):
-                got = profile_eval(p, pts, combo, side=side)
+                got = p(pts, combo, side)
                 assert isinstance(got, tuple) and len(got) == n
                 for o, v in zip(combo, got):
                     assert np.array_equal(_bits(v), _bits(single[o])), (side, combo, o)
         # one point at a time: floats, and 1/2 from the side asked for
         for x in (0.5, 0.3, 0.7, 0.9, np.nan):
-            if side is None and x == 0.5 and p.jump is not None:
+            if side is None and x == 0.5 and kind != "eta":
                 continue
-            got = profile_eval(p, x, orders, side=side)
+            got = p(x, orders, side)
             assert all(type(v) is float for v in got)
-            ref = [profile_eval(p, x, o, side=side) for o in orders]
+            ref = [p(x, o, side) for o in orders]
             assert np.array_equal(_bits(got), _bits(ref))
 
 
 def test_reflect_per_point_reads_gamma_minus(profiles):
     # gamma_plus reflected at some points is gamma_minus there, bit for bit,
     # in one call: points of plus and minus gaps, both halves of [0, 1], 1/2
-    gp, gm = profiles.gamma_plus, profiles.gamma_minus
+    gp = profiles.gamma_plus
     t = _order_points()
     minus = np.random.default_rng(18).random(t.size) < 0.5
     for side in ("left", "right"):
         for o in (0, 1, 2, "antiderivative"):
-            ref = np.where(minus, profile_eval(gm, t, o, side=side),
-                           profile_eval(gp, t, o, side=side))
-            assert np.array_equal(_bits(profile_eval(gp, t, o, side=side, reflect=minus)),
-                                  _bits(ref))
-            # gamma_minus reflected is gamma_plus
-            assert np.array_equal(_bits(profile_eval(gm, t, o, side=side, reflect=~minus)),
-                                  _bits(ref))
+            plus_o = profile_eval(gp, t, o, side=side)
+            minus_o = profile_eval(gp, t, o, side=side, reflect=True)
+            for flags in (minus, ~minus):
+                ref = np.where(flags, minus_o, plus_o)
+                assert np.array_equal(_bits(profile_eval(gp, t, o, side=side, reflect=flags)),
+                                      _bits(ref))
     # reflect broadcasts against t: one flag per row of a grid
     grid = np.linspace(0.0, 1.0, 33)[None, :] * np.ones((4, 1))
     rows = np.array([True, False, False, True])[:, None]
     got = profile_eval(gp, grid, ("antiderivative", 0), side="right", reflect=rows)
     for v, o in zip(got, ("antiderivative", 0)):
-        ref = np.where(rows, profile_eval(gm, grid, o, side="right"),
+        ref = np.where(rows, profile_eval(gp, grid, o, side="right", reflect=True),
                        profile_eval(gp, grid, o, side="right"))
         assert v.shape == grid.shape and np.array_equal(_bits(v), _bits(ref))
     # a uniform flag per point reads like the scalar flag
     assert np.array_equal(_bits(profile_eval(gp, t, 1, side="left", reflect=np.ones(t.size, bool))),
-                          _bits(profile_eval(gm, t, 1, side="left")))
+                          _bits(profile_eval(gp, t, 1, side="left", reflect=True)))
 
 
 def test_combined_orders_validate(profiles):
