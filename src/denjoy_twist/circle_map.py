@@ -28,7 +28,6 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
-from functools import cached_property
 
 import numpy as np
 
@@ -238,14 +237,9 @@ class CircleHomeo:
 
     # -- construction ------------------------------------------------------
 
-    def _psi_eval(self, t: float) -> float:
-        """Placement map at a residual point: gap mass below plus spread tail."""
-        rank = int(np.searchsorted(self._sorted_t, t, side="right"))
-        return float(self._gap_cummass[rank]) + self.table.residual_mass * float(t)
-
     def _atom_free_dist(self, t: float) -> float:
         """Circular distance from t to the nearest atom other than t itself."""
-        st = self._sorted_t
+        st = self.table.sorted_t
         n = len(st)
         j = int(np.searchsorted(st, t, side="left"))
         is_atom = j < n and st[j] == t
@@ -258,10 +252,7 @@ class CircleHomeo:
 
     def _build_pieces(self):
         tb, M = self.table, self.M
-        order = tb.sorted_to_k + M
-        self._sorted_t = tb.orbit_t[order]
-        self._gap_cummass = np.concatenate(([0.0], np.cumsum(tb.ell[order])))
-        res = tb.residual_mass
+        res, psi = tb.residual_mass, tb.placement
         omega = tb.omega
 
         def circ_dist(a, b):
@@ -289,11 +280,11 @@ class CircleHomeo:
         lamM, ellM = float(tb.lam_of(M)), float(tb.ell_of(M))
         lamN, ellN = float(tb.lam_of(-M)), float(tb.ell_of(-M))
         lam = tb.lam_of(ks)
-        a_x_lo = np.append(lam, [lamM - res * w_B, self._psi_eval(t_star - w_A)])
+        a_x_lo = np.append(lam, [lamM - res * w_B, psi(t_star - w_A)])
         a_x_hi = np.append(lam + tb.ell_of(ks),
-                           [lamM + ellM + res * w_B, self._psi_eval(t_star + w_A)])
+                           [lamM + ellM + res * w_B, psi(t_star + w_A)])
         a_y_lo = np.append(tb.lam_of(ks + 1),
-                           [self._psi_eval(t_prime - w_B), lamN - res * w_A])
+                           [psi(t_prime - w_B), lamN - res * w_A])
         a_y_w = np.append(tb.ell_of(ks + 1), [2.0 * res * w_B, ellN + 2.0 * res * w_A])
         a_k = np.append(ks, [_NOT_GAP, _NOT_GAP])
         by_x = np.argsort(a_x_lo, kind="stable")
@@ -318,11 +309,10 @@ class CircleHomeo:
         def pieces(anchor, transport):
             return np.column_stack([anchor, transport]).ravel()[real]
 
-        self._x_lo = pieces(a_x_lo, a_x_hi)
-        if self._x_lo[0] != 0.0:
+        x_lo = pieces(a_x_lo, a_x_hi)
+        if x_lo[0] != 0.0:
             raise ConstructionError("piece table must start at x = 0")
-        self._gap_k = pieces(a_k, np.full_like(a_k, _NOT_GAP))
-        x_hi = pieces(a_x_hi, t_x_hi)
+        gap_k = pieces(a_k, np.full_like(a_k, _NOT_GAP))
         widths = pieces(a_y_w, t_w)
         y_first = a_y_lo[0]
         seam = 1.0 - float(np.sum(widths))
@@ -330,34 +320,30 @@ class CircleHomeo:
             raise ConstructionError(f"image widths sum to 1 {seam:+.3e}")
         # absorb the closing seam into the widest transport piece so the lift
         # closes up to period 1 exactly
-        j = int(np.argmax(np.where(self._gap_k == _NOT_GAP, widths, -1.0)))
+        j = int(np.argmax(np.where(gap_k == _NOT_GAP, widths, -1.0)))
         widths[j] += seam
-        self._y_lo = np.concatenate(([y_first], y_first + np.cumsum(widths)))
-        self._widths = widths
-        self._slope = widths / (x_hi - self._x_lo)
-        self.n_pieces = len(self._x_lo)
-        self.y_start = float(self._y_lo[0])
-
-        if np.any(np.diff(self._x_lo) <= 0.0) or np.any(self._slope <= 0.0):
+        y_lo = np.concatenate(([y_first], y_first + np.cumsum(widths)))
+        slope = widths / (pieces(a_x_hi, t_x_hi) - x_lo)
+        if np.any(np.diff(x_lo) <= 0.0) or np.any(slope <= 0.0):
             raise ConstructionError("piece table is not strictly monotone")
 
-    # -- evaluation --------------------------------------------------------
+        # each column stored once, as a Python array: the scalar lifts bisect
+        # it and read Python floats, the same bits as numpy gives without its
+        # per-call cost; the array paths read numpy views of the same memory
+        self._columns = tuple(array(code, col.tobytes()) for code, col in (
+            ("d", x_lo), ("d", y_lo), ("d", slope), ("q", gap_k.astype(np.int64))))
+        self._x_lo, self._y_lo, self._slope, self._gap_k = (
+            np.frombuffer(col, col.typecode) for col in self._columns)
+        self.n_pieces = len(x_lo)
+        self.y_start = float(y_lo[0])
 
-    @cached_property
-    def _scalar(self):
-        """The columns the scalar lift reads, as Python arrays, made on its
-        first call: bisect finds the piece and the arithmetic is on Python
-        floats, the same bits as the numpy columns give without their
-        per-call cost."""
-        return tuple(array(code, col.tobytes()) for code, col in (
-            ("d", self._x_lo), ("d", self._y_lo), ("d", self._slope),
-            ("q", self._gap_k.astype(np.int64))))
+    # -- evaluation --------------------------------------------------------
 
     def lift(self, x: float) -> float:
         """Continuous increasing lift with g~(x+1) = g~(x)+1 exactly."""
         n = math.floor(x)
         fr = x - n
-        x_lo, y_lo, slope, gap_k = self._scalar
+        x_lo, y_lo, slope, gap_k = self._columns
         i = bisect.bisect_right(x_lo, fr) - 1
         if gap_k[i] == _NOT_GAP:
             return n + (y_lo[i] + slope[i] * (fr - x_lo[i]))
@@ -370,7 +356,7 @@ class CircleHomeo:
     def inverse_lift(self, y: float) -> float:
         m = math.floor(y - self.y_start)
         yf = y - m
-        x_lo, y_lo, slope, gap_k = self._scalar
+        x_lo, y_lo, slope, gap_k = self._columns
         i = min(bisect.bisect_right(y_lo, yf) - 1, self.n_pieces - 1)
         if gap_k[i] == _NOT_GAP:
             return (x_lo[i] + (yf - y_lo[i]) / slope[i]) + m

@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .config import ConfigError, RunConfig, load_config, parse_float_list
 from .layout import SemiConjugacy, build_gap_table, dump_gap_table_csv, frac_part
 from .profiles import CalibrationError, calibrate_profiles, export_profile_csv
 from .reporting import ReportBuilder, write_report
-from .sequences import (ConstructionError, SeqParams, build_sequences,
+from .sequences import (ConstructionError, build_sequences,
                         dump_sequences_csv, recurrence_residuals,
                         verify_sequence_estimates)
 from .twist_map import (build_twist_system, curve_side_check, diffusion_probe,
@@ -83,7 +84,7 @@ def cmd_build(cfg: RunConfig, outdir: str) -> int:
         dump_gap_table_csv(built.table, os.path.join(outdir, "gaps.csv"))
         export_profile_csv(built.profiles, os.path.join(outdir, "profiles.csv"))
     if not built.rigid:
-        est = verify_sequence_estimates(built.seqs, cfg.seq_params)
+        est = verify_sequence_estimates(built.seqs)
         dump_json(est, os.path.join(outdir, "estimates.json"))
     write_report(rb.finish(), os.path.join(outdir, "build.json"))
     return 0
@@ -136,7 +137,7 @@ def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
                  detail={"n": n})
     rb.add_timing("rotation", time.time() - t0)
 
-    est = verify_sequence_estimates(seqs, cfg.seq_params)
+    est = verify_sequence_estimates(seqs)
     rb.check_true("sequence_estimates", est["pass"], detail=est["estimates"])
     rb.check_true("sign_pattern", est["estimates"]["sign_pattern"]["pass"])
     rb.check_leq("beta_scaled_bound",
@@ -145,11 +146,7 @@ def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
                  tol("recurrence_residual"))
 
     # zero-seed oracle: rebuilding the sequences with alpha1 = 0 reproduces K
-    base = cfg.seq_params
-    seqs0 = build_sequences(SeqParams(
-        omega=base.omega, delta=base.delta, bigC=base.bigC, bigB=base.bigB,
-        truncation_M=base.truncation_M, alpha1_policy="zero",
-        tolerances=base.tolerances))
+    seqs0 = build_sequences(replace(seqs.params, alpha1_policy="zero"))
     rb.check_leq("zero_seed_fixed_point",
                  float(np.max(np.abs(seqs0.beta_arr - seqs0.K_arr[1:]))),
                  tol("zero_seed_drift"))
@@ -216,7 +213,7 @@ def _verify_rigid(built: BuiltSystem, rb: ReportBuilder) -> None:
     rng = np.random.default_rng(p["seed"])
     xs = rng.random(1000)
     rb.check_leq("phi_identically_zero",
-                 float(np.max(np.abs(sysm.phi.eval_many(xs)))), 1e-15)
+                 float(np.max(np.abs(sysm.phi.eval(xs)))), 1e-15)
     inv = sysm.verify_invariant_curve(v["invariance_samples"], seed=p["seed"])
     rb.check_leq("invariance_residual", inv["max_residual"],
                  cfg.tol("invariance_residual"))

@@ -165,6 +165,11 @@ def _finite_numbers(raw: str):
     return values if all(map(math.isfinite, values)) else None
 
 
+def _one_finite(raw: str) -> bool:
+    """Whether raw is one finite number."""
+    return "," not in raw and len(_finite_numbers(raw) or ()) == 1
+
+
 def _check_values(sections) -> None:
     """ConfigError naming the key of the first value no command can run with."""
     def bad(sec, key, why):
@@ -172,6 +177,11 @@ def _check_values(sections) -> None:
 
     if sections["params"]["mode"] not in ("full", "rigid_rotation"):
         raise bad("params", "mode", "must be 'full' or 'rigid_rotation'")
+    policy = sections["params"]["alpha1_policy"]
+    if policy != "half_K1" and not (policy.startswith("value:")
+                                    and _one_finite(policy[len("value:"):])):
+        raise bad("params", "alpha1_policy",
+                  "expected 'half_K1' or 'value:<finite number>'")
     for sec, key in _POSITIVE:
         if not 0 < sections[sec][key] < math.inf:
             raise bad(sec, key, "must be positive and finite")
@@ -184,7 +194,7 @@ def _check_values(sections) -> None:
             raise bad(sec, key, "expected finite numbers separated by commas"
                       + (", at least one" if needed else ""))
     theta0 = sections["diffusion"]["theta0"]
-    if theta0 != "mu1" and ("," in theta0 or len(_finite_numbers(theta0) or ()) != 1):
+    if theta0 != "mu1" and not _one_finite(theta0):
         raise bad("diffusion", "theta0", "expected 'mu1' or a finite number")
 
 

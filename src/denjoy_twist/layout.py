@@ -35,14 +35,16 @@ def circle_delta(a, b):
     return d
 
 
-@dataclass
+@dataclass(frozen=True)
 class GapTable:
     """Placed gaps I_k = [lambda_k, lambda_k + ell_k] for |k| <= M.
 
-    Arrays are indexed by k + M. sorted_to_k[i] gives the gap index of the
-    i-th gap in circular order; prefix[i] is the total gap length strictly
-    before it. No placed gap straddles the point 0 = 1: gap 0 starts
-    exactly at 0 and build_gap_table rejects a last gap reaching 1.
+    orbit_t, lam, ell and mu are indexed by k + M; the sorted_* columns by
+    circular rank i, with sorted_to_k[i] the gap index of the i-th gap in
+    circular order. cum_mass[i] is the total gap length strictly below it,
+    and cum_mass[-1] that of all gaps. No placed gap straddles the point
+    0 = 1: gap 0 starts exactly at 0 and build_gap_table rejects a last gap
+    reaching 1.
     """
 
     M: int
@@ -53,15 +55,10 @@ class GapTable:
     mu: np.ndarray
     residual_mass: float
     sorted_to_k: np.ndarray
-    rank_of_k: np.ndarray    # inverse permutation: circular rank of gap k
-    prefix: np.ndarray       # gap mass strictly below each sorted gap
-    _sorted_lam: np.ndarray = None
-    _sorted_ends: np.ndarray = None
-
-    def __post_init__(self):
-        order = self.sorted_to_k + self.M
-        self._sorted_lam = self.lam[order]
-        self._sorted_ends = self._sorted_lam + self.ell[order]
+    sorted_t: np.ndarray
+    sorted_lam: np.ndarray
+    sorted_ends: np.ndarray
+    cum_mass: np.ndarray
 
     def lam_of(self, k):
         return self.lam[np.asarray(k) + self.M]
@@ -85,26 +82,14 @@ class GapTable:
         """For circle points x in [0, 1): the circular rank i of the last gap
         starting at or below x (-1 if none) and whether x lies in that gap,
         both endpoints counting as the gap's. Broadcasts over arrays."""
-        i = np.searchsorted(self._sorted_lam, x, side="right") - 1
-        return i, (i >= 0) & (x <= self._sorted_ends[i])
+        i = np.searchsorted(self.sorted_lam, x, side="right") - 1
+        return i, (i >= 0) & (x <= self.sorted_ends[i])
 
-    def locate(self, x):
-        """Classify a circle point: inside gap k or in the residual set.
-
-        Returns ("gap", k, u) with local coordinate u in [0, ell_k], counting
-        both endpoints as the gap's; or ("residual", k_left, k_right) with the
-        circularly bracketing gap indices.
-        """
-        x = float(frac_part(x))
-        n = len(self._sorted_lam)
-        i, inside = self.lookup(x)
-        i = int(i)
-        if inside:
-            k = int(self.sorted_to_k[i])
-            return ("gap", k, x - float(self._sorted_lam[i]))
-        left = i if i >= 0 else n - 1
-        right = (i + 1) % n
-        return ("residual", int(self.sorted_to_k[left]), int(self.sorted_to_k[right]))
+    def placement(self, t: float) -> float:
+        """The placement measure below the circle point t: the mass of the
+        gaps whose orbit point is at or below t plus the spread tail."""
+        rank = int(np.searchsorted(self.sorted_t, t, side="right"))
+        return float(self.cum_mass[rank]) + self.residual_mass * float(t)
 
 
 def order_orbit_points(M: int, omega: float) -> np.ndarray:
@@ -124,38 +109,33 @@ def order_orbit_points(M: int, omega: float) -> np.ndarray:
     return ks[order]
 
 
-def build_gap_table(seqs, params=None) -> GapTable:
+def build_gap_table(seqs) -> GapTable:
     """Place the stored gaps from built sequences."""
-    p = params if params is not None else seqs.params
-    M, omega = p.truncation_M, p.omega
+    M, omega = seqs.M, seqs.params.omega
     ks = np.arange(-M, M + 1)
     orbit_t = frac_part(ks * omega)
     sorted_to_k = order_orbit_points(M, omega)
     order_idx = sorted_to_k + M
     ell = np.asarray(seqs.ell(ks), dtype=float)
-    residual = 1.0 - float(np.sum(ell))
+    residual = seqs.residual_mass
     if not (0.0 < residual < 1.0):
         raise ValueError(f"residual mass {residual} outside (0, 1)")
 
     sorted_ell = ell[order_idx]
-    prefix = np.concatenate(([0.0], np.cumsum(sorted_ell)[:-1]))
-    sorted_lam = prefix + residual * orbit_t[order_idx]
-
-    lam = np.empty(2 * M + 1)
-    lam[order_idx] = sorted_lam
-    rank_of_k = np.empty(2 * M + 1, dtype=int)
-    rank_of_k[order_idx] = np.arange(2 * M + 1)
-
+    sorted_t = orbit_t[order_idx]
+    cum_mass = np.concatenate(([0.0], np.cumsum(sorted_ell)))
+    sorted_lam = cum_mass[:-1] + residual * sorted_t
     ends = sorted_lam + sorted_ell
     if np.any(ends[:-1] > sorted_lam[1:]) or ends[-1] >= 1.0:
         raise ConstructionError("placed gaps overlap")
 
-    table = GapTable(
+    lam = np.empty(2 * M + 1)
+    lam[order_idx] = sorted_lam
+    return GapTable(
         M=M, omega=omega, orbit_t=orbit_t, lam=lam, ell=ell,
-        mu=lam + ell / 2.0,
-        residual_mass=residual, sorted_to_k=sorted_to_k,
-        rank_of_k=rank_of_k, prefix=prefix)
-    return table
+        mu=lam + ell / 2.0, residual_mass=residual, sorted_to_k=sorted_to_k,
+        sorted_t=sorted_t, sorted_lam=sorted_lam, sorted_ends=ends,
+        cum_mass=cum_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +164,7 @@ class SemiConjugacy:
         x = frac_part(x)
         i, inside = tb.lookup(x)
         k = tb.sorted_to_k[i] + tb.M
-        mass_below = np.where(i >= 0, tb.prefix[i] + tb.ell[k], 0.0)
+        mass_below = np.where(i >= 0, tb.cum_mass[i] + tb.ell[k], 0.0)
         t = np.where(inside, tb.orbit_t[k], (x - mass_below) / tb.residual_mass)
         return float(t) if t.ndim == 0 else t
 

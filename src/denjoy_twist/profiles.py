@@ -107,31 +107,22 @@ _GL_ORDER = 12
 
 
 class _HermiteTable:
-    """Piecewise cubic Hermite interpolant through (x, y) with slopes d, on
-    the nodes x_i = i/n of [0, 1] for a power of two n. Coefficients,
-    interval rule (closed on the left, the last on both sides, the end cubics
-    extended outside [0, 1]) and power-sum order are those of the standard
-    piecewise-power (PPoly) form, so the values match that form bit for bit."""
+    """Piecewise cubic Hermite interpolants of one or more curves on the
+    nodes x_i = i/n of [0, 1] for a power of two n. Coefficients, interval
+    rule (closed on the left, the last on both sides, the end cubics extended
+    outside [0, 1]) and power-sum order are those of the standard
+    piecewise-power (PPoly) form, so the values match that form bit for bit.
+    A call gives a row per curve, from one index and one take."""
 
-    def __init__(self, x, y, d):
-        dx = np.diff(x)
-        slope = np.diff(y) / dx
-        t = (d[:-1] + d[1:] - 2.0 * slope) / dx
-        self.n = len(x) - 1
-        # node and coefficients of each interval as columns, one take per call
-        self._rows = np.array([x[:-1], t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1]])
-        self._curves = ()
+    def __init__(self, coef):
+        # coef[curve, j, i] multiplies (x - x_i)^(3 - j) on interval i
+        self.coef = coef
+        self.n = coef.shape[-1]
 
-    @classmethod
-    def stack(cls, tables):
-        """One table of the curves of tables, which share their nodes: a call
-        gives a row per curve, from one index and one take."""
-        out = cls.__new__(cls)
-        out.n, out._curves = tables[0].n, (len(tables),)
-        out._rows = tables[0]._rows if len(tables) == 1 else np.concatenate(
-            [tables[0]._rows[:1]] + [np.array([tb._rows[c] for tb in tables])
-                                     for c in range(1, 5)])
-        return out
+    def curve(self, c):
+        """The table of curve c alone, a contiguous view: no coefficient is
+        copied, at build or per call."""
+        return _HermiteTable(self.coef[c:c + 1])
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
@@ -140,9 +131,8 @@ class _HermiteTable:
         # find; fmin/fmax send NaN to a valid interval, where it stays NaN
         # through the power sum
         i = np.fmax(np.fmin(self.n * v, self.n - 1), 0).astype(np.intp)
-        rows = np.take(self._rows, i, axis=1)
-        c0, c1, c2, c3 = rows[1:].reshape((4, *self._curves, *v.shape))
-        s = v - rows[0]
+        c0, c1, c2, c3 = np.take(self.coef, i, axis=-1).swapaxes(0, 1)
+        s = v - i / self.n
         ss = s * s
         return ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
 
@@ -157,23 +147,30 @@ def _panel_integrals(f, order, n_panels):
     return 0.5 * h[:, 0] * (f(pts) @ weights)
 
 
-def _cumulative_table(f, n_panels=_TABLE_PANELS):
-    """High-accuracy antiderivative of f on [0,1] as a cubic Hermite table,
-    and the mass of f: per-panel Gauss-Legendre integration (order 12 on
-    panels of width 1/n_panels puts the truncation error far below 1e-30 for
-    these kernels), then a compensated cumulative sum so node values carry
-    no accumulation error. Hermite slopes are exact samples of f."""
-    panel = _panel_integrals(f, _GL_ORDER, n_panels)
-    # Neumaier compensated running sum: keeps node values within one ulp.
-    cum = np.zeros(n_panels + 1)
-    s = comp = 0.0
-    for i, term in enumerate(panel):
-        t = s + term
-        comp += (s - t) + term if abs(s) >= abs(term) else (term - t) + s
-        s = t
-        cum[i + 1] = s + comp
+def _cumulative_table(kernels, n_panels=_TABLE_PANELS):
+    """High-accuracy antiderivatives of the kernels on [0,1] as one cubic
+    Hermite table, and their masses: per-panel Gauss-Legendre integration
+    (order 12 on panels of width 1/n_panels puts the truncation error far
+    below 1e-30 for these kernels), then a compensated cumulative sum so node
+    values carry no accumulation error. Hermite slopes are exact samples of
+    each kernel."""
     edges = np.linspace(0.0, 1.0, n_panels + 1)
-    return _HermiteTable(edges, cum, f(edges)), float(cum[-1])
+    cum = np.zeros((len(kernels), n_panels + 1))
+    for row, f in zip(cum, kernels):
+        # Neumaier compensated running sum: keeps node values within one ulp.
+        s = comp = 0.0
+        for i, term in enumerate(_panel_integrals(f, _GL_ORDER, n_panels)):
+            t = s + term
+            comp += (s - t) + term if abs(s) >= abs(term) else (term - t) + s
+            s = t
+            row[i + 1] = s + comp
+    d = np.array([f(edges) for f in kernels])
+    dx = np.diff(edges)
+    slope = np.diff(cum) / dx
+    t = (d[:, :-1] + d[:, 1:] - 2.0 * slope) / dx
+    coef = np.stack([t / dx, (slope - d[:, :-1]) / dx - t, d[:, :-1], cum[:, :-1]],
+                    axis=1)
+    return _HermiteTable(coef), cum[:, -1].tolist()
 
 
 def _check_mass(f):
@@ -268,8 +265,7 @@ def calibrate_profiles(quadrature_tolerance: float = 1e-13) -> ProfileSet:
     if not quadrature_tolerance > 0:
         raise ValueError("quadrature tolerance must be positive")
 
-    step_table, step_mass = _cumulative_table(smooth_step)
-    bump_table, bump_mass = _cumulative_table(bump)
+    kernels, (step_mass, bump_mass) = _cumulative_table((smooth_step, bump))
 
     # Independent check of the two kernel masses.
     q_step, err_step = _check_mass(smooth_step)
@@ -281,14 +277,13 @@ def calibrate_profiles(quadrature_tolerance: float = 1e-13) -> ProfileSet:
             f"kernel mass check failed: achieved error {achieved:.3e} "
             f"> tolerance {quadrature_tolerance:.3e}")
 
-    stack = _HermiteTable.stack
     one = ((_ONE, 1.0),)
     above = np.nextafter   # above(x, 1): the start of a row open at x
     # eta: plateau (length 1/4) + two smooth_step edges (mass step_mass/8 each)
     # leave a deficit against the unit integral; two mirrored bumps supply it.
     c = (1.0 - 0.25 - 2.0 * step_mass / 8.0) / (2.0 * bump_mass / 8.0)
     rise = _Piece(above(0.25, 1), False, 8.0, 0.25, ((_step, 1.0), (_bump, c)),
-                  stack((step_table, bump_table)))
+                  kernels)
     plateau = _Piece(0.375, False, 1.0, 0.375, one, _ONE_ANTI,
                      offset=(step_mass + c * bump_mass) / 8.0)
     eta = PlateauProfile("eta", c, (
@@ -304,10 +299,10 @@ def calibrate_profiles(quadrature_tolerance: float = 1e-13) -> ProfileSet:
         _Piece(-np.inf),
         _Piece(above(0.5, 1), False, 1.0, 0.5, one, _ONE_ANTI),
         _Piece(above(0.625, 1), False, -16.0, 0.6875, ((_step, 1.0),),
-               stack((step_table,)), offset=0.125, base=step_mass),
+               kernels.curve(0), offset=0.125, base=step_mass),
         _Piece(0.6875),
         _Piece(above(0.6875, 1), False, 4.0, 0.6875, ((_bump, 1.0),),
-               stack((bump_table,)), gain=-c, offset=0.125 + step_mass / 16.0),
+               kernels.curve(1), gain=-c, offset=0.125 + step_mass / 16.0),
         _Piece(0.9375),
     ), jump=0.5)
     return ProfileSet(eta, gp, step_mass, bump_mass, achieved)

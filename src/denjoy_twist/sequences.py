@@ -47,7 +47,8 @@ class SeqParams:
     bigC: float = 100.0
     bigB: float = 10.0
     truncation_M: int = 500
-    alpha1_policy: str = "half_K1"   # "half_K1" | "zero" | "half_K1_negated" | "value:<x>"
+    # "half_K1" | "value:<x>"; "zero" builds verify's zero-seed oracle
+    alpha1_policy: str = "half_K1"
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def validate(self) -> None:
@@ -62,24 +63,14 @@ class SeqParams:
         if self.truncation_M < 8:
             raise ValueError("truncation M must be at least 8")
 
-    def seed_alpha1(self, K1: float) -> float:
-        if self.alpha1_policy == "half_K1":
-            return abs(K1) / 2.0
-        if self.alpha1_policy == "zero":
-            return 0.0
-        if self.alpha1_policy == "half_K1_negated":
-            return -abs(K1) / 2.0
-        if self.alpha1_policy.startswith("value:"):
-            return float(self.alpha1_policy.split(":", 1)[1])
-        raise ValueError(f"unknown alpha1 policy {self.alpha1_policy!r}")
 
-
-@dataclass
+@dataclass(frozen=True)
 class GapSequences:
     """Built sequences, all indexed by the signed gap index k.
 
     Storage ranges: ell on [-(M+1), M+1], K on [-(M+1), M], m on [-M, M],
-    alpha/beta on [-M, M]. Immutable by convention once built.
+    alpha/beta on [-M, M]. residual_mass is 1 minus the total length of the
+    stored gaps |k| <= M. Made whole by build_sequences.
     """
 
     params: SeqParams
@@ -87,11 +78,12 @@ class GapSequences:
     ell_arr: np.ndarray
     K_arr: np.ndarray
     m_arr: np.ndarray
-    alpha_arr: np.ndarray = None
-    beta_arr: np.ndarray = None
-    alpha0: float = None
-    alpha1: float = None
-    m1_adjusted: float = None
+    alpha_arr: np.ndarray
+    beta_arr: np.ndarray
+    alpha0: float
+    alpha1: float
+    m1_adjusted: float
+    residual_mass: float
 
     @property
     def M(self) -> int:
@@ -111,15 +103,6 @@ class GapSequences:
 
     def beta(self, k):
         return self.beta_arr[np.asarray(k) + self.M]
-
-    @property
-    def gap_mass(self) -> float:
-        """Total length of the stored gaps |k| <= M."""
-        return float(np.sum(self.ell_arr[1:-1]))
-
-    @property
-    def residual_mass(self) -> float:
-        return 1.0 - self.gap_mass
 
 
 def _term(k_abs, C, delta):
@@ -143,37 +126,26 @@ def normalizer(delta: float, bigC: float, head: int = 10**6) -> float:
     return 1.0 / (s_head + 2.0 * tail)
 
 
-def build_gap_lengths(params: SeqParams) -> GapSequences:
-    """Fill a_C and the length array; K and m follow in build_ratio_sequences."""
-    params.validate()
-    M, C, delta = params.truncation_M, params.bigC, params.delta
-    a_C = normalizer(delta, C)
-    kk = np.arange(-(M + 1), M + 2, dtype=float)
-    ell = a_C * _term(np.abs(kk), C, delta)
-    return GapSequences(params=params, a_C=a_C, ell_arr=ell, K_arr=None, m_arr=None)
-
-
-def build_ratio_sequences(seqs: GapSequences) -> GapSequences:
-    ell = seqs.ell_arr
-    seqs.K_arr = ell[1:] / ell[:-1] - 1.0
-    K = seqs.K_arr
-    seqs.m_arr = 1.0 + K[1:] + 1.0 / (1.0 + K[:-1])
-    return seqs
-
-
-def seed_alphas(seqs: GapSequences, params: SeqParams):
-    """Solve the head relation for alpha0 and the adjusted m at index 1.
+def seed_alphas(K0: float, K1: float, params: SeqParams):
+    """alpha1 by the seed policy, then the head relation solved for alpha0
+    and the adjusted m at index 1.
 
     1/(1+K0+alpha0) + 1 + K1 = 1/(1+K0) + 1 + K1 + alpha1, the right side
     being the adjusted m1. alpha0 < 0 whenever alpha1 > 0.
     """
-    K0, K1 = float(seqs.K(0)), float(seqs.K(1))
-    alpha1 = params.seed_alpha1(K1)
-    B, C = params.bigB, params.bigC
-    if abs(alpha1) > B / (1.0 + C) - K1:
+    policy = params.alpha1_policy
+    if policy == "half_K1":
+        alpha1 = abs(K1) / 2.0
+    elif policy == "zero":
+        alpha1 = 0.0
+    elif policy.startswith("value:"):
+        alpha1 = float(policy.split(":", 1)[1])
+    else:
+        raise ValueError(f"unknown alpha1 policy {policy!r}")
+    bound = params.bigB / (1.0 + params.bigC) - K1
+    if not abs(alpha1) <= bound:   # a NaN seed fails here too
         raise ConstructionError(
-            f"seed alpha1={alpha1:.3e} outside the admissible range "
-            f"(0, {B / (1.0 + C) - K1:.3e}]")
+            f"seed alpha1={alpha1:.3e} outside the admissible range (0, {bound:.3e}]")
     if alpha1 == 0.0:
         alpha0 = 0.0  # the head relation degenerates exactly
     else:
@@ -182,23 +154,28 @@ def seed_alphas(seqs: GapSequences, params: SeqParams):
     return alpha1, alpha0, m1_adjusted
 
 
-def extend_alphas(seqs: GapSequences) -> GapSequences:
-    """Run the forward and backward sweeps from the seeds.
+def build_sequences(params: SeqParams) -> GapSequences:
+    """The full pipeline: lengths, ratios, seeds, both sweeps.
 
-    Difference form of the recurrence: with d = alpha_k,
+    The sweeps run the difference form of the recurrence: with d = alpha_k,
       forward   alpha_{k+1} = d / ((1+K_k)(1+beta_k)),
       backward  alpha_{k-1} = d (1+K_{k-1})^2 / (1 - d (1+K_{k-1})),
     algebraically identical to 1+beta_{k+1} + 1/(1+beta_k) = m_{k+1} but
     exact at the fixed point beta == K and sign-preserving in floating point.
     """
-    M = seqs.M
-    alpha1, alpha0, m1_adjusted = seed_alphas(seqs, seqs.params)
+    params.validate()
+    M, C, delta = params.truncation_M, params.bigC, params.delta
+    a_C = normalizer(delta, C)
+    ell = a_C * _term(np.abs(np.arange(-(M + 1), M + 2, dtype=float)), C, delta)
+    K_arr = ell[1:] / ell[:-1] - 1.0
+    m_arr = 1.0 + K_arr[1:] + 1.0 / (1.0 + K_arr[:-1])
+    K = K_arr.tolist()   # K_k is K[k + M + 1]
+    alpha1, alpha0, m1_adjusted = seed_alphas(K[M + 1], K[M + 2], params)
     alpha = np.zeros(2 * M + 1)
     beta = np.zeros(2 * M + 1)
 
     def put(k, a):
-        Kk = float(seqs.K(k))
-        b = Kk + a
+        b = K[k + M + 1] + a
         if 1.0 + b <= 0.0:
             raise ConstructionError(
                 f"1 + beta_{k} = {1.0 + b:.3e} is not positive; "
@@ -210,30 +187,18 @@ def extend_alphas(seqs: GapSequences) -> GapSequences:
     put(0, alpha0)
     for k in range(1, M):
         d = alpha[k + M]
-        put(k + 1, d / ((1.0 + float(seqs.K(k))) * (1.0 + beta[k + M])))
+        put(k + 1, d / ((1.0 + K[k + M + 1]) * (1.0 + beta[k + M])))
     for k in range(0, -M, -1):
         d = alpha[k + M]
-        Km1 = float(seqs.K(k - 1))
+        Km1 = K[k + M]
         denom = 1.0 - d * (1.0 + Km1)
         if denom <= 0.0:
             raise ConstructionError(
                 f"backward sweep broke at k={k-1}: m - (1+beta) hit "
                 "a nonpositive value; C too small or seed too large")
         put(k - 1, d * (1.0 + Km1) ** 2 / denom)
-
-    seqs.alpha_arr = alpha
-    seqs.beta_arr = beta
-    seqs.alpha0 = alpha0
-    seqs.alpha1 = alpha1
-    seqs.m1_adjusted = m1_adjusted
-    return seqs
-
-
-def build_sequences(params: SeqParams) -> GapSequences:
-    """The full pipeline: lengths, ratios, seeds, both sweeps."""
-    seqs = build_gap_lengths(params)
-    build_ratio_sequences(seqs)
-    return extend_alphas(seqs)
+    return GapSequences(params, a_C, ell, K_arr, m_arr, alpha, beta, alpha0,
+                        alpha1, m1_adjusted, 1.0 - float(np.sum(ell[1:-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +219,7 @@ def recurrence_residuals(seqs: GapSequences) -> np.ndarray:
     return res
 
 
-def verify_sequence_estimates(seqs: GapSequences, params: SeqParams) -> dict:
+def verify_sequence_estimates(seqs: GapSequences) -> dict:
     """Empirical constants and pass flags for the estimate chain.
 
     Each entry reports the measured best constants; pass/fail is judged
@@ -264,6 +229,7 @@ def verify_sequence_estimates(seqs: GapSequences, params: SeqParams) -> dict:
     own: there the estimates provably degrade to O(1/C) regardless of
     truncation, while the exact identity m_0 - 2 = 2 K_0 takes over.
     """
+    params = seqs.params
     tol = {**DEFAULT_TOLERANCES, **params.tolerances}
     M, C = seqs.M, params.bigC
     ks = np.arange(-M, M + 1)

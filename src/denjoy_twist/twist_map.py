@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle_map import CircleHomeo
 from .layout import circle_delta, frac_part
 from .profiles import profile_eval
 
@@ -36,34 +34,40 @@ _SCAN_BLOCK = 64
 
 @dataclass
 class GeneratingFunction:
-    """phi = (g~ - Id) + (g~^{-1} - Id), evaluated through periodic parts."""
+    """phi = (g~ - Id) + (g~^{-1} - Id), evaluated through periodic parts.
+
+    The one scalar-or-array rule of the twist layer: a scalar x is read
+    as a Python float through g's scalar lifts, an array through its _many
+    lifts, with the same arithmetic, so the two agree bitwise. Fractional
+    parts are x % 1.0, bitwise x - floor(x) for floats and arrays alike.
+    """
 
     g: object
 
+    def lifts(self, x):
+        """frac(x), and g's lift and inverse lift to evaluate there."""
+        if np.ndim(x) == 0:
+            return float(x) % 1.0, self.g.lift, self.g.inverse_lift
+        return (np.asarray(x, dtype=float) % 1.0, self.g.lift_many,
+                self.g.inverse_lift_many)
+
     def terms(self, x):
         """g~ - Id and g~^{-1} - Id at the fractional part of x, whose sum is
-        phi(x): floats for a scalar x, arrays for an array."""
-        if np.ndim(x) == 0:
-            fr = float(frac_part(x))
-            return self.g.lift(fr) - fr, self.g.inverse_lift(fr) - fr
-        fr = np.asarray(frac_part(x), dtype=float)
-        return self.g.lift_many(fr) - fr, self.g.inverse_lift_many(fr) - fr
+        phi(x)."""
+        fr, lift, inverse_lift = self.lifts(x)
+        return lift(fr) - fr, inverse_lift(fr) - fr
 
-    def eval(self, x: float) -> float:
-        up, down = self.terms(float(x))
-        return up + down
-
-    def eval_many(self, xs) -> np.ndarray:
-        up, down = self.terms(np.asarray(xs, dtype=float))
+    def eval(self, x):
+        up, down = self.terms(x)
         return up + down
 
     def deriv(self, x: float, side: str = "right") -> float:
-        fr = float(frac_part(x))
+        fr = float(x) % 1.0
         return (self.g.derivative(fr, side=side) - 1.0) + (
             self.g.inverse_derivative(fr, side=side) - 1.0)
 
     def second_deriv(self, x: float, side: str = "right") -> float:
-        fr = float(frac_part(x))
+        fr = float(x) % 1.0
         return (self.g.second_derivative(fr, side=side)
                 + self.g.inverse_second_derivative(fr, side=side))
 
@@ -103,30 +107,18 @@ class TwistSystem:
 
     def curve_height(self, theta):
         """gamma(theta) = g~(theta) - theta on the canonical branch."""
-        if np.ndim(theta) == 0:
-            fr = float(frac_part(theta))
-            return self.g.lift(fr) - fr
-        fr = np.asarray(frac_part(theta), dtype=float)
-        return self.g.lift_many(fr) - fr
+        fr, lift, _ = self.phi.lifts(theta)
+        return lift(fr) - fr
 
     # Each step takes theta and r as floats, giving Python floats, or as
-    # arrays of one shape, stepping every point with one array phi call;
-    # the arithmetic is the same for both, so the results agree bitwise.
-
-    def _ops(self, theta):
-        """floor and phi for a scalar or an array step."""
-        if np.ndim(theta) == 0:
-            return math.floor, self.phi.eval
-        return np.floor, self.phi.eval_many
+    # arrays of one shape, stepping every point with one array phi call.
 
     def _step(self, theta, r):
         """forward's step, and gamma(theta1) = g~(theta1) - theta1: phi's
         first term, which the step computes anyway."""
-        floor, _ = self._ops(theta)
         # split r into integer and fractional parts (both exact) so the
         # theta output commutes bitwise with vertical integer translation
-        fr = r - floor(r)
-        w = (theta - floor(theta)) + fr
+        w = theta % 1.0 + r % 1.0
         theta1 = w - (w >= 1.0)   # back into [0, 1)
         height, down = self.phi.terms(theta1)
         return theta1, r + (height + down), height
@@ -136,20 +128,17 @@ class TwistSystem:
         return theta1, r1
 
     def backward(self, theta, r):
-        floor, phi = self._ops(theta)
-        th = theta - floor(theta)
-        p = phi(th)
-        w = th - (r - floor(r)) + p
-        return w - floor(w), r - p
+        th = theta % 1.0
+        p = self.phi.eval(th)
+        w = th - r % 1.0 + p
+        return w % 1.0, r - p
 
     def forward_lift(self, theta, r):
-        _, phi = self._ops(theta)
         w = theta + r
-        return w, r + phi(w)
+        return w, r + self.phi.eval(w)
 
     def backward_lift(self, theta, r):
-        _, phi = self._ops(theta)
-        p = phi(theta)
+        p = self.phi.eval(theta)
         return theta - r + p, r - p
 
     # -- checks ------------------------------------------------------------
@@ -267,13 +256,13 @@ class TwistSystem:
     def periodicity_check(self, n_samples: int = 1000, seed: int = 5) -> float:
         rng = np.random.default_rng(seed)
         xs = rng.random(n_samples)
-        return float(np.max(np.abs(self.phi.eval_many(xs + 1.0)
-                                   - self.phi.eval_many(xs))))
+        return float(np.max(np.abs(self.phi.eval(xs + 1.0)
+                                   - self.phi.eval(xs))))
 
     def mean_check(self, n_grid: int = 8192) -> float:
         """Quadrature mean of phi (exact zero is unattainable under truncation)."""
         xs = (np.arange(n_grid) + 0.5) / n_grid
-        return float(np.mean(self.phi.eval_many(xs)))
+        return float(np.mean(self.phi.eval(xs)))
 
     # -- phi linearity on the middle segments -------------------------------
 
@@ -292,7 +281,7 @@ class TwistSystem:
         mu, ell = tb.mu_of(ks), tb.ell_of(ks)
         # one row of n_points per gap, all gaps in one phi evaluation
         xs = mu[:, None] + np.linspace(-ell / 8.0, ell / 8.0, n_points, axis=1)
-        vals = self.phi.eval_many(xs)
+        vals = self.phi.eval(xs)
         devs, slopes, consts = [], [], []
         for i in range(len(ks)):
             A = np.vstack([xs[i] - mu[i], np.ones(n_points)]).T

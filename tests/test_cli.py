@@ -234,5 +234,21 @@ def test_checks_with_nothing_to_measure_exit_2(tmp_path, capsys, command, overri
     assert override.split("=")[0] in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("policy", ["zero", "half_K1_negated", "bogus", "value:nan",
+                                    "value:", "value:1,2"])
+def test_alpha1_policy_outside_the_construction_exits_2(tmp_path, capsys, policy):
+    # the CLI builds the paper's seed or an explicit finite one; the zero
+    # seed is verify's internal oracle only
+    assert run(["build", "--set", "params.M=16", "--set",
+                f"params.alpha1_policy={policy}"], tmp_path, "p") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: params.alpha1_policy:") and "Traceback" not in err
+
+
+def test_alpha1_policy_value_accepted(tmp_path):
+    assert run(["build", "--set", "params.M=16", "--set",
+                "params.alpha1_policy=value:0.001"], tmp_path, "v") == 0
+
+
 def test_parse_float_list():
     assert parse_float_list("-1e-3, 2.5,") == [-1e-3, 2.5]

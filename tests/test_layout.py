@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,11 +25,6 @@ def test_order_small_case():
 def test_order_zero_is_minimum(desk):
     assert int(desk.table.sorted_to_k[0]) == 0
     assert float(desk.table.lam_of(0)) == 0.0
-
-
-def test_permutation_inverse(desk):
-    tb = desk.table
-    assert np.all(tb.rank_of_k[tb.sorted_to_k + tb.M] == np.arange(2 * tb.M + 1))
 
 
 def test_orbit_collision_guard():
@@ -79,34 +75,59 @@ def test_middle_segments(desk):
         assert float(tb.lam_of(k)) < lo and hi < float(tb.lam_of(k)) + float(tb.ell_of(k))
 
 
-def test_locate_gap_points(desk):
+def test_lookup_gap_points(desk):
     tb = desk.table
-    kind, k, u = tb.locate(float(tb.mu_of(3)))
-    assert kind == "gap" and k == 3
+    i, inside = tb.lookup(float(tb.mu_of(3)))
+    assert inside and int(tb.sorted_to_k[i]) == 3
+    u = float(tb.mu_of(3)) - float(tb.sorted_lam[i])
     assert abs(u - float(tb.ell_of(3)) / 2.0) <= 1e-15
-    kind, k, u = tb.locate(float(tb.lam_of(0)))
-    assert (kind, k, u) == ("gap", 0, 0.0)
+    i, inside = tb.lookup(float(tb.lam_of(0)))
+    assert inside and int(tb.sorted_to_k[i]) == 0
+    assert float(tb.lam_of(0)) - float(tb.sorted_lam[i]) == 0.0
 
 
-def test_locate_residual_matches_linear_scan(small):
+def test_lookup_matches_linear_scan(small):
     tb = small.table
     rng = np.random.default_rng(22)
     order = tb.sorted_to_k + tb.M
     lam_sorted = tb.lam[order]
     ends_sorted = lam_sorted + tb.ell[order]
+    n = len(lam_sorted)
     for x in rng.random(200):
-        kind, a, b = tb.locate(x)
+        i, inside = tb.lookup(x)
         # linear scan oracle
-        inside = [i for i in range(len(lam_sorted))
-                  if lam_sorted[i] <= x <= ends_sorted[i]]
-        if inside:
-            assert kind == "gap" and a == int(tb.sorted_to_k[inside[0]])
+        scan = [j for j in range(n) if lam_sorted[j] <= x <= ends_sorted[j]]
+        if scan:
+            assert inside and int(tb.sorted_to_k[i]) == int(tb.sorted_to_k[scan[0]])
         else:
-            assert kind == "residual"
-            i = int(np.searchsorted(lam_sorted, x)) - 1
-            left = int(tb.sorted_to_k[i % len(lam_sorted)])
-            right = int(tb.sorted_to_k[(i + 1) % len(lam_sorted)])
-            assert (a, b) == (left, right)
+            assert not inside
+            j = int(np.searchsorted(lam_sorted, x)) - 1
+            left = int(tb.sorted_to_k[j % n])
+            right = int(tb.sorted_to_k[(j + 1) % n])
+            assert int(tb.sorted_to_k[i % n]) == left
+            assert int(tb.sorted_to_k[(i + 1) % n]) == right
+
+
+def test_placement_against_brute_force(desk):
+    # the mass of the gaps whose orbit point is at or below t, plus the
+    # spread tail, at residual points and at orbit points themselves
+    tb = desk.table
+    rng = np.random.default_rng(23)
+    ts = np.concatenate([rng.random(200), tb.t_of(rng.integers(-tb.M, tb.M + 1, size=20))])
+    for t in ts.tolist():
+        oracle = float(np.sum(tb.ell[tb.orbit_t <= t])) + tb.residual_mass * t
+        assert abs(tb.placement(t) - oracle) <= 1e-13
+    for k in (-7, 3, 12):
+        # the placement just below an orbit point is the gap's left end
+        t = float(tb.t_of(k))
+        assert abs(tb.placement(np.nextafter(t, 0.0)) - float(tb.lam_of(k))) <= 1e-13
+
+
+def test_gap_table_is_frozen(small):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        small.table.residual_mass = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        small.table.cum_mass = None
 
 
 def test_semiconjugacy_on_gaps(desk):

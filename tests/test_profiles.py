@@ -66,20 +66,20 @@ def test_hermite_table_matches_scipy_spline(kernel):
     # scipy is the oracle: the same nodes, values and slopes give the same
     # floats at the nodes, one ulp either side, the ends, points outside
     # [0, 1] and random points; NaN stays NaN
-    table, mass = _cumulative_table(kernel)
-    x = np.append(table._rows[0], 1.0)
-    assert np.array_equal(x, np.arange(table.n + 1) / table.n)   # exactly i/n
-    y = np.append(table._rows[4], mass)
-    d = np.append(table._rows[3], kernel(x[-1]))
+    table, (mass,) = _cumulative_table((kernel,))
+    x = np.arange(table.n + 1) / table.n
+    assert np.array_equal(x, np.linspace(0.0, 1.0, table.n + 1))   # nodes exactly i/n
+    y = np.append(table.coef[0, 3], mass)
+    d = np.append(table.coef[0, 2], kernel(x[-1]))
     spline = CubicHermiteSpline(x, y, d)
     outside = [-1.0, -1e-3, -5e-324, 1.0 + 2.0**-52, 1.001, 2.5, 1e3]
     pts = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
                           [0.0, 1.0], outside, np.random.default_rng(14).random(20000)])
-    ours, ref = table(pts), spline(pts)
+    ours, ref = table(pts)[0], spline(pts)
     assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
-    assert table(1.0) == mass
+    assert table(1.0)[0] == mass
     nan = np.array([np.nan, 0.5, np.nan])
-    assert np.array_equal(np.isnan(table(nan)), [True, False, True])
+    assert np.array_equal(np.isnan(table(nan)[0]), [True, False, True])
     assert np.array_equal(np.isnan(spline(nan)), [True, False, True])
 
 
@@ -228,7 +228,9 @@ def test_nan_gives_nan(profiles, small):
 
 @pytest.fixture(scope="module")
 def kernel_tables():
-    return _cumulative_table(smooth_step), _cumulative_table(bump)
+    # the run path's two-curve table, read one curve per row
+    table, (Ms, Mb) = _cumulative_table((smooth_step, bump))
+    return (lambda s: table(s)[0], Ms), (lambda s: table(s)[1], Mb)
 
 
 def _closed_form(profiles, tables, kind, t, order, side):

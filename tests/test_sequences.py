@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from denjoy_twist.profiles import profile_eval
 from denjoy_twist.sequences import (ConstructionError, SeqParams,
-                                    build_gap_lengths, build_ratio_sequences,
                                     build_sequences, dump_sequences_csv,
                                     normalizer, recurrence_residuals,
                                     seed_alphas, verify_sequence_estimates)
@@ -41,7 +41,7 @@ def test_divergent_sum_rejected():
     with pytest.raises(ValueError):
         normalizer(-1.0, 100.0)
     with pytest.raises(ValueError):
-        build_gap_lengths(SeqParams(delta=-1.0))
+        build_sequences(SeqParams(delta=-1.0))
 
 
 def test_ratio_signs(desk):
@@ -80,9 +80,8 @@ def test_crossing_identity(desk):
 
 def test_seed_alpha_signs(desk):
     p = SeqParams()
-    seqs = build_gap_lengths(p)
-    build_ratio_sequences(seqs)
-    alpha1, alpha0, m1_adjusted = seed_alphas(seqs, p)
+    seqs = build_sequences(p)
+    alpha1, alpha0, m1_adjusted = seed_alphas(float(seqs.K(0)), float(seqs.K(1)), p)
     assert alpha1 > 0.0 and alpha0 < 0.0
     assert abs(alpha1 - abs(float(seqs.K(1))) / 2.0) == 0.0
     # algebraic solution matches a bisection of the head relation
@@ -101,9 +100,8 @@ def test_seed_alpha_signs(desk):
 
 def test_zero_seed_degenerates(profiles):
     p = SeqParams(alpha1_policy="zero")
-    seqs = build_gap_lengths(p)
-    build_ratio_sequences(seqs)
-    alpha1, alpha0, _ = seed_alphas(seqs, p)
+    seqs = build_sequences(p)
+    alpha1, alpha0, _ = seed_alphas(float(seqs.K(0)), float(seqs.K(1)), p)
     assert alpha1 == 0.0 and alpha0 == 0.0
 
 
@@ -156,7 +154,7 @@ def test_positivity_margin(desk, profiles):
 
 
 def test_estimate_report(desk):
-    rep = verify_sequence_estimates(desk.seqs, desk.params)
+    rep = verify_sequence_estimates(desk.seqs)
     assert rep["pass"], rep
     e3 = rep["estimates"]["ratio_bound"]
     assert 0.5 <= e3["min"] and e3["max"] <= 5.0
@@ -171,7 +169,7 @@ def test_estimates_equal_the_scalar_loops():
     # values, at the bench's build size
     params = SeqParams(truncation_M=4000)
     seqs = build_sequences(params)
-    est = verify_sequence_estimates(seqs, params)["estimates"]
+    est = verify_sequence_estimates(seqs)["estimates"]
     M = seqs.M
 
     def K(k):
@@ -195,6 +193,20 @@ def test_estimates_equal_the_scalar_loops():
 def test_seed_rejection():
     with pytest.raises(ConstructionError):
         build_sequences(SeqParams(alpha1_policy="value:0.5"))
+
+
+def test_nan_seed_rejected_by_name():
+    # a NaN seed fails the admissibility test itself, not later as a
+    # non-monotone map
+    with pytest.raises(ConstructionError, match="seed alpha1=nan"):
+        build_sequences(SeqParams(alpha1_policy="value:nan"))
+
+
+def test_built_sequences_are_frozen(small):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        small.seqs.alpha1 = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        small.seqs.K_arr = None
 
 
 def test_backward_sweep_failure_signalled():

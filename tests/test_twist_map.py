@@ -22,7 +22,7 @@ def rigid():
 
 def test_phi_zero_for_rotation(rigid):
     xs = np.linspace(0.0, 2.0, 101)
-    assert np.max(np.abs(rigid.phi.eval_many(xs))) <= 1e-15
+    assert np.max(np.abs(rigid.phi.eval(xs))) <= 1e-15
 
 
 def test_phi_midpoint_values(small):
@@ -94,16 +94,37 @@ def test_roundtrip(small):
 def test_nan_sample_fails_the_check(small, monkeypatch):
     # one NaN phi value must surface in the reduction, not be dropped by it
     phi = small.system.phi
-    clean = phi.eval_many
+    clean = phi.eval
 
     def with_nan(xs):
         out = clean(xs)
         out.flat[0] = np.nan
         return out
 
-    monkeypatch.setattr(phi, "eval_many", with_nan)
+    monkeypatch.setattr(phi, "eval", with_nan)
     assert math.isnan(small.system.roundtrip_check(50, seed=42))
     assert math.isnan(small.system.det_check(50, seed=44))
+
+
+def test_scalar_and_array_steps_agree_bitwise(small):
+    # one rule picks the scalar or the array lifts; fractional parts are
+    # x % 1.0 on both paths, so floats and arrays give the same bits at
+    # negative, integer and signed-zero r, theta an ulp below 1 or negative,
+    # and |r| ~ 1e6
+    sysm = small.system
+    one_ulp_below = math.nextafter(1.0, 0.0)
+    points = [(0.3, -0.25), (0.3, -2.0), (0.7, 3.0), (0.45, 0.0), (0.45, -0.0),
+              (one_ulp_below, 0.01), (one_ulp_below, -1.0), (-0.2, 0.1),
+              (-3.7, -0.4), (0.61, 1e6 + 0.3), (0.12, -1e6 - 0.7), (0.0, 0.0)]
+    th = np.array([t for t, _ in points])
+    r = np.array([v for _, v in points])
+    for step in (sysm.forward, sysm.backward, sysm.forward_lift, sysm.backward_lift):
+        arr_t, arr_r = step(th, r)
+        for i, (t, v) in enumerate(points):
+            ft, fr = step(t, v)
+            assert type(ft) is float and type(fr) is float
+            assert np.array_equal(np.array([ft, fr]).view(np.int64),
+                                  np.array([arr_t[i], arr_r[i]]).view(np.int64)), (step, t, v)
 
 
 def test_vertical_translation(small):
@@ -146,7 +167,7 @@ def test_phi_linearity(small):
 
 def test_phi_linear_fit_rigid(rigid):
     xs = np.linspace(0.1, 0.2, 64)
-    vals = rigid.phi.eval_many(xs)
+    vals = rigid.phi.eval(xs)
     slope = np.polyfit(xs, vals, 1)[0]
     assert abs(slope) <= 1e-12
 
