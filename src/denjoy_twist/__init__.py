@@ -31,8 +31,8 @@ from .circle_map import (
 )
 from .twist_map import (
     TwistSystem,
+    base_segments,
     build_twist_system,
-    manifold_segment,
 )
 
 __version__ = "0.1.0"

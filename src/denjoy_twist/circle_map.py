@@ -31,7 +31,7 @@ from array import array
 
 import numpy as np
 
-from .layout import GapTable, frac_part
+from .layout import GapTable
 from .profiles import _ANTI, _TABLE_PANELS, ProfileSet, profile_eval
 from .sequences import ConstructionError
 
@@ -259,8 +259,8 @@ class CircleHomeo:
             d = abs(a - b) % 1.0
             return min(d, 1.0 - d)
 
-        t_star = float(frac_part(tb.t_of(-M) - omega))   # preimage of the -M atom
-        t_prime = float(frac_part(tb.t_of(M) + omega))   # image of the M atom
+        t_star = float((tb.t_of(-M) - omega) % 1.0)   # preimage of the -M atom
+        t_prime = float((tb.t_of(M) + omega) % 1.0)   # image of the M atom
         t_gap_hi = float(tb.t_of(M))
         t_gap_lo = float(tb.t_of(-M))
 
@@ -406,7 +406,7 @@ class CircleHomeo:
         call. side picks the one-sided limit at a gap midpoint and, for g',
         at a piece's left edge, where the left limit is the previous piece's.
         """
-        fr = np.atleast_1d(frac_part(x))
+        fr = np.atleast_1d(x) % 1.0
         i = np.searchsorted(self._x_lo, fr, side="right") - 1
         u = fr - self._x_lo[i]
         edge = np.zeros(fr.shape, dtype=bool)

@@ -19,7 +19,7 @@ from .circle_map import (RigidRotation, build_circle_homeo, derivative_jump_scan
                          derivative_jump_table, rotation_number_estimate,
                          wandering_interval_check)
 from .config import ConfigError, RunConfig, load_config, parse_float_list
-from .layout import SemiConjugacy, build_gap_table, dump_gap_table_csv, frac_part
+from .layout import SemiConjugacy, build_gap_table, dump_gap_table_csv
 from .profiles import CalibrationError, calibrate_profiles, export_profile_csv
 from .reporting import ReportBuilder, write_report
 from .sequences import (ConstructionError, build_sequences,
@@ -194,7 +194,7 @@ def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
 
     j = SemiConjugacy(table)
     mu = table.mu_of(np.arange(-table.M, table.M))
-    d = j.eval(frac_part(g.lift_many(mu))) - (j.eval(mu) + p["omega"])
+    d = j.eval(g.lift_many(mu) % 1.0) - (j.eval(mu) + p["omega"])
     rb.check_leq("semiconjugacy_midpoints", float(np.max(np.abs(d - np.round(d)))),
                  tol("semiconjugacy"))
 
@@ -342,9 +342,8 @@ def cmd_diffusion(cfg: RunConfig, outdir: str) -> int:
     thresholds = tuple(parse_float_list(d["thresholds"]))
     reports = []
     for off in parse_float_list(d["offsets"]):
-        pr = diffusion_probe(built.system, theta0, off, d["n"],
-                             thresholds=thresholds)
-        reports.append(pr.as_dict())
+        reports.append(diffusion_probe(built.system, theta0, off, d["n"],
+                                       thresholds=thresholds))
     out = {"schema_version": 1, "config": cfg.echo(), "probes": reports}
     dump_json(out, os.path.join(outdir, "diffusion.json"))
     for pr in reports:

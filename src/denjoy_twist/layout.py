@@ -23,11 +23,6 @@ import numpy as np
 from .sequences import ConstructionError
 
 
-def frac_part(x):
-    """x mod 1 in [0, 1), mapping negative inputs correctly."""
-    return np.asarray(x, dtype=float) - np.floor(x)
-
-
 def circle_delta(a, b):
     """Minimal representative of a - b on the circle, in (-1/2, 1/2]."""
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
@@ -99,7 +94,7 @@ def order_orbit_points(M: int, omega: float) -> np.ndarray:
     with room to spare for the default omega at desk truncations.
     """
     ks = np.arange(-M, M + 1)
-    t = frac_part(ks * omega)
+    t = (ks * omega) % 1.0
     order = np.argsort(t, kind="stable")
     tt = t[order]
     gaps = np.diff(tt)
@@ -113,7 +108,7 @@ def build_gap_table(seqs) -> GapTable:
     """Place the stored gaps from built sequences."""
     M, omega = seqs.M, seqs.params.omega
     ks = np.arange(-M, M + 1)
-    orbit_t = frac_part(ks * omega)
+    orbit_t = (ks * omega) % 1.0
     sorted_to_k = order_orbit_points(M, omega)
     order_idx = sorted_to_k + M
     ell = np.asarray(seqs.ell(ks), dtype=float)
@@ -161,7 +156,7 @@ class SemiConjugacy:
         placement measure, t = (x - gap mass below) / residual mass.
         """
         tb = self.table
-        x = frac_part(x)
+        x = np.asarray(x, dtype=float) % 1.0
         i, inside = tb.lookup(x)
         k = tb.sorted_to_k[i] + tb.M
         mass_below = np.where(i >= 0, tb.cum_mass[i] + tb.ell[k], 0.0)

@@ -54,12 +54,14 @@ class SeqParams:
     def validate(self) -> None:
         if not (0.0 < self.omega < 1.0):
             raise ValueError("omega must lie in (0, 1)")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive (the length sum diverges otherwise)")
-        if self.bigC < 10:
-            raise ValueError("C must be at least 10")
-        if self.bigB < 3:
-            raise ValueError("B must be at least 3")
+        # written so that NaN fails each test
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite "
+                             "(the length sum diverges otherwise)")
+        if not 10 <= self.bigC < math.inf:
+            raise ValueError("C must be finite and at least 10")
+        if not 3 <= self.bigB < math.inf:
+            raise ValueError("B must be finite and at least 3")
         if self.truncation_M < 8:
             raise ValueError("truncation M must be at least 8")
 
@@ -143,7 +145,8 @@ def seed_alphas(K0: float, K1: float, params: SeqParams):
     else:
         raise ValueError(f"unknown alpha1 policy {policy!r}")
     bound = params.bigB / (1.0 + params.bigC) - K1
-    if not abs(alpha1) <= bound:   # a NaN seed fails here too
+    # the zero seed is verify's internal oracle; a NaN seed fails here too
+    if not (0.0 < alpha1 <= bound or policy == "zero"):
         raise ConstructionError(
             f"seed alpha1={alpha1:.3e} outside the admissible range (0, {bound:.3e}]")
     if alpha1 == 0.0:

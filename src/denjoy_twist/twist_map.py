@@ -12,7 +12,7 @@ theta mod 1.
 
 Also here: the per-gap linearity check of phi on the middle segments, the
 second-derivative scan with the four-term decomposition of
-zeta_k = h_k + h_{k-1}^{-1} - 2 Id, the stable/unstable segment families
+zeta_k = h_k + h_{k-1}^{-1} - 2 Id, the stable/unstable base segments
 through the gap midpoints, and the report-only diffusion probe.
 """
 
@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import circle_delta, frac_part
+from .layout import circle_delta
 from .profiles import profile_eval
 
 # gaps per array pass of the second-derivative scan: 64 x 256 grid points
@@ -70,27 +70,6 @@ class GeneratingFunction:
         fr = float(x) % 1.0
         return (self.g.second_derivative(fr, side=side)
                 + self.g.inverse_second_derivative(fr, side=side))
-
-
-@dataclass
-class ManifoldSegment:
-    """An affine segment through (mu_k, gamma(mu_k)) with slope K_k.
-
-    For k >= 1 these are the stable segments (the half left of the midpoint
-    lies on the invariant curve); for k <= 0 the unstable ones (right half
-    on the curve). markers holds (x, r) at the left end, midpoint, right end.
-    """
-
-    k: int
-    kind: str
-    base: tuple
-    slope: float
-    x_half_width: float
-    markers: np.ndarray
-    in_linear_band: bool = True
-
-    def height(self, x):
-        return self.base[1] + self.slope * (np.asarray(x) - self.base[0])
 
 
 class TwistSystem:
@@ -162,17 +141,14 @@ class TwistSystem:
             thetas = self.sample_points(n_samples, seed)
         else:
             thetas = np.random.default_rng(seed).random(n_samples)
-        fr = np.asarray(frac_part(thetas), dtype=float)
+        fr = thetas % 1.0
         lift1 = self.g.lift_many(fr)
         gam = lift1 - fr
-        w = fr + (gam + translate)
-        theta1 = np.asarray(frac_part(w), dtype=float)
-        phi1 = ((self.g.lift_many(theta1) - theta1)
-                + (self.g.inverse_lift_many(theta1) - theta1))
-        r1 = (gam + translate) + phi1
+        theta1 = (fr + (gam + translate)) % 1.0
+        r1 = (gam + translate) + self.phi.eval(theta1)
         # target point (g(theta), g^2(theta) - g(theta)), shifted by translate
-        target_theta = np.asarray(frac_part(lift1), dtype=float)
-        target_r = self.g.lift_many(target_theta) - target_theta
+        target_theta = lift1 % 1.0
+        target_r = self.curve_height(target_theta)
         res_theta = np.abs(circle_delta(theta1, target_theta))
         res_r = np.abs(r1 - (target_r + translate))
         return {
@@ -453,81 +429,18 @@ class RegularityReport:
 # stable / unstable segments
 # ---------------------------------------------------------------------------
 
-def manifold_segment(system: TwistSystem, k: int, kind: str) -> ManifoldSegment:
-    """Base segment through (mu_k, gamma(mu_k)) over J_k.
+def base_segments(system: TwistSystem, ks):
+    """The base segments over J_k, as arrays over the indices ks: midpoints
+    mu_k, base heights gamma(mu_k), slopes K_k and half-widths ell_k/8.
 
-    Stable segments exist as base formulas for k >= 1, unstable for k <= 0;
-    other indices come from extend_family.
+    For k >= 1 these are the stable segments (the half left of the midpoint
+    lies on the invariant curve); for k <= 0 the unstable ones (right half
+    on the curve).
     """
-    if kind not in ("stable", "unstable"):
-        raise ValueError("kind must be 'stable' or 'unstable'")
-    if kind == "stable" and k < 1:
-        return extend_family(system, "stable", k)[-1]
-    if kind == "unstable" and k > 0:
-        return extend_family(system, "unstable", k)[-1]
-    mu, base_r, slope, hw = (float(a[0]) for a in _base_segments(system, [k]))
-    xs = np.array([mu - hw, mu, mu + hw])
-    markers = np.column_stack([xs, base_r + slope * (xs - mu)])
-    return ManifoldSegment(k=k, kind=kind, base=(mu, base_r), slope=slope,
-                           x_half_width=hw, markers=markers)
-
-
-def _base_segments(system: TwistSystem, ks):
-    """Base points (mu_k, gamma(mu_k)), slopes K_k and half-widths ell_k/8 of
-    the base segments over J_k, as arrays over the indices ks."""
     ks = np.asarray(ks)
     mu = system.table.mu_of(ks)
     return (mu, system.curve_height(mu), system.seqs.K(ks),
             system.table.ell_of(ks) / 8.0)
-
-
-def _in_band(system, markers, k):
-    lo, hi = system.table.J_of(k)
-    xs = frac_part(markers[:, 0])
-    return bool(np.all((xs >= lo - 1e-15) & (xs <= hi + 1e-15)))
-
-
-def extend_family(system: TwistSystem, kind: str, k_target: int) -> list:
-    """Iterated segment markers: stable k <= 0 from f^{k-1}(S_1), unstable
-    k >= 1 from f^k(U_0).
-
-    Collinearity is guaranteed (and asserted by the caller) only while each
-    pullback stays inside the band where the map is affine; the in_linear_band
-    flag tracks it.
-    """
-    # per family: base index, indices reached, step, and the offset from k
-    # to the band the markers sit in before the step
-    if kind == "stable":
-        if k_target > 0:
-            raise ValueError("extension covers k <= 0 for stable segments")
-        base_k, ks, step, prev = 1, range(0, k_target - 1, -1), system.backward_lift, 1
-    else:
-        if k_target < 1:
-            raise ValueError("extension covers k >= 1 for unstable segments")
-        base_k, ks, step, prev = 0, range(1, k_target + 1), system.forward_lift, -1
-    markers = manifold_segment(system, base_k, kind).markers
-    in_band = True
-    out = []
-    for k in ks:
-        in_band = in_band and _in_band(system, markers, k + prev)
-        markers = np.column_stack(step(markers[:, 0], markers[:, 1]))
-        out.append(ManifoldSegment(
-            k=k, kind=kind, base=tuple(markers[1]), slope=_marker_slope(markers),
-            x_half_width=abs(markers[2, 0] - markers[0, 0]) / 2.0,
-            markers=markers, in_linear_band=in_band))
-    return out
-
-
-def _marker_slope(markers) -> float:
-    return float((markers[2, 1] - markers[0, 1]) / (markers[2, 0] - markers[0, 0]))
-
-
-def marker_collinearity(markers) -> float:
-    """Vertical deviation of the middle marker from the chord."""
-    x0, r0 = markers[0]
-    x2, r2 = markers[2]
-    mid = r0 + (r2 - r0) * (markers[1, 0] - x0) / (x2 - x0)
-    return abs(float(markers[1, 1] - mid))
 
 
 def manifold_iterate_check(system: TwistSystem, k_max: int,
@@ -559,12 +472,12 @@ def _segment_images(system: TwistSystem, ks, step, n_points: int) -> dict:
     """Worst deviations of step(segment k) from segment k' over consecutive
     (k, k') in ks: image heights, x-projected length ratio against
     ell_k' / ell_k, and the image of the base point."""
-    mu, base_r, slope, hw = _base_segments(system, ks)
+    mu, base_r, slope, hw = base_segments(system, ks)
     src, dst = slice(None, -1), slice(1, None)   # k, k'
     xs = mu[src, None] + np.linspace(-hw[src], hw[src], n_points, axis=1)
     x1, r1 = step(xs, base_r[src, None] + slope[src, None] * (xs - mu[src, None]))
     image = np.abs(r1 - (base_r[dst, None]
-                         + slope[dst, None] * (frac_part(x1) - mu[dst, None])))
+                         + slope[dst, None] * (x1 % 1.0 - mu[dst, None])))
     ells = system.seqs.ell(ks)
     ratio = (x1[:, -1] - x1[:, 0]) / (xs[:, -1] - xs[:, 0])
     bx, br = step(mu[src], base_r[src])
@@ -587,17 +500,15 @@ def curve_side_check(system: TwistSystem, n_points: int = 64) -> dict:
     # the free half is where the curve's local slope is K + alpha: right of
     # mu_1 and left of mu_0, mirrored when the jump profiles are exchanged
     sgn = -1.0 if system.g.swap_gamma else 1.0
-    gaps, devs = [], []
-    for k, kind, side in ((1, "stable", sgn), (0, "unstable", -sgn)):
-        seg = manifold_segment(system, k, kind)
-        mu = seg.base[0]
-        xs = mu + side * np.linspace(1e-3, 1.0, n_points) * seg.x_half_width
-        gap = np.asarray(system.curve_height(xs)) - np.asarray(seg.height(xs))
-        devs.append(np.max(np.abs(gap - float(system.seqs.alpha(k)) * (xs - mu))))
-        gaps.append(gap)
-    gaps = np.concatenate(gaps)
+    # row 0 the first stable segment, row 1 the base unstable one
+    ks = np.array([1, 0])
+    mu, base_r, slope, hw = (a[:, None] for a in base_segments(system, ks))
+    side = np.array([[sgn], [-sgn]])
+    xs = mu + side * np.linspace(1e-3, 1.0, n_points) * hw
+    gaps = system.curve_height(xs) - (base_r + slope * (xs - mu))
+    devs = np.abs(gaps - system.seqs.alpha(ks)[:, None] * (xs - mu))
     return {
-        "max_formula_dev": float(max(devs)),
+        "max_formula_dev": float(np.max(devs)),
         "zone_below_curve": not system.g.swap_gamma,
         # every gap has the sign of sgn: positive when the zone is under
         "strict_sign_ok": bool(np.all(sgn * gaps > 0.0)),
@@ -617,14 +528,14 @@ def orbit_convergence_check(system: TwistSystem, x_offset: float, n: int) -> dic
     tb, seqs = system.table, system.seqs
     if n + 1 > tb.M:
         raise ValueError("n + 1 exceeds the stored range")
-    seg = manifold_segment(system, 1, "stable")
-    if not -seg.x_half_width <= x_offset <= seg.x_half_width:
+    mu, base_r, slope, hw = (float(a[0]) for a in base_segments(system, [1]))
+    if not -hw <= x_offset <= hw:
         raise ValueError("x_offset outside the segment")
     # row i holds the base point and the off-base point after i steps,
     # stepped together
     x, r = np.empty((n + 1, 2)), np.empty((n + 1, 2))
-    x[0] = seg.base[0], seg.base[0] + x_offset
-    r[0] = seg.base[1], seg.height(x[0, 1])
+    x[0] = mu, mu + x_offset
+    r[0] = base_r, base_r + slope * (x[0, 1] - mu)
     for i in range(n):
         x[i + 1], r[i + 1] = system.forward_lift(x[i], r[i])
     dx = np.abs(x[:, 1] - x[:, 0])
@@ -636,35 +547,15 @@ def orbit_convergence_check(system: TwistSystem, x_offset: float, n: int) -> dic
             "max_rel_ratio_error": float(rel)}
 
 
-@dataclass
-class DiffusionReport:
-    """Report-only probe of vertical excursions off the invariant curve."""
-
-    theta0: float
-    offset: float
-    n_steps: int
-    max_excursion: float
-    threshold_times: dict
-    checkpoints: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "theta0": self.theta0, "offset": self.offset,
-            "n_steps": self.n_steps, "max_excursion": self.max_excursion,
-            "threshold_times": self.threshold_times,
-            "checkpoints": self.checkpoints,
-        }
-
-
 def diffusion_probe(system: TwistSystem, theta0: float, offset: float, n: int,
-                    thresholds=(1e-3, 1e-2, 1e-1)) -> DiffusionReport:
+                    thresholds=(1e-3, 1e-2, 1e-1)) -> dict:
     """Iterate (theta0, gamma(theta0) + offset) and track |r_n - gamma(theta_n)|.
 
     Instability of the zone under the curve is an asymptotic statement about
     the untruncated system, so nothing here is asserted; the report records
     the excursion series and first crossing times.
     """
-    th = float(frac_part(theta0))
+    theta0 = th = float(theta0) % 1.0
     r = float(system.curve_height(th)) + offset
     max_exc = abs(offset)
     keys = [(t, repr(t)) for t in thresholds]
@@ -682,9 +573,9 @@ def diffusion_probe(system: TwistSystem, theta0: float, offset: float, n: int,
         if i == checkpoint_at or i == n:
             checkpoints.append((i, max_exc))
             checkpoint_at *= 2
-    return DiffusionReport(theta0=float(frac_part(theta0)), offset=offset,
-                           n_steps=n, max_excursion=max_exc,
-                           threshold_times=times, checkpoints=checkpoints)
+    return {"theta0": theta0, "offset": offset, "n_steps": n,
+            "max_excursion": max_exc, "threshold_times": times,
+            "checkpoints": checkpoints}
 
 
 def build_twist_system(g, table=None, seqs=None, profiles=None) -> TwistSystem:
@@ -692,17 +583,22 @@ def build_twist_system(g, table=None, seqs=None, profiles=None) -> TwistSystem:
 
 
 def dump_segments_csv(system: TwistSystem, k_lo: int, k_hi: int, path) -> None:
-    """Segment endpoints and midpoints, one row per marker."""
+    """Base segment endpoints and midpoints, one row per marker.
+
+    Every base segment lies in its gap's linear band, so in_linear_band is
+    a constant 1.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "kind", "marker", "x", "r", "in_linear_band"])
-        for kind, ks in (("stable", range(max(k_lo, 1), k_hi + 1)),
-                         ("unstable", range(min(k_hi, 0), k_lo - 1, -1))):
-            for k in ks:
-                seg = manifold_segment(system, k, kind)
-                for name, (x, r) in zip(("lo", "mid", "hi"), seg.markers):
-                    w.writerow([k, kind, name, repr(float(x)), repr(float(r)),
-                                int(seg.in_linear_band)])
+        for kind, ks in (("stable", np.arange(max(k_lo, 1), k_hi + 1)),
+                         ("unstable", np.arange(min(k_hi, 0), k_lo - 1, -1))):
+            mu, base_r, slope, hw = (a[:, None] for a in base_segments(system, ks))
+            xs = mu + hw * np.array([-1.0, 0.0, 1.0])
+            rs = base_r + slope * (xs - mu)
+            for k, x, r in zip(ks.tolist(), xs.tolist(), rs.tolist()):
+                w.writerows([k, kind, name, repr(xm), repr(rm), 1]
+                            for name, xm, rm in zip(("lo", "mid", "hi"), x, r))
 
 
 def dump_phase_portrait_csv(system: TwistSystem, orbits, n_steps: int, path,
@@ -718,7 +614,7 @@ def dump_phase_portrait_csv(system: TwistSystem, orbits, n_steps: int, path,
     n_orbits = th.size
     theta_at = np.empty((n_orbits, n_steps + 1))
     r_at = np.empty((n_orbits, n_steps + 1))
-    theta_at[:, 0], r_at[:, 0] = frac_part(th), r
+    theta_at[:, 0], r_at[:, 0] = th % 1.0, r
     for s in range(1, n_steps + 1):
         th, r = system.forward(th, r)
         theta_at[:, s], r_at[:, s] = th, r

@@ -17,8 +17,8 @@ from denjoy_twist.layout import SemiConjugacy
 from denjoy_twist.reporting import deterministic_dump
 from denjoy_twist.sequences import (SeqParams, build_sequences,
                                     recurrence_residuals)
-from denjoy_twist.twist_map import (curve_side_check, manifold_iterate_check,
-                                    manifold_segment)
+from denjoy_twist.twist_map import (base_segments, curve_side_check,
+                                    manifold_iterate_check)
 
 from conftest import Built
 
@@ -82,12 +82,12 @@ def test_criterion_5_phi_linearity(desk):
 def test_criterion_6_manifolds(desk):
     mi = manifold_iterate_check(desk.system, 50)
     cs = curve_side_check(desk.system)
-    seg = manifold_segment(desk.system, 1, "stable")
+    mu1, gamma_mu1 = (float(a[0]) for a in base_segments(desk.system, [1])[:2])
     ok = (mi["max_image_distance"] <= 1e-10
           and mi["max_ratio_error"] <= 1e-10
           and cs["max_formula_dev"] <= 1e-12
           and cs["strict_sign_ok"] and cs["zone_below_curve"]
-          and abs(float(desk.system.curve_height(seg.base[0])) - seg.base[1]) <= 1e-12)
+          and abs(float(desk.system.curve_height(mu1)) - gamma_mu1) <= 1e-12)
     _line(6, "segment dynamics and curve side", ok,
           {"image": mi["max_image_distance"], "ratio": mi["max_ratio_error"],
            "side_formula": cs["max_formula_dev"],

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +23,15 @@ def run(args, tmp_path, sub):
     return main(args + ["--out", str(tmp_path / sub)])
 
 
+def _python(*args):
+    """A fresh interpreter on the package under test, output captured."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(denjoy_twist.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 def test_build_writes_summary_and_csvs(tmp_path):
     code = run(["build", "--set", "params.M=32"], tmp_path, "b")
     assert code == 0
@@ -37,11 +47,7 @@ def test_run_path_imports_no_scipy(tmp_path):
             "from denjoy_twist import cli\n"
             f"assert cli.main(['build', '--set', 'params.M=16', '--out', {str(tmp_path)!r}]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(denjoy_twist.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
+    out = _python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip().splitlines()[-1] == "[]"
     assert (tmp_path / "build.json").exists()
@@ -173,6 +179,37 @@ def test_diffusion_cmd_deterministic(tmp_path):
     assert rep["probes"][0]["max_excursion"] <= 2e-3
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# sha256 of outputs that no benchmark workload pins: segments.csv and the
+# deterministic manifolds.json dump at M=32, without and with the jump
+# profiles exchanged, and diffusion.json at M=16 with 2000 steps
+MANIFOLD_DIGESTS = {
+    "false": ("0e4439b21642a02572458b0622d230b26811657f702e8c604d405346046a2f71",
+              "fd3c478c7011373c86109a71fb53e0d1f2d45bbdc7f5401c3db378984e5cad6c"),
+    "true": ("0e4439b21642a02572458b0622d230b26811657f702e8c604d405346046a2f71",
+             "47d5200fe25cf0e3299f00006c1b4fcfa27506ad66307e40bcde2e0c6956ec86"),
+}
+DIFFUSION_DIGEST = "4113c22c76886f885e84d14381f581319341b72afcc1c4a88d74218608140930"
+
+
+@pytest.mark.parametrize("swap", sorted(MANIFOLD_DIGESTS))
+def test_manifold_outputs_byte_identical(tmp_path, swap):
+    assert run(["manifolds", "--set", "params.M=32", "--set",
+                f"params.swap_gamma={swap}"], tmp_path, "m") == 0
+    rep = json.loads((tmp_path / "m" / "manifolds.json").read_text())
+    assert (_sha256((tmp_path / "m" / "segments.csv").read_bytes()),
+            _sha256(deterministic_dump(rep).encode())) == MANIFOLD_DIGESTS[swap]
+
+
+def test_diffusion_output_byte_identical(tmp_path):
+    assert run(["diffusion", "--set", "params.M=16", "--set", "diffusion.n=2000"],
+               tmp_path, "d") == 0
+    assert _sha256((tmp_path / "d" / "diffusion.json").read_bytes()) == DIFFUSION_DIGEST
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text("[params]\nM = 16\ndelta = 0.5\n\n[verify]\n"
@@ -243,6 +280,30 @@ def test_alpha1_policy_outside_the_construction_exits_2(tmp_path, capsys, policy
                 f"params.alpha1_policy={policy}"], tmp_path, "p") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: params.alpha1_policy:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", ["0", "-0.0", "-0.001"])
+def test_seed_outside_the_admissible_range_exits_2(tmp_path, capsys, seed):
+    # a zero or wrong-signed seed builds a map without the paper's jump,
+    # whose checks would fail; it is refused before anything is built
+    assert run(["verify", "--set", "params.M=16", "--set",
+                f"params.alpha1_policy=value:{seed}"], tmp_path, "s") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed alpha1=") and "admissible range" in err
+
+
+@pytest.mark.parametrize("override, message", [
+    ("C=nan", "C must be finite and at least 10"),
+    ("delta=inf", "delta must be positive and finite"),
+    ("B=inf", "B must be finite and at least 3"),
+], ids=["C=nan", "delta=inf", "B=inf"])
+def test_non_finite_parameter_exits_2_by_name(tmp_path, override, message):
+    # stderr is the one error line: no numpy warning from a NaN running on
+    out = _python("-m", "denjoy_twist.cli", "build", "--set", "params.M=16",
+                  "--set", f"params.{override}", "--out", str(tmp_path))
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"error: {message}")
+    assert out.stderr.count("\n") == 1 and out.stderr.endswith("\n")
 
 
 def test_alpha1_policy_value_accepted(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from denjoy_twist.layout import (SemiConjugacy, build_gap_table,
-                                 dump_gap_table_csv, frac_part,
+                                 dump_gap_table_csv,
                                  order_orbit_points)
 from denjoy_twist.sequences import SeqParams, build_sequences
 
@@ -17,7 +17,7 @@ LAMBDA1_REFERENCE = 0.6180563238973487
 def test_order_small_case():
     omega = (math.sqrt(5.0) - 1.0) / 2.0
     perm = order_orbit_points(2, omega)
-    pts = {k: float(frac_part(k * omega)) for k in range(-2, 3)}
+    pts = {k: (k * omega) % 1.0 for k in range(-2, 3)}
     expected = sorted(pts, key=pts.get)
     assert list(perm) == expected
 

@@ -191,8 +191,10 @@ def test_estimates_equal_the_scalar_loops():
 
 
 def test_seed_rejection():
-    with pytest.raises(ConstructionError):
-        build_sequences(SeqParams(alpha1_policy="value:0.5"))
+    # too large, zero of either sign, and negative: each outside (0, bound]
+    for seed in ("0.5", "0", "-0.0", "-0.001"):
+        with pytest.raises(ConstructionError, match="outside the admissible range"):
+            build_sequences(SeqParams(alpha1_policy=f"value:{seed}"))
 
 
 def test_nan_seed_rejected_by_name():
@@ -210,9 +212,11 @@ def test_built_sequences_are_frozen(small):
 
 
 def test_backward_sweep_failure_signalled():
-    # a large negative seed pushes the backward iterates across the pole
-    with pytest.raises(ConstructionError):
-        build_sequences(SeqParams(alpha1_policy="value:-0.09"))
+    # an admissible seed under a huge B still pushes the backward iterates
+    # onto the pole
+    with pytest.raises(ConstructionError,
+                       match=r"1 \+ beta_0 = 0\.000e\+00 is not positive"):
+        build_sequences(SeqParams(bigB=1e20, alpha1_policy="value:9e17"))
 
 
 def test_param_validation():
@@ -222,6 +226,11 @@ def test_param_validation():
         SeqParams(bigC=2.0).validate()
     with pytest.raises(ValueError):
         SeqParams(omega=1.5).validate()
+    # NaN fails every comparison, so each check must be written to catch it
+    for attr, name in (("delta", "delta"), ("bigC", "C"), ("bigB", "B")):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                dataclasses.replace(SeqParams(), **{attr: bad}).validate()
 
 
 def test_csv_dump(small, tmp_path):

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from denjoy_twist.circle_map import RigidRotation
-from denjoy_twist.layout import circle_delta, frac_part
-from denjoy_twist.twist_map import (build_twist_system, curve_side_check,
-                                    diffusion_probe, dump_phase_portrait_csv,
-                                    dump_segments_csv, extend_family,
-                                    manifold_iterate_check, manifold_segment,
-                                    marker_collinearity,
+from denjoy_twist.layout import circle_delta
+from denjoy_twist.twist_map import (base_segments, build_twist_system,
+                                    curve_side_check, diffusion_probe,
+                                    dump_phase_portrait_csv, dump_segments_csv,
+                                    manifold_iterate_check,
                                     orbit_convergence_check)
 
 
@@ -199,33 +198,46 @@ def test_zeta_affine_on_middle_segment(small):
 
 # -- segments ------------------------------------------------------------------
 
+def _segment(system, k):
+    """Base point, slope and half-width of base segment k, as floats."""
+    return tuple(float(a[0]) for a in base_segments(system, [k]))
+
+
+def _markers(system, k):
+    """(x, r) at the left end, midpoint and right end of base segment k."""
+    mu, base_r, slope, hw = _segment(system, k)
+    xs = mu + hw * np.array([-1.0, 0.0, 1.0])
+    return np.column_stack([xs, base_r + slope * (xs - mu)])
+
+
+def _collinearity(markers):
+    """Vertical deviation of the middle marker from the chord."""
+    (x0, r0), (x1, r1), (x2, r2) = markers
+    return abs(float(r1 - (r0 + (r2 - r0) * (x1 - x0) / (x2 - x0))))
+
+
 def test_segment_endpoints_formula(small):
     tb, seqs = small.table, small.seqs
-    seg = manifold_segment(small.system, 1, "stable")
+    markers = _markers(small.system, 1)
+    slope = _segment(small.system, 1)[2]
     mu1, ell1 = float(tb.mu_of(1)), float(tb.ell_of(1))
-    assert abs(seg.markers[0, 0] - (mu1 - ell1 / 8.0)) <= 1e-15
-    assert abs(seg.markers[2, 0] - (mu1 + ell1 / 8.0)) <= 1e-15
-    assert abs(seg.slope - float(seqs.K(1))) == 0.0
+    assert abs(markers[0, 0] - (mu1 - ell1 / 8.0)) <= 1e-15
+    assert abs(markers[2, 0] - (mu1 + ell1 / 8.0)) <= 1e-15
+    assert abs(slope - float(seqs.K(1))) == 0.0
     # height increments follow the slope exactly
-    d = seg.markers[2, 1] - seg.markers[0, 1]
-    assert abs(d - seg.slope * (ell1 / 4.0)) <= 1e-15
+    d = markers[2, 1] - markers[0, 1]
+    assert abs(d - slope * (ell1 / 4.0)) <= 1e-15
 
 
 def test_stable_half_on_curve(small):
+    # the half left of mu_k lies on the curve for stable segments (k >= 1),
+    # the half right of it for unstable ones (k <= 0)
     sysm = small.system
-    seg = manifold_segment(sysm, 2, "stable")
-    xs = seg.base[0] + np.linspace(-seg.x_half_width, 0.0, 33)
-    dev = np.abs(np.asarray(sysm.curve_height(xs)) - np.asarray(seg.height(xs)))
-    assert np.max(dev) <= 1e-11
-    seg = manifold_segment(sysm, -2, "unstable")
-    xs = seg.base[0] + np.linspace(0.0, seg.x_half_width, 33)
-    dev = np.abs(np.asarray(sysm.curve_height(xs)) - np.asarray(seg.height(xs)))
-    assert np.max(dev) <= 1e-11
-
-
-def test_segment_validation(small):
-    with pytest.raises(ValueError):
-        manifold_segment(small.system, 1, "diagonal")
+    for k, lo, hi in ((2, -1.0, 0.0), (-2, 0.0, 1.0)):
+        mu, base_r, slope, hw = _segment(sysm, k)
+        xs = mu + np.linspace(lo * hw, hi * hw, 33)
+        dev = np.abs(sysm.curve_height(xs) - (base_r + slope * (xs - mu)))
+        assert np.max(dev) <= 1e-11
 
 
 def test_manifold_iteration(small):
@@ -238,38 +250,37 @@ def test_manifold_iteration(small):
 def test_contraction_ratio_value(small):
     seqs = small.seqs
     sysm = small.system
-    seg = manifold_segment(sysm, 3, "stable")
-    xs = (seg.base[0] - seg.x_half_width, seg.base[0] + seg.x_half_width)
-    x0, _ = sysm.forward_lift(xs[0], float(seg.height(xs[0])))
-    x1, _ = sysm.forward_lift(xs[1], float(seg.height(xs[1])))
-    ratio = (x1 - x0) / (xs[1] - xs[0])
+    (xa, ra), _, (xb, rb) = _markers(sysm, 3)
+    x0, _ = sysm.forward_lift(float(xa), float(ra))
+    x1, _ = sysm.forward_lift(float(xb), float(rb))
+    ratio = (x1 - x0) / (xb - xa)
     assert abs(ratio - float(seqs.ell(4)) / float(seqs.ell(3))) <= 1e-10
 
 
 def test_extension_matches_direct_pullback(small):
-    sysm = small.system
-    seg1 = manifold_segment(sysm, 1, "stable")
-    expected = np.array([sysm.backward_lift(x, r) for x, r in seg1.markers])
-    seg0 = manifold_segment(sysm, 0, "stable")
-    assert np.max(np.abs(seg0.markers - expected)) == 0.0
-    assert marker_collinearity(seg0.markers) <= 1e-13
-    assert seg0.in_linear_band
-    # forward extension of the unstable segment
-    seg_u1 = extend_family(sysm, "unstable", 1)[-1]
-    assert seg_u1.in_linear_band
-    assert marker_collinearity(seg_u1.markers) <= 1e-13
+    # f^{-1}(S_1) and f(U_0) stay straight: the markers start inside J_1 and
+    # J_0, where the map is affine; the array step equals marker-by-marker
+    # scalar steps bitwise
+    sysm, tb = small.system, small.table
+    for k, step in ((1, sysm.backward_lift), (0, sysm.forward_lift)):
+        markers = _markers(sysm, k)
+        lo, hi = tb.J_of(k)
+        xs = markers[:, 0] % 1.0
+        assert np.all((xs >= lo - 1e-15) & (xs <= hi + 1e-15))
+        image = np.column_stack(step(markers[:, 0], markers[:, 1]))
+        expected = np.array([step(float(x), float(r)) for x, r in markers])
+        assert np.max(np.abs(image - expected)) == 0.0
+        assert _collinearity(image) <= 1e-13
 
 
 def test_family_commutation(small):
     # f applied to the k-th stable markers gives the (k+1)-th markers
     sysm = small.system
     for k in (1, 2, 5):
-        a = manifold_segment(sysm, k, "stable")
-        b = manifold_segment(sysm, k + 1, "stable")
-        img = np.array([sysm.forward_lift(x, r) for x, r in a.markers])
-        assert np.max(np.abs(np.asarray(frac_part(img[:, 0]))
-                             - np.asarray(frac_part(b.markers[:, 0])))) <= 1e-10
-        assert np.max(np.abs(img[:, 1] - b.markers[:, 1])) <= 1e-10
+        a, b = _markers(sysm, k), _markers(sysm, k + 1)
+        img = np.array([sysm.forward_lift(x, r) for x, r in a])
+        assert np.max(np.abs(img[:, 0] % 1.0 - b[:, 0] % 1.0)) <= 1e-10
+        assert np.max(np.abs(img[:, 1] - b[:, 1])) <= 1e-10
 
 
 def test_curve_side(small):
@@ -278,13 +289,13 @@ def test_curve_side(small):
     assert rep["zone_below_curve"] and rep["strict_sign_ok"]
     assert rep["max_formula_dev"] <= 1e-12
     # explicit value at mu_1 + ell_1/16
-    seg = manifold_segment(small.system, 1, "stable")
+    mu, base_r, slope, _ = _segment(small.system, 1)
     x = float(tb.mu_of(1)) + float(tb.ell_of(1)) / 16.0
-    gap = float(small.system.curve_height(x)) - float(seg.height(x))
+    gap = float(small.system.curve_height(x)) - (base_r + slope * (x - mu))
     assert abs(gap - float(seqs.alpha(1)) * float(tb.ell_of(1)) / 16.0) <= 1e-12
     assert gap > 0.0
     # the segment touches the curve at the base point
-    assert abs(float(small.system.curve_height(seg.base[0])) - seg.base[1]) <= 1e-15
+    assert abs(float(small.system.curve_height(mu)) - base_r) <= 1e-15
 
 
 def test_curve_side_swapped(swapped):
@@ -310,19 +321,19 @@ def test_orbit_convergence(small):
 
 def test_diffusion_on_curve(small):
     rep = diffusion_probe(small.system, 0.3, 0.0, 500)
-    assert rep.max_excursion <= 1e-11
+    assert rep["max_excursion"] <= 1e-11
 
 
 def test_diffusion_off_curve_reports(small):
     tb = small.table
     theta0 = float(tb.mu_of(1)) + float(tb.ell_of(1)) / 16.0
     rep = diffusion_probe(small.system, theta0, -1e-3, 5000)
-    assert rep.n_steps == 5000
-    assert rep.max_excursion >= 1e-3
-    ns, excs = zip(*rep.checkpoints)
+    assert rep["n_steps"] == 5000
+    assert rep["max_excursion"] >= 1e-3
+    ns, excs = zip(*rep["checkpoints"])
     assert list(excs) == sorted(excs)  # running maxima are monotone
     rep2 = diffusion_probe(small.system, theta0, -1e-3, 5000)
-    assert rep.as_dict() == rep2.as_dict()
+    assert rep == rep2
 
 
 def test_dumps(small, tmp_path):
@@ -351,4 +362,4 @@ def test_diffusion_reads_the_height_its_step_computed(small):
         assert height == float(system.curve_height(th))
         exc.append(abs(r - float(system.curve_height(th))))
     rep = diffusion_probe(system, theta0, -1e-3, 400)
-    assert rep.max_excursion == max([1e-3] + exc)
+    assert rep["max_excursion"] == max([1e-3] + exc)
