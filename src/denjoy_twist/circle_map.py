@@ -228,8 +228,6 @@ class CircleHomeo:
     def __init__(self, table: GapTable, seqs, profiles: ProfileSet,
                  swap_gamma: bool = False):
         self.table = table
-        self.seqs = seqs
-        self.profiles = profiles
         self.swap_gamma = swap_gamma
         self.M = table.M
         self.local = LocalDiffeo(seqs, profiles, swap_gamma)

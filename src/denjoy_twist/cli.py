@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -24,14 +22,14 @@ from .profiles import CalibrationError, calibrate_profiles, export_profile_csv
 from .reporting import ReportBuilder, write_report
 from .sequences import (ConstructionError, build_sequences,
                         dump_sequences_csv, recurrence_residuals,
-                        verify_sequence_estimates)
+                        sweep_alphas, verify_sequence_estimates)
 from .twist_map import (build_twist_system, curve_side_check, diffusion_probe,
                         dump_json, dump_phase_portrait_csv, dump_segments_csv,
                         manifold_iterate_check, orbit_convergence_check)
 
 
 class BuiltSystem:
-    """Everything cmd_* needs, built once per invocation."""
+    """Everything a command body needs, built once per invocation."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -49,8 +47,7 @@ class BuiltSystem:
             self.table = build_gap_table(self.seqs)
             self.g = build_circle_homeo(self.table, self.seqs, self.profiles,
                                         swap_gamma=p["swap_gamma"])
-            self.system = build_twist_system(self.g, self.table, self.seqs,
-                                             self.profiles)
+            self.system = build_twist_system(self.g, self.table, self.seqs)
 
     def summary(self) -> dict:
         if self.rigid:
@@ -73,21 +70,15 @@ def _outdir(cfg: RunConfig, override=None) -> str:
     return d
 
 
-def cmd_build(cfg: RunConfig, outdir: str) -> int:
-    t0 = time.time()
-    built = BuiltSystem(cfg)
-    rb = ReportBuilder(cfg.echo())
-    rb.set_summary(**built.summary())
-    rb.add_timing("build", time.time() - t0)
-    if not built.rigid and cfg["output"]["write_csv"]:
+def _build(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
+    if built.rigid:
+        return
+    if built.cfg["output"]["write_csv"]:
         dump_sequences_csv(built.seqs, os.path.join(outdir, "sequences.csv"))
         dump_gap_table_csv(built.table, os.path.join(outdir, "gaps.csv"))
         export_profile_csv(built.profiles, os.path.join(outdir, "profiles.csv"))
-    if not built.rigid:
-        est = verify_sequence_estimates(built.seqs)
-        dump_json(est, os.path.join(outdir, "estimates.json"))
-    write_report(rb.finish(), os.path.join(outdir, "build.json"))
-    return 0
+    est = verify_sequence_estimates(built.seqs)
+    dump_json(est, os.path.join(outdir, "estimates.json"))
 
 
 def _manifold_checks(built: BuiltSystem, rb: ReportBuilder, k_max: int) -> dict:
@@ -118,24 +109,22 @@ def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
     tol = cfg.tol
     p = cfg["params"]
 
-    t0 = time.time()
-    inv = sysm.verify_invariant_curve(v["invariance_samples"], seed=p["seed"])
-    rb.check_leq("invariance_residual", inv["max_residual"],
-                 tol("invariance_residual"))
-    invt = sysm.verify_invariant_curve(v["invariance_samples"],
-                                       seed=p["seed"] + 1, translate=1)
-    rb.check_leq("invariance_residual_translated", invt["max_residual"],
-                 tol("invariance_residual"))
-    rb.add_timing("invariance", time.time() - t0)
+    with rb.timed("invariance"):
+        inv = sysm.verify_invariant_curve(v["invariance_samples"], seed=p["seed"])
+        rb.check_leq("invariance_residual", inv["max_residual"],
+                     tol("invariance_residual"))
+        invt = sysm.verify_invariant_curve(v["invariance_samples"],
+                                           seed=p["seed"] + 1, translate=1)
+        rb.check_leq("invariance_residual_translated", invt["max_residual"],
+                     tol("invariance_residual"))
 
-    t0 = time.time()
-    n = v["rotation_n"]
-    worst = 0.0
-    for x0 in parse_float_list(v["rotation_starts"]):
-        worst = max(worst, abs(rotation_number_estimate(g, x0, n) - p["omega"]))
-    rb.check_leq("rotation_number_gap_times_n", worst * n, 1.0,
-                 detail={"n": n})
-    rb.add_timing("rotation", time.time() - t0)
+    with rb.timed("rotation"):
+        n = v["rotation_n"]
+        worst = 0.0
+        for x0 in parse_float_list(v["rotation_starts"]):
+            worst = max(worst, abs(rotation_number_estimate(g, x0, n) - p["omega"]))
+        rb.check_leq("rotation_number_gap_times_n", worst * n, 1.0,
+                     detail={"n": n})
 
     est = verify_sequence_estimates(seqs)
     rb.check_true("sequence_estimates", est["pass"], detail=est["estimates"])
@@ -145,52 +134,48 @@ def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
     rb.check_leq("recurrence_residual", float(recurrence_residuals(seqs).max()),
                  tol("recurrence_residual"))
 
-    # zero-seed oracle: rebuilding the sequences with alpha1 = 0 reproduces K
-    seqs0 = build_sequences(replace(seqs.params, alpha1_policy="zero"))
+    # zero-seed oracle: sweeping from alpha1 = alpha0 = 0 reproduces K
+    _, beta0 = sweep_alphas(seqs.K_arr.tolist(), seqs.M, 0.0, 0.0)
     rb.check_leq("zero_seed_fixed_point",
-                 float(np.max(np.abs(seqs0.beta_arr - seqs0.K_arr[1:]))),
+                 float(np.max(np.abs(beta0 - seqs.K_arr[1:]))),
                  tol("zero_seed_drift"))
 
-    t0 = time.time()
-    lin = sysm.phi_linearity_check()
-    rb.check_leq("phi_fit_deviation", lin["max_fit_deviation"],
-                 tol("phi_fit_deviation"))
-    rb.check_leq("phi_slope_deviation", lin["max_slope_deviation"],
-                 tol("phi_slope_deviation"))
-    rb.check_leq("phi_local_offset_k1", lin["local_offset_dev_k1"],
-                 tol("phi_fit_deviation"))
-    rb.add_timing("linearity", time.time() - t0)
+    with rb.timed("linearity"):
+        lin = sysm.phi_linearity_check()
+        rb.check_leq("phi_fit_deviation", lin["max_fit_deviation"],
+                     tol("phi_fit_deviation"))
+        rb.check_leq("phi_slope_deviation", lin["max_slope_deviation"],
+                     tol("phi_slope_deviation"))
+        rb.check_leq("phi_local_offset_k1", lin["local_offset_dev_k1"],
+                     tol("phi_fit_deviation"))
 
-    t0 = time.time()
-    _manifold_checks(built, rb, min(v["manifold_k_max"], table.M - 2))
-    rb.add_timing("manifolds", time.time() - t0)
+    with rb.timed("manifolds"):
+        _manifold_checks(built, rb, min(v["manifold_k_max"], table.M - 2))
 
-    t0 = time.time()
-    jumps = np.array(derivative_jump_table(g))[:, 3]
-    expected = np.where(g.local.plus, g.local.alpha, -g.local.alpha)
-    rb.check_leq("jump_match", float(np.max(np.abs(jumps - expected))),
-                 tol("jump_match"))
-    sc = derivative_jump_scan(g, v["jump_scan_samples"], seed=p["seed"] + 2)
-    rb.check_leq("jump_no_spurious", sc["max_offmid_jump"], tol("jump_detect"))
-    rb.add_timing("jumps", time.time() - t0)
+    with rb.timed("jumps"):
+        jumps = np.array(derivative_jump_table(g))[:, 3]
+        expected = np.where(g.local.plus, g.local.alpha, -g.local.alpha)
+        rb.check_leq("jump_match", float(np.max(np.abs(jumps - expected))),
+                     tol("jump_match"))
+        sc = derivative_jump_scan(g, v["jump_scan_samples"], seed=p["seed"] + 2)
+        rb.check_leq("jump_no_spurious", sc["max_offmid_jump"], tol("jump_detect"))
 
-    t0 = time.time()
-    rb.check_leq("roundtrip", sysm.roundtrip_check(v["roundtrip_samples"],
-                                                   seed=p["seed"] + 3),
-                 tol("roundtrip"))
-    rb.check_leq("det_df", sysm.det_check(v["det_samples"], seed=p["seed"] + 4,
-                                          step=v["fd_step"]), tol("det_df"))
-    vt = sysm.vertical_translation_check(seed=p["seed"] + 5)
-    rb.check_leq("vertical_translate_theta", vt["max_theta_dev"], 0.0)
-    rb.check_leq("vertical_translate_r", vt["max_r_dev"],
-                 tol("vertical_translate_r"))
-    tw = sysm.twist_check(seed=p["seed"] + 6, step=v["fd_step"])
-    rb.check_leq("twist_positive", abs(tw["max_fd_dev"]), tol("twist_fd"))
-    rb.check_leq("phi_periodicity", sysm.periodicity_check(seed=p["seed"] + 7),
-                 tol("phi_periodicity"))
-    rb.check_leq("phi_mean", abs(sysm.mean_check()),
-                 seqs.residual_mass + tol("mean_budget_extra"))
-    rb.add_timing("structural", time.time() - t0)
+    with rb.timed("structural"):
+        rb.check_leq("roundtrip", sysm.roundtrip_check(v["roundtrip_samples"],
+                                                       seed=p["seed"] + 3),
+                     tol("roundtrip"))
+        rb.check_leq("det_df", sysm.det_check(v["det_samples"], seed=p["seed"] + 4,
+                                              step=v["fd_step"]), tol("det_df"))
+        vt = sysm.vertical_translation_check(seed=p["seed"] + 5)
+        rb.check_leq("vertical_translate_theta", vt["max_theta_dev"], 0.0)
+        rb.check_leq("vertical_translate_r", vt["max_r_dev"],
+                     tol("vertical_translate_r"))
+        tw = sysm.twist_check(seed=p["seed"] + 6, step=v["fd_step"])
+        rb.check_leq("twist_positive", tw["max_fd_dev"], tol("twist_fd"))
+        rb.check_leq("phi_periodicity", sysm.periodicity_check(seed=p["seed"] + 7),
+                     tol("phi_periodicity"))
+        rb.check_leq("phi_mean", abs(sysm.mean_check()),
+                     seqs.residual_mass + tol("mean_budget_extra"))
 
     j = SemiConjugacy(table)
     mu = table.mu_of(np.arange(-table.M, table.M))
@@ -225,36 +210,24 @@ def _verify_rigid(built: BuiltSystem, rb: ReportBuilder) -> None:
                  cfg.tol("det_df"))
 
 
-def cmd_verify(cfg: RunConfig, outdir: str) -> int:
-    t0 = time.time()
-    built = BuiltSystem(cfg)
-    rb = ReportBuilder(cfg.echo())
-    rb.set_summary(**built.summary())
-    rb.add_timing("build", time.time() - t0)
-    if built.rigid:
-        _verify_rigid(built, rb)
-    else:
-        _verify_full(built, rb)
-    report = rb.finish()
-    write_report(report, os.path.join(outdir, "verify.json"))
-    for entry in report["checks"]:
+def _verify(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
+    (_verify_rigid if built.rigid else _verify_full)(built, rb)
+    for entry in rb.checks:
         print(f"[{'PASS' if entry['pass'] else 'FAIL'}] {entry['name']}: "
               f"{entry['measured']} (tolerance {entry['tolerance']})")
-    print(f"overall: {'PASS' if report['pass'] else 'FAIL'}")
-    return 0 if report["pass"] else 1
+    print(f"overall: {'PASS' if rb.report['pass'] else 'FAIL'}")
 
 
-def cmd_regularity(cfg: RunConfig, outdir: str) -> int:
-    built = BuiltSystem(cfg)
-    if built.rigid:
-        raise ConfigError("regularity scan requires mode=full")
-    r = cfg["regularity"]
-    rb = ReportBuilder(cfg.echo())
-    rb.set_summary(**built.summary())
-    t0 = time.time()
-    rep = built.system.second_derivative_scan(n_grid=r["grid"],
-                                              fd_step_rel=r["fd_step_rel"])
-    rb.add_timing("scan", time.time() - t0)
+def _scan(built: BuiltSystem, rb: ReportBuilder, name: str):
+    r = built.cfg["regularity"]
+    with rb.timed(name):
+        return built.system.second_derivative_scan(n_grid=r["grid"],
+                                                   fd_step_rel=r["fd_step_rel"])
+
+
+def _regularity(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
+    cfg = built.cfg
+    rep = _scan(built, rb, "scan")
     summ = rep.summary()
     rb.set_summary(regularity=summ)
     rep.to_csv(os.path.join(outdir, "regularity.csv"))
@@ -263,16 +236,11 @@ def cmd_regularity(cfg: RunConfig, outdir: str) -> int:
                           "sup_head": summ["sup_head"]})
     rb.check_leq("term_sum_vs_fd_rel", summ["max_rel_fd_dev"],
                  cfg.tol("regularity_term_rel"))
-    factor = r["compare_C_factor"]
+    factor = cfg["regularity"]["compare_C_factor"]
     if factor:
         cfg2 = RunConfig(sections={s: dict(kv) for s, kv in cfg.sections.items()})
         cfg2.sections["params"]["C"] = cfg["params"]["C"] * factor
-        built2 = BuiltSystem(cfg2)
-        t0 = time.time()
-        rep2 = built2.system.second_derivative_scan(n_grid=r["grid"],
-                                                    fd_step_rel=r["fd_step_rel"])
-        rb.add_timing("scan_big_C", time.time() - t0)
-        summ2 = rep2.summary()
+        summ2 = _scan(BuiltSystem(cfg2), rb, "scan_big_C").summary()
         ratios = {
             "sup_all_ratio": summ["sup_all"] / summ2["sup_all"],
             "sup_off_crossing_ratio":
@@ -287,16 +255,12 @@ def cmd_regularity(cfg: RunConfig, outdir: str) -> int:
                      ratios["sup_off_crossing_ratio"],
                      cfg.tol("c_comparison_factor_min"),
                      detail=ratios)
-    report = rb.finish()
-    write_report(report, os.path.join(outdir, "regularity.json"))
-    print(f"regularity: {'PASS' if report['pass'] else 'FAIL'} "
+    print(f"regularity: {'PASS' if rb.report['pass'] else 'FAIL'} "
           f"(sup_all={summ['sup_all']:.4g}, tail={summ['sup_tail']:.4g})")
-    return 0 if report["pass"] else 1
 
 
-def cmd_portrait(cfg: RunConfig, outdir: str) -> int:
-    built = BuiltSystem(cfg)
-    po, p = cfg["portrait"], cfg["params"]
+def _portrait(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
+    po, p = built.cfg["portrait"], built.cfg["params"]
     rng = np.random.default_rng(p["seed"])
     orbits = []
     for _ in range(po["orbits"]):
@@ -308,58 +272,60 @@ def cmd_portrait(cfg: RunConfig, outdir: str) -> int:
                             os.path.join(outdir, "portrait.csv"),
                             curve_samples=po["curve_samples"])
     print(f"portrait: {po['orbits']} orbits x {po['steps']} steps written")
-    return 0
 
 
-def cmd_manifolds(cfg: RunConfig, outdir: str) -> int:
-    built = BuiltSystem(cfg)
-    if built.rigid:
-        raise ConfigError("manifold checks require mode=full")
-    m = cfg["manifolds"]
-    rb = ReportBuilder(cfg.echo())
-    rb.set_summary(**built.summary())
-    k_max = min(m["k_max"], built.table.M - 2)
+def _manifolds(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
+    k_max = min(built.cfg["manifolds"]["k_max"], built.table.M - 2)
     dump_segments_csv(built.system, -k_max, k_max,
                       os.path.join(outdir, "segments.csv"))
     mi = _manifold_checks(built, rb, k_max)
     rb.check_leq("manifold_base_orbit", mi["max_base_orbit_error"],
-                 cfg.tol("manifold_map"))
-    report = rb.finish()
-    write_report(report, os.path.join(outdir, "manifolds.json"))
-    print(f"manifolds: {'PASS' if report['pass'] else 'FAIL'}")
-    return 0 if report["pass"] else 1
+                 built.cfg.tol("manifold_map"))
+    print(f"manifolds: {'PASS' if rb.report['pass'] else 'FAIL'}")
 
 
-def cmd_diffusion(cfg: RunConfig, outdir: str) -> int:
-    built = BuiltSystem(cfg)
-    if built.rigid:
-        raise ConfigError("diffusion probe requires mode=full")
-    d = cfg["diffusion"]
+def _diffusion(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
+    d = built.cfg["diffusion"]
     if str(d["theta0"]) == "mu1":
         theta0 = float(built.table.mu_of(1)) + float(built.table.ell_of(1)) / 16.0
     else:
         theta0 = float(d["theta0"])
     thresholds = tuple(parse_float_list(d["thresholds"]))
-    reports = []
-    for off in parse_float_list(d["offsets"]):
-        reports.append(diffusion_probe(built.system, theta0, off, d["n"],
-                                       thresholds=thresholds))
-    out = {"schema_version": 1, "config": cfg.echo(), "probes": reports}
-    dump_json(out, os.path.join(outdir, "diffusion.json"))
-    for pr in reports:
+    probes = [diffusion_probe(built.system, theta0, off, d["n"],
+                              thresholds=thresholds)
+              for off in parse_float_list(d["offsets"])]
+    rb.set_summary(probes=probes)
+    for pr in probes:
         print(f"diffusion offset={pr['offset']:+.3e}: "
               f"max excursion {pr['max_excursion']:.6e} over {pr['n_steps']} steps")
-    return 0
 
 
+# command -> (body, report file or None, refusal in rigid-rotation mode or None)
 _COMMANDS = {
-    "build": cmd_build,
-    "verify": cmd_verify,
-    "regularity": cmd_regularity,
-    "portrait": cmd_portrait,
-    "manifolds": cmd_manifolds,
-    "diffusion": cmd_diffusion,
+    "build": (_build, "build.json", None),
+    "verify": (_verify, "verify.json", None),
+    "regularity": (_regularity, "regularity.json",
+                   "regularity scan requires mode=full"),
+    "portrait": (_portrait, None, None),
+    "manifolds": (_manifolds, "manifolds.json", "manifold checks require mode=full"),
+    "diffusion": (_diffusion, "diffusion.json", "diffusion probe requires mode=full"),
 }
+
+
+def run(command: str, cfg: RunConfig, outdir: str) -> int:
+    """Build the system once, run the command's body, write its report;
+    exit 0 when every check passed and 1 otherwise."""
+    body, report_file, rigid_refusal = _COMMANDS[command]
+    rb = ReportBuilder(cfg.echo())
+    with rb.timed("build"):
+        built = BuiltSystem(cfg)
+    if built.rigid and rigid_refusal:
+        raise ConfigError(rigid_refusal)
+    rb.set_summary(**built.summary())
+    body(built, rb, outdir)
+    if report_file:
+        write_report(rb.finish(), os.path.join(outdir, report_file))
+    return 0 if rb.report["pass"] else 1
 
 
 def main(argv=None) -> int:
@@ -376,7 +342,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.set)
         outdir = _outdir(cfg, args.out)
-        return _COMMANDS[args.command](cfg, outdir)
+        return run(args.command, cfg, outdir)
     except (ConfigError, ConstructionError, CalibrationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

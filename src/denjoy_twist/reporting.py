@@ -10,6 +10,8 @@ the same config.
 from __future__ import annotations
 
 import json
+import time
+from contextlib import contextmanager
 
 SCHEMA_VERSION = 1
 
@@ -52,8 +54,12 @@ class ReportBuilder:
     def set_summary(self, **kv) -> None:
         self.report["summary"].update(kv)
 
-    def add_timing(self, name: str, seconds: float) -> None:
-        self.timings[name] = seconds
+    @contextmanager
+    def timed(self, name: str):
+        """Record the wall time of the with-block under timings[name]."""
+        t0 = time.perf_counter()
+        yield
+        self.timings[name] = time.perf_counter() - t0
 
     def finish(self) -> dict:
         return {**self.report, "timings": self.timings}

@@ -47,7 +47,7 @@ class SeqParams:
     bigC: float = 100.0
     bigB: float = 10.0
     truncation_M: int = 500
-    # "half_K1" | "value:<x>"; "zero" builds verify's zero-seed oracle
+    # "half_K1" | "value:<x>"
     alpha1_policy: str = "half_K1"
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
@@ -122,9 +122,15 @@ def normalizer(delta: float, bigC: float, head: int = 10**6) -> float:
     if delta <= 0:
         raise ValueError("delta must be positive (divergent sum)")
     ks = np.arange(1, head + 1, dtype=float)
-    s_head = _term(0.0, bigC, delta) + 2.0 * float(np.sum(_term(ks, bigC, delta)))
     x0 = head + 1 + bigC
-    tail = 1.0 / (delta * math.log(x0) ** delta) + 0.5 * _term(head + 1, bigC, delta)
+    try:
+        with np.errstate(over="raise"):
+            s_head = _term(0.0, bigC, delta) + 2.0 * float(np.sum(_term(ks, bigC, delta)))
+            tail = (1.0 / (delta * math.log(x0) ** delta)
+                    + 0.5 * _term(head + 1, bigC, delta))
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"delta={delta:g} is too large: "
+                         "the length normalizer overflows") from None
     return 1.0 / (s_head + 2.0 * tail)
 
 
@@ -133,47 +139,41 @@ def seed_alphas(K0: float, K1: float, params: SeqParams):
     and the adjusted m at index 1.
 
     1/(1+K0+alpha0) + 1 + K1 = 1/(1+K0) + 1 + K1 + alpha1, the right side
-    being the adjusted m1. alpha0 < 0 whenever alpha1 > 0.
+    being the adjusted m1. alpha0 < 0 whenever alpha1 > 0, unless the seed is
+    below the resolution of 1/(1+K0) and cancels: such a seed is refused.
     """
     policy = params.alpha1_policy
     if policy == "half_K1":
         alpha1 = abs(K1) / 2.0
-    elif policy == "zero":
-        alpha1 = 0.0
     elif policy.startswith("value:"):
         alpha1 = float(policy.split(":", 1)[1])
     else:
         raise ValueError(f"unknown alpha1 policy {policy!r}")
     bound = params.bigB / (1.0 + params.bigC) - K1
-    # the zero seed is verify's internal oracle; a NaN seed fails here too
-    if not (0.0 < alpha1 <= bound or policy == "zero"):
+    # written so that a NaN seed fails here too
+    if not 0.0 < alpha1 <= bound:
         raise ConstructionError(
             f"seed alpha1={alpha1:.3e} outside the admissible range (0, {bound:.3e}]")
-    if alpha1 == 0.0:
-        alpha0 = 0.0  # the head relation degenerates exactly
-    else:
-        alpha0 = 1.0 / (1.0 / (1.0 + K0) + alpha1) - 1.0 - K0
+    alpha0 = 1.0 / (1.0 / (1.0 + K0) + alpha1) - 1.0 - K0
+    if not alpha0 < 0.0:
+        raise ConstructionError(
+            f"seed alpha1={alpha1:.3e} is below what the head relation "
+            f"resolves: alpha0={alpha0:.3e} is not negative")
     m1_adjusted = 1.0 / (1.0 + K0) + 1.0 + K1 + alpha1
     return alpha1, alpha0, m1_adjusted
 
 
-def build_sequences(params: SeqParams) -> GapSequences:
-    """The full pipeline: lengths, ratios, seeds, both sweeps.
+def sweep_alphas(K: list, M: int, alpha1: float, alpha0: float):
+    """alpha and beta on [-M, M] from the seeds at k = 1 and k = 0, with K_k
+    at K[k + M + 1].
 
     The sweeps run the difference form of the recurrence: with d = alpha_k,
       forward   alpha_{k+1} = d / ((1+K_k)(1+beta_k)),
       backward  alpha_{k-1} = d (1+K_{k-1})^2 / (1 - d (1+K_{k-1})),
     algebraically identical to 1+beta_{k+1} + 1/(1+beta_k) = m_{k+1} but
-    exact at the fixed point beta == K and sign-preserving in floating point.
+    exact at the fixed point beta == K (zero seeds) and sign-preserving in
+    floating point.
     """
-    params.validate()
-    M, C, delta = params.truncation_M, params.bigC, params.delta
-    a_C = normalizer(delta, C)
-    ell = a_C * _term(np.abs(np.arange(-(M + 1), M + 2, dtype=float)), C, delta)
-    K_arr = ell[1:] / ell[:-1] - 1.0
-    m_arr = 1.0 + K_arr[1:] + 1.0 / (1.0 + K_arr[:-1])
-    K = K_arr.tolist()   # K_k is K[k + M + 1]
-    alpha1, alpha0, m1_adjusted = seed_alphas(K[M + 1], K[M + 2], params)
     alpha = np.zeros(2 * M + 1)
     beta = np.zeros(2 * M + 1)
 
@@ -200,6 +200,20 @@ def build_sequences(params: SeqParams) -> GapSequences:
                 f"backward sweep broke at k={k-1}: m - (1+beta) hit "
                 "a nonpositive value; C too small or seed too large")
         put(k - 1, d * (1.0 + Km1) ** 2 / denom)
+    return alpha, beta
+
+
+def build_sequences(params: SeqParams) -> GapSequences:
+    """The full pipeline: lengths, ratios, seeds, both sweeps."""
+    params.validate()
+    M, C, delta = params.truncation_M, params.bigC, params.delta
+    a_C = normalizer(delta, C)
+    ell = a_C * _term(np.abs(np.arange(-(M + 1), M + 2, dtype=float)), C, delta)
+    K_arr = ell[1:] / ell[:-1] - 1.0
+    m_arr = 1.0 + K_arr[1:] + 1.0 / (1.0 + K_arr[:-1])
+    K = K_arr.tolist()   # K_k is K[k + M + 1]
+    alpha1, alpha0, m1_adjusted = seed_alphas(K[M + 1], K[M + 2], params)
+    alpha, beta = sweep_alphas(K, M, alpha1, alpha0)
     return GapSequences(params, a_C, ell, K_arr, m_arr, alpha, beta, alpha0,
                         alpha1, m1_adjusted, 1.0 - float(np.sum(ell[1:-1])))
 

@@ -75,11 +75,10 @@ class GeneratingFunction:
 class TwistSystem:
     """The assembled map f, its inverse, and the invariant curve."""
 
-    def __init__(self, g, table=None, seqs=None, profiles=None):
+    def __init__(self, g, table=None, seqs=None):
         self.g = g
         self.table = table
         self.seqs = seqs
-        self.profiles = profiles
         self.phi = GeneratingFunction(g)
 
     # -- the map -----------------------------------------------------------
@@ -226,8 +225,7 @@ class TwistSystem:
             th[i], r[i] = rng.random(), rng.uniform(-1.0, 1.0)
         d = (self.forward_lift(th, r + step)[0]
              - self.forward_lift(th, r - step)[0]) / (2 * step)
-        return {"symbolic": 1.0,
-                "max_fd_dev": float(np.max(np.abs(d - 1.0), initial=0.0))}
+        return {"max_fd_dev": float(np.max(np.abs(d - 1.0), initial=0.0))}
 
     def periodicity_check(self, n_samples: int = 1000, seed: int = 5) -> float:
         rng = np.random.default_rng(seed)
@@ -300,7 +298,7 @@ class TwistSystem:
         direct chain-rule second derivative.
         """
         h, M = self.g.local, self.table.M
-        eta = self.profiles.eta
+        eta = h.eta
         s = (np.arange(n_grid) + 0.5) / n_grid
         # the s-grid terms are the same for every gap: once per profile
         eta1_s = profile_eval(eta, s, 1)
@@ -522,8 +520,8 @@ def orbit_convergence_check(system: TwistSystem, x_offset: float, n: int) -> dic
 
     Distances are x-projections, whose per-step ratios telescope exactly to
     products of consecutive gap-length ratios while the orbit stays inside
-    the linear strips (Euclidean distances carry an extra slope factor of
-    order K^2, reported but not asserted).
+    the linear strips (Euclidean distances would carry an extra slope
+    factor of order K^2).
     """
     tb, seqs = system.table, system.seqs
     if n + 1 > tb.M:
@@ -539,12 +537,10 @@ def orbit_convergence_check(system: TwistSystem, x_offset: float, n: int) -> dic
     for i in range(n):
         x[i + 1], r[i + 1] = system.forward_lift(x[i], r[i])
     dx = np.abs(x[:, 1] - x[:, 0])
-    de = np.hypot(x[:, 1] - x[:, 0], r[:, 1] - r[:, 0])
     ells = np.asarray(seqs.ell(np.arange(1, n + 2)), dtype=float)
     expected = ells[1:] / ells[0]
     rel = np.max(np.abs((dx[1:] / dx[0]) / expected - 1.0)) if dx[0] != 0 else 0.0
-    return {"n": n, "d_x": dx.tolist(), "d_euclid": de.tolist(),
-            "max_rel_ratio_error": float(rel)}
+    return {"n": n, "d_x": dx.tolist(), "max_rel_ratio_error": float(rel)}
 
 
 def diffusion_probe(system: TwistSystem, theta0: float, offset: float, n: int,
@@ -578,8 +574,8 @@ def diffusion_probe(system: TwistSystem, theta0: float, offset: float, n: int,
             "checkpoints": checkpoints}
 
 
-def build_twist_system(g, table=None, seqs=None, profiles=None) -> TwistSystem:
-    return TwistSystem(g, table=table, seqs=seqs, profiles=profiles)
+def build_twist_system(g, table=None, seqs=None) -> TwistSystem:
+    return TwistSystem(g, table=table, seqs=seqs)
 
 
 def dump_segments_csv(system: TwistSystem, k_lo: int, k_hi: int, path) -> None:

@@ -17,7 +17,7 @@ class Built:
         self.table = build_gap_table(self.seqs)
         self.g = build_circle_homeo(self.table, self.seqs, profiles,
                                     swap_gamma=swap_gamma)
-        self.system = build_twist_system(self.g, self.table, self.seqs, profiles)
+        self.system = build_twist_system(self.g, self.table, self.seqs)
 
 
 @pytest.fixture(scope="session")

@@ -15,8 +15,8 @@ from denjoy_twist.circle_map import (derivative_jump_scan, derivative_jump_table
 from denjoy_twist.cli import main as cli_main
 from denjoy_twist.layout import SemiConjugacy
 from denjoy_twist.reporting import deterministic_dump
-from denjoy_twist.sequences import (SeqParams, build_sequences,
-                                    recurrence_residuals)
+from denjoy_twist.sequences import (SeqParams, recurrence_residuals,
+                                    sweep_alphas)
 from denjoy_twist.twist_map import (base_segments, curve_side_check,
                                     manifold_iterate_check)
 
@@ -65,8 +65,9 @@ def test_criterion_3_signs_bounds_residuals(desk):
 
 
 def test_criterion_4_zero_seed(desk):
-    seqs0 = build_sequences(SeqParams(alpha1_policy="zero"))
-    drift = float(np.max(np.abs(seqs0.beta_arr - seqs0.K_arr[1:])))
+    seqs = desk.seqs
+    _, beta0 = sweep_alphas(seqs.K_arr.tolist(), seqs.M, 0.0, 0.0)
+    drift = float(np.max(np.abs(beta0 - seqs.K_arr[1:])))
     _line(4, "zero-seed fixed point", drift <= 1e-12, drift, 1e-12)
 
 

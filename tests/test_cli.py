@@ -7,10 +7,11 @@ import sys
 import pytest
 
 import denjoy_twist
-from denjoy_twist import circle_map
+from denjoy_twist import circle_map, cli
 from denjoy_twist.cli import BuiltSystem, main
 from denjoy_twist.config import ConfigError, load_config, parse_float_list
 from denjoy_twist.reporting import deterministic_dump
+from denjoy_twist.sequences import build_sequences
 
 FAST = ["--set", "params.M=32", "--set", "verify.rotation_n=500",
         "--set", "verify.invariance_samples=500",
@@ -71,6 +72,46 @@ def test_verify_passes_and_is_deterministic(tmp_path):
     b = json.loads((tmp_path / "v2" / "verify.json").read_text())
     assert deterministic_dump(a) == deterministic_dump(b)
     assert a["pass"] and all(c["pass"] for c in a["checks"])
+
+
+def test_verify_builds_sequences_once(tmp_path, monkeypatch):
+    # the zero-seed oracle sweeps the built K; it does not rebuild
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return build_sequences(params)
+
+    monkeypatch.setattr(cli, "build_sequences", counting)
+    assert run(["verify"] + FAST, tmp_path, "v") == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command, args", [
+    ("build", ["--set", "params.M=16"]),
+    ("verify", FAST),
+    ("regularity", ["--set", "params.M=16"]),
+    ("manifolds", ["--set", "params.M=16"]),
+    ("diffusion", ["--set", "params.M=16", "--set", "diffusion.n=100"]),
+], ids=["build", "verify", "regularity", "manifolds", "diffusion"])
+def test_every_report_has_one_schema(tmp_path, command, args):
+    assert run([command] + args, tmp_path, "s") == 0
+    rep = json.loads((tmp_path / "s" / f"{command}.json").read_text())
+    assert set(rep) == {"schema_version", "config", "summary", "checks", "pass",
+                        "timings"}
+    assert rep["timings"]["build"] > 0.0
+
+
+@pytest.mark.parametrize("command, message", [
+    ("regularity", "regularity scan requires mode=full"),
+    ("manifolds", "manifold checks require mode=full"),
+    ("diffusion", "diffusion probe requires mode=full"),
+])
+def test_rigid_rotation_refused_where_the_full_map_is_needed(tmp_path, capsys,
+                                                             command, message):
+    assert run([command, "--set", "params.mode=rigid_rotation"], tmp_path, "r") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list((tmp_path / "r").iterdir()) == []
 
 
 def test_verify_unattainable_tolerance_fails(tmp_path):
@@ -171,12 +212,12 @@ def test_diffusion_cmd_deterministic(tmp_path):
     args = ["diffusion", "--set", "params.M=16", "--set", "diffusion.n=300"]
     assert run(args, tmp_path, "d1") == 0
     assert run(args, tmp_path, "d2") == 0
-    a = (tmp_path / "d1" / "diffusion.json").read_text()
-    b = (tmp_path / "d2" / "diffusion.json").read_text()
-    assert a == b
-    rep = json.loads(a)
-    assert len(rep["probes"]) == 2
-    assert rep["probes"][0]["max_excursion"] <= 2e-3
+    a = json.loads((tmp_path / "d1" / "diffusion.json").read_text())
+    b = json.loads((tmp_path / "d2" / "diffusion.json").read_text())
+    assert deterministic_dump(a) == deterministic_dump(b)
+    probes = a["summary"]["probes"]
+    assert len(probes) == 2
+    assert probes[0]["max_excursion"] <= 2e-3
 
 
 def _sha256(data: bytes) -> str:
@@ -185,14 +226,16 @@ def _sha256(data: bytes) -> str:
 
 # sha256 of outputs that no benchmark workload pins: segments.csv and the
 # deterministic manifolds.json dump at M=32, without and with the jump
-# profiles exchanged, and diffusion.json at M=16 with 2000 steps
+# profiles exchanged; and, at M=16 with 2000 steps, diffusion.json's probes
+# (json.dumps with indent=2, sort_keys=True) and its deterministic dump
 MANIFOLD_DIGESTS = {
     "false": ("0e4439b21642a02572458b0622d230b26811657f702e8c604d405346046a2f71",
               "fd3c478c7011373c86109a71fb53e0d1f2d45bbdc7f5401c3db378984e5cad6c"),
     "true": ("0e4439b21642a02572458b0622d230b26811657f702e8c604d405346046a2f71",
              "47d5200fe25cf0e3299f00006c1b4fcfa27506ad66307e40bcde2e0c6956ec86"),
 }
-DIFFUSION_DIGEST = "4113c22c76886f885e84d14381f581319341b72afcc1c4a88d74218608140930"
+DIFFUSION_DIGEST = ("2351ec185fccd57490b95cf26d0afafcd49c63335a77d81c2a5b652e4dd4c214",
+                    "0506ae7a905ebff8682b905c211b985fd9ce5e89878d5eaaef04900986ac202e")
 
 
 @pytest.mark.parametrize("swap", sorted(MANIFOLD_DIGESTS))
@@ -207,7 +250,10 @@ def test_manifold_outputs_byte_identical(tmp_path, swap):
 def test_diffusion_output_byte_identical(tmp_path):
     assert run(["diffusion", "--set", "params.M=16", "--set", "diffusion.n=2000"],
                tmp_path, "d") == 0
-    assert _sha256((tmp_path / "d" / "diffusion.json").read_bytes()) == DIFFUSION_DIGEST
+    rep = json.loads((tmp_path / "d" / "diffusion.json").read_text())
+    probes = json.dumps(rep["summary"]["probes"], indent=2, sort_keys=True)
+    assert (_sha256(probes.encode()),
+            _sha256(deterministic_dump(rep).encode())) == DIFFUSION_DIGEST
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -274,8 +320,7 @@ def test_checks_with_nothing_to_measure_exit_2(tmp_path, capsys, command, overri
 @pytest.mark.parametrize("policy", ["zero", "half_K1_negated", "bogus", "value:nan",
                                     "value:", "value:1,2"])
 def test_alpha1_policy_outside_the_construction_exits_2(tmp_path, capsys, policy):
-    # the CLI builds the paper's seed or an explicit finite one; the zero
-    # seed is verify's internal oracle only
+    # the CLI builds the paper's seed or an explicit finite one
     assert run(["build", "--set", "params.M=16", "--set",
                 f"params.alpha1_policy={policy}"], tmp_path, "p") == 2
     err = capsys.readouterr().err
@@ -296,14 +341,30 @@ def test_seed_outside_the_admissible_range_exits_2(tmp_path, capsys, seed):
     ("C=nan", "C must be finite and at least 10"),
     ("delta=inf", "delta must be positive and finite"),
     ("B=inf", "B must be finite and at least 3"),
-], ids=["C=nan", "delta=inf", "B=inf"])
+    ("delta=1e300", "delta=1e+300 is too large: the length normalizer overflows"),
+    ("delta=300", "delta=300 is too large: the length normalizer overflows"),
+    ("delta=280", "delta=280 is too large: the length normalizer overflows"),
+], ids=["C=nan", "delta=inf", "B=inf", "delta=1e300", "delta=300", "delta=280"])
 def test_non_finite_parameter_exits_2_by_name(tmp_path, override, message):
-    # stderr is the one error line: no numpy warning from a NaN running on
+    # stderr is the one error line: no numpy warning from a NaN running on,
+    # nor from an overflowing length normalizer
     out = _python("-m", "denjoy_twist.cli", "build", "--set", "params.M=16",
                   "--set", f"params.{override}", "--out", str(tmp_path))
     assert out.returncode == 2
     assert out.stderr.startswith(f"error: {message}")
     assert out.stderr.count("\n") == 1 and out.stderr.endswith("\n")
+
+
+def test_unresolvable_seed_exits_2(tmp_path, capsys):
+    # 1e-16 cancels in the head relation to alpha0 = +1.1e-16, a map with the
+    # wrong sign pattern; a seed the relation resolves still verifies
+    small = FAST + ["--set", "params.M=16"]
+    assert run(["verify"] + small + ["--set", "params.alpha1_policy=value:1e-16"],
+               tmp_path, "s") == 2
+    assert capsys.readouterr().err.startswith(
+        "error: seed alpha1=1.000e-16 is below what the head relation resolves")
+    assert run(["verify"] + small + ["--set", "params.alpha1_policy=value:1e-8"],
+               tmp_path, "ok") == 0
 
 
 def test_alpha1_policy_value_accepted(tmp_path):

@@ -8,7 +8,8 @@ from denjoy_twist.profiles import profile_eval
 from denjoy_twist.sequences import (ConstructionError, SeqParams,
                                     build_sequences, dump_sequences_csv,
                                     normalizer, recurrence_residuals,
-                                    seed_alphas, verify_sequence_estimates)
+                                    seed_alphas, sweep_alphas,
+                                    verify_sequence_estimates)
 
 # frozen from the independent summation oracle (|k| <= 1e7 plus tail
 # integral) for delta = 0.5, C = 100; see test_normalizer_against_oracle
@@ -98,16 +99,12 @@ def test_seed_alpha_signs(desk):
     assert abs(alpha0 - (-0.006274227808347965)) <= 1e-15
 
 
-def test_zero_seed_degenerates(profiles):
-    p = SeqParams(alpha1_policy="zero")
-    seqs = build_sequences(p)
-    alpha1, alpha0, _ = seed_alphas(float(seqs.K(0)), float(seqs.K(1)), p)
-    assert alpha1 == 0.0 and alpha0 == 0.0
-
-
-def test_zero_seed_fixed_point_exact():
-    seqs = build_sequences(SeqParams(alpha1_policy="zero"))
-    assert float(np.max(np.abs(seqs.beta_arr - seqs.K_arr[1:]))) == 0.0
+def test_zero_seed_fixed_point_exact(desk):
+    # the difference-form sweeps from alpha1 = alpha0 = 0 reproduce K exactly
+    seqs = desk.seqs
+    alpha, beta = sweep_alphas(seqs.K_arr.tolist(), seqs.M, 0.0, 0.0)
+    assert not alpha.any()
+    assert float(np.max(np.abs(beta - seqs.K_arr[1:]))) == 0.0
 
 
 def test_sign_pattern_and_regression(desk):
@@ -191,10 +188,21 @@ def test_estimates_equal_the_scalar_loops():
 
 
 def test_seed_rejection():
-    # too large, zero of either sign, and negative: each outside (0, bound]
-    for seed in ("0.5", "0", "-0.0", "-0.001"):
-        with pytest.raises(ConstructionError, match="outside the admissible range"):
-            build_sequences(SeqParams(alpha1_policy=f"value:{seed}"))
+    # too large, zero of either sign, and negative: each outside (0, bound];
+    # positive but too small for 1/(1+K0) to resolve: alpha0 cancels to >= 0
+    outside, unresolved = "outside the admissible range", "alpha0=.* is not negative"
+    for seed, message in (("0.5", outside), ("0", outside), ("-0.0", outside),
+                          ("-0.001", outside), ("1e-16", unresolved),
+                          ("1e-30", unresolved), ("1e-300", unresolved)):
+        with pytest.raises(ConstructionError, match=message):
+            build_sequences(SeqParams(truncation_M=16,
+                                      alpha1_policy=f"value:{seed}"))
+
+
+@pytest.mark.parametrize("policy", ["zero", "half_K1_negated", "bogus"])
+def test_unknown_policy_rejected(policy):
+    with pytest.raises(ValueError, match="unknown alpha1 policy"):
+        build_sequences(SeqParams(truncation_M=16, alpha1_policy=policy))
 
 
 def test_nan_seed_rejected_by_name():
