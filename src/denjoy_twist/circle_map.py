@@ -75,19 +75,19 @@ class LocalDiffeo:
     """The family h_k, k in [-M, M-1]: h_k on [0, ell_k] is the integral of
     1 + K_k eta + alpha_k gamma_k.
 
-    Columns ell, ell_next, K, alpha and plus are indexed by k + M. plus picks
-    the jump profile that shapes the slope discontinuity at ell_k/2 (True:
-    gamma_plus, the linear left piece has slope 1+K and the right 1+K+alpha;
-    False: gamma_minus, mirrored). Every method broadcasts its points against
-    k, so one call serves points from mixed gaps. Treat as immutable after
-    construction.
+    Columns ell, ell_next, K, alpha (views of the sequence arrays) and plus
+    are indexed by k + M. plus picks the jump profile that shapes the slope
+    discontinuity at ell_k/2 (True: gamma_plus, the linear left piece has
+    slope 1+K and the right 1+K+alpha; False: gamma_minus, mirrored). Every
+    method broadcasts its points against k, so one call serves points from
+    mixed gaps. Treat as immutable after construction.
     """
 
     def __init__(self, seqs, profiles: ProfileSet, swap_gamma: bool = False):
         self.M = seqs.M
         ks = np.arange(-self.M, self.M)
-        self.ell, self.ell_next = seqs.ell(ks), seqs.ell(ks + 1)
-        self.K, self.alpha = seqs.K(ks), seqs.alpha(ks)
+        self.ell, self.ell_next = seqs.ell_arr[1:-2], seqs.ell_arr[2:-1]
+        self.K, self.alpha = seqs.K_arr[1:-1], seqs.alpha_arr[:-1]
         self.plus = (ks >= 1) != swap_gamma
         self.eta, self.gamma_plus = profiles.eta, profiles.gamma_plus
         self._check_monotone()

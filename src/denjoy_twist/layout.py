@@ -87,37 +87,26 @@ class GapTable:
         return float(self.cum_mass[rank]) + self.residual_mass * float(t)
 
 
-def order_orbit_points(M: int, omega: float) -> np.ndarray:
-    """Permutation sorting {frac(k omega)}_{|k| <= M}; entry i is a gap index k.
+def build_gap_table(seqs) -> GapTable:
+    """Place the stored gaps from built sequences.
 
     Orbit points must be pairwise distinct at double precision, which holds
     with room to spare for the default omega at desk truncations.
     """
-    ks = np.arange(-M, M + 1)
-    t = (ks * omega) % 1.0
-    order = np.argsort(t, kind="stable")
-    tt = t[order]
-    gaps = np.diff(tt)
-    if np.any(gaps <= 0.0):
-        raise ValueError("orbit points collide at double precision; "
-                         "reduce M or change omega")
-    return ks[order]
-
-
-def build_gap_table(seqs) -> GapTable:
-    """Place the stored gaps from built sequences."""
     M, omega = seqs.M, seqs.params.omega
     ks = np.arange(-M, M + 1)
     orbit_t = (ks * omega) % 1.0
-    sorted_to_k = order_orbit_points(M, omega)
-    order_idx = sorted_to_k + M
-    ell = np.asarray(seqs.ell(ks), dtype=float)
+    order_idx = np.argsort(orbit_t, kind="stable")
+    sorted_t = orbit_t[order_idx]
+    if np.any(np.diff(sorted_t) <= 0.0):
+        raise ValueError("orbit points collide at double precision; "
+                         "reduce M or change omega")
+    ell = seqs.ell_arr[1:-1]   # gaps |k| <= M, a view
     residual = seqs.residual_mass
     if not (0.0 < residual < 1.0):
         raise ValueError(f"residual mass {residual} outside (0, 1)")
 
     sorted_ell = ell[order_idx]
-    sorted_t = orbit_t[order_idx]
     cum_mass = np.concatenate(([0.0], np.cumsum(sorted_ell)))
     sorted_lam = cum_mass[:-1] + residual * sorted_t
     ends = sorted_lam + sorted_ell
@@ -128,7 +117,7 @@ def build_gap_table(seqs) -> GapTable:
     lam[order_idx] = sorted_lam
     return GapTable(
         M=M, omega=omega, orbit_t=orbit_t, lam=lam, ell=ell,
-        mu=lam + ell / 2.0, residual_mass=residual, sorted_to_k=sorted_to_k,
+        mu=lam + ell / 2.0, residual_mass=residual, sorted_to_k=ks[order_idx],
         sorted_t=sorted_t, sorted_lam=sorted_lam, sorted_ends=ends,
         cum_mass=cum_mass)
 

@@ -107,9 +107,15 @@ class GapSequences:
         return self.beta_arr[np.asarray(k) + self.M]
 
 
-def _term(k_abs, C, delta):
-    x = k_abs + C
-    return 1.0 / (x * np.log(x) ** (1.0 + delta))
+def _term(x, C, delta):
+    """1 / ((|k|+C) log(|k|+C)^(1+delta)) at x = |k|: a float array, which is
+    overwritten with |k|+C while the result takes one more array, or a float,
+    kept in scalar arithmetic (numpy's array pow can differ in the last bit)."""
+    x += C
+    t = np.log(x)
+    t **= 1.0 + delta
+    t *= x
+    return np.reciprocal(t, out=np.asarray(t))
 
 
 def normalizer(delta: float, bigC: float, head: int = 10**6) -> float:

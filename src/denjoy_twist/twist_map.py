@@ -157,18 +157,18 @@ class TwistSystem:
             "max_r_residual": float(res_r.max()),
         }
 
-    # The sampled checks below draw their samples in a Python loop, since
-    # vectorised draws would consume the generator in another order and
-    # change the samples, then evaluate all samples in one array step.
-    # Reductions are np.max, so a NaN sample fails its check instead of
-    # vanishing as it would in a Python max.
+    # The sampled checks below evaluate all samples in one array step.
+    # roundtrip and twist draw their (theta, r) pairs as one (n, 2) array,
+    # the same doubles as per-sample random() and uniform() calls. The
+    # vertical translation and det checks keep their draw loops: integer
+    # draws share PCG64's buffered 32-bit word, and det's draws branch on a
+    # draw. Reductions are np.max, so a NaN sample fails its check instead
+    # of vanishing as it would in a Python max.
 
     def roundtrip_check(self, n_samples: int = 10000, seed: int = 1) -> float:
         """max over samples of |f^{-1}(f(theta, r)) - (theta, r)| and converse."""
-        rng = np.random.default_rng(seed)
-        th, r = np.empty(n_samples), np.empty(n_samples)
-        for i in range(n_samples):
-            th[i], r[i] = rng.random(), rng.uniform(-1.5, 1.5)
+        u = np.random.default_rng(seed).random((n_samples, 2))
+        th, r = u[:, 0], 3.0 * u[:, 1] - 1.5   # r uniform on [-1.5, 1.5)
         devs = []
         for first, second in ((self.forward, self.backward),
                               (self.backward, self.forward)):
@@ -219,10 +219,8 @@ class TwistSystem:
     def twist_check(self, n_samples: int = 100, seed: int = 4,
                     step: float = 1e-6) -> dict:
         """d theta' / d r: affine-in-r by the formula; confirmed by differences."""
-        rng = np.random.default_rng(seed)
-        th, r = np.empty(n_samples), np.empty(n_samples)
-        for i in range(n_samples):
-            th[i], r[i] = rng.random(), rng.uniform(-1.0, 1.0)
+        u = np.random.default_rng(seed).random((n_samples, 2))
+        th, r = u[:, 0], 2.0 * u[:, 1] - 1.0   # r uniform on [-1, 1)
         d = (self.forward_lift(th, r + step)[0]
              - self.forward_lift(th, r - step)[0]) / (2 * step)
         return {"max_fd_dev": float(np.max(np.abs(d - 1.0), initial=0.0))}
@@ -347,8 +345,8 @@ class TwistSystem:
             # five-point FD of the analytic first derivative of zeta
             hstep = fd_step_rel * ell_k
 
-            def dzeta(uu):
-                vv = h.invert(uu, k - 1)
+            def dzeta(uu, vv=None):
+                vv = h.invert(uu, k - 1) if vv is None else vv
                 ss = uu / ell_k
                 sst = vv / ell_km1
                 g_u = profile_eval(h.gamma_plus, ss, 0, reflect=~h.plus[j])
@@ -361,7 +359,7 @@ class TwistSystem:
                   - 8.0 * dzeta(u - hstep) + dzeta(u - 2 * hstep)) / (12.0 * hstep)
 
             zeta = h.value(u, k) + v - 2.0 * u
-            dz = dzeta(u)
+            dz = dzeta(u, v)
 
             block = {
                 "sup_d2": sup(total), "sup_II": sup(II), "sup_III": sup(III),

@@ -22,6 +22,19 @@ def test_one_family_for_all_gaps(small):
     assert len(small.g.local) == 2 * small.g.M
 
 
+def test_per_gap_columns_are_views_of_the_sequences(small):
+    seqs, h, M = small.seqs, small.g.local, small.g.M
+    ks = np.arange(-M, M)
+    for col, arr, expected in (
+            (small.table.ell, seqs.ell_arr, seqs.ell(np.arange(-M, M + 1))),
+            (h.ell, seqs.ell_arr, seqs.ell(ks)),
+            (h.ell_next, seqs.ell_arr, seqs.ell(ks + 1)),
+            (h.K, seqs.K_arr, seqs.K(ks)),
+            (h.alpha, seqs.alpha_arr, seqs.alpha(ks))):
+        assert np.shares_memory(col, arr)
+        assert np.array_equal(col, expected)
+
+
 def test_local_diffeo_endpoints(small):
     h = small.g.local
     for k in (-30, -1, 0, 1, 17):

@@ -10,6 +10,7 @@ import denjoy_twist
 from denjoy_twist import circle_map, cli
 from denjoy_twist.cli import BuiltSystem, main
 from denjoy_twist.config import ConfigError, load_config, parse_float_list
+from denjoy_twist.profiles import calibrate_profiles
 from denjoy_twist.reporting import deterministic_dump
 from denjoy_twist.sequences import build_sequences
 
@@ -84,6 +85,20 @@ def test_verify_builds_sequences_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "build_sequences", counting)
     assert run(["verify"] + FAST, tmp_path, "v") == 0
+    assert len(calls) == 1
+
+
+def test_regularity_calibrates_profiles_once(tmp_path, monkeypatch):
+    # the profiles do not depend on C: the large-C rebuild reuses them
+    calls = []
+
+    def counting(tol):
+        calls.append(tol)
+        return calibrate_profiles(tol)
+
+    monkeypatch.setattr(cli, "calibrate_profiles", counting)
+    assert run(["regularity", "--set", "params.M=32",
+                "--set", "regularity.compare_C_factor=100"], tmp_path, "r") == 0
     assert len(calls) == 1
 
 
@@ -236,6 +251,39 @@ MANIFOLD_DIGESTS = {
 }
 DIFFUSION_DIGEST = ("2351ec185fccd57490b95cf26d0afafcd49c63335a77d81c2a5b652e4dd4c214",
                     "0506ae7a905ebff8682b905c211b985fd9ce5e89878d5eaaef04900986ac202e")
+
+
+# sha256 of every file a command writes, its report through
+# deterministic_dump and the other files as bytes: verify under FAST in full
+# and in rigid-rotation mode, regularity at M=32 with the large-C comparison,
+# and build at M=64
+OUTPUT_DIGESTS = {
+    "verify": (["verify"] + FAST, {
+        "verify.json": "a8e2c9dd9694b4d4663602de3769e70650f506153367dd02ca30e63217b52b19"}),
+    "verify_rigid": (["verify"] + FAST + ["--set", "params.mode=rigid_rotation"], {
+        "verify.json": "b45fb57c120410cf745a253403c40b383686fa7061dbf1c541fd49360eed474f"}),
+    "regularity": (["regularity", "--set", "params.M=32",
+                    "--set", "regularity.compare_C_factor=100"], {
+        "regularity.csv": "f4aa405180f0ff2ee0e8e540fa278f83ff76f40503e3803eb0a2937fa1ac1de1",
+        "regularity.json": "65d575c0738693532b37b8366742a92087fafeeaedd23c2c55a1ccdc6bd353bb"}),
+    "build": (["build", "--set", "params.M=64"], {
+        "build.json": "489ee85c81f7196217b4ea4fd4cf0742cc228f8fdf08677bcc87a1916f4a0fe0",
+        "estimates.json": "393b0ad6f067e672ea9a5544b3a2c54e2b136bc1bf033fdfb46bf211cbe8cdc9",
+        "gaps.csv": "ad6ee85459624c74a6ae2e3416f84ad34d63da6ad2159c8ab27fe86c356921dd",
+        "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
+        "sequences.csv": "22501defcdba156237345e70e27a6091f2b19d0bdacc1c9c572ebea89737c9ce"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
+def test_outputs_byte_identical(tmp_path, name):
+    args, digests = OUTPUT_DIGESTS[name]
+    assert run(args, tmp_path, "o") == 0
+    report = f"{args[0]}.json"
+    assert {path.name: _sha256(
+        deterministic_dump(json.loads(path.read_text())).encode()
+        if path.name == report else path.read_bytes())
+        for path in (tmp_path / "o").iterdir()} == digests
 
 
 @pytest.mark.parametrize("swap", sorted(MANIFOLD_DIGESTS))

@@ -4,9 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from denjoy_twist.layout import (SemiConjugacy, build_gap_table,
-                                 dump_gap_table_csv,
-                                 order_orbit_points)
+from denjoy_twist.layout import SemiConjugacy, build_gap_table, dump_gap_table_csv
 from denjoy_twist.sequences import SeqParams, build_sequences
 
 # frozen placement value for the default configuration (M = 500); the scan
@@ -16,10 +14,10 @@ LAMBDA1_REFERENCE = 0.6180563238973487
 
 def test_order_small_case():
     omega = (math.sqrt(5.0) - 1.0) / 2.0
-    perm = order_orbit_points(2, omega)
-    pts = {k: (k * omega) % 1.0 for k in range(-2, 3)}
+    table = build_gap_table(build_sequences(SeqParams(omega=omega, truncation_M=8)))
+    pts = {k: (k * omega) % 1.0 for k in range(-8, 9)}
     expected = sorted(pts, key=pts.get)
-    assert list(perm) == expected
+    assert list(table.sorted_to_k) == expected
 
 
 def test_order_zero_is_minimum(desk):
@@ -28,8 +26,9 @@ def test_order_zero_is_minimum(desk):
 
 
 def test_orbit_collision_guard():
-    with pytest.raises(ValueError):
-        order_orbit_points(3, 0.5)  # rational: frac(k/2) collides
+    seqs = build_sequences(SeqParams(omega=0.5, truncation_M=8))
+    with pytest.raises(ValueError, match="orbit points collide"):
+        build_gap_table(seqs)  # rational: frac(k/2) collides
 
 
 def test_measure_normalization(desk):

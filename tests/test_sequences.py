@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,34 @@ def test_normalizer_against_oracle(desk):
     oracle = 1.0 / (s + 2.0 * tail)
     assert abs(oracle - A_C_REFERENCE) <= 1e-13
     assert abs(desk.seqs.a_C - oracle) / oracle <= 1e-10
+
+
+# a_C as recorded before the head sum was computed in place: the head and
+# the two scalar terms keep their arithmetic bit for bit
+NORMALIZER_HEX = {
+    (0.5, 100.0): "0x1.12aeee2ef544ep-1",
+    (0.01, 100.0): "0x1.4cb9006327a5fp-8",
+    (2.0, 15.0): "0x1.d5137e160dfcfp+2",
+    (0.1, 10.0): "0x1.bd34085f7c5f0p-5",
+    (5.0, 1e4): "0x1.43a137c5d6fbcp+17",
+    (0.5, 12.345678901): "0x1.95c6e2fdfa8a8p-2",
+}
+
+
+@pytest.mark.parametrize("delta, C", sorted(NORMALIZER_HEX))
+def test_normalizer_bits_pinned(delta, C):
+    assert float(normalizer(delta, C)).hex() == NORMALIZER_HEX[delta, C]
+
+
+def test_normalizer_head_holds_two_arrays():
+    # the 10**6-term head: its |k| array, overwritten in place, and the terms
+    tracemalloc.start()
+    try:
+        normalizer(0.5, 100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * 2**20
 
 
 def test_divergent_sum_rejected():

@@ -182,6 +182,16 @@ def test_regularity_scan(small):
     assert max(rep.sup_zeta) < 1.0
 
 
+def test_regularity_scan_inverts_each_point_once(small, monkeypatch):
+    # M=64 gives two 64-gap blocks; each inverts its grid once and each of
+    # the four finite-difference shifts once
+    h, calls = small.g.local, []
+    invert = h.invert
+    monkeypatch.setattr(h, "invert", lambda v, k: calls.append(k) or invert(v, k))
+    small.system.second_derivative_scan()
+    assert len(calls) == 2 * 5
+
+
 def test_zeta_affine_on_middle_segment(small):
     # direct check on one gap: D2 zeta == 0 on the interior of J_k
     h = small.g.local
