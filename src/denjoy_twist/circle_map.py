@@ -118,36 +118,47 @@ class LocalDiffeo:
                 f"h_{j - self.M} is not monotone: minimum slope {low[j]:.6g}")
         return low
 
-    def _h(self, u, k, orders, side=None):
-        """h_k, h_k' or h_k'' at u for each profile order of orders
-        ("antiderivative", 0 or 1), from one profile_eval per profile;
-        gamma_minus is gamma_plus read reflected at the points of minus
-        gaps."""
+    def _cols(self, k):
+        """ell_k, K_k, alpha_k and whether gap k reads gamma_minus: Python
+        scalars for an int k, gathered arrays otherwise."""
         j = k + self.M
-        ell, K, alpha = self.ell[j], self.K[j], self.alpha[j]
-        u = np.asarray(u, dtype=float)
+        if isinstance(k, int):
+            return (float(self.ell[j]), float(self.K[j]), float(self.alpha[j]),
+                    not self.plus[j])
+        return self.ell[j], self.K[j], self.alpha[j], ~self.plus[j]
+
+    def _h(self, u, cols, orders, side=None):
+        """h_k, h_k' or h_k'' at u for each profile order of orders
+        ("antiderivative", 0 or 1), from one profile_eval per profile, with
+        the gap columns cols of _cols; gamma_minus is gamma_plus reflected."""
+        ell, K, alpha, minus = cols
+        if not isinstance(u, float):
+            u = np.asarray(u, dtype=float)
         s = u / ell
         es = profile_eval(self.eta, s, orders)
-        gs = profile_eval(self.gamma_plus, s, orders, side=side, reflect=~self.plus[j])
+        gs = profile_eval(self.gamma_plus, s, orders, side=side, reflect=minus)
         return [u + K * ell * e + alpha * ell * g if o == _ANTI else
                 1.0 + K * e + alpha * g if o == 0 else
                 (K * e + alpha * g) / ell for o, e, g in zip(orders, es, gs)]
 
     def value(self, u, k):
-        return self._h(u, k, (_ANTI,))[0]
+        return self._h(u, self._cols(k), (_ANTI,))[0]
 
     def deriv(self, u, k, side=None):
-        return self._h(u, k, (0,), side)[0]
+        return self._h(u, self._cols(k), (0,), side)[0]
 
     def second_deriv(self, u, k, side=None):
-        return self._h(u, k, (1,), side)[0]
+        return self._h(u, self._cols(k), (1,), side)[0]
 
     def invert(self, v, k):
         """u with h_k(u) = v, for v in [0, ell_{k+1}].
 
         Exact closed form on the two linear middle pieces, safeguarded
-        Newton elsewhere, to |h(u) - v| <= 1e-14 ell_{k+1}.
+        Newton elsewhere, to |h(u) - v| <= 1e-14 ell_{k+1}. NaN gives NaN;
+        a Python float v with an int k is inverted on Python floats.
         """
+        if isinstance(v, float) and isinstance(k, int):
+            return self._invert_one(v, k)
         v, k = np.asarray(v, dtype=float), np.asarray(k)
         if v.shape != k.shape:
             v, k = np.broadcast_arrays(v, k)
@@ -156,18 +167,14 @@ class LocalDiffeo:
         j = k + self.M
         us, vs = self._bp_u[j], self._bp_v[j]
         tol = _INVERT_REL_TOL * self.ell_next[j]
-        bad = (v < -tol) | (v > vs[:, 4] + tol)
-        if bad.any():
-            # pass a few ulp at circle scale too: a gap's image piece in the
-            # global table can be that much wider than h_k(ell_k), so g^{-1}
-            # at a gap's right end lands just outside
-            slack = tol[bad] + 8.0 * _EPS
-            far = (v[bad] < -slack) | (v[bad] > vs[bad, 4] + slack)
-            if far.any():
-                raise ValueError(
-                    f"inverse argument outside [0, ell_{int(k[bad][far][0]) + 1}]")
+        # pass a few ulp at circle scale too: a gap's image piece in the
+        # global table can be that much wider than h_k(ell_k), so g^{-1} at a
+        # gap's right end lands just outside
+        far = (v < -(tol + 8.0 * _EPS)) | (v > vs[:, 4] + (tol + 8.0 * _EPS))
+        if far.any():
+            raise ValueError(f"inverse argument outside [0, ell_{int(k[far][0]) + 1}]")
         v = np.clip(v, 0.0, vs[:, 4])
-        out = np.empty_like(v)
+        out = np.full_like(v, np.nan)
 
         # the linear pieces: slope 1+K, and 1+K+alpha on the jump side
         # (right of the midpoint for gamma_plus, left for gamma_minus)
@@ -185,11 +192,40 @@ class LocalDiffeo:
             out[sh] = self._newton(v[sh], k[sh], left[sh], us[sh], vs[sh], tol[sh])
         return out.reshape(shape)[()]
 
+    def _invert_one(self, v, k):
+        """invert at one point on Python floats: the array route's range
+        check, clip, closed form and Newton iterates, step for step."""
+        j = k + self.M
+        us, vs = self._bp_u[j].tolist(), self._bp_v[j].tolist()
+        tol = _INVERT_REL_TOL * float(self.ell_next[j])
+        slack = tol + 8.0 * _EPS
+        if v < -slack or v > vs[4] + slack:
+            raise ValueError(f"inverse argument outside [0, ell_{k + 1}]")
+        v = 0.0 if v <= 0.0 else min(v, vs[4])   # np.clip: -0.0 to 0.0, NaN kept
+        ell, K, alpha, minus = cols = self._cols(k)
+        if not (v < vs[1] or v > vs[3]):   # the linear pieces, or NaN
+            slope = 1.0 + K + (alpha if (v > vs[2]) != minus else 0.0)
+            return (v - (0.0 if slope == 1.0 + K else -alpha * ell / 2.0)) / slope
+        a, b = (0, 1) if v < vs[1] else (3, 4)
+        lo, hi = us[a], us[b]
+        u = lo + (hi - lo) * (v - vs[a]) / (vs[b] - vs[a])
+        for _ in range(_INVERT_MAX_ITER):
+            f, d = self._h(u, cols, (_ANTI, 0))
+            f = f - v
+            if abs(f) <= tol:
+                return u
+            lo, hi = (lo, u) if f > 0.0 else (u, hi)
+            un = u - f / d
+            u = 0.5 * (lo + hi) if un <= lo or un >= hi else un
+        raise ConstructionError(f"inversion of h_{k} failed to converge after "
+                                f"{_INVERT_MAX_ITER} Newton steps")
+
     def _newton(self, v, k, left, us, vs, tol):
         """Safeguarded Newton on the shoulders, all points in one pass.
 
         Each point keeps its own bracket and leaves the pass once converged,
         so its result does not depend on which other points share the call.
+        The gap columns are gathered once and compacted with the points.
         """
         lo = np.where(left, us[:, 0], us[:, 3])
         hi = np.where(left, us[:, 1], us[:, 4])
@@ -198,23 +234,24 @@ class LocalDiffeo:
         u = lo + (hi - lo) * (v - lo_v) / (hi_v - lo_v)
         out = np.empty_like(u)
         idx = np.arange(len(u))
+        cols = self._cols(k)
         for _ in range(_INVERT_MAX_ITER):
-            f, d = self._h(u, k, (_ANTI, 0))
+            f, d = self._h(u, cols, (_ANTI, 0))
             f = f - v
             done = np.abs(f) <= tol
             if done.any():
                 out[idx[done]] = u[done]
                 if done.all():
                     return out
-                idx, u, k, v, tol, lo, hi, f, d = (
-                    a[~done] for a in (idx, u, k, v, tol, lo, hi, f, d))
+                idx, u, v, tol, lo, hi, f, d, *cols = (
+                    a[~done] for a in (idx, u, v, tol, lo, hi, f, d, *cols))
             above = f > 0.0
             hi = np.where(above, u, hi)
             lo = np.where(above, lo, u)
             un = u - f / d
             u = np.where((un <= lo) | (un >= hi), 0.5 * (lo + hi), un)
         raise ConstructionError(
-            f"inversion of h_{int(k[0])} failed to converge: {len(k)} of "
+            f"inversion of h_{int(k[idx[0]])} failed to converge: {len(idx)} of "
             f"{len(out)} points after {_INVERT_MAX_ITER} Newton steps")
 
 
@@ -345,7 +382,7 @@ class CircleHomeo:
         i = bisect.bisect_right(x_lo, fr) - 1
         if gap_k[i] == _NOT_GAP:
             return n + (y_lo[i] + slope[i] * (fr - x_lo[i]))
-        return n + float(y_lo[i] + self.local.value(fr - x_lo[i], gap_k[i]))
+        return n + (y_lo[i] + self.local.value(fr - x_lo[i], gap_k[i]))
 
     def eval(self, x: float) -> float:
         v = self.lift(x)
@@ -358,7 +395,7 @@ class CircleHomeo:
         i = min(bisect.bisect_right(y_lo, yf) - 1, self.n_pieces - 1)
         if gap_k[i] == _NOT_GAP:
             return (x_lo[i] + (yf - y_lo[i]) / slope[i]) + m
-        return float(x_lo[i] + self.local.invert(yf - y_lo[i], gap_k[i])) + m
+        return (x_lo[i] + self.local.invert(yf - y_lo[i], gap_k[i])) + m
 
     def inverse_eval(self, y: float) -> float:
         v = self.inverse_lift(y)

@@ -22,6 +22,8 @@ The n-th derivative carries the chain factor gain * scale^n. A mirrored point
 negates the first derivative, and its antiderivative is F(1) - F(1 - t), with
 F(1) = 2 (Ms + c Mb) / 8 + 1/4 for eta and -0.0 for the gamma pair. At t = 1/2
 the gamma profiles take the piece on the side asked for. NaN gives NaN.
+A Python float t is read on Python floats but for numpy's exp and pow: the
+array route's bits without numpy's per-call cost on a one-point array.
 Plateaus and zero regions are exact by construction, which downstream code
 relies on for the piecewise-linear identities; TS and TB are dense cubic
 Hermite tables whose slopes are S and B sampled exactly.
@@ -29,6 +31,7 @@ Hermite tables whose slopes are S and B sampled exactly.
 
 from __future__ import annotations
 
+import bisect
 import csv
 from dataclasses import dataclass, field, replace
 
@@ -47,34 +50,46 @@ class OneSidedLimitRequired(ValueError):
 
 # --- smooth step and bump kernels -------------------------------------------
 
+# numpy's exp and pow, a Python float in and out: Python's own exp and **
+# differ from numpy's array loops in the last bit, numpy's on a float do not
+
+def _exp(x):
+    return float(np.exp(x)) if isinstance(x, float) else np.exp(x)
+
+
+def _pow(x, n):
+    return float(np.power(x, n)) if isinstance(x, float) else x**n
+
+
 def _step(s, order):
     """smooth_step on 0 < s < 1 and its first two derivatives, all from the
     one pair of exps psi(s), psi(1-s) with psi(s) = exp(-1/s)."""
     r = 1.0 - s
-    a, b = np.exp(-1.0 / s), np.exp(-1.0 / r)
+    a, b = _exp(-1.0 / s), _exp(-1.0 / r)
     tot = a + b
     if order == 0:
         return a / tot
-    da, db = a / s**2, -b / r**2
+    da, db = a / _pow(s, 2), -b / _pow(r, 2)
     dtot = da + db
     if order == 1:
-        return (da * tot - a * dtot) / tot**2
-    d2a, d2b = a * (1.0 - 2.0 * s) / s**4, b * (1.0 - 2.0 * r) / r**4
-    return ((d2a * tot - a * (d2a + d2b)) / tot**2
-            - 2.0 * dtot * (da * tot - a * dtot) / tot**3)
+        return (da * tot - a * dtot) / _pow(tot, 2)
+    d2a, d2b = a * (1.0 - 2.0 * s) / _pow(s, 4), b * (1.0 - 2.0 * r) / _pow(r, 4)
+    return ((d2a * tot - a * (d2a + d2b)) / _pow(tot, 2)
+            - 2.0 * dtot * (da * tot - a * dtot) / _pow(tot, 3))
 
 
 def _bump(s, order):
     """bump on 0 < s < 1 and its first two derivatives, all from the one exp:
     b' = b f', b'' = b (f'^2 + f'') with f = -1/q, q = s(1-s)."""
     q = s * (1.0 - s)
-    e = np.exp(-1.0 / q)
+    e = _exp(-1.0 / q)
     if order == 0:
         return e
     dq = 1.0 - 2.0 * s
     if order == 1:
-        return e * dq / q**2
-    return e * ((dq / q**2) ** 2 - 2.0 / q**2 - 2.0 * dq**2 / q**3)
+        return e * dq / _pow(q, 2)
+    return e * (_pow(dq / _pow(q, 2), 2) - 2.0 / _pow(q, 2)
+                - 2.0 * _pow(dq, 2) / _pow(q, 3))
 
 
 def _extend(kernel, s, order, above):
@@ -125,16 +140,23 @@ class _HermiteTable:
         return _HermiteTable(self.coef[c:c + 1])
 
     def __call__(self, v):
-        v = np.asarray(v, dtype=float)
         # the nodes are exactly i/n and n v is exact, so n v clipped to
         # [0, n - 1] and truncated is the interval a search of the nodes would
-        # find; fmin/fmax send NaN to a valid interval, where it stays NaN
-        # through the power sum
+        # find; the clamp sends NaN to the last interval (fmin drops it),
+        # where it stays NaN through the power sum. A Python float gives a
+        # list of floats, read from the coefficients in place.
+        if isinstance(v, float):
+            nv = self.n * v
+            i = int(nv) if 0 <= nv < self.n - 1 else 0 if nv < 0 else self.n - 1
+            return [_power_sum(v - i / self.n, *c) for c in self.coef[:, :, i].tolist()]
+        v = np.asarray(v, dtype=float)
         i = np.fmax(np.fmin(self.n * v, self.n - 1), 0).astype(np.intp)
-        c0, c1, c2, c3 = np.take(self.coef, i, axis=-1).swapaxes(0, 1)
-        s = v - i / self.n
-        ss = s * s
-        return ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
+        return _power_sum(v - i / self.n, *np.take(self.coef, i, axis=-1).swapaxes(0, 1))
+
+
+def _power_sum(s, c0, c1, c2, c3):
+    ss = s * s
+    return ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
 
 
 def _panel_integrals(f, order, n_panels):
@@ -308,6 +330,20 @@ def calibrate_profiles(quadrature_tolerance: float = 1e-13) -> ProfileSet:
     return ProfileSet(eta, gp, step_mass, bump_mass, achieved)
 
 
+def _row(p: PlateauProfile, slot, m, x, orders):
+    """Row slot of p (0: none, NaN) at x read with mirror flag m, a result
+    per order; a mirror image negates the slope and integrates from 1."""
+    pc = p.pieces[slot - 1] if slot else None
+    if pc is None:
+        return [np.nan] * len(orders)
+    vals = (pc.eval(1.0 - x if pc.mirror else x, orders) if pc.terms
+            else [0.0] * len(orders))
+    if pc.mirror == m:
+        return vals
+    return [-v if o == 1 else p.anti_one - v if o == _ANTI else v
+            for o, v in zip(orders, vals)]
+
+
 def profile_eval(p: PlateauProfile, t, order=0, side=None, reflect=False):
     """Evaluate a profile, a derivative, or its antiderivative from 0.
 
@@ -317,36 +353,47 @@ def profile_eval(p: PlateauProfile, t, order=0, side=None, reflect=False):
     gamma_plus so read is gamma_minus. For the gamma profiles the point
     t = 1/2 carries one-sided data only; pass side="left"/"right" to pick a
     branch of the value there (derivative limits agree and are 0).
+    A Python float t with a bool reflect gives Python floats, bitwise those
+    of the array route.
     """
     orders = order if isinstance(order, tuple) else (order,)
     if not orders or not set(orders) <= set(_ORDERS):
         raise ValueError(f"order must be one of {_ORDERS} or a tuple of them")
     if side not in (None, "left", "right"):
         raise ValueError("side must be None, 'left' or 'right'")
-    t = np.asarray(t, dtype=float)
-    x = t.ravel()
-    # x = 1 - t where the read is reflected: one bool when all flags agree
-    if isinstance(reflect, np.ndarray):
-        reflect = np.broadcast_to(reflect, t.shape).ravel()
-        some = reflect.any()
-        if not some or reflect.all():
-            reflect = bool(some)
-    per_point = isinstance(reflect, np.ndarray)
-    if per_point:
-        x = np.where(reflect, 1.0 - x, x)
-    elif reflect:
-        x = 1.0 - x
-    # x is in row n_at - 1, n_at the count of starts at or below x: for so
-    # few starts many times faster than np.searchsorted. A NaN is at or
-    # above none and stays NaN in slot 0.
-    n_at = np.add.reduce(p.starts <= x, axis=0, dtype=np.uint8)
+    scalar = isinstance(t, float) and isinstance(reflect, bool)
+    if scalar:
+        x = 1.0 - float(t) if reflect else float(t)
+        # the row count at or below x; a NaN is in slot 0
+        n_at = bisect.bisect_right(p.pieces, x, key=lambda pc: pc.lo) if x == x else 0
+    else:
+        t = np.asarray(t, dtype=float)
+        x = t.ravel()
+        # x = 1 - t where the read is reflected: one bool when all flags agree
+        if isinstance(reflect, np.ndarray):
+            reflect = np.broadcast_to(reflect, t.shape).ravel()
+            some = reflect.any()
+            if not some or reflect.all():
+                reflect = bool(some)
+        per_point = isinstance(reflect, np.ndarray)
+        if per_point:
+            x = np.where(reflect, 1.0 - x, x)
+        elif reflect:
+            x = 1.0 - x
+        # x is in row n_at - 1, n_at the count of starts at or below x: for so
+        # few starts many times faster than np.searchsorted. A NaN is at or
+        # above none and stays NaN in slot 0.
+        n_at = np.add.reduce(p.starts <= x, axis=0, dtype=np.uint8)
     if p.jump is not None:
         at_jump = x == p.jump
         if side is not None:
             # the jump closes the row on its left
             n_at += at_jump & (reflect != (side == "right"))
-        elif {1, 2} & set(orders) and at_jump.any():
+        elif {1, 2} & set(orders) and np.any(at_jump):
             raise OneSidedLimitRequired("gamma derivative at t = 1/2 is one-sided; pass side=")
+    if scalar:
+        outs = _row(p, n_at, reflect, x, orders)
+        return tuple(outs) if isinstance(order, tuple) else outs[0]
     # a group per slot, or per slot and flag (key 2 slot + flag) where the
     # flags differ per point: each group takes one mirror transform
     if per_point:
@@ -357,22 +404,12 @@ def profile_eval(p: PlateauProfile, t, order=0, side=None, reflect=False):
     for k in range(first, last + 1):
         slot, m = divmod(k, 2) if per_point else (k, reflect)
         pc = p.pieces[slot - 1] if slot else None
-        flip = pc is not None and pc.mirror != m
         # a zero row leaves out at +0.0 unless its mirror image changes it
-        if pc is None or pc.terms or flip:
+        if pc is None or pc.terms or pc.mirror != m:
             ii = slice(None) if first == last else (n_at == k).nonzero()[0]
             if first < last and not ii.size:
                 continue   # no point in this group
-            if pc is None:
-                vals = [np.nan] * len(orders)
-            elif pc.terms:
-                vals = pc.eval(1.0 - x[ii] if pc.mirror else x[ii], orders)
-            else:
-                vals = [0.0] * len(orders)
-            for out, o, v in zip(outs, orders, vals):
-                if flip and (o == 1 or o == _ANTI):
-                    # the mirror image negates the slope and integrates from 1
-                    v = -v if o == 1 else p.anti_one - v
+            for out, v in zip(outs, _row(p, slot, m, x[ii], orders)):
                 out[ii] = v
     outs = [float(out[0]) if t.ndim == 0 else out.reshape(t.shape) for out in outs]
     return tuple(outs) if isinstance(order, tuple) else outs[0]

@@ -599,27 +599,21 @@ def dump_phase_portrait_csv(system: TwistSystem, orbits, n_steps: int, path,
                             curve_samples: int = 512) -> None:
     """(orbit, step, theta, r) rows; orbit 0 samples the invariant curve.
 
-    The orbits step in lockstep, one array step per time step; the rows are
-    written orbit by orbit.
+    Each orbit is stepped on Python floats, one scalar forward per step, and
+    written row by row.
     """
     ths = (np.arange(curve_samples) + 0.5) / curve_samples
-    th = np.array([float(t) for t, _ in orbits])
-    r = np.array([float(v) for _, v in orbits])
-    n_orbits = th.size
-    theta_at = np.empty((n_orbits, n_steps + 1))
-    r_at = np.empty((n_orbits, n_steps + 1))
-    theta_at[:, 0], r_at[:, 0] = th % 1.0, r
-    for s in range(1, n_steps + 1):
-        th, r = system.forward(th, r)
-        theta_at[:, s], r_at[:, s] = th, r
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["orbit", "step", "theta", "r"])
         w.writerows([0, j, repr(t), repr(v)] for j, (t, v) in
                     enumerate(zip(ths.tolist(), system.curve_height(ths).tolist())))
-        for i in range(n_orbits):
-            w.writerows([i + 1, s, repr(t), repr(v)] for s, (t, v) in
-                        enumerate(zip(theta_at[i].tolist(), r_at[i].tolist())))
+        for i, (th, r) in enumerate(orbits, 1):
+            th, r = float(th) % 1.0, float(r)
+            w.writerow([i, 0, repr(th), repr(r)])
+            for s in range(1, n_steps + 1):
+                th, r = system.forward(th, r)
+                w.writerow([i, s, repr(th), repr(r)])
 
 
 def dump_json(obj: dict, path) -> None:

@@ -414,3 +414,32 @@ def test_scalar_lift_bitwise_equals_array_lift_at_piece_edges(small):
     ys = np.append(around(g._y_lo), np.nextafter(g.y_start + 1.0, 0.0))
     assert np.array_equal(g.inverse_lift_many(ys).view(np.int64),
                           np.array([g.inverse_lift(float(y)) for y in ys]).view(np.int64))
+
+
+def _same(a, b):
+    """Bit for bit, sign bits included; NaN matches NaN whatever its bits."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(np.isnan(a), np.isnan(b)) and np.array_equal(
+        a[~np.isnan(a)].view(np.int64), b[~np.isnan(b)].view(np.int64))
+
+
+@pytest.mark.parametrize("bundle", ["small", "swapped"])
+def test_float_route_bitwise_equals_array_route(bundle, request):
+    # a Python float with an int gap is read on floats: value, both one-sided
+    # derivatives and the inverse at each breakpoint of h_k +-1 ulp, in u and
+    # in v, give the array route's bits, as Python floats; NaN gives NaN
+    from denjoy_twist.circle_map import _BREAKS
+    h = request.getfixturevalue(bundle).g.local
+    M = h.M
+    for k in (-M, -1, 0, 1, M - 1):
+        u = h.ell[k + M] * _BREAKS
+        u = np.concatenate([u, np.nextafter(u, -np.inf), np.nextafter(u, np.inf), [np.nan]])
+        v = h._bp_v[k + M]
+        v = np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf), [np.nan]])
+        ks = np.full(u.size, k)
+        for f, x, kw in ((h.value, u, {}), (h.deriv, u, {}), (h.deriv, u, {"side": "left"}),
+                         (h.deriv, u, {"side": "right"}), (h.invert, v, {})):
+            got = [f(xx, k, **kw) for xx in x.tolist()]
+            assert all(type(g) is float for g in got)
+            assert _same(got, f(x, ks, **kw)), (k, f.__name__, kw)
+            assert np.isnan(got[-1])

@@ -256,7 +256,10 @@ DIFFUSION_DIGEST = ("2351ec185fccd57490b95cf26d0afafcd49c63335a77d81c2a5b652e4dd
 # sha256 of every file a command writes, its report through
 # deterministic_dump and the other files as bytes: verify under FAST in full
 # and in rigid-rotation mode, regularity at M=32 with the large-C comparison,
-# and build at M=64
+# build at M=64, and portrait at M=32 (4 orbits x 100 steps) without and with
+# the jump profiles exchanged
+PORTRAIT = ["portrait", "--set", "params.M=32", "--set", "portrait.orbits=4",
+            "--set", "portrait.steps=100"]
 OUTPUT_DIGESTS = {
     "verify": (["verify"] + FAST, {
         "verify.json": "a8e2c9dd9694b4d4663602de3769e70650f506153367dd02ca30e63217b52b19"}),
@@ -272,6 +275,10 @@ OUTPUT_DIGESTS = {
         "gaps.csv": "ad6ee85459624c74a6ae2e3416f84ad34d63da6ad2159c8ab27fe86c356921dd",
         "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
         "sequences.csv": "22501defcdba156237345e70e27a6091f2b19d0bdacc1c9c572ebea89737c9ce"}),
+    "portrait": (PORTRAIT, {
+        "portrait.csv": "ce7ed1a2c866cbc397caf6989bda1d27c12b3bb6e014bc2981eec34f0a6a1348"}),
+    "portrait_swap": (PORTRAIT + ["--set", "params.swap_gamma=true"], {
+        "portrait.csv": "fa46c777517a73f5172286abec0da735b034ce2aeb6f9d5f5e0a2fb45b33dbe0"}),
 }
 
 

@@ -382,3 +382,59 @@ def test_combined_orders_validate(profiles):
         profile_eval(profiles.gamma_plus, 0.5, ("antiderivative", 1))
     # the value and antiderivative alone need no side at the jump
     assert profile_eval(profiles.gamma_plus, 0.5, (0, "antiderivative")) == (0.0, 0.0)
+
+
+def _same(a, b):
+    """Bit for bit, sign bits included; NaN matches NaN whatever its bits."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(np.isnan(a), np.isnan(b)) and np.array_equal(
+        _bits(a)[~np.isnan(a)], _bits(b)[~np.isnan(b)])
+
+
+@pytest.mark.parametrize("kind", ["eta", "gamma_plus"])
+@pytest.mark.parametrize("reflect", [False, True])
+def test_scalar_route_bitwise_equals_array_route(profiles, kind, reflect):
+    # a Python float t with a bool reflect is read on floats; every order and
+    # two combined ones, every side, at each row start +-1 ulp, 0, 1/2, 1,
+    # NaN and seeded points give the array route's bits and Python floats
+    from denjoy_twist.profiles import OneSidedLimitRequired
+    p = getattr(profiles, kind)
+    starts = np.array([pc.lo for pc in p.pieces[1:]])
+    t = np.concatenate([starts, np.nextafter(starts, -np.inf), np.nextafter(starts, np.inf),
+                        [0.0, 0.5, 1.0, np.nan],
+                        np.random.default_rng(19).uniform(-0.1, 1.1, 200)])
+    t = np.concatenate([t, 1.0 - t]) if reflect else t
+    for order in (0, 1, 2, "antiderivative", ("antiderivative", 0), (1, 0)):
+        for side in (None, "left", "right"):
+            def scalar(x):
+                try:
+                    return profile_eval(p, x, order, side=side, reflect=reflect)
+                except OneSidedLimitRequired:
+                    return None
+            got = [scalar(x) for x in t.tolist()]
+            raised = np.array([g is None for g in got])
+            # only a derivative at the jump, with no side, raises
+            assert np.array_equal(raised, (side is None) & (p.jump is not None)
+                                  & bool({1, 2} & set(np.atleast_1d(order).tolist()))
+                                  & ((1.0 - t if reflect else t) == 0.5))
+            arr = profile_eval(p, t[~raised], order, side=side, reflect=reflect)
+            got = [g for g in got if g is not None]
+            if isinstance(order, tuple):
+                assert all(type(g) is tuple and len(g) == len(order) for g in got)
+                got = list(zip(*got))
+            else:
+                got, arr = [got], [arr]
+            for g, a in zip(got, arr):
+                assert all(type(v) is float for v in g)
+                assert _same(g, a), (order, side)
+
+
+def test_hermite_table_float_route():
+    # a Python float gives a list of floats, the array call's bits, at every
+    # node, at 0 and 1 and beyond them, and NaN
+    table, _ = _cumulative_table((smooth_step, bump))
+    v = np.concatenate([np.arange(table.n + 1) / table.n, [0.0, 1.0, -0.1, 1.1, np.nan]])
+    arr = table(v)
+    got = [table(x) for x in v.tolist()]
+    assert all(type(g) is list and all(type(c) is float for c in g) for g in got)
+    assert _same(np.array(got).T, arr)
