@@ -245,8 +245,12 @@ def _regularity(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
     factor = cfg["regularity"]["compare_C_factor"]
     if factor:
         big_C = cfg["params"]["C"] * factor
-        *_, big = build_full_system(dataclasses.replace(cfg.seq_params, bigC=big_C),
-                                    built.profiles, cfg["params"]["swap_gamma"])
+        try:
+            *_, big = build_full_system(dataclasses.replace(cfg.seq_params, bigC=big_C),
+                                        built.profiles, cfg["params"]["swap_gamma"])
+        except (ConstructionError, ValueError) as exc:
+            raise ConfigError(f"regularity.compare_C_factor: the rebuild at "
+                              f"C={big_C:g} failed: {exc}") from None
         summ2 = _scan(big, cfg, rb, "scan_big_C").summary()
         ratios = {
             "sup_all_ratio": summ["sup_all"] / summ2["sup_all"],

@@ -101,9 +101,10 @@ _POSITIVE = (
     ("verify", "roundtrip_samples"), ("verify", "det_samples"),
     ("verify", "fd_step"), ("regularity", "grid"),
     ("regularity", "fd_step_rel"), ("manifolds", "k_max"),
-    ("portrait", "steps"), ("diffusion", "n"),
+    ("portrait", "steps"), ("diffusion", "n"), ("params", "quadrature_tolerance"),
 )
-# counts, widths and factors for which 0 means none or off
+# counts, widths and factors for which 0 means none or off; every
+# tolerance is checked the same way
 _NON_NEGATIVE = (
     ("portrait", "orbits"), ("portrait", "r_band"), ("portrait", "curve_samples"),
     ("regularity", "compare_C_factor"),
@@ -185,9 +186,17 @@ def _check_values(sections) -> None:
     for sec, key in _POSITIVE:
         if not 0 < sections[sec][key] < math.inf:
             raise bad(sec, key, "must be positive and finite")
-    for sec, key in _NON_NEGATIVE:
+    tolerances = tuple(("tolerances", key) for key in sections["tolerances"])
+    for sec, key in _NON_NEGATIVE + tolerances:
         if not 0 <= sections[sec][key] < math.inf:
             raise bad(sec, key, "must be finite and 0 or more")
+    # an odd grid puts a point on the midpoint of the gap, and a wider step
+    # takes a finite-difference stencil out of its half-gap
+    grid = sections["regularity"]["grid"]
+    if grid % 2:
+        raise bad("regularity", "grid", "must be even")
+    if not sections["regularity"]["fd_step_rel"] < 0.25 / grid:
+        raise bad("regularity", "fd_step_rel", f"must be below 1/(4 grid) = {0.25 / grid:g}")
     for (sec, key), needed in _FLOAT_LISTS.items():
         values = _finite_numbers(sections[sec][key])
         if values is None or (needed and not values):

@@ -245,128 +245,98 @@ def recurrence_residuals(seqs: GapSequences) -> np.ndarray:
 def verify_sequence_estimates(seqs: GapSequences) -> dict:
     """Empirical constants and pass flags for the estimate chain.
 
-    Each entry reports the measured best constants; pass/fail is judged
-    against the configured slack windows. The crossing pairs straddling
-    k = 0 (where the |k|-symmetric length formula flips the sign of K) are
-    excluded from the two-sided difference estimates and reported on their
-    own: there the estimates provably degrade to O(1/C) regardless of
-    truncation, while the exact identity m_0 - 2 = 2 K_0 takes over.
+    Each entry reports the measured best constants, each computed once, and
+    judges its pass flag from them against the configured slack windows. The
+    crossing pairs straddling k = 0 (where the |k|-symmetric length formula
+    flips the sign of K) are excluded from the two-sided difference estimates
+    and reported on their own: there the estimates provably degrade to O(1/C)
+    regardless of truncation, while the exact identity m_0 - 2 = 2 K_0 takes
+    over.
     """
     params = seqs.params
     tol = {**DEFAULT_TOLERANCES, **params.tolerances}
-    M, C = seqs.M, params.bigC
+    M, C, B, half = seqs.M, params.bigC, params.bigB, seqs.M // 2
+    # each array is over k in [-M, M], at index k + M
     ks = np.arange(-M, M + 1)
-    K = seqs.K(ks)
-    ell = seqs.ell(ks)
-    report = {"estimates": {}, "crossing": {}}
-    est = report["estimates"]
+    abs_k = np.abs(ks)
+    x = abs_k + C
+    K, K_prev = seqs.K_arr[1:], seqs.K_arr[:-1]
+    dK = K - K_prev
+    ell, alpha = seqs.ell_arr[1:-1], seqs.alpha_arr
 
+    def window(values, name, ok=True):
+        lo, hi = float(values.min()), float(values.max())
+        return {"min": lo, "max": hi,
+                "pass": ok and tol[name + "_lo"] <= lo and hi <= tol[name + "_hi"]}
+
+    est = {}
     # |K_k| (|k|+C) bounded above and below
-    r3 = np.abs(K) * (np.abs(ks) + C)
-    est["ratio_bound"] = {
-        "min": float(r3.min()), "max": float(r3.max()),
-        "pass": bool(tol["ratio_bound_lo"] <= r3.min()
-                     and r3.max() <= tol["ratio_bound_hi"]),
-    }
+    est["ratio_bound"] = window(np.abs(K) * x, "ratio_bound")
 
     # K_k - K_{k-1} comparable to K_k^2, per side (the k = 0 pair straddles
     # the symmetry center where K flips sign; see the crossing section)
     # squares in this report are np.float_power, bitwise Python's x ** 2
     # (C pow); numpy's K * K differs from it in the last bit for a few K
-    same_side = ks[ks != 0]
-    steps = seqs.K(same_side) - seqs.K(same_side - 1)
-    sq = np.float_power(seqs.K(same_side), 2.0)
-    ratio = steps / sq
-    est["ratio_step"] = {
-        "min": float(ratio.min()), "max": float(ratio.max()),
-        "all_positive": bool(np.all(steps > 0)),
-        "pass": bool(np.all(steps > 0)
-                     and tol["ratio_step_lo"] <= ratio.min()
-                     and ratio.max() <= tol["ratio_step_hi"]),
-    }
+    same_side = ks != 0
+    steps = dK[same_side]
+    positive = bool(np.all(steps > 0))
+    est["ratio_step"] = dict(
+        window(steps / np.float_power(K[same_side], 2.0), "ratio_step", positive),
+        all_positive=positive)
 
     # length formula identity: ell_k (|k|+C) log(|k|+C)^(1+delta) == a_C
-    ident = ell * (np.abs(ks) + C) * np.log(np.abs(ks) + C) ** (1.0 + params.delta)
-    est["length_formula"] = {
-        "a_C": seqs.a_C,
-        "max_rel_dev": float(np.max(np.abs(ident / seqs.a_C - 1.0))),
-        "pass": bool(np.max(np.abs(ident / seqs.a_C - 1.0)) <= 1e-12),
-    }
+    ident = ell * x * np.log(x) ** (1.0 + params.delta)
+    dev = float(np.max(np.abs(ident / seqs.a_C - 1.0)))
+    est["length_formula"] = {"a_C": seqs.a_C, "max_rel_dev": dev, "pass": dev <= 1e-12}
 
     # K_k^2 / ell_k decays along the tail
     q = K**2 / ell
-    tail = q[np.abs(ks) >= M // 2]
-    headmax = float(q[np.abs(ks) <= M // 2].max())
+    at_half, at_end = float(q[M + half]), float(q[-1])
     est["square_over_length"] = {
-        "at_half": float(q[ks == M // 2][0]),
-        "at_end": float(q[ks == M][0]),
+        "at_half": at_half, "at_end": at_end,
         "tail_monotone_decay": bool(
-            np.all(np.diff(q[ks >= M // 2]) < 0) and np.all(np.diff(q[ks <= -M // 2]) > 0)),
-        "pass": bool(q[ks == M][0] < q[ks == M // 2][0]
-                     and float(tail.max()) <= headmax),
+            np.all(np.diff(q[M + half:]) < 0) and np.all(np.diff(q[ks <= -M // 2]) > 0)),
+        "pass": bool(at_end < at_half
+                     and q[abs_k >= half].max() <= q[abs_k <= half].max()),
     }
 
     # m_{k} - 2 comparable to K_{k-1}^2 away from the crossing
-    m_ks = ks[(ks > -M) & (ks != 0) & (ks != 1)]
-    mdev = np.abs(seqs.m(m_ks) - 2.0)
-    msq = np.float_power(seqs.K(m_ks - 1), 2.0)
-    est["m_near_two"] = {
-        "max_ratio": float((mdev / msq).max()),
-        "max_dev": float(mdev.max()),
-        "pass": bool((mdev / msq).max() <= tol["m_slack"]),
-    }
+    off = (ks > -M) & (ks != 0) & (ks != 1)
+    mdev = np.abs(seqs.m_arr[off] - 2.0)
+    max_ratio = float((mdev / np.float_power(K_prev[off], 2.0)).max())
+    est["m_near_two"] = {"max_ratio": max_ratio, "max_dev": float(mdev.max()),
+                         "pass": max_ratio <= tol["m_slack"]}
     # the exact identity m_{k+1} - 2 - (K_{k+1} - K_k) = K_k^2/(1+K_k)
-    all_k = ks[:-1]
-    lhs = seqs.m(all_k + 1) - 2.0 - (seqs.K(all_k + 1) - seqs.K(all_k))
-    rhs = np.float_power(seqs.K(all_k), 2.0) / (1.0 + seqs.K(all_k))
-    est["m_identity"] = {
-        "max_abs_dev": float(np.max(np.abs(lhs - rhs))),
-        "pass": bool(np.max(np.abs(lhs - rhs)) <= 1e-14),
-    }
+    dev = float(np.max(np.abs(seqs.m_arr[1:] - 2.0 - dK[1:]
+                              - np.float_power(K[:-1], 2.0) / (1.0 + K[:-1]))))
+    est["m_identity"] = {"max_abs_dev": dev, "pass": dev <= 1e-14}
 
     # beta bounds (forward) and alpha bounds (backward)
-    n = np.arange(1, M + 1)
-    bn = seqs.beta(n)
-    est["beta_forward"] = {
-        "max_scaled": float(np.max(bn * (n + C))),
-        "min_over_K": float(np.min(bn - seqs.K(n))),
-        "pass": bool(np.max(bn * (n + C)) <= params.bigB
-                     and np.all(bn >= seqs.K(n))),
-    }
-    an = seqs.alpha(-np.arange(0, M + 1))
-    est["alpha_backward"] = {
-        "max_scaled": float(np.max(-an * (np.arange(0, M + 1) + C))),
-        "pass": bool(np.all(an < 0.0)
-                     and np.max(-an * (np.arange(0, M + 1) + C)) <= params.bigB),
-    }
+    bn = seqs.beta_arr[M + 1:]
+    max_scaled, min_over_K = float(np.max(bn * x[M + 1:])), float(np.min(bn - K[M + 1:]))
+    est["beta_forward"] = {"max_scaled": max_scaled, "min_over_K": min_over_K,
+                           "pass": max_scaled <= B and min_over_K >= 0.0}
+    negative = bool(np.all(alpha[:M + 1] < 0.0))
+    max_scaled = float(np.max(-alpha[:M + 1] * x[:M + 1]))
+    est["alpha_backward"] = {"max_scaled": max_scaled,
+                             "pass": negative and max_scaled <= B}
 
     # sign pattern and recurrence residual
-    est["sign_pattern"] = {
-        "pass": bool(np.all(seqs.alpha(np.arange(1, M + 1)) > 0.0)
-                     and np.all(seqs.alpha(-np.arange(0, M + 1)) < 0.0)),
-    }
-    res = recurrence_residuals(seqs)
-    est["recurrence_residual"] = {
-        "max": float(res.max()),
-        "pass": bool(res.max() <= tol["recurrence_residual"]),
-    }
+    est["sign_pattern"] = {"pass": negative and bool(np.all(alpha[M + 1:] > 0.0))}
+    res = float(recurrence_residuals(seqs).max())
+    est["recurrence_residual"] = {"max": res, "pass": res <= tol["recurrence_residual"]}
 
     # a posteriori constant of the assumption |alpha_k| <= A |K_k|
-    a_over_k = np.abs(seqs.alpha(ks)) / np.abs(K)
-    est["alpha_over_K"] = {"A": float(a_over_k.max()),
-                           "pass": bool(np.isfinite(a_over_k.max()))}
+    A = float((np.abs(alpha) / np.abs(K)).max())
+    est["alpha_over_K"] = {"A": A, "pass": math.isfinite(A)}
 
     # crossing diagnostics: the one index where the two-sided estimates fail
-    K0, Km1 = float(seqs.K(0)), float(seqs.K(-1))
-    report["crossing"] = {
-        "K_step_at_0": K0 - Km1,
-        "m0_minus_2": float(seqs.m(0)) - 2.0,
-        "identity_m0_2K0_dev": abs(float(seqs.m(0)) - 2.0 - 2.0 * K0),
-        "identity_pass": bool(abs(float(seqs.m(0)) - 2.0 - 2.0 * K0) <= 1e-14),
-    }
-    report["pass"] = bool(all(v.get("pass", True) for v in est.values())
-                          and report["crossing"]["identity_pass"])
-    return report
+    m0_minus_2 = float(seqs.m(0)) - 2.0
+    dev = abs(m0_minus_2 - 2.0 * float(K[M]))
+    crossing = {"K_step_at_0": float(dK[M]), "m0_minus_2": m0_minus_2,
+                "identity_m0_2K0_dev": dev, "identity_pass": dev <= 1e-14}
+    return {"estimates": est, "crossing": crossing,
+            "pass": all(v["pass"] for v in est.values()) and crossing["identity_pass"]}
 
 
 def dump_sequences_csv(seqs: GapSequences, path) -> None:

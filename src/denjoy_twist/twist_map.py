@@ -303,7 +303,7 @@ class TwistSystem:
         g1_plus = profile_eval(h.gamma_plus, s, 1)
         g1_minus = profile_eval(h.gamma_plus, s, 1, reflect=True)
         ks = np.arange(-M + 1, M)
-        rows = {}
+        blocks = []
 
         def sup(x):
             return np.max(np.abs(x), axis=1)
@@ -361,40 +361,39 @@ class TwistSystem:
             zeta = h.value(u, k) + v - 2.0 * u
             dz = dzeta(u, v)
 
-            block = {
-                "sup_d2": sup(total), "sup_II": sup(II), "sup_III": sup(III),
-                "sup_IV": sup(IV), "sup_V": sup(V), "sup_dzeta": sup(dz),
-                "sup_zeta": sup(zeta),
-                "rel_fd_dev": sup(total - fd) / sup(fd),
-                "abs_analytic_dev": sup(total - direct),
-            }
-            for name, col in block.items():
-                rows.setdefault(name, []).extend(col.tolist())
-        return RegularityReport(k=ks.tolist(), **rows)
+            # in the field order of RegularityReport
+            blocks.append((sup(total), sup(II), sup(III), sup(IV), sup(V), sup(dz),
+                           sup(zeta), sup(total - fd) / sup(fd), sup(total - direct)))
+        return RegularityReport(ks, *map(np.concatenate, zip(*blocks)))
 
 
 @dataclass
 class RegularityReport:
-    """Per-gap suprema of the second-derivative data and decay summaries."""
+    """Per-gap suprema of the second-derivative data, one numpy array per
+    column over the gaps k, and their decay summaries."""
 
-    k: list
-    sup_d2: list
-    sup_II: list
-    sup_III: list
-    sup_IV: list
-    sup_V: list
-    sup_dzeta: list
-    sup_zeta: list
-    rel_fd_dev: list
-    abs_analytic_dev: list
+    k: np.ndarray
+    sup_d2: np.ndarray
+    sup_II: np.ndarray
+    sup_III: np.ndarray
+    sup_IV: np.ndarray
+    sup_V: np.ndarray
+    sup_dzeta: np.ndarray
+    sup_zeta: np.ndarray
+    rel_fd_dev: np.ndarray
+    abs_analytic_dev: np.ndarray
+
+    # the columns of regularity.csv, in order
+    CSV_COLUMNS = ("k", "sup_d2", "sup_II", "sup_III", "sup_IV", "sup_V",
+                   "sup_dzeta", "sup_zeta", "rel_fd_dev")
 
     def summary(self) -> dict:
-        k = np.asarray(self.k)
-        d2 = np.asarray(self.sup_d2)
-        M = int(np.max(np.abs(k))) + 1
+        k, d2 = self.k, self.sup_d2
+        abs_k = np.abs(k)
+        M = int(np.max(abs_k)) + 1
         half = M // 2
-        tail = float(np.max(d2[np.abs(k) >= half]))
-        head = float(np.max(d2[np.abs(k) <= half]))
+        tail = float(np.max(d2[abs_k >= half]))
+        head = float(np.max(d2[abs_k <= half]))
         off_crossing = (k != 0) & (k != 1)
         return {
             "sup_all": float(np.max(d2)),
@@ -404,7 +403,7 @@ class RegularityReport:
             "sup_off_crossing": float(np.max(d2[off_crossing])),
             "sup_tail": tail,
             "sup_head": head,
-            "tail_below_head": bool(tail < head),
+            "tail_below_head": tail < head,
             "max_rel_fd_dev": float(np.max(self.rel_fd_dev)),
             "max_abs_analytic_dev": float(np.max(self.abs_analytic_dev)),
         }
@@ -412,13 +411,9 @@ class RegularityReport:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["k", "sup_d2", "sup_II", "sup_III", "sup_IV", "sup_V",
-                        "sup_dzeta", "sup_zeta", "rel_fd_dev"])
-            for i, k in enumerate(self.k):
-                w.writerow([k, repr(self.sup_d2[i]), repr(self.sup_II[i]),
-                            repr(self.sup_III[i]), repr(self.sup_IV[i]),
-                            repr(self.sup_V[i]), repr(self.sup_dzeta[i]),
-                            repr(self.sup_zeta[i]), repr(self.rel_fd_dev[i])])
+            w.writerow(self.CSV_COLUMNS)
+            # csv writes Python floats by repr, which round-trips
+            w.writerows(zip(*(getattr(self, name).tolist() for name in self.CSV_COLUMNS)))
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,17 @@ OUTPUT_DIGESTS = {
                     "--set", "regularity.compare_C_factor=100"], {
         "regularity.csv": "f4aa405180f0ff2ee0e8e540fa278f83ff76f40503e3803eb0a2937fa1ac1de1",
         "regularity.json": "65d575c0738693532b37b8366742a92087fafeeaedd23c2c55a1ccdc6bd353bb"}),
+    # odd M: M // 2 is the tail index of the estimates
+    "build_odd": (["build", "--set", "params.M=33"], {
+        "build.json": "ca34d353641f4e15ba871079be117da7c171cb4d53679394995c3c91ba71ce34",
+        "estimates.json": "b5a426bdae1aa97edfe5134f28ea8e24ada15c62fd6075991584d4824ddd1bf4",
+        "gaps.csv": "d98e12a8f157aa6b5657c20257f327b612d2b492938a51701f17214bc59975f2",
+        "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
+        "sequences.csv": "02931065fe0a0876137622bf955c7dcafcb0208a80a7d4cd556dd1b91b8ac00b"}),
+    # 65 gaps: the scan joins a 64-gap block and a 1-gap block
+    "regularity_odd": (["regularity", "--set", "params.M=33"], {
+        "regularity.csv": "7b581cd55e90022839cd397ed582dc0ee183d79a13f96c09c92fe6d76575e7c5",
+        "regularity.json": "8450e336e25bdea6ec70a0fc05c48e0a95c9cf1959a72dfae94f1b13693a3b95"}),
     "build": (["build", "--set", "params.M=64"], {
         "build.json": "489ee85c81f7196217b4ea4fd4cf0742cc228f8fdf08677bcc87a1916f4a0fe0",
         "estimates.json": "393b0ad6f067e672ea9a5544b3a2c54e2b136bc1bf033fdfb46bf211cbe8cdc9",
@@ -363,6 +374,21 @@ def test_config_rejects_unknown(tmp_path):
     ("verify", "verify.fd_step=inf"),
     ("portrait", "portrait.curve_samples=-1"),
     ("regularity", "regularity.compare_C_factor=-3"),
+    # an odd grid puts a point on a gap midpoint, and a step of 1/(4 grid)
+    # or more takes the first five-point stencil out of its gap
+    ("regularity", "regularity.grid=3"),
+    ("regularity", "regularity.fd_step_rel=0.001"),
+    ("regularity", "regularity.fd_step_rel=0.00099"),
+    # a tolerance that is NaN, negative or infinite fails or passes every run
+    ("verify", "tolerances.roundtrip=nan"),
+    ("verify", "tolerances.roundtrip=-1"),
+    ("verify", "tolerances.roundtrip=inf"),
+    ("build", "params.quadrature_tolerance=inf"),
+    ("build", "params.quadrature_tolerance=-1"),
+    # the large-C rebuild is refused by the construction: C * factor < 10,
+    # and a C so large that the seed underflows
+    ("regularity", "regularity.compare_C_factor=1e-3"),
+    ("regularity", "regularity.compare_C_factor=1e300"),
 ])
 def test_checks_with_nothing_to_measure_exit_2(tmp_path, capsys, command, override):
     # each would otherwise pass a check on no samples, or die inside numpy
