@@ -82,14 +82,16 @@ def _build(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
         dump_sequences_csv(built.seqs, os.path.join(outdir, "sequences.csv"))
         dump_gap_table_csv(built.table, os.path.join(outdir, "gaps.csv"))
         export_profile_csv(built.profiles, os.path.join(outdir, "profiles.csv"))
-    est = verify_sequence_estimates(built.seqs)
+    est = verify_sequence_estimates(built.seqs, built.cfg["tolerances"])
     dump_json(est, os.path.join(outdir, "estimates.json"))
 
 
-def _manifold_checks(built: BuiltSystem, rb: ReportBuilder, k_max: int) -> dict:
+def _manifold_checks(built: BuiltSystem, rb: ReportBuilder):
     """The segment, curve-side and orbit-convergence checks of verify and
-    manifolds; returns the manifold_iterate_check result."""
+    manifolds, over the segments |k| <= manifolds.k_max that the stored
+    range holds; returns that k_max and the manifold_iterate_check result."""
     sysm, tb, tol = built.system, built.table, built.cfg.tol
+    k_max = min(built.cfg["manifolds"]["k_max"], tb.M - 2)
     mi = manifold_iterate_check(sysm, k_max)
     rb.check_leq("manifold_image_distance", mi["max_image_distance"],
                  tol("manifold_map"))
@@ -104,7 +106,7 @@ def _manifold_checks(built: BuiltSystem, rb: ReportBuilder, k_max: int) -> dict:
                                  min(20, tb.M - 1))
     rb.check_leq("orbit_convergence_rel", oc["max_rel_ratio_error"],
                  tol("orbit_convergence_rel"))
-    return mi
+    return k_max, mi
 
 
 def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
@@ -131,7 +133,7 @@ def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
         rb.check_leq("rotation_number_gap_times_n", worst * n, 1.0,
                      detail={"n": n})
 
-    est = verify_sequence_estimates(seqs)
+    est = verify_sequence_estimates(seqs, cfg["tolerances"])
     rb.check_true("sequence_estimates", est["pass"], detail=est["estimates"])
     rb.check_true("sign_pattern", est["estimates"]["sign_pattern"]["pass"])
     rb.check_leq("beta_scaled_bound",
@@ -156,7 +158,7 @@ def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
                      tol("phi_fit_deviation"))
 
     with rb.timed("manifolds"):
-        _manifold_checks(built, rb, min(v["manifold_k_max"], table.M - 2))
+        _manifold_checks(built, rb)
 
     with rb.timed("jumps"):
         jumps = np.array(derivative_jump_table(g))[:, 3]
@@ -286,10 +288,9 @@ def _portrait(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
 
 
 def _manifolds(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
-    k_max = min(built.cfg["manifolds"]["k_max"], built.table.M - 2)
+    k_max, mi = _manifold_checks(built, rb)
     dump_segments_csv(built.system, -k_max, k_max,
                       os.path.join(outdir, "segments.csv"))
-    mi = _manifold_checks(built, rb, k_max)
     rb.check_leq("manifold_base_orbit", mi["max_base_orbit_error"],
                  built.cfg.tol("manifold_map"))
     print(f"manifolds: {'PASS' if rb.report['pass'] else 'FAIL'}")

@@ -19,14 +19,13 @@ class ConfigError(ValueError):
     pass
 
 
+# [params] key -> SeqParams field; SeqParams declares their defaults
+_SEQ_FIELDS = {"omega": "omega", "delta": "delta", "C": "bigC", "B": "bigB",
+               "M": "truncation_M", "alpha1_policy": "alpha1_policy"}
+
 _DEFAULTS = {
     "params": {
-        "omega": (math.sqrt(5.0) - 1.0) / 2.0,
-        "delta": 0.5,
-        "C": 100.0,
-        "B": 10.0,
-        "M": 500,
-        "alpha1_policy": "half_K1",
+        **{key: getattr(SeqParams, name) for key, name in _SEQ_FIELDS.items()},
         "swap_gamma": False,
         "mode": "full",             # full | rigid_rotation
         "seed": 20260809,
@@ -58,7 +57,6 @@ _DEFAULTS = {
         "invariance_samples": 10000,
         "rotation_n": 100000,
         "rotation_starts": "0.0,0.37,0.73",
-        "manifold_k_max": 50,
         "jump_scan_samples": 10000,
         "roundtrip_samples": 10000,
         "det_samples": 1000,
@@ -77,7 +75,6 @@ _DEFAULTS = {
     },
     "manifolds": {
         "k_max": 50,
-        "extend_to": 5,
     },
     "diffusion": {
         "offsets": "-1e-3,1e-3",
@@ -97,9 +94,8 @@ _DEFAULTS = {
 # portrait and diffusion
 _POSITIVE = (
     ("verify", "invariance_samples"), ("verify", "rotation_n"),
-    ("verify", "manifold_k_max"), ("verify", "jump_scan_samples"),
-    ("verify", "roundtrip_samples"), ("verify", "det_samples"),
-    ("verify", "fd_step"), ("regularity", "grid"),
+    ("verify", "jump_scan_samples"), ("verify", "roundtrip_samples"),
+    ("verify", "det_samples"), ("verify", "fd_step"), ("regularity", "grid"),
     ("regularity", "fd_step_rel"), ("manifolds", "k_max"),
     ("portrait", "steps"), ("diffusion", "n"), ("params", "quadrature_tolerance"),
 )
@@ -128,10 +124,7 @@ class RunConfig:
     @property
     def seq_params(self) -> SeqParams:
         p = self.sections["params"]
-        return SeqParams(omega=p["omega"], delta=p["delta"], bigC=p["C"],
-                         bigB=p["B"], truncation_M=p["M"],
-                         alpha1_policy=p["alpha1_policy"],
-                         tolerances=dict(self.sections["tolerances"]))
+        return SeqParams(**{name: p[key] for key, name in _SEQ_FIELDS.items()})
 
     def tol(self, name: str) -> float:
         return self.sections["tolerances"][name]

@@ -158,13 +158,11 @@ class SemiConjugacy:
 
 
 def dump_gap_table_csv(table: GapTable, path) -> None:
-    """Gap table dump with columns (k, lambda, mu, ell, J_lo, J_hi, wrap)."""
+    """Gap table dump with columns (k, lambda, mu, ell, J_lo, J_hi)."""
     ks = np.arange(-table.M, table.M + 1)
     cols = [table.lam_of(ks), table.mu_of(ks), table.ell_of(ks), *table.J_of(ks)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["k", "lambda", "mu", "ell", "J_lo", "J_hi", "wrap"])
-        # csv writes Python floats by repr, which round-trips; no gap wraps
-        # around 0 = 1 (see GapTable), so the wrap column is a constant 0
-        w.writerows([*row, 0] for row in
-                    zip(ks.tolist(), *(c.tolist() for c in cols)))
+        w.writerow(["k", "lambda", "mu", "ell", "J_lo", "J_hi"])
+        # csv writes Python floats by repr, which round-trips
+        w.writerows(zip(ks.tolist(), *(c.tolist() for c in cols)))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class ConstructionError(RuntimeError):
 
 
 DEFAULT_TOLERANCES = {
-    "normalizer_rel": 1e-10,
     "recurrence_residual": 1e-13,
     "zero_seed_drift": 1e-12,
     # slack windows for the empirical estimate constants at desk scale
@@ -49,7 +48,6 @@ class SeqParams:
     truncation_M: int = 500
     # "half_K1" | "value:<x>"
     alpha1_policy: str = "half_K1"
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def validate(self) -> None:
         if not (0.0 < self.omega < 1.0):
@@ -242,11 +240,12 @@ def recurrence_residuals(seqs: GapSequences) -> np.ndarray:
     return res
 
 
-def verify_sequence_estimates(seqs: GapSequences) -> dict:
+def verify_sequence_estimates(seqs: GapSequences, tol=DEFAULT_TOLERANCES) -> dict:
     """Empirical constants and pass flags for the estimate chain.
 
     Each entry reports the measured best constants, each computed once, and
-    judges its pass flag from them against the configured slack windows. The
+    judges its pass flag from them against the slack windows and the
+    recurrence tolerance of tol (a config's [tolerances] table). The
     crossing pairs straddling k = 0 (where the |k|-symmetric length formula
     flips the sign of K) are excluded from the two-sided difference estimates
     and reported on their own: there the estimates provably degrade to O(1/C)
@@ -254,7 +253,6 @@ def verify_sequence_estimates(seqs: GapSequences) -> dict:
     over.
     """
     params = seqs.params
-    tol = {**DEFAULT_TOLERANCES, **params.tolerances}
     M, C, B, half = seqs.M, params.bigC, params.bigB, seqs.M // 2
     # each array is over k in [-M, M], at index k + M
     ks = np.arange(-M, M + 1)

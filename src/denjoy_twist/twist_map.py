@@ -572,21 +572,17 @@ def build_twist_system(g, table=None, seqs=None) -> TwistSystem:
 
 
 def dump_segments_csv(system: TwistSystem, k_lo: int, k_hi: int, path) -> None:
-    """Base segment endpoints and midpoints, one row per marker.
-
-    Every base segment lies in its gap's linear band, so in_linear_band is
-    a constant 1.
-    """
+    """Base segment endpoints and midpoints, one row per marker."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["k", "kind", "marker", "x", "r", "in_linear_band"])
+        w.writerow(["k", "kind", "marker", "x", "r"])
         for kind, ks in (("stable", np.arange(max(k_lo, 1), k_hi + 1)),
                          ("unstable", np.arange(min(k_hi, 0), k_lo - 1, -1))):
             mu, base_r, slope, hw = (a[:, None] for a in base_segments(system, ks))
             xs = mu + hw * np.array([-1.0, 0.0, 1.0])
             rs = base_r + slope * (xs - mu)
             for k, x, r in zip(ks.tolist(), xs.tolist(), rs.tolist()):
-                w.writerows([k, kind, name, repr(xm), repr(rm), 1]
+                w.writerows([k, kind, name, repr(xm), repr(rm)]
                             for name, xm, rm in zip(("lo", "mid", "hi"), x, r))
 
 

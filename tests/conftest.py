@@ -1,23 +1,19 @@
 import pytest
 
-from denjoy_twist.circle_map import build_circle_homeo
-from denjoy_twist.layout import build_gap_table
+from denjoy_twist.cli import build_full_system
 from denjoy_twist.profiles import calibrate_profiles
-from denjoy_twist.sequences import SeqParams, build_sequences
-from denjoy_twist.twist_map import build_twist_system
+from denjoy_twist.sequences import SeqParams
 
 
 class Built:
-    """A fully built system bundle shared by tests (read-only)."""
+    """A fully built system bundle shared by tests (read-only), built by the
+    CLI's own build path."""
 
     def __init__(self, params, profiles, swap_gamma=False):
         self.params = params
         self.profiles = profiles
-        self.seqs = build_sequences(params)
-        self.table = build_gap_table(self.seqs)
-        self.g = build_circle_homeo(self.table, self.seqs, profiles,
-                                    swap_gamma=swap_gamma)
-        self.system = build_twist_system(self.g, self.table, self.seqs)
+        self.seqs, self.table, self.g, self.system = build_full_system(
+            params, profiles, swap_gamma)
 
 
 @pytest.fixture(scope="session")

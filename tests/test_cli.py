@@ -244,13 +244,13 @@ def _sha256(data: bytes) -> str:
 # profiles exchanged; and, at M=16 with 2000 steps, diffusion.json's probes
 # (json.dumps with indent=2, sort_keys=True) and its deterministic dump
 MANIFOLD_DIGESTS = {
-    "false": ("0e4439b21642a02572458b0622d230b26811657f702e8c604d405346046a2f71",
-              "fd3c478c7011373c86109a71fb53e0d1f2d45bbdc7f5401c3db378984e5cad6c"),
-    "true": ("0e4439b21642a02572458b0622d230b26811657f702e8c604d405346046a2f71",
-             "47d5200fe25cf0e3299f00006c1b4fcfa27506ad66307e40bcde2e0c6956ec86"),
+    "false": ("750fcb0fd7b9560f3642b34d0a5dfa68c6bae6828a2689e6a51550ca6c77aa6f",
+              "ada6e3a7485fbf7d206dff0a438f0916709d5201f232191fa658417b82991e5e"),
+    "true": ("750fcb0fd7b9560f3642b34d0a5dfa68c6bae6828a2689e6a51550ca6c77aa6f",
+             "ff40b30ea03ac55212cc1ddb38931ff00caa826de903583a5dc588b1bad0f6eb"),
 }
 DIFFUSION_DIGEST = ("2351ec185fccd57490b95cf26d0afafcd49c63335a77d81c2a5b652e4dd4c214",
-                    "0506ae7a905ebff8682b905c211b985fd9ce5e89878d5eaaef04900986ac202e")
+                    "caae77199e413a70970611ae016f0ba010ed54bf0a0866b65cdca2eeeb0d9f0f")
 
 
 # sha256 of every file a command writes, its report through
@@ -262,28 +262,28 @@ PORTRAIT = ["portrait", "--set", "params.M=32", "--set", "portrait.orbits=4",
             "--set", "portrait.steps=100"]
 OUTPUT_DIGESTS = {
     "verify": (["verify"] + FAST, {
-        "verify.json": "a8e2c9dd9694b4d4663602de3769e70650f506153367dd02ca30e63217b52b19"}),
+        "verify.json": "c2c8d00fdf9841f209a83fb910de47f538970ecb6164586abe1dd5ed0e943890"}),
     "verify_rigid": (["verify"] + FAST + ["--set", "params.mode=rigid_rotation"], {
-        "verify.json": "b45fb57c120410cf745a253403c40b383686fa7061dbf1c541fd49360eed474f"}),
+        "verify.json": "46de071c297cd362e5111af110a5cdf6e1eba16601562ae40ee5196c0eec1877"}),
     "regularity": (["regularity", "--set", "params.M=32",
                     "--set", "regularity.compare_C_factor=100"], {
         "regularity.csv": "f4aa405180f0ff2ee0e8e540fa278f83ff76f40503e3803eb0a2937fa1ac1de1",
-        "regularity.json": "65d575c0738693532b37b8366742a92087fafeeaedd23c2c55a1ccdc6bd353bb"}),
+        "regularity.json": "2535d68f2d2713abefd16be37e94193b8e83ce65e84183dc336a3bafcf9a59b6"}),
     # odd M: M // 2 is the tail index of the estimates
     "build_odd": (["build", "--set", "params.M=33"], {
-        "build.json": "ca34d353641f4e15ba871079be117da7c171cb4d53679394995c3c91ba71ce34",
+        "build.json": "523e0c882a55cd2c2684f40b311cd46c96c9158604abf5e1f6903fc83082f93a",
         "estimates.json": "b5a426bdae1aa97edfe5134f28ea8e24ada15c62fd6075991584d4824ddd1bf4",
-        "gaps.csv": "d98e12a8f157aa6b5657c20257f327b612d2b492938a51701f17214bc59975f2",
+        "gaps.csv": "d1b2d943cee4ee7212121bf8f6c214125f95d21c764f79308c8bfd2a394ce00b",
         "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
         "sequences.csv": "02931065fe0a0876137622bf955c7dcafcb0208a80a7d4cd556dd1b91b8ac00b"}),
     # 65 gaps: the scan joins a 64-gap block and a 1-gap block
     "regularity_odd": (["regularity", "--set", "params.M=33"], {
         "regularity.csv": "7b581cd55e90022839cd397ed582dc0ee183d79a13f96c09c92fe6d76575e7c5",
-        "regularity.json": "8450e336e25bdea6ec70a0fc05c48e0a95c9cf1959a72dfae94f1b13693a3b95"}),
+        "regularity.json": "557fdf6e63ed4f9b2744301fea14c4e9a16635ec7af31b5ec579283d32a21c09"}),
     "build": (["build", "--set", "params.M=64"], {
-        "build.json": "489ee85c81f7196217b4ea4fd4cf0742cc228f8fdf08677bcc87a1916f4a0fe0",
+        "build.json": "3fb8993ee706647ff923b679d6e29e91d8712ea5fe9a1b2249f9b034f0214869",
         "estimates.json": "393b0ad6f067e672ea9a5544b3a2c54e2b136bc1bf033fdfb46bf211cbe8cdc9",
-        "gaps.csv": "ad6ee85459624c74a6ae2e3416f84ad34d63da6ad2159c8ab27fe86c356921dd",
+        "gaps.csv": "8b8bd7609bdb22233b4152749202520f9d5dd5c7bf2bcb836e6164dfc0948411",
         "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
         "sequences.csv": "22501defcdba156237345e70e27a6091f2b19d0bdacc1c9c572ebea89737c9ce"}),
     "portrait": (PORTRAIT, {
@@ -355,7 +355,7 @@ def test_config_rejects_unknown(tmp_path):
     ("verify", "verify.jump_scan_samples=0"),
     ("verify", "verify.det_samples=0"),
     ("verify", "verify.invariance_samples=0"),
-    ("verify", "verify.manifold_k_max=0"),
+    ("verify", "manifolds.k_max=0"),
     ("verify", "verify.fd_step=0"),
     ("verify", "verify.fd_step=nan"),
     ("manifolds", "manifolds.k_max=0"),
@@ -389,13 +389,41 @@ def test_config_rejects_unknown(tmp_path):
     # and a C so large that the seed underflows
     ("regularity", "regularity.compare_C_factor=1e-3"),
     ("regularity", "regularity.compare_C_factor=1e300"),
+    # deleted keys: no code read the first two, and verify's manifold checks
+    # read manifolds.k_max
+    ("manifolds", "manifolds.extend_to=5"),
+    ("build", "tolerances.normalizer_rel=1e-10"),
+    ("verify", "verify.manifold_k_max=50"),
 ])
 def test_checks_with_nothing_to_measure_exit_2(tmp_path, capsys, command, override):
-    # each would otherwise pass a check on no samples, or die inside numpy
+    # each would otherwise pass a check on no samples, die inside numpy, or
+    # be accepted and ignored
     assert run([command, "--set", "params.M=16", "--set", override],
                tmp_path, "z") == 2
     err = capsys.readouterr().err
     assert override.split("=")[0] in err and "Traceback" not in err
+
+
+def test_rotation_estimate_from_a_far_start(tmp_path):
+    # ulp(1e12) is ~1.2e-4, so n steps stepped from 1e12 itself would swamp
+    # the 1/n bound; the estimate starts from 1e12 % 1.0 = 0.0 instead
+    measured = []
+    for sub, start in (("far", "1e12"), ("zero", "0.0")):
+        assert run(["verify"] + FAST + ["--set", "verify.rotation_n=100000",
+                                        "--set", f"verify.rotation_starts={start}"],
+                   tmp_path, sub) == 0
+        rep = json.loads((tmp_path / sub / "verify.json").read_text())
+        measured += [c["measured"] for c in rep["checks"]
+                     if c["name"] == "rotation_number_gap_times_n"]
+    assert measured[0] == measured[1] < 1.0
+
+
+def test_diffusion_numeric_theta0(tmp_path):
+    assert run(["diffusion", "--set", "params.M=16", "--set", "diffusion.n=200",
+                "--set", "diffusion.theta0=0.3"], tmp_path, "d") == 0
+    rep = json.loads((tmp_path / "d" / "diffusion.json").read_text())
+    probes = rep["summary"]["probes"]
+    assert len(probes) == 2 and all(pr["theta0"] == 0.3 for pr in probes)
 
 
 @pytest.mark.parametrize("policy", ["zero", "half_K1_negated", "bogus", "value:nan",

@@ -1,0 +1,80 @@
+"""The config surface holds only settings that some command reads, and the
+README documents only settings that exist."""
+
+import re
+from pathlib import Path
+
+from denjoy_twist import cli
+from denjoy_twist.config import _DEFAULTS, load_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class _Recording(dict):
+    """A config section that records each key read from it by subscript."""
+
+    def __init__(self, section, values, seen):
+        super().__init__(values)
+        self.section, self.seen = section, seen
+
+    def __getitem__(self, key):
+        self.seen.add((self.section, key))
+        return super().__getitem__(key)
+
+
+def test_every_setting_is_read(tmp_path, monkeypatch):
+    # the six commands on small sizes; load_config's own value checks and the
+    # report's config echo are not reads, as they run before or beside the
+    # recording (the echo iterates items)
+    seen = set()
+
+    def recording(*args):
+        cfg = load_config(*args)
+        cfg.sections = {sec: _Recording(sec, kv, seen)
+                        for sec, kv in cfg.sections.items()}
+        return cfg
+
+    monkeypatch.setattr(cli, "load_config", recording)
+    small = ["--set", "params.M=16"]
+    runs = [
+        ["build"],
+        ["verify", "--set", "verify.rotation_n=500",
+         "--set", "verify.invariance_samples=200", "--set", "verify.roundtrip_samples=100",
+         "--set", "verify.det_samples=20", "--set", "verify.jump_scan_samples=200"],
+        ["regularity", "--set", "regularity.compare_C_factor=100"],
+        ["portrait", "--set", "portrait.orbits=2", "--set", "portrait.steps=10",
+         "--set", "portrait.curve_samples=8"],
+        ["manifolds"],
+        ["diffusion", "--set", "diffusion.n=100"],
+    ]
+    for i, args in enumerate(runs):
+        assert cli.main(args + small + ["--out", str(tmp_path / str(i))]) == 0
+    # output.directory is read only when --out is not given
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["build"] + small) == 0
+    assert (tmp_path / _DEFAULTS["output"]["directory"] / "build.json").exists()
+    unread = {(sec, key) for sec, kv in _DEFAULTS.items() for key in kv} - seen
+    assert not unread, f"settings no command reads: {sorted(unread)}"
+
+
+def test_readme_example_config_gives_the_defaults(tmp_path):
+    # the README's example INI block loads, and its values are the defaults
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "example.ini"
+    path.write_text(blocks[0])
+    assert "[params]" in blocks[0]
+    assert load_config(str(path)).echo() == load_config().echo()
+
+
+def test_readme_names_only_existing_settings():
+    # every section.key whose section is a config section, tolerances.* as a
+    # wildcard; output file names such as verify.json are not settings
+    text = README.read_text()
+    sections = "|".join(_DEFAULTS)
+    named = set(re.findall(rf"\b({sections})\.([A-Za-z_*][A-Za-z_0-9]*)", text))
+    assert named, "the README names no setting"
+    missing = sorted(f"{sec}.{key}" for sec, key in named
+                     if key not in _DEFAULTS[sec] and key not in ("json", "csv")
+                     and (sec, key) != ("tolerances", "*"))
+    assert not missing, f"README names settings that do not exist: {missing}"

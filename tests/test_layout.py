@@ -151,12 +151,12 @@ def test_csv_dump(small, tmp_path):
     path = tmp_path / "gaps.csv"
     dump_gap_table_csv(small.table, path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,lambda,mu,ell,J_lo,J_hi,wrap"
+    assert lines[0] == "k,lambda,mu,ell,J_lo,J_hi"
     assert len(lines) == 1 + 2 * small.table.M + 1
     tb = small.table
     for k, line in zip(range(-tb.M, tb.M + 1), lines[1:]):
         vals = (tb.lam_of(k), tb.mu_of(k), tb.ell_of(k), *tb.J_of(k))
-        assert line == ",".join([str(k)] + [repr(float(v)) for v in vals] + ["0"])
+        assert line == ",".join([str(k)] + [repr(float(v)) for v in vals])
 
 
 def test_sequences_table_roundtrip(small):

@@ -349,7 +349,7 @@ def test_diffusion_off_curve_reports(small):
 def test_dumps(small, tmp_path):
     dump_segments_csv(small.system, -3, 3, tmp_path / "seg.csv")
     lines = (tmp_path / "seg.csv").read_text().strip().splitlines()
-    assert lines[0] == "k,kind,marker,x,r,in_linear_band"
+    assert lines[0] == "k,kind,marker,x,r"
     assert len(lines) == 1 + 3 * 7
     dump_phase_portrait_csv(small.system, [(0.2, 0.6)], 10,
                             tmp_path / "portrait.csv", curve_samples=16)
