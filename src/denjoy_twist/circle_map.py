@@ -123,8 +123,8 @@ class LocalDiffeo:
         scalars for an int k, gathered arrays otherwise."""
         j = k + self.M
         if isinstance(k, int):
-            return (float(self.ell[j]), float(self.K[j]), float(self.alpha[j]),
-                    not self.plus[j])
+            return (self.ell.item(j), self.K.item(j), self.alpha.item(j),
+                    not self.plus.item(j))
         return self.ell[j], self.K[j], self.alpha[j], ~self.plus[j]
 
     def _h(self, u, cols, orders, side=None):
@@ -165,31 +165,33 @@ class LocalDiffeo:
         shape = v.shape
         v, k = v.ravel(), k.ravel()
         j = k + self.M
-        us, vs = self._bp_u[j], self._bp_v[j]
+        # the breakpoint images each test reads, one column at a time
+        v1, v3, v4 = (self._bp_v[j, c] for c in (1, 3, 4))
         tol = _INVERT_REL_TOL * self.ell_next[j]
         # pass a few ulp at circle scale too: a gap's image piece in the
         # global table can be that much wider than h_k(ell_k), so g^{-1} at a
         # gap's right end lands just outside
-        far = (v < -(tol + 8.0 * _EPS)) | (v > vs[:, 4] + (tol + 8.0 * _EPS))
+        far = (v < -(tol + 8.0 * _EPS)) | (v > v4 + (tol + 8.0 * _EPS))
         if far.any():
             raise ValueError(f"inverse argument outside [0, ell_{int(k[far][0]) + 1}]")
-        v = np.clip(v, 0.0, vs[:, 4])
+        v = np.clip(v, 0.0, v4)
         out = np.full_like(v, np.nan)
 
         # the linear pieces: slope 1+K, and 1+K+alpha on the jump side
         # (right of the midpoint for gamma_plus, left for gamma_minus)
-        lin = (v >= vs[:, 1]) & (v <= vs[:, 3])
+        lin = (v >= v1) & (v <= v3)
         if lin.any():
             jl, vl = j[lin], v[lin]
             K, alpha = self.K[jl], self.alpha[jl]
-            slope = 1.0 + K + np.where((vl > vs[lin, 2]) == self.plus[jl], alpha, 0.0)
+            right = vl > self._bp_v[jl, 2]
+            slope = 1.0 + K + np.where(right == self.plus[jl], alpha, 0.0)
             intercept = np.where(slope == 1.0 + K, 0.0, -alpha * self.ell[jl] / 2.0)
             out[lin] = (vl - intercept) / slope
 
-        left = v < vs[:, 1]
-        sh = (left | (v > vs[:, 3])).nonzero()[0]
+        left = v < v1
+        sh = (left | (v > v3)).nonzero()[0]
         if sh.size:
-            out[sh] = self._newton(v[sh], k[sh], left[sh], us[sh], vs[sh], tol[sh])
+            out[sh] = self._newton(v[sh], k[sh], left[sh], tol[sh])
         return out.reshape(shape)[()]
 
     def _invert_one(self, v, k):
@@ -197,7 +199,7 @@ class LocalDiffeo:
         check, clip, closed form and Newton iterates, step for step."""
         j = k + self.M
         us, vs = self._bp_u[j].tolist(), self._bp_v[j].tolist()
-        tol = _INVERT_REL_TOL * float(self.ell_next[j])
+        tol = _INVERT_REL_TOL * self.ell_next.item(j)
         slack = tol + 8.0 * _EPS
         if v < -slack or v > vs[4] + slack:
             raise ValueError(f"inverse argument outside [0, ell_{k + 1}]")
@@ -220,17 +222,18 @@ class LocalDiffeo:
         raise ConstructionError(f"inversion of h_{k} failed to converge after "
                                 f"{_INVERT_MAX_ITER} Newton steps")
 
-    def _newton(self, v, k, left, us, vs, tol):
+    def _newton(self, v, k, left, tol):
         """Safeguarded Newton on the shoulders, all points in one pass.
 
         Each point keeps its own bracket and leaves the pass once converged,
         so its result does not depend on which other points share the call.
-        The gap columns are gathered once and compacted with the points.
+        The bracket is the two breakpoints ending each point's shoulder; the
+        gap columns are gathered once and compacted with the points.
         """
-        lo = np.where(left, us[:, 0], us[:, 3])
-        hi = np.where(left, us[:, 1], us[:, 4])
-        lo_v = np.where(left, vs[:, 0], vs[:, 3])
-        hi_v = np.where(left, vs[:, 1], vs[:, 4])
+        j = k + self.M
+        a = np.where(left, 0, 3)   # the shoulder is breakpoints a, a + 1
+        lo, hi = self._bp_u[j, a], self._bp_u[j, a + 1]
+        lo_v, hi_v = self._bp_v[j, a], self._bp_v[j, a + 1]
         u = lo + (hi - lo) * (v - lo_v) / (hi_v - lo_v)
         out = np.empty_like(u)
         idx = np.arange(len(u))
@@ -525,8 +528,10 @@ def rotation_number_estimate(g, x0: float, n: int) -> float:
     [0, 1) each step rounds to the start's ulp (1.2e-4 at 1e12)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = x0 % 1.0
-    return float((orbit_lift(g, x, n)[-1] - x) / n)
+    x = start = float(x0) % 1.0
+    for _ in range(n):
+        x = g.lift(x)
+    return float((x - start) / n)
 
 
 def wandering_interval_check(g: CircleHomeo, n_max: int) -> dict:

@@ -14,12 +14,12 @@ downstream depends on the unrealizable infinite layout).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .reporting import write_csv
 from .sequences import ConstructionError
 
 
@@ -161,8 +161,5 @@ def dump_gap_table_csv(table: GapTable, path) -> None:
     """Gap table dump with columns (k, lambda, mu, ell, J_lo, J_hi)."""
     ks = np.arange(-table.M, table.M + 1)
     cols = [table.lam_of(ks), table.mu_of(ks), table.ell_of(ks), *table.J_of(ks)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "lambda", "mu", "ell", "J_lo", "J_hi"])
-        # csv writes Python floats by repr, which round-trips
-        w.writerows(zip(ks.tolist(), *(c.tolist() for c in cols)))
+    write_csv(path, ("k", "lambda", "mu", "ell", "J_lo", "J_hi"),
+              zip(ks.tolist(), *(c.tolist() for c in cols)))

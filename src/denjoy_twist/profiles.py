@@ -32,10 +32,12 @@ Hermite tables whose slopes are S and B sampled exactly.
 from __future__ import annotations
 
 import bisect
-import csv
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
+
+from .reporting import write_csv
 
 
 class CalibrationError(RuntimeError):
@@ -209,6 +211,7 @@ def _check_mass(f):
 
 _ANTI = "antiderivative"
 _ORDERS = (0, 1, 2, _ANTI)
+_ORDER_SET = frozenset(_ORDERS)
 # the plateaus' kernel, the constant 1: its derivatives, and its
 # antiderivative from 0 as the one row of its terms
 _ONE, _ONE_ANTI = (lambda s, order: 0.0 if order else 1.0), (lambda s: (s,))
@@ -259,10 +262,13 @@ class PlateauProfile:
     pieces: tuple = field(repr=False)
     anti_one: float = -0.0         # the antiderivative at t = 1
     jump: float | None = None      # the x where side= picks the row, if any
+    # the row starts: a tuple for bisect, and a column for the array route
+    los: tuple = field(init=False, repr=False, compare=False)
     starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "starts", np.array([[pc.lo] for pc in self.pieces]))
+        object.__setattr__(self, "los", tuple(float(pc.lo) for pc in self.pieces))
+        object.__setattr__(self, "starts", np.array(self.los)[:, None])
 
 
 @dataclass(frozen=True)
@@ -357,7 +363,7 @@ def profile_eval(p: PlateauProfile, t, order=0, side=None, reflect=False):
     of the array route.
     """
     orders = order if isinstance(order, tuple) else (order,)
-    if not orders or not set(orders) <= set(_ORDERS):
+    if not orders or not _ORDER_SET.issuperset(orders):
         raise ValueError(f"order must be one of {_ORDERS} or a tuple of them")
     if side not in (None, "left", "right"):
         raise ValueError("side must be None, 'left' or 'right'")
@@ -365,7 +371,7 @@ def profile_eval(p: PlateauProfile, t, order=0, side=None, reflect=False):
     if scalar:
         x = 1.0 - float(t) if reflect else float(t)
         # the row count at or below x; a NaN is in slot 0
-        n_at = bisect.bisect_right(p.pieces, x, key=lambda pc: pc.lo) if x == x else 0
+        n_at = bisect.bisect_right(p.los, x) if x == x else 0
     else:
         t = np.asarray(t, dtype=float)
         x = t.ravel()
@@ -389,7 +395,7 @@ def profile_eval(p: PlateauProfile, t, order=0, side=None, reflect=False):
         if side is not None:
             # the jump closes the row on its left
             n_at += at_jump & (reflect != (side == "right"))
-        elif {1, 2} & set(orders) and np.any(at_jump):
+        elif (1 in orders or 2 in orders) and np.any(at_jump):
             raise OneSidedLimitRequired("gamma derivative at t = 1/2 is one-sided; pass side=")
     if scalar:
         outs = _row(p, n_at, reflect, x, orders)
@@ -422,14 +428,13 @@ def export_profile_csv(profiles: ProfileSet, path, n: int = 2001) -> None:
     the jump point exactly.
     """
     ts = np.linspace(0.0, 1.0, n)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["profile", "t", "value", "d1", "d2", "antiderivative"])
+
+    def rows():
         for kind, p, reflect in (("eta", profiles.eta, False),
                                  ("gamma_plus", profiles.gamma_plus, False),
                                  ("gamma_minus", profiles.gamma_plus, True)):
             cols = [*profile_eval(p, ts, (0, 1, 2), side="right", reflect=reflect),
                     profile_eval(p, ts, _ANTI, reflect=reflect)]
-            # csv writes Python floats by repr, which round-trips
-            w.writerows([kind, *row] for row in
-                        zip(ts.tolist(), *(c.tolist() for c in cols)))
+            yield from zip(repeat(kind), ts.tolist(), *(c.tolist() for c in cols))
+
+    write_csv(path, ("profile", "t", "value", "d1", "d2", "antiderivative"), rows())

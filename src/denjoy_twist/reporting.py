@@ -65,6 +65,16 @@ class ReportBuilder:
         return {**self.report, "timings": self.timings}
 
 
+def write_csv(path, header, rows) -> None:
+    """A CSV of header and rows (tuples), bytewise what csv.writer writes for
+    them: "%s" of a Python float is its repr, as csv writes it, rows end in
+    \r\n, and no field the program writes needs quoting."""
+    fmt = ",".join(["%s"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(fmt % tuple(header))
+        fh.writelines(fmt % row for row in rows)
+
+
 def deterministic_dump(report: dict) -> str:
     """JSON without the timing key, for byte-comparable determinism."""
     stripped = {k: v for k, v in report.items() if k != "timings"}

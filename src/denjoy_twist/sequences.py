@@ -14,11 +14,12 @@ makes the sign pattern alpha_n > 0, alpha_{-n} < 0 exact by induction.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .reporting import write_csv
 
 
 class ConstructionError(RuntimeError):
@@ -105,15 +106,21 @@ class GapSequences:
         return self.beta_arr[np.asarray(k) + self.M]
 
 
-def _term(x, C, delta):
+def _term(x, C, delta, out=None):
     """1 / ((|k|+C) log(|k|+C)^(1+delta)) at x = |k|: a float array, which is
-    overwritten with |k|+C while the result takes one more array, or a float,
-    kept in scalar arithmetic (numpy's array pow can differ in the last bit)."""
+    overwritten with |k|+C while the result goes to out (one more array if
+    out is None), or a float, kept in scalar arithmetic (numpy's array pow
+    can differ in the last bit)."""
     x += C
-    t = np.log(x)
+    t = np.log(x, out=out)
     t **= 1.0 + delta
     t *= x
     return np.reciprocal(t, out=np.asarray(t))
+
+
+# terms per block of the normalizer's head: its working set is the head's
+# terms plus one 512 KB buffer
+_HEAD_BLOCK = 2**16
 
 
 def normalizer(delta: float, bigC: float, head: int = 10**6) -> float:
@@ -121,15 +128,21 @@ def normalizer(delta: float, bigC: float, head: int = 10**6) -> float:
 
     Direct summation over |k| <= head plus an Euler-Maclaurin tail
     (integral through the midpoint plus half the first term), good to
-    about 1e-14 relative for the default parameters.
+    about 1e-14 relative for the default parameters. The head's terms are
+    made block by block in place of their |k| and summed in one np.sum, so
+    the sum is bitwise that of one pass.
     """
     if delta <= 0:
         raise ValueError("delta must be positive (divergent sum)")
-    ks = np.arange(1, head + 1, dtype=float)
+    terms = np.arange(1, head + 1, dtype=float)
+    buf = np.empty(min(head, _HEAD_BLOCK))
     x0 = head + 1 + bigC
     try:
         with np.errstate(over="raise"):
-            s_head = _term(0.0, bigC, delta) + 2.0 * float(np.sum(_term(ks, bigC, delta)))
+            for lo in range(0, head, _HEAD_BLOCK):
+                x = terms[lo:lo + _HEAD_BLOCK]
+                x[:] = _term(x, bigC, delta, out=buf[:len(x)])
+            s_head = _term(0.0, bigC, delta) + 2.0 * float(np.sum(terms))
             tail = (1.0 / (delta * math.log(x0) ** delta)
                     + 0.5 * _term(head + 1, bigC, delta))
     except (OverflowError, FloatingPointError):
@@ -341,8 +354,5 @@ def dump_sequences_csv(seqs: GapSequences, path) -> None:
     """Sequence dump with columns (k, ell, K, m, alpha, beta)."""
     ks = np.arange(-seqs.M, seqs.M + 1)
     cols = (seqs.ell(ks), seqs.K(ks), seqs.m(ks), seqs.alpha(ks), seqs.beta(ks))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "ell", "K", "m", "alpha", "beta"])
-        # csv writes Python floats by repr, which round-trips
-        w.writerows(zip(ks.tolist(), *(c.tolist() for c in cols)))
+    write_csv(path, ("k", "ell", "K", "m", "alpha", "beta"),
+              zip(ks.tolist(), *(c.tolist() for c in cols)))

@@ -18,18 +18,20 @@ through the gap midpoints, and the report-only diffusion probe.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
+from itertools import count, repeat
 
 import numpy as np
 
 from .layout import circle_delta
 from .profiles import profile_eval
+from .reporting import write_csv
 
-# gaps per array pass of the second-derivative scan: 64 x 256 grid points
-# keep its temporaries to a few MB whatever M is
-_SCAN_BLOCK = 64
+# grid points per array pass of the linearity check and the second-derivative
+# scan, in whole gaps (256 x 64 and 64 x 256 at the default grids): their
+# temporaries stay at a few MB whatever M is
+_BLOCK_POINTS = 2**14
 
 
 @dataclass
@@ -46,7 +48,7 @@ class GeneratingFunction:
 
     def lifts(self, x):
         """frac(x), and g's lift and inverse lift to evaluate there."""
-        if np.ndim(x) == 0:
+        if isinstance(x, float) or np.ndim(x) == 0:
             return float(x) % 1.0, self.g.lift, self.g.inverse_lift
         return (np.asarray(x, dtype=float) % 1.0, self.g.lift_many,
                 self.g.inverse_lift_many)
@@ -251,16 +253,18 @@ class TwistSystem:
         M = tb.M
         ks = np.arange(-M + 1, M)
         mu, ell = tb.mu_of(ks), tb.ell_of(ks)
-        # one row of n_points per gap, all gaps in one phi evaluation
-        xs = mu[:, None] + np.linspace(-ell / 8.0, ell / 8.0, n_points, axis=1)
-        vals = self.phi.eval(xs)
         devs, slopes, consts = [], [], []
-        for i in range(len(ks)):
-            A = np.vstack([xs[i] - mu[i], np.ones(n_points)]).T
-            (slope, const), *_ = np.linalg.lstsq(A, vals[i], rcond=None)
-            devs.append(float(np.max(np.abs(A @ np.array([slope, const]) - vals[i]))))
-            slopes.append(slope)
-            consts.append(const)
+        block = max(1, _BLOCK_POINTS // n_points)
+        for lo in range(0, len(ks), block):
+            # one row of n_points per gap, a block of gaps per phi evaluation
+            mu_b, ell_b = mu[lo:lo + block], ell[lo:lo + block]
+            xs = mu_b[:, None] + np.linspace(-ell_b / 8.0, ell_b / 8.0, n_points, axis=1)
+            for x, mu_k, vals in zip(xs, mu_b, self.phi.eval(xs)):
+                A = np.vstack([x - mu_k, np.ones(n_points)]).T
+                (slope, const), *_ = np.linalg.lstsq(A, vals, rcond=None)
+                devs.append(float(np.max(np.abs(A @ np.array([slope, const]) - vals))))
+                slopes.append(slope)
+                consts.append(const)
         m = np.where(ks == 1, seqs.m1_adjusted, seqs.m(ks))
         expected_const = (circle_delta(tb.mu_of(ks + 1), mu)
                           + circle_delta(tb.mu_of(ks - 1), mu))
@@ -308,9 +312,10 @@ class TwistSystem:
         def sup(x):
             return np.max(np.abs(x), axis=1)
 
-        for lo in range(0, len(ks), _SCAN_BLOCK):
+        block = max(1, _BLOCK_POINTS // n_grid)
+        for lo in range(0, len(ks), block):
             # one row per gap k of the block, one column per grid point
-            k = ks[lo:lo + _SCAN_BLOCK, None]
+            k = ks[lo:lo + block, None]
             j = k + M
             ell_k, ell_km1 = h.ell[j], h.ell[j - 1]
             K_k, K_km1 = h.K[j], h.K[j - 1]
@@ -409,11 +414,8 @@ class RegularityReport:
         }
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(self.CSV_COLUMNS)
-            # csv writes Python floats by repr, which round-trips
-            w.writerows(zip(*(getattr(self, name).tolist() for name in self.CSV_COLUMNS)))
+        write_csv(path, self.CSV_COLUMNS,
+                  zip(*(getattr(self, name).tolist() for name in self.CSV_COLUMNS)))
 
 
 # ---------------------------------------------------------------------------
@@ -573,17 +575,17 @@ def build_twist_system(g, table=None, seqs=None) -> TwistSystem:
 
 def dump_segments_csv(system: TwistSystem, k_lo: int, k_hi: int, path) -> None:
     """Base segment endpoints and midpoints, one row per marker."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "kind", "marker", "x", "r"])
+
+    def rows():
         for kind, ks in (("stable", np.arange(max(k_lo, 1), k_hi + 1)),
                          ("unstable", np.arange(min(k_hi, 0), k_lo - 1, -1))):
             mu, base_r, slope, hw = (a[:, None] for a in base_segments(system, ks))
             xs = mu + hw * np.array([-1.0, 0.0, 1.0])
             rs = base_r + slope * (xs - mu)
             for k, x, r in zip(ks.tolist(), xs.tolist(), rs.tolist()):
-                w.writerows([k, kind, name, repr(xm), repr(rm)]
-                            for name, xm, rm in zip(("lo", "mid", "hi"), x, r))
+                yield from zip(repeat(k), repeat(kind), ("lo", "mid", "hi"), x, r)
+
+    write_csv(path, ("k", "kind", "marker", "x", "r"), rows())
 
 
 def dump_phase_portrait_csv(system: TwistSystem, orbits, n_steps: int, path,
@@ -591,20 +593,21 @@ def dump_phase_portrait_csv(system: TwistSystem, orbits, n_steps: int, path,
     """(orbit, step, theta, r) rows; orbit 0 samples the invariant curve.
 
     Each orbit is stepped on Python floats, one scalar forward per step, and
-    written row by row.
+    written row by row as it is stepped.
     """
     ths = (np.arange(curve_samples) + 0.5) / curve_samples
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["orbit", "step", "theta", "r"])
-        w.writerows([0, j, repr(t), repr(v)] for j, (t, v) in
-                    enumerate(zip(ths.tolist(), system.curve_height(ths).tolist())))
+
+    def rows():
+        yield from zip(repeat(0), count(), ths.tolist(),
+                       system.curve_height(ths).tolist())
         for i, (th, r) in enumerate(orbits, 1):
             th, r = float(th) % 1.0, float(r)
-            w.writerow([i, 0, repr(th), repr(r)])
+            yield i, 0, th, r
             for s in range(1, n_steps + 1):
                 th, r = system.forward(th, r)
-                w.writerow([i, s, repr(th), repr(r)])
+                yield i, s, th, r
+
+    write_csv(path, ("orbit", "step", "theta", "r"), rows())
 
 
 def dump_json(obj: dict, path) -> None:

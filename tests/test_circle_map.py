@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,6 +366,28 @@ def test_local_diffeo_eval_surface(small):
     v = h.value(u, 2)
     assert abs(h.invert(v, 2) - u) <= 1e-15
 
+
+
+def test_invert_working_set(small):
+    # 2**16 shoulder points of mixed gaps: each test and the Newton bracket
+    # gather only the breakpoint columns they read (two (n, 5) row gathers
+    # of the breakpoint tables put the peak at 26 MB)
+    h = small.g.local
+    rng = np.random.default_rng(0)
+    n = 2**16
+    k = rng.integers(-h.M, h.M, n)
+    s = 0.375 * rng.random(n)
+    s[::2] = 1.0 - s[::2]
+    u = s * h.ell[k + h.M]
+    v = h.value(u, k)
+    tracemalloc.start()
+    try:
+        got = h.invert(v, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(got - u) / h.ell[k + h.M]) <= 1e-13
+    assert peak <= 20 * 2**20
 
 
 def test_newton_one_profile_eval_per_profile_per_iteration(small, monkeypatch):

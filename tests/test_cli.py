@@ -255,14 +255,18 @@ DIFFUSION_DIGEST = ("2351ec185fccd57490b95cf26d0afafcd49c63335a77d81c2a5b652e4dd
 
 # sha256 of every file a command writes, its report through
 # deterministic_dump and the other files as bytes: verify under FAST in full
-# and in rigid-rotation mode, regularity at M=32 with the large-C comparison,
-# build at M=64, and portrait at M=32 (4 orbits x 100 steps) without and with
-# the jump profiles exchanged
+# (at M=32 and M=300) and in rigid-rotation mode, regularity at M=32 with
+# the large-C comparison, build at M=64, and portrait at M=32 (4 orbits x 100
+# steps) without and with the jump profiles exchanged
 PORTRAIT = ["portrait", "--set", "params.M=32", "--set", "portrait.orbits=4",
             "--set", "portrait.steps=100"]
 OUTPUT_DIGESTS = {
     "verify": (["verify"] + FAST, {
         "verify.json": "c2c8d00fdf9841f209a83fb910de47f538970ecb6164586abe1dd5ed0e943890"}),
+    # 599 gaps: the linearity check fits two full blocks of 256 gaps and a
+    # partial one
+    "verify_blocks": (["verify"] + FAST + ["--set", "params.M=300"], {
+        "verify.json": "d45a3085a24c7276264b655ec2dfaab7ecc0a7ed96732bfacad009d9c7798487"}),
     "verify_rigid": (["verify"] + FAST + ["--set", "params.mode=rigid_rotation"], {
         "verify.json": "46de071c297cd362e5111af110a5cdf6e1eba16601562ae40ee5196c0eec1877"}),
     "regularity": (["regularity", "--set", "params.M=32",

@@ -57,14 +57,39 @@ def test_normalizer_bits_pinned(delta, C):
 
 
 def test_normalizer_head_holds_two_arrays():
-    # the 10**6-term head: its |k| array, overwritten in place, and the terms
+    # the 10**6-term head: its |k| array, overwritten in place with the
+    # terms, and one 2**16-term block buffer
     tracemalloc.start()
     try:
         normalizer(0.5, 100.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 17 * 2**20
+    assert peak <= 9 * 2**20
+
+
+def _one_pass_normalizer(delta, C, head=10**6):
+    """The head summed from one full-length array of terms, as the blocked
+    normalizer must reproduce bitwise."""
+    def term(x):
+        x = x + C
+        t = np.log(x)
+        t **= 1.0 + delta
+        t *= x
+        return np.reciprocal(t)
+
+    s_head = term(0.0) + 2.0 * float(np.sum(term(np.arange(1, head + 1, dtype=float))))
+    tail = 1.0 / (delta * math.log(head + 1 + C) ** delta) + 0.5 * term(head + 1)
+    return 1.0 / (s_head + 2.0 * tail)
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.37, 0.5, 2.0, 13.7])
+@pytest.mark.parametrize("C", [10.0, 12.345678901, 100.0, 1e4])
+def test_normalizer_blocks_equal_one_pass(delta, C):
+    assert normalizer(delta, C) == _one_pass_normalizer(delta, C)
+    # heads shorter than, equal to and a partial block past one block
+    for head in (1000, 2**16, 2**16 + 3):
+        assert normalizer(delta, C, head) == _one_pass_normalizer(delta, C, head)
 
 
 def test_divergent_sum_rejected():

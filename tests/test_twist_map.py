@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from denjoy_twist.circle_map import RigidRotation
+from denjoy_twist.cli import build_full_system
 from denjoy_twist.layout import circle_delta
 from denjoy_twist.twist_map import (base_segments, build_twist_system,
                                     curve_side_check, diffusion_probe,
                                     dump_phase_portrait_csv, dump_segments_csv,
                                     manifold_iterate_check,
                                     orbit_convergence_check)
+from denjoy_twist.sequences import SeqParams
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +165,20 @@ def test_phi_linearity(small):
     assert rep["local_offset_dev_k1"] <= 1e-11
     idx5 = rep["k"].index(5)
     assert rep["fit_deviation"][idx5] <= 1e-11
+
+
+def test_phi_linearity_working_set_is_blocked(profiles):
+    # the gaps are fitted a block at a time: the peak stays at a few MB
+    # however many gaps there are (a one-pass evaluation took 61 MB here)
+    *_, system = build_full_system(SeqParams(truncation_M=2000), profiles, False)
+    tracemalloc.start()
+    try:
+        rep = system.phi_linearity_check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep["k"]) == 3999
+    assert peak <= 8 * 2**20
 
 
 def test_phi_linear_fit_rigid(rigid):
