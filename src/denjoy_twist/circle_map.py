@@ -41,6 +41,7 @@ _INVERT_REL_TOL = 1e-14
 _INVERT_MAX_ITER = 200
 _EPS = np.finfo(float).eps
 _BREAKS = np.array([0.0, 0.375, 0.5, 0.625, 1.0])   # breakpoints of h_k, in s
+_BP_BLOCK = 2**11   # gaps per array pass over the family at build
 
 
 def _hull_vertices(points):
@@ -81,6 +82,10 @@ class LocalDiffeo:
     slope 1+K and the right 1+K+alpha; False: gamma_minus, mirrored). Every
     method broadcasts its points against k, so one call serves points from
     mixed gaps. Treat as immutable after construction.
+
+    The breakpoint images h_k(ell_k s) at s = 3/8, 1/2, 5/8, 1 are stored,
+    a row per gap (h_k(0) is 0.0 for every gap); the breakpoints themselves
+    are ell_k * _BREAKS, the same bits recomputed where they are read.
     """
 
     def __init__(self, seqs, profiles: ProfileSet, swap_gamma: bool = False):
@@ -91,8 +96,11 @@ class LocalDiffeo:
         self.plus = (ks >= 1) != swap_gamma
         self.eta, self.gamma_plus = profiles.eta, profiles.gamma_plus
         self._check_monotone()
-        self._bp_u = self.ell[:, None] * _BREAKS
-        self._bp_v = self.value(self._bp_u, ks[:, None])
+        self._bp_v = np.empty((len(ks), 4))
+        for lo in range(0, len(ks), _BP_BLOCK):
+            rows = slice(lo, lo + _BP_BLOCK)
+            self._bp_v[rows] = self.value(self.ell[rows, None] * _BREAKS[1:],
+                                          ks[rows, None])
 
     def __len__(self) -> int:
         return len(self.ell)
@@ -110,8 +118,11 @@ class LocalDiffeo:
         curve = np.column_stack([profile_eval(self.eta, s),
                                  profile_eval(self.gamma_plus, s)])
         eta_v, gamma_v = _hull_vertices(curve).T
-        low = np.min(1.0 + self.K[:, None] * eta_v + self.alpha[:, None] * gamma_v,
-                     axis=1)
+        low = np.empty(len(self.K))
+        for lo in range(0, len(low), _BP_BLOCK):
+            rows = slice(lo, lo + _BP_BLOCK)
+            low[rows] = np.min(1.0 + self.K[rows, None] * eta_v
+                               + self.alpha[rows, None] * gamma_v, axis=1)
         j = int(np.argmin(low))
         if not low[j] > 0.0:
             raise ConstructionError(
@@ -159,46 +170,49 @@ class LocalDiffeo:
         """
         if isinstance(v, float) and isinstance(k, int):
             return self._invert_one(v, k)
-        v, k = np.asarray(v, dtype=float), np.asarray(k)
-        if v.shape != k.shape:
-            v, k = np.broadcast_arrays(v, k)
+        v, j = np.asarray(v, dtype=float), np.asarray(k) + self.M
+        if v.shape != j.shape:
+            v, j = np.broadcast_arrays(v, j)
         shape = v.shape
-        v, k = v.ravel(), k.ravel()
-        j = k + self.M
+        v, j = v.ravel(), j.ravel()
         # the breakpoint images each test reads, one column at a time
-        v1, v3, v4 = (self._bp_v[j, c] for c in (1, 3, 4))
+        v1, v3, v4 = (self._bp_v[j, c] for c in (0, 2, 3))
         tol = _INVERT_REL_TOL * self.ell_next[j]
         # pass a few ulp at circle scale too: a gap's image piece in the
         # global table can be that much wider than h_k(ell_k), so g^{-1} at a
         # gap's right end lands just outside
-        far = (v < -(tol + 8.0 * _EPS)) | (v > v4 + (tol + 8.0 * _EPS))
+        slack = tol + 8.0 * _EPS
+        far = (v < -slack) | (v > v4 + slack)
         if far.any():
-            raise ValueError(f"inverse argument outside [0, ell_{int(k[far][0]) + 1}]")
+            raise ValueError(f"inverse argument outside "
+                             f"[0, ell_{int(j[far][0]) - self.M + 1}]")
         v = np.clip(v, 0.0, v4)
-        out = np.full_like(v, np.nan)
-
-        # the linear pieces: slope 1+K, and 1+K+alpha on the jump side
-        # (right of the midpoint for gamma_plus, left for gamma_minus)
         lin = (v >= v1) & (v <= v3)
-        if lin.any():
-            jl, vl = j[lin], v[lin]
-            K, alpha = self.K[jl], self.alpha[jl]
-            right = vl > self._bp_v[jl, 2]
-            slope = 1.0 + K + np.where(right == self.plus[jl], alpha, 0.0)
-            intercept = np.where(slope == 1.0 + K, 0.0, -alpha * self.ell[jl] / 2.0)
-            out[lin] = (vl - intercept) / slope
-
         left = v < v1
         sh = (left | (v > v3)).nonzero()[0]
+        del v1, v3, v4, slack, far   # the passes below hold only what they read
+        out = np.full_like(v, np.nan)
+        if lin.any():
+            out[lin] = self._invert_linear(v[lin], j[lin])
         if sh.size:
-            out[sh] = self._newton(v[sh], k[sh], left[sh], tol[sh])
+            out[sh] = self._newton(v[sh], j[sh], left[sh], tol[sh])
         return out.reshape(shape)[()]
+
+    def _invert_linear(self, v, j):
+        """The inverse on the linear pieces, for points v of the gaps j - M:
+        slope 1+K, and 1+K+alpha on the jump side (right of the midpoint for
+        gamma_plus, left for gamma_minus)."""
+        K, alpha = self.K[j], self.alpha[j]
+        right = v > self._bp_v[j, 1]
+        slope = 1.0 + K + np.where(right == self.plus[j], alpha, 0.0)
+        intercept = np.where(slope == 1.0 + K, 0.0, -alpha * self.ell[j] / 2.0)
+        return (v - intercept) / slope
 
     def _invert_one(self, v, k):
         """invert at one point on Python floats: the array route's range
         check, clip, closed form and Newton iterates, step for step."""
         j = k + self.M
-        us, vs = self._bp_u[j].tolist(), self._bp_v[j].tolist()
+        vs = [0.0, *self._bp_v[j].tolist()]
         tol = _INVERT_REL_TOL * self.ell_next.item(j)
         slack = tol + 8.0 * _EPS
         if v < -slack or v > vs[4] + slack:
@@ -209,7 +223,7 @@ class LocalDiffeo:
             slope = 1.0 + K + (alpha if (v > vs[2]) != minus else 0.0)
             return (v - (0.0 if slope == 1.0 + K else -alpha * ell / 2.0)) / slope
         a, b = (0, 1) if v < vs[1] else (3, 4)
-        lo, hi = us[a], us[b]
+        lo, hi = ell * _BREAKS.item(a), ell * _BREAKS.item(b)
         u = lo + (hi - lo) * (v - vs[a]) / (vs[b] - vs[a])
         for _ in range(_INVERT_MAX_ITER):
             f, d = self._h(u, cols, (_ANTI, 0))
@@ -222,40 +236,59 @@ class LocalDiffeo:
         raise ConstructionError(f"inversion of h_{k} failed to converge after "
                                 f"{_INVERT_MAX_ITER} Newton steps")
 
-    def _newton(self, v, k, left, tol):
-        """Safeguarded Newton on the shoulders, all points in one pass.
+    def _newton(self, v, j, left, tol):
+        """Safeguarded Newton on the shoulders, all points in one pass, for
+        points v of the gaps j - M.
 
         Each point keeps its own bracket and leaves the pass once converged,
         so its result does not depend on which other points share the call.
         The bracket is the two breakpoints ending each point's shoulder; the
-        gap columns are gathered once and compacted with the points.
+        gap columns are gathered once and compacted with the points, one
+        array at a time.
         """
-        j = k + self.M
-        a = np.where(left, 0, 3)   # the shoulder is breakpoints a, a + 1
-        lo, hi = self._bp_u[j, a], self._bp_u[j, a + 1]
-        lo_v, hi_v = self._bp_v[j, a], self._bp_v[j, a + 1]
-        u = lo + (hi - lo) * (v - lo_v) / (hi_v - lo_v)
-        out = np.empty_like(u)
-        idx = np.arange(len(u))
-        cols = self._cols(k)
+        out = np.empty_like(v)
+        state = self._newton_start(v, j, left, tol)
         for _ in range(_INVERT_MAX_ITER):
-            f, d = self._h(u, cols, (_ANTI, 0))
-            f = f - v
-            done = np.abs(f) <= tol
+            done = self._newton_step(state, out)
+            if done.all():
+                return out
             if done.any():
-                out[idx[done]] = u[done]
-                if done.all():
-                    return out
-                idx, u, v, tol, lo, hi, f, d, *cols = (
-                    a[~done] for a in (idx, u, v, tol, lo, hi, f, d, *cols))
-            above = f > 0.0
-            hi = np.where(above, u, hi)
-            lo = np.where(above, lo, u)
-            un = u - f / d
-            u = np.where((un <= lo) | (un >= hi), 0.5 * (lo + hi), un)
+                keep = ~done
+                for i, a in enumerate(state):
+                    state[i] = a[keep]
+        idx = state[0]
         raise ConstructionError(
-            f"inversion of h_{int(k[idx[0]])} failed to converge: {len(idx)} of "
-            f"{len(out)} points after {_INVERT_MAX_ITER} Newton steps")
+            f"inversion of h_{int(j[idx[0]]) - self.M} failed to converge: "
+            f"{len(idx)} of {len(out)} points after {_INVERT_MAX_ITER} Newton steps")
+
+    def _newton_start(self, v, j, left, tol):
+        """The Newton state of the points: their indices, first iterates
+        (the secant of the shoulder), targets, tolerances, brackets and gap
+        columns, as a list."""
+        a = np.where(left, 0, 3)   # the shoulder is breakpoints a, a + 1
+        ell = self.ell[j]
+        lo, hi = ell * _BREAKS[a], ell * _BREAKS[a + 1]
+        lo_v = np.where(left, 0.0, self._bp_v[j, 2])   # h_k(0) is 0.0
+        u = lo + (hi - lo) * (v - lo_v) / (self._bp_v[j, a] - lo_v)
+        return [np.arange(len(v)), u, v, tol, lo, hi, ell, self.K[j],
+                self.alpha[j], ~self.plus[j]]
+
+    def _newton_step(self, state, out):
+        """One Newton iteration on the state, in place: the converged
+        points' iterates go to out; every point's bracket and iterate are
+        updated. Returns the converged mask."""
+        idx, u, v, tol, lo, hi, *cols = state
+        f, d = self._h(u, cols, (_ANTI, 0))
+        f -= v
+        done = np.abs(f) <= tol
+        out[idx[done]] = u[done]
+        above = f > 0.0
+        np.copyto(hi, u, where=above)
+        np.copyto(lo, u, where=~above)
+        f /= d
+        np.subtract(u, f, out=u)
+        np.copyto(u, 0.5 * (lo + hi), where=(u <= lo) | (u >= hi))
+        return done
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ pass, 1 a check failed, 2 construction or configuration error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import os
 import sys
@@ -20,7 +21,7 @@ from .circle_map import (RigidRotation, build_circle_homeo, derivative_jump_scan
 from .config import ConfigError, RunConfig, load_config, parse_float_list
 from .layout import SemiConjugacy, build_gap_table, dump_gap_table_csv
 from .profiles import CalibrationError, calibrate_profiles, export_profile_csv
-from .reporting import ReportBuilder, write_report
+from .reporting import ReportBuilder, timed, write_report
 from .sequences import (ConstructionError, build_sequences, dump_sequences_csv,
                         sweep_alphas, verify_sequence_estimates)
 from .twist_map import (build_twist_system, curve_side_check, diffusion_probe,
@@ -28,19 +29,28 @@ from .twist_map import (build_twist_system, curve_side_check, diffusion_probe,
                         manifold_iterate_check, orbit_convergence_check)
 
 
-def build_full_system(seq_params, profiles, swap_gamma):
-    """Sequences, gap table, g and the twist system on calibrated profiles."""
-    seqs = build_sequences(seq_params)
-    table = build_gap_table(seqs)
-    g = build_circle_homeo(table, seqs, profiles, swap_gamma=swap_gamma)
-    return seqs, table, g, build_twist_system(g, table, seqs)
+def build_full_system(seq_params, profiles, swap_gamma, timings=None):
+    """Sequences, gap table, g and the twist system on calibrated profiles;
+    the wall time of each layer goes to timings, when given."""
+    timings = {} if timings is None else timings
+    with timed(timings, "sequences"):
+        seqs = build_sequences(seq_params)
+    with timed(timings, "layout"):
+        table = build_gap_table(seqs)
+    with timed(timings, "piece_table"):
+        g = build_circle_homeo(table, seqs, profiles, swap_gamma=swap_gamma)
+    with timed(timings, "twist_system"):
+        system = build_twist_system(g, table, seqs)
+    return seqs, table, g, system
 
 
 class BuiltSystem:
-    """Everything a command body needs, built once per invocation."""
+    """Everything a command body needs, built once per invocation; timings
+    holds the wall time of each layer of the full build."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
+        self.timings = {}
         p = cfg["params"]
         self.rigid = p["mode"] == "rigid_rotation"
         if self.rigid:
@@ -50,9 +60,10 @@ class BuiltSystem:
             self.g = RigidRotation(p["omega"])
             self.system = build_twist_system(self.g)
         else:
-            self.profiles = calibrate_profiles(p["quadrature_tolerance"])
+            with timed(self.timings, "profiles"):
+                self.profiles = calibrate_profiles(p["quadrature_tolerance"])
             self.seqs, self.table, self.g, self.system = build_full_system(
-                cfg.seq_params, self.profiles, p["swap_gamma"])
+                cfg.seq_params, self.profiles, p["swap_gamma"], self.timings)
 
     def summary(self) -> dict:
         if self.rigid:
@@ -331,6 +342,7 @@ def run(command: str, cfg: RunConfig, outdir: str) -> int:
     rb = ReportBuilder(cfg.echo())
     with rb.timed("build"):
         built = BuiltSystem(cfg)
+    rb.timings.update(built.timings)
     if built.rigid and rigid_refusal:
         raise ConfigError(rigid_refusal)
     rb.set_summary(**built.summary())
@@ -338,6 +350,25 @@ def run(command: str, cfg: RunConfig, outdir: str) -> int:
     if report_file:
         write_report(rb.finish(), os.path.join(outdir, report_file))
     return 0 if rb.report["pass"] else 1
+
+
+# glibc's malloc maps each request of 128 KiB or more afresh and unmaps it on
+# free, and returns the heap's free top once past 128 KiB, until some large
+# block is freed. The blocked passes make and drop 2**14-point arrays (128 KiB)
+# many times per block, and each would cost a map, page faults and an unmap.
+# Fixed settings keep requests up to 1 MiB on the heap, and its free top up to
+# 8 MiB, above a blocked pass's working set of a few MB.
+_MALLOC_OPTIONS = ((-3, 2**20), (-1, 2**23))   # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+def _set_malloc_options() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return   # not glibc: its allocator keeps its own rules
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _MALLOC_OPTIONS:
+        mallopt(param, value)
 
 
 def main(argv=None) -> int:
@@ -351,6 +382,7 @@ def main(argv=None) -> int:
                         help="override a config value (section.key=value)")
     parser.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)
+    _set_malloc_options()
     try:
         cfg = load_config(args.config, args.set)
         outdir = _outdir(cfg, args.out)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reporting import write_csv
+from .reporting import write_csv_blocks
 from .sequences import ConstructionError
 
 
@@ -159,7 +159,9 @@ class SemiConjugacy:
 
 def dump_gap_table_csv(table: GapTable, path) -> None:
     """Gap table dump with columns (k, lambda, mu, ell, J_lo, J_hi)."""
-    ks = np.arange(-table.M, table.M + 1)
-    cols = [table.lam_of(ks), table.mu_of(ks), table.ell_of(ks), *table.J_of(ks)]
-    write_csv(path, ("k", "lambda", "mu", "ell", "J_lo", "J_hi"),
-              zip(ks.tolist(), *(c.tolist() for c in cols)))
+    def block(lo, hi):
+        ks = np.arange(lo - table.M, hi - table.M)
+        return ks, table.lam_of(ks), table.mu_of(ks), table.ell_of(ks), *table.J_of(ks)
+
+    write_csv_blocks(path, ("k", "lambda", "mu", "ell", "J_lo", "J_hi"),
+                     2 * table.M + 1, block)

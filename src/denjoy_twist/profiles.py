@@ -121,6 +121,32 @@ def bump(s, order=0):
 
 _TABLE_PANELS = 4096   # a power of two: _HermiteTable needs exact nodes i/n
 _GL_ORDER = 12
+_PANEL_BLOCK = 512     # panels per kernel call of _panel_integrals
+
+# Gauss-Legendre nodes and weights on [-1, 1] by order, the nonnegative
+# nodes only: the rules are symmetric, bitwise as numpy's leggauss gives them
+_GAUSS_LEGENDRE = {
+    12: ((0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+          0.7699026741943047, 0.9041172563704748, 0.9815606342467192),
+         (0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+          0.16007832854334642, 0.10693932599531907, 0.04717533638651141)),
+    20: ((0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+          0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+          0.8391169718222188, 0.912234428251326, 0.9639719272779138,
+          0.993128599185095),
+         (0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
+          0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+          0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+          0.017614007139150893)),
+}
+
+
+def _gauss_legendre(order):
+    """The nodes and weights of the order-point Gauss-Legendre rule, in
+    increasing node order."""
+    nodes, weights = (np.array(half) for half in _GAUSS_LEGENDRE[order])
+    return (np.concatenate((-nodes[::-1], nodes)),
+            np.concatenate((weights[::-1], weights)))
 
 
 class _HermiteTable:
@@ -163,12 +189,16 @@ def _power_sum(s, c0, c1, c2, c3):
 
 def _panel_integrals(f, order, n_panels):
     """Gauss-Legendre rule of the given order for f on each of n_panels
-    equal panels of [0, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    equal panels of [0, 1], f called on _PANEL_BLOCK panels at a time."""
+    nodes, weights = _gauss_legendre(order)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
-    h = np.diff(edges)[:, None]
-    pts = edges[:-1, None] + 0.5 * h * (nodes + 1.0)
-    return 0.5 * h[:, 0] * (f(pts) @ weights)
+    out = np.empty(n_panels)
+    for lo in range(0, n_panels, _PANEL_BLOCK):
+        e = edges[lo:lo + _PANEL_BLOCK + 1]
+        h = np.diff(e)
+        pts = e[:-1, None] + 0.5 * h[:, None] * (nodes + 1.0)
+        out[lo:lo + len(h)] = 0.5 * h * (f(pts) @ weights)
+    return out
 
 
 def _cumulative_table(kernels, n_panels=_TABLE_PANELS):
@@ -181,13 +211,16 @@ def _cumulative_table(kernels, n_panels=_TABLE_PANELS):
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     cum = np.zeros((len(kernels), n_panels + 1))
     for row, f in zip(cum, kernels):
-        # Neumaier compensated running sum: keeps node values within one ulp.
+        # Neumaier compensated running sum, on Python floats: keeps node
+        # values within one ulp.
         s = comp = 0.0
-        for i, term in enumerate(_panel_integrals(f, _GL_ORDER, n_panels)):
+        sums = [0.0]
+        for term in _panel_integrals(f, _GL_ORDER, n_panels).tolist():
             t = s + term
             comp += (s - t) + term if abs(s) >= abs(term) else (term - t) + s
             s = t
-            row[i + 1] = s + comp
+            sums.append(s + comp)
+        row[:] = sums
     d = np.array([f(edges) for f in kernels])
     dx = np.diff(edges)
     slope = np.diff(cum) / dx

@@ -16,6 +16,14 @@ from contextlib import contextmanager
 SCHEMA_VERSION = 1
 
 
+@contextmanager
+def timed(timings: dict, name: str):
+    """Record the wall time of the with-block under timings[name]."""
+    t0 = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - t0
+
+
 class ReportBuilder:
     def __init__(self, config_echo: dict):
         self.checks = []
@@ -54,12 +62,9 @@ class ReportBuilder:
     def set_summary(self, **kv) -> None:
         self.report["summary"].update(kv)
 
-    @contextmanager
     def timed(self, name: str):
         """Record the wall time of the with-block under timings[name]."""
-        t0 = time.perf_counter()
-        yield
-        self.timings[name] = time.perf_counter() - t0
+        return timed(self.timings, name)
 
     def finish(self) -> dict:
         return {**self.report, "timings": self.timings}
@@ -73,6 +78,21 @@ def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(fmt % tuple(header))
         fh.writelines(fmt % row for row in rows)
+
+
+# rows per block of write_csv_blocks
+_CSV_BLOCK = 2**10
+
+
+def write_csv_blocks(path, header, n, block) -> None:
+    """write_csv of n rows made a block at a time: block(lo, hi) gives the
+    columns of rows lo to hi - 1 as arrays, converted to Python values
+    together, so no whole column is converted at once."""
+    def rows():
+        for lo in range(0, n, _CSV_BLOCK):
+            yield from zip(*(c.tolist() for c in block(lo, min(lo + _CSV_BLOCK, n))))
+
+    write_csv(path, header, rows())
 
 
 def deterministic_dump(report: dict) -> str:

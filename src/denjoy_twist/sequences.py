@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reporting import write_csv
+from .reporting import write_csv_blocks
 
 
 class ConstructionError(RuntimeError):
@@ -118,8 +118,8 @@ def _term(x, C, delta, out=None):
     return np.reciprocal(t, out=np.asarray(t))
 
 
-# terms per block of the normalizer's head: its working set is the head's
-# terms plus one 512 KB buffer
+# the largest node of the normalizer's head summed in one np.sum: its working
+# set is three buffers of this many terms
 _HEAD_BLOCK = 2**16
 
 
@@ -128,21 +128,29 @@ def normalizer(delta: float, bigC: float, head: int = 10**6) -> float:
 
     Direct summation over |k| <= head plus an Euler-Maclaurin tail
     (integral through the midpoint plus half the first term), good to
-    about 1e-14 relative for the default parameters. The head's terms are
-    made block by block in place of their |k| and summed in one np.sum, so
-    the sum is bitwise that of one pass.
+    about 1e-14 relative for the default parameters. The head is split as
+    numpy's pairwise sum splits an array, halves rounded down to a multiple
+    of 8, down to nodes of at most _HEAD_BLOCK terms; each node's terms are
+    made in a reused buffer and summed by one np.sum, so the sum is bitwise
+    np.sum over all the head's terms at once.
     """
     if delta <= 0:
         raise ValueError("delta must be positive (divergent sum)")
-    terms = np.arange(1, head + 1, dtype=float)
-    buf = np.empty(min(head, _HEAD_BLOCK))
+    iota = np.arange(1.0, min(head, _HEAD_BLOCK) + 1.0)
+    x_buf, t_buf = np.empty_like(iota), np.empty_like(iota)
+
+    def node(lo, n):
+        # the terms at |k| = lo + 1, ..., lo + n
+        if n <= _HEAD_BLOCK:
+            x = np.add(iota[:n], lo, out=x_buf[:n])
+            return float(np.sum(_term(x, bigC, delta, out=t_buf[:n])))
+        half = n // 2 - (n // 2) % 8
+        return node(lo, half) + node(lo + half, n - half)
+
     x0 = head + 1 + bigC
     try:
         with np.errstate(over="raise"):
-            for lo in range(0, head, _HEAD_BLOCK):
-                x = terms[lo:lo + _HEAD_BLOCK]
-                x[:] = _term(x, bigC, delta, out=buf[:len(x)])
-            s_head = _term(0.0, bigC, delta) + 2.0 * float(np.sum(terms))
+            s_head = _term(0.0, bigC, delta) + 2.0 * node(0, head)
             tail = (1.0 / (delta * math.log(x0) ** delta)
                     + 0.5 * _term(head + 1, bigC, delta))
     except (OverflowError, FloatingPointError):
@@ -189,35 +197,39 @@ def sweep_alphas(K: list, M: int, alpha1: float, alpha0: float):
       backward  alpha_{k-1} = d (1+K_{k-1})^2 / (1 - d (1+K_{k-1})),
     algebraically identical to 1+beta_{k+1} + 1/(1+beta_k) = m_{k+1} but
     exact at the fixed point beta == K (zero seeds) and sign-preserving in
-    floating point.
+    floating point. The loop runs on Python floats, checking 1 + beta_k > 0
+    at each k as it is reached; beta = K + alpha is formed once at the end.
     """
-    alpha = np.zeros(2 * M + 1)
-    beta = np.zeros(2 * M + 1)
+    def not_positive(k, b):
+        return ConstructionError(f"1 + beta_{k} = {1.0 + b:.3e} is not positive; "
+                                 "C too small or seed too large")
 
-    def put(k, a):
-        b = K[k + M + 1] + a
-        if 1.0 + b <= 0.0:
-            raise ConstructionError(
-                f"1 + beta_{k} = {1.0 + b:.3e} is not positive; "
-                "C too small or seed too large")
+    alpha = [0.0] * (2 * M + 1)
+    for k, a in ((1, alpha1), (0, alpha0)):
+        if 1.0 + (K[k + M + 1] + a) <= 0.0:
+            raise not_positive(k, K[k + M + 1] + a)
         alpha[k + M] = a
-        beta[k + M] = b
-
-    put(1, alpha1)
-    put(0, alpha0)
+    a, b = alpha1, K[M + 2] + alpha1   # alpha_k and beta_k from k = 1 up
     for k in range(1, M):
-        d = alpha[k + M]
-        put(k + 1, d / ((1.0 + K[k + M + 1]) * (1.0 + beta[k + M])))
+        a = a / ((1.0 + K[k + M + 1]) * (1.0 + b))
+        b = K[k + M + 2] + a
+        if 1.0 + b <= 0.0:
+            raise not_positive(k + 1, b)
+        alpha[k + M + 1] = a
+    a = alpha0   # alpha_k from k = 0 down
     for k in range(0, -M, -1):
-        d = alpha[k + M]
         Km1 = K[k + M]
-        denom = 1.0 - d * (1.0 + Km1)
+        denom = 1.0 - a * (1.0 + Km1)
         if denom <= 0.0:
             raise ConstructionError(
                 f"backward sweep broke at k={k-1}: m - (1+beta) hit "
                 "a nonpositive value; C too small or seed too large")
-        put(k - 1, d * (1.0 + Km1) ** 2 / denom)
-    return alpha, beta
+        a = a * (1.0 + Km1) ** 2 / denom
+        if 1.0 + (Km1 + a) <= 0.0:
+            raise not_positive(k - 1, Km1 + a)
+        alpha[k + M - 1] = a
+    alpha = np.array(alpha)
+    return alpha, np.array(K[1:2 * M + 2]) + alpha
 
 
 def build_sequences(params: SeqParams) -> GapSequences:
@@ -352,7 +364,9 @@ def verify_sequence_estimates(seqs: GapSequences, tol=DEFAULT_TOLERANCES) -> dic
 
 def dump_sequences_csv(seqs: GapSequences, path) -> None:
     """Sequence dump with columns (k, ell, K, m, alpha, beta)."""
-    ks = np.arange(-seqs.M, seqs.M + 1)
-    cols = (seqs.ell(ks), seqs.K(ks), seqs.m(ks), seqs.alpha(ks), seqs.beta(ks))
-    write_csv(path, ("k", "ell", "K", "m", "alpha", "beta"),
-              zip(ks.tolist(), *(c.tolist() for c in cols)))
+    def block(lo, hi):
+        ks = np.arange(lo - seqs.M, hi - seqs.M)
+        return ks, seqs.ell(ks), seqs.K(ks), seqs.m(ks), seqs.alpha(ks), seqs.beta(ks)
+
+    write_csv_blocks(path, ("k", "ell", "K", "m", "alpha", "beta"),
+                     2 * seqs.M + 1, block)

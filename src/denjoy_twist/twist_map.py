@@ -26,7 +26,7 @@ import numpy as np
 
 from .layout import circle_delta
 from .profiles import profile_eval
-from .reporting import write_csv
+from .reporting import write_csv, write_csv_blocks
 
 # grid points per array pass of the linearity check and the second-derivative
 # scan, in whole gaps (256 x 64 and 64 x 256 at the default grids): their
@@ -307,48 +307,19 @@ class TwistSystem:
         g1_plus = profile_eval(h.gamma_plus, s, 1)
         g1_minus = profile_eval(h.gamma_plus, s, 1, reflect=True)
         ks = np.arange(-M + 1, M)
-        blocks = []
 
         def sup(x):
             return np.max(np.abs(x), axis=1)
 
-        block = max(1, _BLOCK_POINTS // n_grid)
-        for lo in range(0, len(ks), block):
-            # one row per gap k of the block, one column per grid point
-            k = ks[lo:lo + block, None]
+        def scan_block(k):
+            """The sups of one block of gaps k (a column): one row per gap, one
+            column per grid point. Each term is reduced to its sup once
+            formed, and the block's arrays are freed on return."""
             j = k + M
             ell_k, ell_km1 = h.ell[j], h.ell[j - 1]
             K_k, K_km1 = h.K[j], h.K[j - 1]
             a_k, a_km1 = h.alpha[j], h.alpha[j - 1]
             u = s * ell_k
-            v = h.invert(u, k - 1)
-            st = v / ell_km1
-
-            eta1_st, eta_st = profile_eval(eta, st, (1, 0))
-            gk1_s = np.where(h.plus[j], g1_plus, g1_minus)
-            gkm1_1_s = np.where(h.plus[j - 1], g1_plus, g1_minus)
-            gkm1_1_st, gkm1_st = profile_eval(h.gamma_plus, st, (1, 0),
-                                              reflect=~h.plus[j - 1])
-            psi_v = K_km1 * eta_st + a_km1 * gkm1_st
-            dpsi_v = (K_km1 * eta1_st + a_km1 * gkm1_1_st) / ell_km1
-            df_inv = (ell_k / ell_km1) / (1.0 + psi_v)
-
-            II = (K_k * eta1_s - K_km1 * eta1_s
-                  + a_k * gk1_s - a_km1 * gkm1_1_s) / ell_k
-            III = -((K_km1 * eta1_st + a_km1 * gkm1_1_st) / ell_k) * (
-                df_inv / (1.0 + psi_v) - 1.0)
-            IV = (ell_km1 / ell_k) * psi_v * dpsi_v * df_inv / (1.0 + psi_v) ** 2
-            V = (K_km1 * (eta1_s - eta1_st)
-                 + a_km1 * (gkm1_1_s - gkm1_1_st)) / ell_k
-            total = II + III + IV + V
-
-            # direct chain rule
-            psik1_u = (K_k * eta1_s + a_k * gk1_s) / ell_k
-            direct = (psik1_u - dpsi_v / (1.0 + psi_v) ** 2
-                      + psi_v * dpsi_v / (1.0 + psi_v) ** 3)
-
-            # five-point FD of the analytic first derivative of zeta
-            hstep = fd_step_rel * ell_k
 
             def dzeta(uu, vv=None):
                 vv = h.invert(uu, k - 1) if vv is None else vv
@@ -360,15 +331,56 @@ class TwistSystem:
                 psi_km1_v = K_km1 * profile_eval(eta, sst, 0) + a_km1 * g_v
                 return psi_k_u - psi_km1_v / (1.0 + psi_km1_v)
 
-            fd = (-dzeta(u + 2 * hstep) + 8.0 * dzeta(u + hstep)
-                  - 8.0 * dzeta(u - hstep) + dzeta(u - 2 * hstep)) / (12.0 * hstep)
+            # five-point FD of the analytic first derivative of zeta, first,
+            # one shifted grid at a time
+            hstep = fd_step_rel * ell_k
+            fd = -dzeta(u + 2 * hstep)
+            fd += 8.0 * dzeta(u + hstep)
+            fd -= 8.0 * dzeta(u - hstep)
+            fd += dzeta(u - 2 * hstep)
+            fd /= 12.0 * hstep
 
-            zeta = h.value(u, k) + v - 2.0 * u
-            dz = dzeta(u, v)
+            v = h.invert(u, k - 1)
+            sup_dz = sup(dzeta(u, v))
+            sup_zeta = sup(h.value(u, k) + v - 2.0 * u)
+            st = v / ell_km1
+
+            eta1_st, eta_st = profile_eval(eta, st, (1, 0))
+            gk1_s = np.where(h.plus[j], g1_plus, g1_minus)
+            gkm1_1_s = np.where(h.plus[j - 1], g1_plus, g1_minus)
+            gkm1_1_st, gkm1_st = profile_eval(h.gamma_plus, st, (1, 0),
+                                              reflect=~h.plus[j - 1])
+            psi_v = K_km1 * eta_st + a_km1 * gkm1_st
+            dpsi_v = (K_km1 * eta1_st + a_km1 * gkm1_1_st) / ell_km1
+            df_inv = (ell_k / ell_km1) / (1.0 + psi_v)
+
+            # total = II + III + IV + V, summed in that order
+            total = (K_k * eta1_s - K_km1 * eta1_s
+                     + a_k * gk1_s - a_km1 * gkm1_1_s) / ell_k
+            sup_II = sup(total)
+            term = -((K_km1 * eta1_st + a_km1 * gkm1_1_st) / ell_k) * (
+                df_inv / (1.0 + psi_v) - 1.0)
+            sup_III = sup(term)
+            total += term
+            term = (ell_km1 / ell_k) * psi_v * dpsi_v * df_inv / (1.0 + psi_v) ** 2
+            sup_IV = sup(term)
+            total += term
+            term = (K_km1 * (eta1_s - eta1_st)
+                    + a_km1 * (gkm1_1_s - gkm1_1_st)) / ell_k
+            sup_V = sup(term)
+            total += term
+
+            # direct chain rule
+            psik1_u = (K_k * eta1_s + a_k * gk1_s) / ell_k
+            direct = (psik1_u - dpsi_v / (1.0 + psi_v) ** 2
+                      + psi_v * dpsi_v / (1.0 + psi_v) ** 3)
 
             # in the field order of RegularityReport
-            blocks.append((sup(total), sup(II), sup(III), sup(IV), sup(V), sup(dz),
-                           sup(zeta), sup(total - fd) / sup(fd), sup(total - direct)))
+            return (sup(total), sup_II, sup_III, sup_IV, sup_V, sup_dz, sup_zeta,
+                    sup(total - fd) / sup(fd), sup(total - direct))
+
+        block = max(1, _BLOCK_POINTS // n_grid)
+        blocks = [scan_block(ks[lo:lo + block, None]) for lo in range(0, len(ks), block)]
         return RegularityReport(ks, *map(np.concatenate, zip(*blocks)))
 
 
@@ -414,8 +426,8 @@ class RegularityReport:
         }
 
     def to_csv(self, path) -> None:
-        write_csv(path, self.CSV_COLUMNS,
-                  zip(*(getattr(self, name).tolist() for name in self.CSV_COLUMNS)))
+        write_csv_blocks(path, self.CSV_COLUMNS, len(self.k), lambda lo, hi: (
+            getattr(self, name)[lo:hi] for name in self.CSV_COLUMNS))
 
 
 # ---------------------------------------------------------------------------

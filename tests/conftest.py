@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from denjoy_twist.cli import build_full_system
@@ -37,3 +39,22 @@ def desk(profiles):
 def swapped(profiles):
     """Profiles exchanged: the instability zone sits above the curve."""
     return Built(SeqParams(truncation_M=32), profiles, swap_gamma=True)
+
+
+@pytest.fixture(scope="session")
+def bench_build(profiles):
+    """The benchmark's build size, M=4000."""
+    return Built(SeqParams(truncation_M=4000), profiles)
+
+
+@pytest.fixture
+def traced_peak():
+    """The tracemalloc peak, in bytes, of one call f(*args)."""
+    def peak(f, *args):
+        tracemalloc.start()
+        try:
+            f(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -371,7 +371,8 @@ def test_local_diffeo_eval_surface(small):
 def test_invert_working_set(small):
     # 2**16 shoulder points of mixed gaps: each test and the Newton bracket
     # gather only the breakpoint columns they read (two (n, 5) row gathers
-    # of the breakpoint tables put the peak at 26 MB)
+    # of the breakpoint tables put the peak at 26 MB), and the Newton state
+    # is compacted one array at a time (the whole state at once: 18.5 MB)
     h = small.g.local
     rng = np.random.default_rng(0)
     n = 2**16
@@ -387,7 +388,14 @@ def test_invert_working_set(small):
     finally:
         tracemalloc.stop()
     assert np.max(np.abs(got - u) / h.ell[k + h.M]) <= 1e-13
-    assert peak <= 20 * 2**20
+    assert peak <= 16 * 2**20
+
+
+def test_construction_working_set(bench_build, profiles, traced_peak):
+    # the monotone test and the breakpoint images run a block of gaps at a
+    # time, and only h_k at 3/8, 1/2, 5/8 and 1 is stored: one pass over
+    # all 8000 gaps with the breakpoints stored too peaked at 2.2 MB
+    assert traced_peak(LocalDiffeo, bench_build.seqs, profiles) <= 2**20
 
 
 def test_newton_one_profile_eval_per_profile_per_iteration(small, monkeypatch):
@@ -457,7 +465,7 @@ def test_float_route_bitwise_equals_array_route(bundle, request):
     for k in (-M, -1, 0, 1, M - 1):
         u = h.ell[k + M] * _BREAKS
         u = np.concatenate([u, np.nextafter(u, -np.inf), np.nextafter(u, np.inf), [np.nan]])
-        v = h._bp_v[k + M]
+        v = np.append(0.0, h._bp_v[k + M])   # h_k(0) is 0.0, not stored
         v = np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf), [np.nan]])
         ks = np.full(u.size, k)
         for f, x, kw in ((h.value, u, {}), (h.deriv, u, {}), (h.deriv, u, {"side": "left"}),

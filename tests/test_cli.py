@@ -117,6 +117,15 @@ def test_every_report_has_one_schema(tmp_path, command, args):
     assert rep["timings"]["build"] > 0.0
 
 
+def test_build_timings_split_by_layer(tmp_path):
+    assert run(["build", "--set", "params.M=16"], tmp_path, "t") == 0
+    timings = json.loads((tmp_path / "t" / "build.json").read_text())["timings"]
+    layers = ("profiles", "sequences", "layout", "piece_table", "twist_system")
+    assert set(timings) == {"build", *layers}
+    assert all(timings[name] > 0.0 for name in layers)
+    assert sum(timings[name] for name in layers) <= timings["build"]
+
+
 @pytest.mark.parametrize("command, message", [
     ("regularity", "regularity scan requires mode=full"),
     ("manifolds", "manifold checks require mode=full"),
@@ -290,6 +299,18 @@ OUTPUT_DIGESTS = {
         "gaps.csv": "8b8bd7609bdb22233b4152749202520f9d5dd5c7bf2bcb836e6164dfc0948411",
         "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
         "sequences.csv": "22501defcdba156237345e70e27a6091f2b19d0bdacc1c9c572ebea89737c9ce"}),
+    # 10000 gaps and 10001 CSV rows: the breakpoint pass of the gap family
+    # and each CSV writer run several full blocks and a partial one
+    "build_blocks": (["build", "--set", "params.M=5000"], {
+        "build.json": "abd242cf40e30a6218d95dc2f001b05066c443a496a22bbfc7bc09c25eb3f1d8",
+        "estimates.json": "330ed00ec360b707b1e407fbed5155ee0003588da63d8c93dc00a0084230aced",
+        "gaps.csv": "4202ab0bb98c6bac81398b5332629de1c8c3c69c89b00a9165a69495fbc15418",
+        "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
+        "sequences.csv": "92d4d57b782a8f4fe7cae007dfe4163c0db5da2f17039c7a8418ed971c2bfe87"}),
+    # 1039 gaps: regularity.csv is written in a full block and a partial one
+    "regularity_blocks": (["regularity", "--set", "params.M=520"], {
+        "regularity.csv": "ffd42fe261d5dc3a35aa85dbe0949a1aa40b97fc417afc48522c26bcaad569dc",
+        "regularity.json": "dc540564a264c6e5b105c89a4fdeb0cc5b766460221bff6c2816e272413e8bc4"}),
     "portrait": (PORTRAIT, {
         "portrait.csv": "ce7ed1a2c866cbc397caf6989bda1d27c12b3bb6e014bc2981eec34f0a6a1348"}),
     "portrait_swap": (PORTRAIT + ["--set", "params.swap_gamma=true"], {

@@ -4,8 +4,9 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 
 from denjoy_twist.profiles import (_TABLE_PANELS, CalibrationError, _check_mass,
-                                   _cumulative_table, bump, calibrate_profiles,
-                                   export_profile_csv, profile_eval, smooth_step)
+                                   _cumulative_table, _gauss_legendre, bump,
+                                   calibrate_profiles, export_profile_csv,
+                                   profile_eval, smooth_step)
 
 
 def test_smooth_step_tails_and_symmetry():
@@ -106,6 +107,20 @@ def test_recalibration_consistency(profiles):
     assert abs(again.eta.shoulder_coefficient
                - profiles.eta.shoulder_coefficient) <= 1e-10
     assert again.gamma_plus.shoulder_coefficient == profiles.gamma_plus.shoulder_coefficient
+
+
+@pytest.mark.parametrize("order", [12, 20])
+def test_gauss_legendre_table_equals_leggauss(order):
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    got_nodes, got_weights = _gauss_legendre(order)
+    assert got_nodes.tobytes() == nodes.tobytes()
+    assert got_weights.tobytes() == weights.tobytes()
+
+
+def test_calibration_working_set(traced_peak):
+    # the quadrature runs 512 panels per kernel call: one call over all
+    # 4096 panels of both kernels peaked at 3.9 MB
+    assert traced_peak(calibrate_profiles, 1e-13) <= 2**20
 
 
 def test_calibration_failure_signalled():

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,16 +55,10 @@ def test_normalizer_bits_pinned(delta, C):
     assert float(normalizer(delta, C)).hex() == NORMALIZER_HEX[delta, C]
 
 
-def test_normalizer_head_holds_two_arrays():
-    # the 10**6-term head: its |k| array, overwritten in place with the
-    # terms, and one 2**16-term block buffer
-    tracemalloc.start()
-    try:
-        normalizer(0.5, 100.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 9 * 2**20
+def test_normalizer_head_working_set(traced_peak):
+    # the 10**6-term head is summed node by node: three 2**16-term buffers
+    # (1.5 MB), where one array of all its terms took 8 MB
+    assert traced_peak(normalizer, 0.5, 100.0) <= 2 * 2**20
 
 
 def _one_pass_normalizer(delta, C, head=10**6):
@@ -87,8 +80,9 @@ def _one_pass_normalizer(delta, C, head=10**6):
 @pytest.mark.parametrize("C", [10.0, 12.345678901, 100.0, 1e4])
 def test_normalizer_blocks_equal_one_pass(delta, C):
     assert normalizer(delta, C) == _one_pass_normalizer(delta, C)
-    # heads shorter than, equal to and a partial block past one block
-    for head in (1000, 2**16, 2**16 + 3):
+    # heads shorter than, equal to and a partial block past one node, and
+    # heads split once and three times, with halves not a multiple of 8
+    for head in (1000, 2**16, 2**16 + 3, 2**17 + 21, 333333):
         assert normalizer(delta, C, head) == _one_pass_normalizer(delta, C, head)
 
 
@@ -279,6 +273,68 @@ def test_backward_sweep_failure_signalled():
     with pytest.raises(ConstructionError,
                        match=r"1 \+ beta_0 = 0\.000e\+00 is not positive"):
         build_sequences(SeqParams(bigB=1e20, alpha1_policy="value:9e17"))
+
+
+def _reference_sweep_alphas(K: list, M: int, alpha1: float, alpha0: float):
+    """sweep_alphas as it was written before it ran on Python floats: a put
+    per index into two numpy arrays, beta stored as each alpha is."""
+    alpha = np.zeros(2 * M + 1)
+    beta = np.zeros(2 * M + 1)
+
+    def put(k, a):
+        b = K[k + M + 1] + a
+        if 1.0 + b <= 0.0:
+            raise ConstructionError(
+                f"1 + beta_{k} = {1.0 + b:.3e} is not positive; "
+                "C too small or seed too large")
+        alpha[k + M] = a
+        beta[k + M] = b
+
+    put(1, alpha1)
+    put(0, alpha0)
+    for k in range(1, M):
+        d = alpha[k + M]
+        put(k + 1, d / ((1.0 + K[k + M + 1]) * (1.0 + beta[k + M])))
+    for k in range(0, -M, -1):
+        d = alpha[k + M]
+        Km1 = K[k + M]
+        denom = 1.0 - d * (1.0 + Km1)
+        if denom <= 0.0:
+            raise ConstructionError(
+                f"backward sweep broke at k={k-1}: m - (1+beta) hit "
+                "a nonpositive value; C too small or seed too large")
+        put(k - 1, d * (1.0 + Km1) ** 2 / denom)
+    return alpha, beta
+
+
+def _sweep_outcome(sweep, *args):
+    try:
+        alpha, beta = sweep(*args)
+    except ConstructionError as exc:
+        return str(exc)
+    return alpha.tobytes(), beta.tobytes()
+
+
+@pytest.mark.parametrize("M", [16, 500, 4000])
+@pytest.mark.parametrize("policy", ["half_K1", "value:0.001"])
+def test_sweep_bitwise_equals_reference(M, policy):
+    params = SeqParams(truncation_M=M, alpha1_policy=policy)
+    seqs = build_sequences(params)
+    K = seqs.K_arr.tolist()
+    args = (K, M, seqs.alpha1, seqs.alpha0)
+    assert _sweep_outcome(sweep_alphas, *args) == _sweep_outcome(
+        _reference_sweep_alphas, *args)
+    assert seqs.alpha_arr.tobytes() == _reference_sweep_alphas(*args)[0].tobytes()
+    # the zero seeds, and seeds that break each of the sweeps' tests: the
+    # same error, word for word, at the same k
+    seeds = [(0.0, 0.0), (0.5, -0.3), (5.0, -0.5), (1e3, -0.9), (0.1, -2.0),
+             (-2.0, 0.1), (0.1, 0.9), (-0.9, 0.9), (3.0, -0.99)]
+    outcomes = set()
+    for a1, a0 in seeds:
+        got = _sweep_outcome(sweep_alphas, K, M, a1, a0)
+        assert got == _sweep_outcome(_reference_sweep_alphas, K, M, a1, a0), (a1, a0)
+        outcomes.add(got.split(" ")[0] if isinstance(got, str) else "ok")
+    assert outcomes == {"ok", "1", "backward"}
 
 
 def test_param_validation():

@@ -181,6 +181,15 @@ def test_phi_linearity_working_set_is_blocked(profiles):
     assert peak <= 8 * 2**20
 
 
+def test_regularity_scan_working_set(profiles, traced_peak):
+    # each block's terms are reduced to their sups as they are formed and
+    # freed with the block: the one-block peak of 7.1 MB at M=125 (249
+    # gaps, four blocks) came from keeping every term and the last block's
+    # arrays alive
+    *_, system = build_full_system(SeqParams(truncation_M=125), profiles, False)
+    assert traced_peak(system.second_derivative_scan) <= 5 * 2**20
+
+
 def test_phi_linear_fit_rigid(rigid):
     xs = np.linspace(0.1, 0.2, 64)
     vals = rigid.phi.eval(xs)
