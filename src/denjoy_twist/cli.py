@@ -154,7 +154,7 @@ def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
                  tol("recurrence_residual"))
 
     # zero-seed oracle: sweeping from alpha1 = alpha0 = 0 reproduces K
-    _, beta0 = sweep_alphas(seqs.K_arr.tolist(), seqs.M, 0.0, 0.0)
+    beta0 = seqs.K_arr[1:] + sweep_alphas(seqs.K_arr.tolist(), seqs.M, 0.0, 0.0)
     rb.check_leq("zero_seed_fixed_point",
                  float(np.max(np.abs(beta0 - seqs.K_arr[1:]))),
                  tol("zero_seed_drift"))

@@ -24,7 +24,8 @@ from .sequences import ConstructionError
 
 
 def circle_delta(a, b):
-    """Minimal representative of a - b on the circle, in (-1/2, 1/2]."""
+    """Minimal representative of a - b on the circle, in [-1/2, 1/2]: np.round
+    rounds half to even, so a difference of exactly 1/2 may come out as -1/2."""
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     d = d - np.round(d)
     return d
@@ -34,25 +35,23 @@ def circle_delta(a, b):
 class GapTable:
     """Placed gaps I_k = [lambda_k, lambda_k + ell_k] for |k| <= M.
 
-    orbit_t, lam, ell and mu are indexed by k + M; the sorted_* columns by
-    circular rank i, with sorted_to_k[i] the gap index of the i-th gap in
-    circular order. cum_mass[i] is the total gap length strictly below it,
-    and cum_mass[-1] that of all gaps. No placed gap straddles the point
-    0 = 1: gap 0 starts exactly at 0 and build_gap_table rejects a last gap
-    reaching 1.
+    lam and ell are indexed by k + M; the sorted_* columns by circular rank
+    i, with sorted_to_k[i] the gap index of the i-th gap in circular order
+    and sorted_t[i] its orbit point. cum_mass[i] is the total gap length
+    strictly below it, and cum_mass[-1] that of all gaps. The orbit point
+    frac(k omega), the midpoint mu_k and the gap ends are formed where read.
+    No placed gap straddles the point 0 = 1: gap 0 starts exactly at 0 and
+    build_gap_table rejects a last gap reaching 1.
     """
 
     M: int
     omega: float
-    orbit_t: np.ndarray      # frac(k omega), index k + M
     lam: np.ndarray
     ell: np.ndarray
-    mu: np.ndarray
     residual_mass: float
     sorted_to_k: np.ndarray
     sorted_t: np.ndarray
     sorted_lam: np.ndarray
-    sorted_ends: np.ndarray
     cum_mass: np.ndarray
 
     def lam_of(self, k):
@@ -62,10 +61,10 @@ class GapTable:
         return self.ell[np.asarray(k) + self.M]
 
     def mu_of(self, k):
-        return self.mu[np.asarray(k) + self.M]
+        return self.lam_of(k) + self.ell_of(k) / 2.0
 
     def t_of(self, k):
-        return self.orbit_t[np.asarray(k) + self.M]
+        return (np.asarray(k) * self.omega) % 1.0
 
     def J_of(self, k):
         """The middle segment of gap k: [mu - ell/8, mu + ell/8]."""
@@ -78,7 +77,8 @@ class GapTable:
         starting at or below x (-1 if none) and whether x lies in that gap,
         both endpoints counting as the gap's. Broadcasts over arrays."""
         i = np.searchsorted(self.sorted_lam, x, side="right") - 1
-        return i, (i >= 0) & (x <= self.sorted_ends[i])
+        end = self.sorted_lam[i] + self.ell_of(self.sorted_to_k[i])
+        return i, (i >= 0) & (x <= end)
 
     def placement(self, t: float) -> float:
         """The placement measure below the circle point t: the mass of the
@@ -116,9 +116,8 @@ def build_gap_table(seqs) -> GapTable:
     lam = np.empty(2 * M + 1)
     lam[order_idx] = sorted_lam
     return GapTable(
-        M=M, omega=omega, orbit_t=orbit_t, lam=lam, ell=ell,
-        mu=lam + ell / 2.0, residual_mass=residual, sorted_to_k=ks[order_idx],
-        sorted_t=sorted_t, sorted_lam=sorted_lam, sorted_ends=ends,
+        M=M, omega=omega, lam=lam, ell=ell, residual_mass=residual,
+        sorted_to_k=ks[order_idx], sorted_t=sorted_t, sorted_lam=sorted_lam,
         cum_mass=cum_mass)
 
 
@@ -147,9 +146,9 @@ class SemiConjugacy:
         tb = self.table
         x = np.asarray(x, dtype=float) % 1.0
         i, inside = tb.lookup(x)
-        k = tb.sorted_to_k[i] + tb.M
-        mass_below = np.where(i >= 0, tb.cum_mass[i] + tb.ell[k], 0.0)
-        t = np.where(inside, tb.orbit_t[k], (x - mass_below) / tb.residual_mass)
+        k = tb.sorted_to_k[i]
+        mass_below = np.where(i >= 0, tb.cum_mass[i] + tb.ell_of(k), 0.0)
+        t = np.where(inside, tb.t_of(k), (x - mass_below) / tb.residual_mass)
         return float(t) if t.ndim == 0 else t
 
     def lift(self, x: float) -> float:

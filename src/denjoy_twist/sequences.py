@@ -69,26 +69,27 @@ class SeqParams:
 class GapSequences:
     """Built sequences, all indexed by the signed gap index k.
 
-    Storage ranges: ell on [-(M+1), M+1], K on [-(M+1), M], m on [-M, M],
-    alpha/beta on [-M, M]. residual_mass is 1 minus the total length of the
-    stored gaps |k| <= M. Made whole by build_sequences.
+    Stored: ell on [-(M+1), M+1], K on [-(M+1), M] and alpha on [-M, M];
+    m (on [-M, M]) and beta = K + alpha are formed from them where read.
+    residual_mass is 1 minus the total length of the stored gaps |k| <= M.
+    Made whole by build_sequences.
     """
 
     params: SeqParams
     a_C: float
     ell_arr: np.ndarray
     K_arr: np.ndarray
-    m_arr: np.ndarray
     alpha_arr: np.ndarray
-    beta_arr: np.ndarray
-    alpha0: float
-    alpha1: float
     m1_adjusted: float
     residual_mass: float
 
     @property
     def M(self) -> int:
         return self.params.truncation_M
+
+    # the seeds, read from the alpha column
+    alpha0 = property(lambda self: float(self.alpha_arr[self.M]))
+    alpha1 = property(lambda self: float(self.alpha_arr[self.M + 1]))
 
     def ell(self, k):
         return self.ell_arr[np.asarray(k) + self.M + 1]
@@ -97,13 +98,14 @@ class GapSequences:
         return self.K_arr[np.asarray(k) + self.M + 1]
 
     def m(self, k):
-        return self.m_arr[np.asarray(k) + self.M]
+        k = np.asarray(k)
+        return 1.0 + self.K(k) + 1.0 / (1.0 + self.K(k - 1))
 
     def alpha(self, k):
         return self.alpha_arr[np.asarray(k) + self.M]
 
     def beta(self, k):
-        return self.beta_arr[np.asarray(k) + self.M]
+        return self.K(k) + self.alpha(k)
 
 
 def _term(x, C, delta, out=None):
@@ -189,8 +191,8 @@ def seed_alphas(K0: float, K1: float, params: SeqParams):
 
 
 def sweep_alphas(K: list, M: int, alpha1: float, alpha0: float):
-    """alpha and beta on [-M, M] from the seeds at k = 1 and k = 0, with K_k
-    at K[k + M + 1].
+    """alpha on [-M, M] from the seeds at k = 1 and k = 0, with K_k at
+    K[k + M + 1].
 
     The sweeps run the difference form of the recurrence: with d = alpha_k,
       forward   alpha_{k+1} = d / ((1+K_k)(1+beta_k)),
@@ -198,7 +200,7 @@ def sweep_alphas(K: list, M: int, alpha1: float, alpha0: float):
     algebraically identical to 1+beta_{k+1} + 1/(1+beta_k) = m_{k+1} but
     exact at the fixed point beta == K (zero seeds) and sign-preserving in
     floating point. The loop runs on Python floats, checking 1 + beta_k > 0
-    at each k as it is reached; beta = K + alpha is formed once at the end.
+    at each k as it is reached.
     """
     def not_positive(k, b):
         return ConstructionError(f"1 + beta_{k} = {1.0 + b:.3e} is not positive; "
@@ -228,8 +230,7 @@ def sweep_alphas(K: list, M: int, alpha1: float, alpha0: float):
         if 1.0 + (Km1 + a) <= 0.0:
             raise not_positive(k - 1, Km1 + a)
         alpha[k + M - 1] = a
-    alpha = np.array(alpha)
-    return alpha, np.array(K[1:2 * M + 2]) + alpha
+    return np.array(alpha)
 
 
 def build_sequences(params: SeqParams) -> GapSequences:
@@ -239,12 +240,10 @@ def build_sequences(params: SeqParams) -> GapSequences:
     a_C = normalizer(delta, C)
     ell = a_C * _term(np.abs(np.arange(-(M + 1), M + 2, dtype=float)), C, delta)
     K_arr = ell[1:] / ell[:-1] - 1.0
-    m_arr = 1.0 + K_arr[1:] + 1.0 / (1.0 + K_arr[:-1])
     K = K_arr.tolist()   # K_k is K[k + M + 1]
     alpha1, alpha0, m1_adjusted = seed_alphas(K[M + 1], K[M + 2], params)
-    alpha, beta = sweep_alphas(K, M, alpha1, alpha0)
-    return GapSequences(params, a_C, ell, K_arr, m_arr, alpha, beta, alpha0,
-                        alpha1, m1_adjusted, 1.0 - float(np.sum(ell[1:-1])))
+    return GapSequences(params, a_C, ell, K_arr, sweep_alphas(K, M, alpha1, alpha0),
+                        m1_adjusted, 1.0 - float(np.sum(ell[1:-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +257,10 @@ def recurrence_residuals(seqs: GapSequences) -> np.ndarray:
     m1 in the form 1/(1+beta_0) + 1 + K_1 = m1_adjusted.
     """
     M = seqs.M
-    k = np.arange(-M, M)
-    res = np.abs(1.0 + seqs.beta(k + 1) + 1.0 / (1.0 + seqs.beta(k)) - seqs.m(k + 1))
-    res[M] = abs(1.0 / (1.0 + float(seqs.beta(0))) + 1.0 + float(seqs.K(1))
-                 - seqs.m1_adjusted)
+    beta = seqs.beta(np.arange(-M, M + 1))
+    res = np.abs(1.0 + beta[1:] + 1.0 / (1.0 + beta[:-1])
+                 - seqs.m(np.arange(-M + 1, M + 1)))
+    res[M] = abs(1.0 / (1.0 + float(beta[M])) + 1.0 + float(seqs.K(1)) - seqs.m1_adjusted)
     return res
 
 
@@ -285,6 +284,7 @@ def verify_sequence_estimates(seqs: GapSequences, tol=DEFAULT_TOLERANCES) -> dic
     x = abs_k + C
     K, K_prev = seqs.K_arr[1:], seqs.K_arr[:-1]
     dK = K - K_prev
+    m = seqs.m(ks)
     ell, alpha = seqs.ell_arr[1:-1], seqs.alpha_arr
 
     def window(values, name, ok=True):
@@ -325,17 +325,17 @@ def verify_sequence_estimates(seqs: GapSequences, tol=DEFAULT_TOLERANCES) -> dic
 
     # m_{k} - 2 comparable to K_{k-1}^2 away from the crossing
     off = (ks > -M) & (ks != 0) & (ks != 1)
-    mdev = np.abs(seqs.m_arr[off] - 2.0)
+    mdev = np.abs(m[off] - 2.0)
     max_ratio = float((mdev / np.float_power(K_prev[off], 2.0)).max())
     est["m_near_two"] = {"max_ratio": max_ratio, "max_dev": float(mdev.max()),
                          "pass": max_ratio <= tol["m_slack"]}
     # the exact identity m_{k+1} - 2 - (K_{k+1} - K_k) = K_k^2/(1+K_k)
-    dev = float(np.max(np.abs(seqs.m_arr[1:] - 2.0 - dK[1:]
+    dev = float(np.max(np.abs(m[1:] - 2.0 - dK[1:]
                               - np.float_power(K[:-1], 2.0) / (1.0 + K[:-1]))))
     est["m_identity"] = {"max_abs_dev": dev, "pass": dev <= 1e-14}
 
     # beta bounds (forward) and alpha bounds (backward)
-    bn = seqs.beta_arr[M + 1:]
+    bn = seqs.beta(ks[M + 1:])
     max_scaled, min_over_K = float(np.max(bn * x[M + 1:])), float(np.min(bn - K[M + 1:]))
     est["beta_forward"] = {"max_scaled": max_scaled, "min_over_K": min_over_K,
                            "pass": max_scaled <= B and min_over_K >= 0.0}
@@ -354,7 +354,7 @@ def verify_sequence_estimates(seqs: GapSequences, tol=DEFAULT_TOLERANCES) -> dic
     est["alpha_over_K"] = {"A": A, "pass": math.isfinite(A)}
 
     # crossing diagnostics: the one index where the two-sided estimates fail
-    m0_minus_2 = float(seqs.m(0)) - 2.0
+    m0_minus_2 = float(m[M]) - 2.0
     dev = abs(m0_minus_2 - 2.0 * float(K[M]))
     crossing = {"K_step_at_0": float(dK[M]), "m0_minus_2": m0_minus_2,
                 "identity_m0_2K0_dev": dev, "identity_pass": dev <= 1e-14}

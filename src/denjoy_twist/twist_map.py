@@ -145,8 +145,7 @@ class TwistSystem:
         fr = thetas % 1.0
         lift1 = self.g.lift_many(fr)
         gam = lift1 - fr
-        theta1 = (fr + (gam + translate)) % 1.0
-        r1 = (gam + translate) + self.phi.eval(theta1)
+        theta1, r1, _ = self._step(fr, gam + translate)
         # target point (g(theta), g^2(theta) - g(theta)), shifted by translate
         target_theta = lift1 % 1.0
         target_r = self.curve_height(target_theta)
@@ -321,15 +320,17 @@ class TwistSystem:
             a_k, a_km1 = h.alpha[j], h.alpha[j - 1]
             u = s * ell_k
 
-            def dzeta(uu, vv=None):
-                vv = h.invert(uu, k - 1) if vv is None else vv
-                ss = uu / ell_k
-                sst = vv / ell_km1
-                g_u = profile_eval(h.gamma_plus, ss, 0, reflect=~h.plus[j])
-                g_v = profile_eval(h.gamma_plus, sst, 0, reflect=~h.plus[j - 1])
-                psi_k_u = K_k * profile_eval(eta, ss, 0) + a_k * g_u
-                psi_km1_v = K_km1 * profile_eval(eta, sst, 0) + a_km1 * g_v
-                return psi_k_u - psi_km1_v / (1.0 + psi_km1_v)
+            def psi(x, K, alpha, minus):
+                """K eta + alpha gamma at x, gamma mirrored where minus."""
+                return (K * profile_eval(eta, x, 0)
+                        + alpha * profile_eval(h.gamma_plus, x, 0, reflect=minus))
+
+            def dzeta(uu, psi_v=None):
+                """zeta_k' at uu; psi_v is psi_{k-1} at h_{k-1}^{-1}(uu)."""
+                if psi_v is None:
+                    psi_v = psi(h.invert(uu, k - 1) / ell_km1, K_km1, a_km1,
+                                ~h.plus[j - 1])
+                return psi(uu / ell_k, K_k, a_k, ~h.plus[j]) - psi_v / (1.0 + psi_v)
 
             # five-point FD of the analytic first derivative of zeta, first,
             # one shifted grid at a time
@@ -341,7 +342,6 @@ class TwistSystem:
             fd /= 12.0 * hstep
 
             v = h.invert(u, k - 1)
-            sup_dz = sup(dzeta(u, v))
             sup_zeta = sup(h.value(u, k) + v - 2.0 * u)
             st = v / ell_km1
 
@@ -351,6 +351,7 @@ class TwistSystem:
             gkm1_1_st, gkm1_st = profile_eval(h.gamma_plus, st, (1, 0),
                                               reflect=~h.plus[j - 1])
             psi_v = K_km1 * eta_st + a_km1 * gkm1_st
+            sup_dz = sup(dzeta(u, psi_v))
             dpsi_v = (K_km1 * eta1_st + a_km1 * gkm1_1_st) / ell_km1
             df_inv = (ell_k / ell_km1) / (1.0 + psi_v)
 

@@ -58,3 +58,17 @@ def traced_peak():
         finally:
             tracemalloc.stop()
     return peak
+
+
+@pytest.fixture
+def traced_retained():
+    """One call f(*args): its result and the tracemalloc bytes still held
+    once it has returned, which is what the result keeps alive."""
+    def retained(f, *args):
+        tracemalloc.start()
+        try:
+            result = f(*args)
+            return result, tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    return retained

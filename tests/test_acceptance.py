@@ -66,7 +66,7 @@ def test_criterion_3_signs_bounds_residuals(desk):
 
 def test_criterion_4_zero_seed(desk):
     seqs = desk.seqs
-    _, beta0 = sweep_alphas(seqs.K_arr.tolist(), seqs.M, 0.0, 0.0)
+    beta0 = seqs.K_arr[1:] + sweep_alphas(seqs.K_arr.tolist(), seqs.M, 0.0, 0.0)
     drift = float(np.max(np.abs(beta0 - seqs.K_arr[1:])))
     _line(4, "zero-seed fixed point", drift <= 1e-12, drift, 1e-12)
 

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from denjoy_twist.layout import SemiConjugacy, build_gap_table, dump_gap_table_csv
+from denjoy_twist.cli import build_full_system
+from denjoy_twist.layout import (GapTable, SemiConjugacy, build_gap_table,
+                                 circle_delta, dump_gap_table_csv)
 from denjoy_twist.sequences import SeqParams, build_sequences
 
 # frozen placement value for the default configuration (M = 500); the scan
@@ -43,7 +45,7 @@ def test_placement_against_scan_oracle(desk):
     rng = np.random.default_rng(21)
     for k in rng.integers(-tb.M, tb.M + 1, size=40):
         t_k = float(tb.t_of(k))
-        mask = tb.orbit_t < t_k
+        mask = tb.t_of(np.arange(-tb.M, tb.M + 1)) < t_k
         oracle = float(np.sum(tb.ell[mask])) + tb.residual_mass * t_k
         assert abs(oracle - float(tb.lam_of(k))) <= 1e-13
 
@@ -61,7 +63,7 @@ def test_gaps_disjoint(desk):
 def test_order_isomorphism(desk):
     tb = desk.table
     by_lam = np.argsort(tb.lam)
-    by_orbit = np.argsort(tb.orbit_t)
+    by_orbit = np.argsort(tb.t_of(np.arange(-tb.M, tb.M + 1)))
     assert np.array_equal(by_lam, by_orbit)
 
 
@@ -92,7 +94,8 @@ def test_lookup_matches_linear_scan(small):
     lam_sorted = tb.lam[order]
     ends_sorted = lam_sorted + tb.ell[order]
     n = len(lam_sorted)
-    for x in rng.random(200):
+    # random points, and the right ends, which count as their gap's
+    for x in np.concatenate([rng.random(200), ends_sorted]):
         i, inside = tb.lookup(x)
         # linear scan oracle
         scan = [j for j in range(n) if lam_sorted[j] <= x <= ends_sorted[j]]
@@ -113,8 +116,9 @@ def test_placement_against_brute_force(desk):
     tb = desk.table
     rng = np.random.default_rng(23)
     ts = np.concatenate([rng.random(200), tb.t_of(rng.integers(-tb.M, tb.M + 1, size=20))])
+    orbit_t = tb.t_of(np.arange(-tb.M, tb.M + 1))
     for t in ts.tolist():
-        oracle = float(np.sum(tb.ell[tb.orbit_t <= t])) + tb.residual_mass * t
+        oracle = float(np.sum(tb.ell[orbit_t <= t])) + tb.residual_mass * t
         assert abs(tb.placement(t) - oracle) <= 1e-13
     for k in (-7, 3, 12):
         # the placement just below an orbit point is the gap's left end
@@ -127,6 +131,30 @@ def test_gap_table_is_frozen(small):
         small.table.residual_mass = 0.5
     with pytest.raises(dataclasses.FrozenInstanceError):
         small.table.cum_mass = None
+
+
+def test_gap_table_stores_each_fact_once():
+    # orbit points, midpoints and gap ends are formed from these columns
+    assert [f.name for f in dataclasses.fields(GapTable)] == [
+        "M", "omega", "lam", "ell", "residual_mass", "sorted_to_k", "sorted_t",
+        "sorted_lam", "cum_mass"]
+
+
+def test_build_retained_per_gap(profiles, traced_retained):
+    # what a whole build keeps per stored gap: 25.7 doubles while sequences
+    # and table also stored m, beta, the orbit points, the midpoints and the
+    # gap ends
+    M = 20000
+    _, held = traced_retained(build_full_system, SeqParams(truncation_M=M),
+                              profiles, False)
+    assert held / 8 / (2 * M + 1) <= 21.5
+
+
+def test_circle_delta_half_rounds_to_even():
+    # np.round rounds half to even: a difference of exactly 1/2 can come out
+    # as either end of [-1/2, 1/2]
+    assert float(circle_delta(0.25, 0.75)) == -0.5
+    assert float(circle_delta(0.75, 0.25)) == 0.5
 
 
 def test_semiconjugacy_on_gaps(desk):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from denjoy_twist.profiles import profile_eval
-from denjoy_twist.sequences import (ConstructionError, SeqParams,
+from denjoy_twist.sequences import (ConstructionError, GapSequences, SeqParams,
                                     build_sequences, dump_sequences_csv,
                                     normalizer, recurrence_residuals,
                                     seed_alphas, sweep_alphas,
@@ -150,7 +150,8 @@ def test_seed_alpha_signs(desk):
 def test_zero_seed_fixed_point_exact(desk):
     # the difference-form sweeps from alpha1 = alpha0 = 0 reproduce K exactly
     seqs = desk.seqs
-    alpha, beta = sweep_alphas(seqs.K_arr.tolist(), seqs.M, 0.0, 0.0)
+    alpha = sweep_alphas(seqs.K_arr.tolist(), seqs.M, 0.0, 0.0)
+    beta = seqs.K_arr[1:] + alpha
     assert not alpha.any()
     assert float(np.max(np.abs(beta - seqs.K_arr[1:]))) == 0.0
 
@@ -177,7 +178,7 @@ def test_recurrence_residuals(desk):
 
 
 def test_homeomorphism_condition(desk):
-    assert np.all(1.0 + desk.seqs.beta_arr > 0.0)
+    assert np.all(1.0 + desk.seqs.beta(np.arange(-desk.seqs.M, desk.seqs.M + 1)) > 0.0)
 
 
 def test_alpha_bounded_by_K(desk):
@@ -267,6 +268,13 @@ def test_built_sequences_are_frozen(small):
         small.seqs.K_arr = None
 
 
+def test_sequences_store_each_fact_once():
+    # m, beta = K + alpha and the two seeds are formed from these columns
+    assert [f.name for f in dataclasses.fields(GapSequences)] == [
+        "params", "a_C", "ell_arr", "K_arr", "alpha_arr", "m1_adjusted",
+        "residual_mass"]
+
+
 def test_backward_sweep_failure_signalled():
     # an admissible seed under a huge B still pushes the backward iterates
     # onto the pole
@@ -307,6 +315,12 @@ def _reference_sweep_alphas(K: list, M: int, alpha1: float, alpha0: float):
     return alpha, beta
 
 
+def _sweep_with_beta(K: list, M: int, alpha1: float, alpha0: float):
+    """sweep_alphas with beta = K + alpha formed from what it returns."""
+    alpha = sweep_alphas(K, M, alpha1, alpha0)
+    return alpha, np.array(K[1:]) + alpha
+
+
 def _sweep_outcome(sweep, *args):
     try:
         alpha, beta = sweep(*args)
@@ -322,7 +336,7 @@ def test_sweep_bitwise_equals_reference(M, policy):
     seqs = build_sequences(params)
     K = seqs.K_arr.tolist()
     args = (K, M, seqs.alpha1, seqs.alpha0)
-    assert _sweep_outcome(sweep_alphas, *args) == _sweep_outcome(
+    assert _sweep_outcome(_sweep_with_beta, *args) == _sweep_outcome(
         _reference_sweep_alphas, *args)
     assert seqs.alpha_arr.tobytes() == _reference_sweep_alphas(*args)[0].tobytes()
     # the zero seeds, and seeds that break each of the sweeps' tests: the
@@ -331,7 +345,7 @@ def test_sweep_bitwise_equals_reference(M, policy):
              (-2.0, 0.1), (0.1, 0.9), (-0.9, 0.9), (3.0, -0.99)]
     outcomes = set()
     for a1, a0 in seeds:
-        got = _sweep_outcome(sweep_alphas, K, M, a1, a0)
+        got = _sweep_outcome(_sweep_with_beta, K, M, a1, a0)
         assert got == _sweep_outcome(_reference_sweep_alphas, K, M, a1, a0), (a1, a0)
         outcomes.add(got.split(" ")[0] if isinstance(got, str) else "ok")
     assert outcomes == {"ok", "1", "backward"}

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from denjoy_twist import twist_map
 from denjoy_twist.circle_map import RigidRotation
 from denjoy_twist.cli import build_full_system
 from denjoy_twist.layout import circle_delta
@@ -150,6 +151,21 @@ def test_invariant_curve_translated(small):
     assert rep["max_residual"] <= 1e-11
 
 
+@pytest.mark.parametrize("omega", [
+    1e-9,
+    pytest.param(0.999999999, marks=pytest.mark.xfail(
+        strict=True, reason="the translated residual stays at 2.3e-10 for omega "
+        "near 1 (CHANGES.md FOUND 26, ROADMAP item 1)")),
+])
+def test_invariant_curve_translated_near_rational(profiles, omega):
+    # the verify check at the CLI's default seed and sample count: stepping
+    # with a step formula of its own read 1.58e-10 at omega = 1e-9
+    params = SeqParams(truncation_M=16, omega=omega)
+    *_, system = build_full_system(params, profiles, False)
+    rep = system.verify_invariant_curve(10000, seed=20260809 + 1, translate=1)
+    assert rep["max_residual"] <= 1e-10
+
+
 def test_invariant_curve_rigid(rigid):
     rep = rigid.verify_invariant_curve(500, seed=48)
     assert rep["max_residual"] <= 1e-14
@@ -216,6 +232,20 @@ def test_regularity_scan_inverts_each_point_once(small, monkeypatch):
     monkeypatch.setattr(h, "invert", lambda v, k: calls.append(k) or invert(v, k))
     small.system.second_derivative_scan()
     assert len(calls) == 2 * 5
+
+
+def test_regularity_scan_evaluates_profiles_at_st_once(small, monkeypatch):
+    # three s-grid calls, then per block: psi_k and psi_{k-1} (two calls
+    # each) at each of the four finite-difference shifts, psi_k at the grid,
+    # and one two-order call per profile at st, where psi_{k-1} is read
+    # from (22 per block when dzeta evaluated it again)
+    calls = []
+    real = twist_map.profile_eval
+    monkeypatch.setattr(twist_map, "profile_eval",
+                        lambda *a, **kw: calls.append(a[2]) or real(*a, **kw))
+    small.system.second_derivative_scan()
+    assert len(calls) == 3 + 2 * 20
+    assert calls.count((1, 0)) == 2 * 2
 
 
 def test_zeta_affine_on_middle_segment(small):
