@@ -31,6 +31,7 @@ from array import array
 
 import numpy as np
 
+from .draws import default_rng
 from .layout import GapTable
 from .profiles import _ANTI, _TABLE_PANELS, ProfileSet, profile_eval
 from .sequences import ConstructionError
@@ -545,16 +546,6 @@ def build_circle_homeo(table, seqs, profiles, swap_gamma=False) -> CircleHomeo:
 # operations on the built map
 # ---------------------------------------------------------------------------
 
-def orbit_lift(g, x0: float, n: int) -> np.ndarray:
-    """The lift orbit x0, g~(x0), ..., g~^n(x0)."""
-    out = np.empty(n + 1)
-    out[0] = x = float(x0)
-    for i in range(1, n + 1):
-        x = g.lift(x)
-        out[i] = x
-    return out
-
-
 def rotation_number_estimate(g, x0: float, n: int) -> float:
     """(g~^n(x) - x)/n with exact winding bookkeeping, from the circle point
     x = x0 % 1.0: the lift commutes with integer shifts, while far from
@@ -606,7 +597,7 @@ def derivative_jump_table(g: CircleHomeo) -> list:
 
 def derivative_jump_scan(g: CircleHomeo, n_samples: int, seed: int = 0) -> dict:
     """One-sided derivative agreement at random non-midpoint circle points."""
-    xs = np.random.default_rng(seed).random(n_samples)
+    xs = default_rng(seed).random(n_samples)
     jump = np.abs(g.derivative(xs, side="right") - g.derivative(xs, side="left"))
     return {"n_samples": n_samples, "max_offmid_jump": float(np.max(jump, initial=0.0))}
 

@@ -19,6 +19,7 @@ from .circle_map import (RigidRotation, build_circle_homeo, derivative_jump_scan
                          derivative_jump_table, rotation_number_estimate,
                          wandering_interval_check)
 from .config import ConfigError, RunConfig, load_config, parse_float_list
+from .draws import default_rng
 from .layout import SemiConjugacy, build_gap_table, dump_gap_table_csv
 from .profiles import CalibrationError, calibrate_profiles, export_profile_csv
 from .reporting import ReportBuilder, timed, write_report
@@ -214,7 +215,7 @@ def _verify_rigid(built: BuiltSystem, rb: ReportBuilder) -> None:
     cfg = built.cfg
     sysm, g = built.system, built.g
     v, p = cfg["verify"], cfg["params"]
-    rng = np.random.default_rng(p["seed"])
+    rng = default_rng(p["seed"])
     xs = rng.random(1000)
     rb.check_leq("phi_identically_zero",
                  float(np.max(np.abs(sysm.phi.eval(xs)))), 1e-15)
@@ -285,7 +286,7 @@ def _regularity(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
 
 def _portrait(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
     po, p = built.cfg["portrait"], built.cfg["params"]
-    rng = np.random.default_rng(p["seed"])
+    rng = default_rng(p["seed"])
     orbits = []
     for _ in range(po["orbits"]):
         th = rng.random()

@@ -3,7 +3,8 @@
 Every figure and report is reproducible from a single config file. Unknown
 sections or keys are rejected. The [tolerances] section can override any
 named tolerance; all sampling randomness is drawn from the seed recorded
-in [params].
+in [params], which drives the program's PCG64 stream (`draws`), bit for
+bit numpy's ``default_rng(seed)``.
 """
 
 from __future__ import annotations
@@ -99,11 +100,11 @@ _POSITIVE = (
     ("regularity", "fd_step_rel"), ("manifolds", "k_max"),
     ("portrait", "steps"), ("diffusion", "n"), ("params", "quadrature_tolerance"),
 )
-# counts, widths and factors for which 0 means none or off; every
-# tolerance is checked the same way
+# counts, widths and factors for which 0 means none or off, and the
+# sampling seed; every tolerance is checked the same way
 _NON_NEGATIVE = (
     ("portrait", "orbits"), ("portrait", "r_band"), ("portrait", "curve_samples"),
-    ("regularity", "compare_C_factor"),
+    ("regularity", "compare_C_factor"), ("params", "seed"),
 )
 # comma-separated numbers, kept as written; True: at least one is needed
 _FLOAT_LISTS = {

@@ -24,6 +24,7 @@ from itertools import count, repeat
 
 import numpy as np
 
+from .draws import default_rng
 from .layout import circle_delta
 from .profiles import profile_eval
 from .reporting import write_csv, write_csv_blocks
@@ -125,7 +126,7 @@ class TwistSystem:
 
     def sample_points(self, n, seed=0):
         """Mixed circle samples: gap interiors, gap endpoints, residual."""
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         tb = self.table
         pts = [rng.random(n // 2)]  # generic (almost surely residual-heavy)
         ks = rng.integers(-tb.M, tb.M + 1, size=n // 4)
@@ -141,7 +142,7 @@ class TwistSystem:
         if self.table is not None:
             thetas = self.sample_points(n_samples, seed)
         else:
-            thetas = np.random.default_rng(seed).random(n_samples)
+            thetas = default_rng(seed).random(n_samples)
         fr = thetas % 1.0
         lift1 = self.g.lift_many(fr)
         gam = lift1 - fr
@@ -161,14 +162,14 @@ class TwistSystem:
     # The sampled checks below evaluate all samples in one array step.
     # roundtrip and twist draw their (theta, r) pairs as one (n, 2) array,
     # the same doubles as per-sample random() and uniform() calls. The
-    # vertical translation and det checks keep their draw loops: integer
-    # draws share PCG64's buffered 32-bit word, and det's draws branch on a
-    # draw. Reductions are np.max, so a NaN sample fails its check instead
-    # of vanishing as it would in a Python max.
+    # vertical translation and det checks keep their per-sample draw loops:
+    # det's draws branch on a draw, and integer draws split 64-bit words in
+    # two (`draws.Generator.integers`). Reductions are np.max, so a NaN
+    # sample fails its check instead of vanishing as in a Python max.
 
     def roundtrip_check(self, n_samples: int = 10000, seed: int = 1) -> float:
         """max over samples of |f^{-1}(f(theta, r)) - (theta, r)| and converse."""
-        u = np.random.default_rng(seed).random((n_samples, 2))
+        u = default_rng(seed).random((n_samples, 2))
         th, r = u[:, 0], 3.0 * u[:, 1] - 1.5   # r uniform on [-1.5, 1.5)
         devs = []
         for first, second in ((self.forward, self.backward),
@@ -184,7 +185,7 @@ class TwistSystem:
         the r-part can still differ in the last bit because r + phi rounds
         at different exponents.
         """
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         th, r = np.empty(n_samples), np.empty(n_samples)
         for i in range(n_samples):
             th[i] = rng.random()
@@ -197,7 +198,7 @@ class TwistSystem:
     def det_check(self, n_samples: int = 1000, seed: int = 3,
                   step: float = 1e-6) -> float:
         """|det Df - 1| by central differences at differentiable points."""
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         theta, r = np.empty(n_samples), np.empty(n_samples)
         for i in range(n_samples):
             if self.table is not None:
@@ -220,14 +221,14 @@ class TwistSystem:
     def twist_check(self, n_samples: int = 100, seed: int = 4,
                     step: float = 1e-6) -> dict:
         """d theta' / d r: affine-in-r by the formula; confirmed by differences."""
-        u = np.random.default_rng(seed).random((n_samples, 2))
+        u = default_rng(seed).random((n_samples, 2))
         th, r = u[:, 0], 2.0 * u[:, 1] - 1.0   # r uniform on [-1, 1)
         d = (self.forward_lift(th, r + step)[0]
              - self.forward_lift(th, r - step)[0]) / (2 * step)
         return {"max_fd_dev": float(np.max(np.abs(d - 1.0), initial=0.0))}
 
     def periodicity_check(self, n_samples: int = 1000, seed: int = 5) -> float:
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         xs = rng.random(n_samples)
         return float(np.max(np.abs(self.phi.eval(xs + 1.0)
                                    - self.phi.eval(xs))))

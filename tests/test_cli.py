@@ -55,6 +55,23 @@ def test_run_path_imports_no_scipy(tmp_path):
     assert (tmp_path / "build.json").exists()
 
 
+def test_sampling_commands_import_no_numpy_random(tmp_path):
+    # the checks and the portrait draw from the package's own PCG64 stream:
+    # numpy.random, and OpenSSL through secrets and hmac, stay unloaded
+    args = ([["verify"] + FAST + ["--set", "params.M=16"]]
+            + [["portrait", "--set", "params.M=16", "--set", "portrait.orbits=2",
+                "--set", "portrait.steps=30"]])
+    code = ("import sys\n"
+            "from denjoy_twist import cli\n"
+            f"for i, a in enumerate({args!r}):\n"
+            f"    assert cli.main(a + ['--out', {str(tmp_path)!r} + str(i)]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+            "             ('secrets', 'hmac', '_hashlib') or m.startswith('numpy.random')))\n")
+    out = _python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_build_minimal_truncation(tmp_path):
     code = run(["build", "--set", "params.M=8"], tmp_path, "m8")
     assert code == 0
@@ -398,6 +415,8 @@ def test_config_rejects_unknown(tmp_path):
     ("portrait", "portrait.r_band=inf"),
     ("verify", "verify.fd_step=inf"),
     ("portrait", "portrait.curve_samples=-1"),
+    # the sampling stream is seeded by a non-negative integer
+    ("portrait", "params.seed=-1"),
     ("regularity", "regularity.compare_C_factor=-3"),
     # an odd grid puts a point on a gap midpoint, and a step of 1/(4 grid)
     # or more takes the first five-point stencil out of its gap
