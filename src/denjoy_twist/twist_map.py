@@ -241,51 +241,49 @@ class TwistSystem:
     # -- phi linearity on the middle segments -------------------------------
 
     def phi_linearity_check(self, n_points: int = 64) -> dict:
-        """Affine fit of phi on each J_k; slope against m_k - 2.
+        """Affine fit of phi on each J_k, in gap-local coordinates.
 
-        Index 1 uses the adjusted m. In midpoint-centered coordinates the
-        fitted constant is the circle-consistent second difference of the
-        midpoints for every k; the extra affine offset -alpha_1 ell_1 / 2
-        lives in the local-coordinate form h_1 + h_0^{-1} = m u - a1 l1/2
-        and is checked separately below.
+        On J_k, phi(lam_k + u) is lam_{k+1} + lam_{k-1} - 2 lam_k plus
+        zeta_k(u) = h_k(u) + h_{k-1}^{-1}(u) - 2u, up to the lift's integers,
+        so the fit reads zeta_k: O(ell_k) values with no global cancellation.
+        Every gap shares the grid u = ell_k t, t on [3/8, 5/8], so the
+        least-squares line, its worst residual and its value at ell_k/2 are
+        closed forms over a block of gaps. The slope is checked against
+        m_k - 2 (index 1 the adjusted m), the midpoint value against
+        (ell_{k+1} + ell_{k-1})/2 - ell_k, and at index 1, where the adjusted
+        head relation gives zeta_1(u) = (m - 2) u - alpha_1 ell_1 / 2, the
+        values against that line.
         """
-        tb, seqs = self.table, self.seqs
-        M = tb.M
+        seqs, h, M = self.seqs, self.g.local, self.table.M
         ks = np.arange(-M + 1, M)
-        mu, ell = tb.mu_of(ks), tb.ell_of(ks)
-        devs, slopes, consts = [], [], []
+        ell = seqs.ell(ks)
+        t = np.linspace(0.375, 0.625, n_points)
+        tc = t - t.mean()
+        slope_t, mid, devs = np.empty(len(ks)), np.empty(len(ks)), np.empty(len(ks))
         block = max(1, _BLOCK_POINTS // n_points)
         for lo in range(0, len(ks), block):
-            # one row of n_points per gap, a block of gaps per phi evaluation
-            mu_b, ell_b = mu[lo:lo + block], ell[lo:lo + block]
-            xs = mu_b[:, None] + np.linspace(-ell_b / 8.0, ell_b / 8.0, n_points, axis=1)
-            for x, mu_k, vals in zip(xs, mu_b, self.phi.eval(xs)):
-                A = np.vstack([x - mu_k, np.ones(n_points)]).T
-                (slope, const), *_ = np.linalg.lstsq(A, vals, rcond=None)
-                devs.append(float(np.max(np.abs(A @ np.array([slope, const]) - vals))))
-                slopes.append(slope)
-                consts.append(const)
+            # one row of n_points per gap, a block of gaps per h_k and h_{k-1}^{-1}
+            rows = slice(lo, lo + block)
+            k, u = ks[rows, None], ell[rows, None] * t
+            z = h.value(u, k) + h.invert(u, k - 1) - 2.0 * u
+            if lo <= M < lo + block:   # the row of index 1
+                u1, z1 = u[M - lo], z[M - lo]
+            zbar = np.mean(z, axis=1)
+            b = np.sum(z * tc, axis=1) / np.sum(tc * tc)   # the slope in t
+            slope_t[rows], mid[rows] = b, zbar + b * (0.5 - t.mean())
+            devs[rows] = np.max(np.abs(z - zbar[:, None] - b[:, None] * tc), axis=1)
         m = np.where(ks == 1, seqs.m1_adjusted, seqs.m(ks))
-        expected_const = (circle_delta(tb.mu_of(ks + 1), mu)
-                          + circle_delta(tb.mu_of(ks - 1), mu))
-        slope_devs = np.abs(np.array(slopes) - (m - 2.0))
-        const_devs = np.abs(np.array(consts) - expected_const)
-        # local-coordinate identity at index 1, where the adjusted head
-        # relation makes h_1 + h_0^{-1} affine with offset -alpha_1 ell_1 / 2
-        h = self.g.local
-        ell1 = h.ell[M + 1]
-        us = ell1 * np.linspace(0.375, 0.625, n_points)
-        local_sum = h.value(us, 1) + h.invert(us, 0)
-        expected = seqs.m1_adjusted * us - float(seqs.alpha(1)) * ell1 / 2.0
-        local_offset_dev = float(np.max(np.abs(local_sum - expected)))
+        slope_devs = np.abs(slope_t / ell - (m - 2.0))
+        const_devs = np.abs(mid - ((seqs.ell(ks + 1) + seqs.ell(ks - 1)) / 2.0 - ell))
+        line1 = (seqs.m1_adjusted - 2.0) * u1 - seqs.alpha1 * ell[M] / 2.0
         return {
-            "k": ks.tolist(),
+            "k": ks,
             "max_fit_deviation": float(np.max(devs)),
             "max_slope_deviation": float(np.max(slope_devs)),
             "max_const_deviation": float(np.max(const_devs)),
-            "local_offset_dev_k1": local_offset_dev,
+            "local_offset_dev_k1": float(np.max(np.abs(z1 - line1))),
             "fit_deviation": devs,
-            "slope_deviation": slope_devs.tolist(),
+            "slope_deviation": slope_devs,
         }
 
     # -- regularity scan -----------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import denjoy_twist
@@ -103,6 +104,24 @@ def test_verify_builds_sequences_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_sequences", counting)
     assert run(["verify"] + FAST, tmp_path, "v") == 0
     assert len(calls) == 1
+
+
+def test_verify_calls_no_numpy_linalg(tmp_path, monkeypatch):
+    # the linearity fit is closed form: no LAPACK routine on verify's path
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in np.linalg.__all__:
+        f = getattr(np.linalg, name)
+        if callable(f) and not isinstance(f, type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    assert run(["verify"] + FAST, tmp_path, "v") == 0
+
+
+def test_verify_passes_at_large_M(tmp_path):
+    # the global fit differenced O(1) phi values over ell_k/4 and read
+    # phi_slope_deviation 2.7e-9 here; the gap-local fit reads about 1e-15
+    assert run(["verify"] + FAST + ["--set", "params.M=32000"], tmp_path, "v") == 0
 
 
 def test_regularity_calibrates_profiles_once(tmp_path, monkeypatch):
@@ -288,11 +307,11 @@ PORTRAIT = ["portrait", "--set", "params.M=32", "--set", "portrait.orbits=4",
             "--set", "portrait.steps=100"]
 OUTPUT_DIGESTS = {
     "verify": (["verify"] + FAST, {
-        "verify.json": "c2c8d00fdf9841f209a83fb910de47f538970ecb6164586abe1dd5ed0e943890"}),
+        "verify.json": "74f99f1324357eda6418dc685b43e29b2e82b880c73bef79e02328f172b01791"}),
     # 599 gaps: the linearity check fits two full blocks of 256 gaps and a
     # partial one
     "verify_blocks": (["verify"] + FAST + ["--set", "params.M=300"], {
-        "verify.json": "d45a3085a24c7276264b655ec2dfaab7ecc0a7ed96732bfacad009d9c7798487"}),
+        "verify.json": "f3709f3a4d634af2f416149b7cf7dc7cc3eeb151d76214278b13af9a457a2c7c"}),
     "verify_rigid": (["verify"] + FAST + ["--set", "params.mode=rigid_rotation"], {
         "verify.json": "46de071c297cd362e5111af110a5cdf6e1eba16601562ae40ee5196c0eec1877"}),
     "regularity": (["regularity", "--set", "params.M=32",

@@ -351,6 +351,19 @@ def test_sweep_bitwise_equals_reference(M, policy):
     assert outcomes == {"ok", "1", "backward"}
 
 
+@pytest.mark.parametrize("policy", ["half_K1", "value:1e-5"])
+def test_sequences_independent_of_M(policy):
+    # the truncation only decides how far the sequences are stored: over the
+    # common range |k| <= 16 each of ell, K, alpha and beta is the same double
+    ks = np.arange(-16, 17)
+    words = set()
+    for M in (16, 64, 256, 4000):
+        seqs = build_sequences(SeqParams(truncation_M=M, alpha1_policy=policy))
+        words.add(np.stack([seqs.ell(ks), seqs.K(ks), seqs.alpha(ks),
+                            seqs.beta(ks)]).tobytes())
+    assert len(words) == 1
+
+
 def test_param_validation():
     with pytest.raises(ValueError):
         SeqParams(truncation_M=4).validate()

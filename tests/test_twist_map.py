@@ -166,6 +166,25 @@ def test_invariant_curve_translated_near_rational(profiles, omega):
     assert rep["max_residual"] <= 1e-10
 
 
+@pytest.mark.parametrize("omega", [
+    SeqParams().omega,
+    1e-9,
+    pytest.param(0.999999999, marks=pytest.mark.xfail(
+        strict=True, reason="g~^{-1}(g~(x)) misses x by 8.4e-11 for omega near 1 "
+        "(CHANGES.md FOUND 47)")),
+    pytest.param(0.500000001, marks=pytest.mark.xfail(
+        strict=True, reason="g~^{-1}(g~(x)) misses x by 2.1e-11 for omega near 1/2 "
+        "(CHANGES.md FOUND 47)")),
+])
+def test_lift_roundtrip_near_rational(profiles, omega):
+    # the invariance check's samples at M=16: the translated residual near
+    # rational omega is the map's own round trip, not its measurement
+    params = SeqParams(truncation_M=16, omega=omega)
+    *_, g, system = build_full_system(params, profiles, False)
+    x = system.sample_points(10000, seed=20260809 + 1) % 1.0
+    assert np.max(np.abs(g.inverse_lift_many(g.lift_many(x)) - x)) <= 1e-12
+
+
 def test_invariant_curve_rigid(rigid):
     rep = rigid.verify_invariant_curve(500, seed=48)
     assert rep["max_residual"] <= 1e-14
@@ -179,8 +198,30 @@ def test_phi_linearity(small):
     assert rep["max_slope_deviation"] <= 1e-10
     assert rep["max_const_deviation"] <= 1e-10
     assert rep["local_offset_dev_k1"] <= 1e-11
-    idx5 = rep["k"].index(5)
+    idx5 = rep["k"].tolist().index(5)
     assert rep["fit_deviation"][idx5] <= 1e-11
+
+
+@pytest.mark.parametrize("params", [
+    SeqParams(delta=0.01),
+    SeqParams(bigC=1e4, truncation_M=16),
+    SeqParams(truncation_M=32000),
+], ids=["delta0.01", "C1e4_M16", "M32000"])
+def test_phi_slope_sound_maps(profiles, params):
+    # fitting global phi read 4.04e-10, 1.07e-10 and 2.71e-9 here, the float
+    # floor of O(1) values differenced over ell_k/4; zeta_k in gap-local
+    # coordinates reads about 1e-15
+    *_, system = build_full_system(params, profiles, False)
+    assert system.phi_linearity_check()["max_slope_deviation"] <= 1e-10
+
+
+def test_phi_linearity_catches_band_violation(profiles):
+    # h_{k-1}^{-1}(J_k) leaves the linear middle of gap k-1 here, so phi is
+    # not affine on J_k (ROADMAP item 3): the gap-local fit still sees it
+    params = SeqParams(omega=0.7071067811865476, delta=1.0, bigC=20.0,
+                       truncation_M=64)
+    *_, system = build_full_system(params, profiles, False)
+    assert system.phi_linearity_check()["max_slope_deviation"] > 1e-10
 
 
 def test_phi_linearity_working_set_is_blocked(profiles):
