@@ -258,8 +258,9 @@ class TwistSystem:
         ks = np.arange(-M + 1, M)
         ell = seqs.ell(ks)
         t = np.linspace(0.375, 0.625, n_points)
-        tc = t - t.mean()
-        slope_t, mid, devs = np.empty(len(ks)), np.empty(len(ks)), np.empty(len(ks))
+        tbar = t.mean()
+        tc = t - tbar
+        slope_t, mid, devs = np.empty((3, len(ks)))
         block = max(1, _BLOCK_POINTS // n_points)
         for lo in range(0, len(ks), block):
             # one row of n_points per gap, a block of gaps per h_k and h_{k-1}^{-1}
@@ -270,7 +271,7 @@ class TwistSystem:
                 u1, z1 = u[M - lo], z[M - lo]
             zbar = np.mean(z, axis=1)
             b = np.sum(z * tc, axis=1) / np.sum(tc * tc)   # the slope in t
-            slope_t[rows], mid[rows] = b, zbar + b * (0.5 - t.mean())
+            slope_t[rows], mid[rows] = b, zbar + b * (0.5 - tbar)
             devs[rows] = np.max(np.abs(z - zbar[:, None] - b[:, None] * tc), axis=1)
         m = np.where(ks == 1, seqs.m1_adjusted, seqs.m(ks))
         slope_devs = np.abs(slope_t / ell - (m - 2.0))
