@@ -12,10 +12,14 @@ Structure of g as a sorted table of pieces over one fundamental domain:
   interval, and a short residual interval around the preimage of I_{-M}
   opens up affinely onto that gap.
 
+The anchors come in the layout's order (GapTable.sorted_to_k) and every
+image start is a layout position (lam_{k+1} for gap piece k), unwrapped to
+a lift at the one descent: no running sum of widths and no seam.
+
 Every h_k is the same two profile shapes (eta and one jump profile) scaled
 by four numbers: ell_k, K_k, alpha_k and the jump side. The family is one
-LocalDiffeo holding them as columns indexed by k + M; its value,
-derivatives and inverse broadcast over points from mixed gaps.
+LocalDiffeo holding them as columns indexed by k + M; its value, first
+derivative and inverse broadcast over points from mixed gaps.
 
 With the patches kept narrow, the semi-conjugacy to the rotation is exact
 outside two intervals of t-measure a few 1e-4, which pins the rotation
@@ -32,7 +36,7 @@ from array import array
 import numpy as np
 
 from .draws import default_rng
-from .layout import GapTable
+from .layout import GapTable, circle_delta
 from .profiles import _ANTI, _TABLE_PANELS, ProfileSet, profile_eval
 from .sequences import ConstructionError
 
@@ -140,9 +144,9 @@ class LocalDiffeo:
         return self.ell[j], self.K[j], self.alpha[j], ~self.plus[j]
 
     def _h(self, u, cols, orders, side=None):
-        """h_k, h_k' or h_k'' at u for each profile order of orders
-        ("antiderivative", 0 or 1), from one profile_eval per profile, with
-        the gap columns cols of _cols; gamma_minus is gamma_plus reflected."""
+        """h_k or h_k' at u for each profile order of orders ("antiderivative"
+        or 0), from one profile_eval per profile, with the gap columns cols of
+        _cols; gamma_minus is gamma_plus reflected."""
         ell, K, alpha, minus = cols
         if not isinstance(u, float):
             u = np.asarray(u, dtype=float)
@@ -150,17 +154,13 @@ class LocalDiffeo:
         es = profile_eval(self.eta, s, orders)
         gs = profile_eval(self.gamma_plus, s, orders, side=side, reflect=minus)
         return [u + K * ell * e + alpha * ell * g if o == _ANTI else
-                1.0 + K * e + alpha * g if o == 0 else
-                (K * e + alpha * g) / ell for o, e, g in zip(orders, es, gs)]
+                1.0 + K * e + alpha * g for o, e, g in zip(orders, es, gs)]
 
     def value(self, u, k):
         return self._h(u, self._cols(k), (_ANTI,))[0]
 
     def deriv(self, u, k, side=None):
         return self._h(u, self._cols(k), (0,), side)[0]
-
-    def second_deriv(self, u, k, side=None):
-        return self._h(u, self._cols(k), (1,), side)[0]
 
     def invert(self, v, k):
         """u with h_k(u) = v, for v in [0, ell_{k+1}].
@@ -346,22 +346,25 @@ class CircleHomeo:
             raise ConstructionError("degenerate patch width at the truncation boundary")
         self.patch_widths = (w_A, w_B)
 
-        # anchors, one column each: x_lo, x_hi, y_lo_raw, y_width, k;
-        # the 2M gap pieces, then the two patches
-        ks = np.arange(-M, M)
-        lamM, ellM = float(tb.lam_of(M)), float(tb.ell_of(M))
-        lamN, ellN = float(tb.lam_of(-M)), float(tb.ell_of(-M))
-        lam = tb.lam_of(ks)
-        a_x_lo = np.append(lam, [lamM - res * w_B, psi(t_star - w_A)])
-        a_x_hi = np.append(lam + tb.ell_of(ks),
-                           [lamM + ellM + res * w_B, psi(t_star + w_A)])
-        a_y_lo = np.append(tb.lam_of(ks + 1),
-                           [psi(t_prime - w_B), lamN - res * w_A])
-        a_y_w = np.append(tb.ell_of(ks + 1), [2.0 * res * w_B, ellN + 2.0 * res * w_A])
-        a_k = np.append(ks, [_NOT_GAP, _NOT_GAP])
-        by_x = np.argsort(a_x_lo, kind="stable")
-        a_x_lo, a_x_hi, a_y_lo, a_y_w, a_k = (
-            c[by_x] for c in (a_x_lo, a_x_hi, a_y_lo, a_y_w, a_k))
+        # anchors, one column each: x_lo, x_hi, y_lo, y_width, k; the gaps in
+        # the layout's circular order, patch B widening I_M in its slot (the
+        # image row there reads I_M, clipped, as I_{M+1} is not stored) and
+        # patch A inserted where its x_lo falls
+        a_k = tb.sorted_to_k.copy()
+        j = a_k + M
+        a_x_lo = tb.lam[j]
+        a_x_hi = a_x_lo + tb.ell[j]
+        a_y_lo, a_y_w = (np.take(c, j + 1, mode="clip") for c in (tb.lam, tb.ell))
+        b = int(np.argmax(a_k == M))
+        a_x_lo[b] -= res * w_B
+        a_x_hi[b] += res * w_B
+        a_y_lo[b], a_y_w[b], a_k[b] = psi(t_prime - w_B), 2.0 * res * w_B, _NOT_GAP
+        x_A = psi(t_star - w_A)
+        a = int(np.searchsorted(a_x_lo, x_A))
+        a_x_lo, a_x_hi, a_y_lo, a_y_w, a_k = (np.insert(c, a, v) for c, v in (
+            (a_x_lo, x_A), (a_x_hi, psi(t_star + w_A)),
+            (a_y_lo, float(tb.lam_of(-M)) - res * w_A),
+            (a_y_w, float(tb.ell_of(-M)) + 2.0 * res * w_A), (a_k, _NOT_GAP)))
 
         # fill the stretches between consecutive anchors with affine transport
         t_x_hi = np.roll(a_x_lo, -1)
@@ -369,11 +372,13 @@ class CircleHomeo:
         if np.any(t_x_hi < a_x_hi - 1e-12):
             raise ConstructionError("anchor pieces overlap")
         t_y_lo = (a_y_lo + a_y_w) % 1.0
-        t_w = np.roll(a_y_lo, -1) - t_y_lo
-        t_w = np.where(t_w < -1e-9, t_w + 1.0, t_w)
         keep = t_x_hi - a_x_hi > 0.0
-        if np.any(t_w[keep] <= 0.0):
-            raise ConstructionError("transport piece with nonpositive image width")
+        # a transport piece empty in x is dropped: its image must be empty too
+        lost = np.abs(circle_delta(np.roll(a_y_lo, -1), t_y_lo)[~keep])
+        if np.any(lost > 1e-10):
+            raise ConstructionError(f"piece images do not tile the circle: a "
+                                    f"transport piece empty in x has image width "
+                                    f"{np.max(lost):.3e}")
 
         # each anchor followed by its transport piece, where that is nonempty
         real = np.column_stack([np.ones_like(keep), keep]).ravel()
@@ -385,17 +390,16 @@ class CircleHomeo:
         if x_lo[0] != 0.0:
             raise ConstructionError("piece table must start at x = 0")
         gap_k = pieces(a_k, np.full_like(a_k, _NOT_GAP))
-        widths = pieces(a_y_w, t_w)
-        y_first = a_y_lo[0]
-        seam = 1.0 - float(np.sum(widths))
-        if abs(seam) > 1e-10:
-            raise ConstructionError(f"image widths sum to 1 {seam:+.3e}")
-        # absorb the closing seam into the widest transport piece so the lift
-        # closes up to period 1 exactly
-        j = int(np.argmax(np.where(gap_k == _NOT_GAP, widths, -1.0)))
-        widths[j] += seam
-        y_lo = np.concatenate(([y_first], y_first + np.cumsum(widths)))
-        slope = widths / (pieces(a_x_hi, t_x_hi) - x_lo)
+        # every image start is the layout's position on the circle; the lift
+        # adds 1 after the one descent and closes at y_lo[0] + 1
+        starts = pieces(a_y_lo, t_y_lo)
+        turn = np.flatnonzero(np.diff(starts, append=starts[0]) < 0.0)
+        if len(turn) != 1:
+            raise ConstructionError(f"piece images wind {len(turn)} times round "
+                                    f"the circle, not once")
+        y_lo = np.append(starts, starts[0] + 1.0)
+        y_lo[turn[0] + 1:-1] += 1.0
+        slope = np.diff(y_lo) / (pieces(a_x_hi, t_x_hi) - x_lo)
         if np.any(np.diff(x_lo) <= 0.0) or np.any(slope <= 0.0):
             raise ConstructionError("piece table is not strictly monotone")
 
@@ -471,21 +475,21 @@ class CircleHomeo:
 
     # -- derivatives -------------------------------------------------------
 
-    def _deriv(self, x, side, order: int):
-        """g' (order 1) or g'' (order 2) at circle points, floats or arrays.
+    def derivative(self, x, side: str = "right"):
+        """g' at circle points, floats or arrays.
 
         Affine pieces are inline and all gap points go to the family in one
-        call. side picks the one-sided limit at a gap midpoint and, for g',
-        at a piece's left edge, where the left limit is the previous piece's.
+        call. side picks the one-sided limit at a gap midpoint and at a
+        piece's left edge, where the left limit is the previous piece's.
         """
         fr = np.atleast_1d(x) % 1.0
         i = np.searchsorted(self._x_lo, fr, side="right") - 1
         u = fr - self._x_lo[i]
         edge = np.zeros(fr.shape, dtype=bool)
-        if order == 1 and side == "left":
+        if side == "left":
             edge = fr == self._x_lo[i]
             i = np.where(edge, (i - 1) % self.n_pieces, i)
-        out = self._slope[i] if order == 1 else np.zeros(fr.shape)
+        out = self._slope[i]
         gap = np.flatnonzero(self._gap_k[i] != _NOT_GAP)
         if gap.size:
             k = self._gap_k[i[gap]]
@@ -497,25 +501,10 @@ class CircleHomeo:
             ug = u[gap]
             ug = np.where(np.abs(ug - half) <= 8.0 * _EPS, half, ug)
             ug = np.where(edge[gap], ell, ug)
-            d = self.local.deriv if order == 1 else self.local.second_deriv
-            out[gap] = d(ug, k, side=side)
+            out[gap] = self.local.deriv(ug, k, side=side)
         if np.ndim(x) == 0:
             return float(out[0])
         return out.reshape(np.shape(x))
-
-    def derivative(self, x, side: str = "right"):
-        return self._deriv(x, side, 1)
-
-    def second_derivative(self, x, side: str = "right"):
-        return self._deriv(x, side, 2)
-
-    def inverse_derivative(self, y: float, side: str = "right") -> float:
-        return 1.0 / self.derivative(self.inverse_eval(y), side=side)
-
-    def inverse_second_derivative(self, y: float, side: str = "right") -> float:
-        x = self.inverse_eval(y)
-        d = self.derivative(x, side=side)
-        return -self.second_derivative(x, side=side) / d**3
 
 
 class RigidRotation:

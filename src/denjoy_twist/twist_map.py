@@ -64,16 +64,6 @@ class GeneratingFunction:
         up, down = self.terms(x)
         return up + down
 
-    def deriv(self, x: float, side: str = "right") -> float:
-        fr = float(x) % 1.0
-        return (self.g.derivative(fr, side=side) - 1.0) + (
-            self.g.inverse_derivative(fr, side=side) - 1.0)
-
-    def second_deriv(self, x: float, side: str = "right") -> float:
-        fr = float(x) % 1.0
-        return (self.g.second_derivative(fr, side=side)
-                + self.g.inverse_second_derivative(fr, side=side))
-
 
 class TwistSystem:
     """The assembled map f, its inverse, and the invariant curve."""

@@ -289,13 +289,13 @@ def _sha256(data: bytes) -> str:
 # profiles exchanged; and, at M=16 with 2000 steps, diffusion.json's probes
 # (json.dumps with indent=2, sort_keys=True) and its deterministic dump
 MANIFOLD_DIGESTS = {
-    "false": ("750fcb0fd7b9560f3642b34d0a5dfa68c6bae6828a2689e6a51550ca6c77aa6f",
-              "ada6e3a7485fbf7d206dff0a438f0916709d5201f232191fa658417b82991e5e"),
-    "true": ("750fcb0fd7b9560f3642b34d0a5dfa68c6bae6828a2689e6a51550ca6c77aa6f",
-             "ff40b30ea03ac55212cc1ddb38931ff00caa826de903583a5dc588b1bad0f6eb"),
+    "false": ("af10f730d643140555894df6774c8711bd1997c6e2fc236434f85971bb8ffb5b",
+              "9f1cbaddeaa97df679814173cee4d5f0feea4368c9253f21f5b9f4cb348b188b"),
+    "true": ("af10f730d643140555894df6774c8711bd1997c6e2fc236434f85971bb8ffb5b",
+             "6e0c8949c2520d4233dcd116934a15952061e64df993966073929467a1dd6c9d"),
 }
-DIFFUSION_DIGEST = ("2351ec185fccd57490b95cf26d0afafcd49c63335a77d81c2a5b652e4dd4c214",
-                    "caae77199e413a70970611ae016f0ba010ed54bf0a0866b65cdca2eeeb0d9f0f")
+DIFFUSION_DIGEST = ("392acdffc53afc0acf3343392cc2ac5b4db8b70034c4d5ba9e5e8dc907dd416d",
+                    "b48ed8096c7c82a2c2f9396f0f0c931ad484d1fe83751fcc5172230df35b9626")
 
 
 # sha256 of every file a command writes, its report through
@@ -307,11 +307,11 @@ PORTRAIT = ["portrait", "--set", "params.M=32", "--set", "portrait.orbits=4",
             "--set", "portrait.steps=100"]
 OUTPUT_DIGESTS = {
     "verify": (["verify"] + FAST, {
-        "verify.json": "74f99f1324357eda6418dc685b43e29b2e82b880c73bef79e02328f172b01791"}),
+        "verify.json": "c7314615c3e826c4b740c0212dfe98cb6bc83d24b7973335bf534f23d36ad17a"}),
     # 599 gaps: the linearity check fits two full blocks of 256 gaps and a
     # partial one
     "verify_blocks": (["verify"] + FAST + ["--set", "params.M=300"], {
-        "verify.json": "f3709f3a4d634af2f416149b7cf7dc7cc3eeb151d76214278b13af9a457a2c7c"}),
+        "verify.json": "e85f23366a66e35d9b626007525691f64faafe61b48bc7df54ce380ddc91a016"}),
     "verify_rigid": (["verify"] + FAST + ["--set", "params.mode=rigid_rotation"], {
         "verify.json": "46de071c297cd362e5111af110a5cdf6e1eba16601562ae40ee5196c0eec1877"}),
     "regularity": (["regularity", "--set", "params.M=32",
@@ -348,9 +348,9 @@ OUTPUT_DIGESTS = {
         "regularity.csv": "ffd42fe261d5dc3a35aa85dbe0949a1aa40b97fc417afc48522c26bcaad569dc",
         "regularity.json": "dc540564a264c6e5b105c89a4fdeb0cc5b766460221bff6c2816e272413e8bc4"}),
     "portrait": (PORTRAIT, {
-        "portrait.csv": "ce7ed1a2c866cbc397caf6989bda1d27c12b3bb6e014bc2981eec34f0a6a1348"}),
+        "portrait.csv": "2868f5ab46b38d41546976d2988cd7a6e798c5d198eb1245d64671ba76b6a701"}),
     "portrait_swap": (PORTRAIT + ["--set", "params.swap_gamma=true"], {
-        "portrait.csv": "fa46c777517a73f5172286abec0da735b034ce2aeb6f9d5f5e0a2fb45b33dbe0"}),
+        "portrait.csv": "a94fb5be6effc5969f427f2477e23ed90c3f887c1b7a78c45511543004651661"}),
 }
 
 

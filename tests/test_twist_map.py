@@ -61,18 +61,15 @@ def test_phi_against_bisection_oracle(small):
 def test_phi_one_sided_derivatives(small):
     # at the gap midpoints the derivative jumps of g and g^{-1} cancel
     # exactly through the recurrence, leaving phi affine with slope m_k - 2
-    tb, seqs, phi = small.table, small.seqs, small.system.phi
+    # across the midpoint: the fit on J_k spans it, so an uncancelled jump
+    # would read about alpha_k ell_k (3.5e-6 here) as fit deviation, as would
+    # any curvature, and a wrong side's slope as slope deviation
+    rep, seqs = small.system.phi_linearity_check(), small.seqs
     for k in (3, -3):
-        x = float(tb.mu_of(k))
-        dl = phi.deriv(x, side="left")
-        dr = phi.deriv(x, side="right")
-        assert abs(dr - dl) <= 1e-12
-        assert abs(dl - (float(seqs.m(k)) - 2.0)) <= 1e-10
-        assert abs(phi.second_deriv(x, side="left")) <= 1e-9
-        assert abs(phi.second_deriv(x, side="right")) <= 1e-9
-    # away from midpoints the sides agree too
-    x = float(tb.lam_of(3)) + 0.3 * float(tb.ell_of(3))
-    assert abs(phi.deriv(x, side="left") - phi.deriv(x, side="right")) <= 1e-12
+        i = rep["k"].tolist().index(k)
+        assert abs(float(seqs.alpha(k))) * float(seqs.ell(k)) > 1e-6
+        assert rep["slope_deviation"][i] <= 1e-10
+        assert rep["fit_deviation"][i] <= 1e-12 * float(seqs.ell(k))
 
 
 def test_phi_periodic(small):
