@@ -327,17 +327,13 @@ class CircleHomeo:
         res, psi = tb.residual_mass, tb.placement
         omega = tb.omega
 
-        def circ_dist(a, b):
-            d = abs(a - b) % 1.0
-            return min(d, 1.0 - d)
-
         t_star = float((tb.t_of(-M) - omega) % 1.0)   # preimage of the -M atom
         t_prime = float((tb.t_of(M) + omega) % 1.0)   # image of the M atom
         t_gap_hi = float(tb.t_of(M))
         t_gap_lo = float(tb.t_of(-M))
 
-        cross1 = circ_dist(t_star, t_gap_hi)
-        cross2 = circ_dist(t_gap_lo, t_prime)
+        cross1 = abs(float(circle_delta(t_star, t_gap_hi)))
+        cross2 = abs(float(circle_delta(t_gap_lo, t_prime)))
         w_A = 0.3 * min(self._atom_free_dist(t_star), self._atom_free_dist(t_gap_lo),
                         cross1, cross2)
         w_B = 0.3 * min(self._atom_free_dist(t_prime), self._atom_free_dist(t_gap_hi),
@@ -573,15 +569,15 @@ def wandering_interval_check(g: CircleHomeo, n_max: int) -> dict:
     }
 
 
-def derivative_jump_table(g: CircleHomeo) -> list:
-    """(k, left derivative, right derivative, jump) at each gap midpoint."""
+def derivative_jump_table(g: CircleHomeo) -> tuple:
+    """The arrays (k, left derivative, right derivative, jump) over the gap
+    midpoints, k = -M .. M - 1."""
     h = g.local
     ks = np.arange(-g.M, g.M)
     mid = 0.5 * h.ell
     left = h.deriv(mid, ks, side="left")
     right = h.deriv(mid, ks, side="right")
-    return list(zip(ks.tolist(), left.tolist(), right.tolist(),
-                    (right - left).tolist()))
+    return ks, left, right, right - left
 
 
 def derivative_jump_scan(g: CircleHomeo, n_samples: int, seed: int = 0) -> dict:

@@ -22,7 +22,7 @@ from .config import ConfigError, RunConfig, load_config, parse_float_list
 from .draws import default_rng
 from .layout import SemiConjugacy, build_gap_table, dump_gap_table_csv
 from .profiles import CalibrationError, calibrate_profiles, export_profile_csv
-from .reporting import ReportBuilder, timed, write_report
+from .reporting import BOUNDS, ReportBuilder, timed, write_report
 from .sequences import (ConstructionError, build_sequences, dump_sequences_csv,
                         sweep_alphas, verify_sequence_estimates)
 from .twist_map import (build_twist_system, curve_side_check, diffusion_probe,
@@ -62,7 +62,7 @@ class BuiltSystem:
             self.system = build_twist_system(self.g)
         else:
             with timed(self.timings, "profiles"):
-                self.profiles = calibrate_profiles(p["quadrature_tolerance"])
+                self.profiles = calibrate_profiles()
             self.seqs, self.table, self.g, self.system = build_full_system(
                 cfg.seq_params, self.profiles, p["swap_gamma"], self.timings)
 
@@ -94,7 +94,7 @@ def _build(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
         dump_sequences_csv(built.seqs, os.path.join(outdir, "sequences.csv"))
         dump_gap_table_csv(built.table, os.path.join(outdir, "gaps.csv"))
         export_profile_csv(built.profiles, os.path.join(outdir, "profiles.csv"))
-    est = verify_sequence_estimates(built.seqs, built.cfg["tolerances"])
+    est = verify_sequence_estimates(built.seqs)
     dump_json(est, os.path.join(outdir, "estimates.json"))
 
 
@@ -102,112 +102,111 @@ def _manifold_checks(built: BuiltSystem, rb: ReportBuilder):
     """The segment, curve-side and orbit-convergence checks of verify and
     manifolds, over the segments |k| <= manifolds.k_max that the stored
     range holds; returns that k_max and the manifold_iterate_check result."""
-    sysm, tb, tol = built.system, built.table, built.cfg.tol
+    sysm, tb = built.system, built.table
     k_max = min(built.cfg["manifolds"]["k_max"], tb.M - 2)
     mi = manifold_iterate_check(sysm, k_max)
     rb.check_leq("manifold_image_distance", mi["max_image_distance"],
-                 tol("manifold_map"))
+                 BOUNDS["manifold_map"])
     rb.check_leq("manifold_ratio_error", mi["max_ratio_error"],
-                 tol("contraction_ratio"))
+                 BOUNDS["contraction_ratio"])
     cs = curve_side_check(sysm)
-    rb.check_leq("curve_side_formula", cs["max_formula_dev"], tol("curve_side"))
+    rb.check_leq("curve_side_formula", cs["max_formula_dev"], BOUNDS["curve_side"])
     rb.check_true("curve_side_strict", cs["strict_sign_ok"],
                   detail={"zone_below_curve": cs["zone_below_curve"]})
     # an off-base point halfway along the first stable segment's half-width
     oc = orbit_convergence_check(sysm, float(tb.ell_of(1)) / 16.0,
                                  min(20, tb.M - 1))
     rb.check_leq("orbit_convergence_rel", oc["max_rel_ratio_error"],
-                 tol("orbit_convergence_rel"))
+                 BOUNDS["orbit_convergence_rel"])
     return k_max, mi
 
 
 def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
     cfg = built.cfg
     sysm, seqs, g, table = built.system, built.seqs, built.g, built.table
-    v = cfg["verify"]
-    tol = cfg.tol
-    p = cfg["params"]
+    v, p = cfg["verify"], cfg["params"]
 
     with rb.timed("invariance"):
         inv = sysm.verify_invariant_curve(v["invariance_samples"], seed=p["seed"])
         rb.check_leq("invariance_residual", inv["max_residual"],
-                     tol("invariance_residual"))
+                     BOUNDS["invariance_residual"])
         invt = sysm.verify_invariant_curve(v["invariance_samples"],
                                            seed=p["seed"] + 1, translate=1)
         rb.check_leq("invariance_residual_translated", invt["max_residual"],
-                     tol("invariance_residual"))
+                     BOUNDS["invariance_residual"])
 
     with rb.timed("rotation"):
         n = v["rotation_n"]
         worst = 0.0
         for x0 in parse_float_list(v["rotation_starts"]):
             worst = max(worst, abs(rotation_number_estimate(g, x0, n) - p["omega"]))
-        rb.check_leq("rotation_number_gap_times_n", worst * n, 1.0,
-                     detail={"n": n})
+        rb.check_leq("rotation_number_gap_times_n", worst * n,
+                     BOUNDS["rotation_number_gap_times_n"], detail={"n": n})
 
-    est = verify_sequence_estimates(seqs, cfg["tolerances"])
+    est = verify_sequence_estimates(seqs)
     rb.check_true("sequence_estimates", est["pass"], detail=est["estimates"])
     rb.check_true("sign_pattern", est["estimates"]["sign_pattern"]["pass"])
     rb.check_leq("beta_scaled_bound",
                  est["estimates"]["beta_forward"]["max_scaled"], p["B"])
     rb.check_leq("recurrence_residual",
                  est["estimates"]["recurrence_residual"]["max"],
-                 tol("recurrence_residual"))
+                 BOUNDS["recurrence_residual"])
 
     # zero-seed oracle: sweeping from alpha1 = alpha0 = 0 reproduces K
     beta0 = seqs.K_arr[1:] + sweep_alphas(seqs.K_arr.tolist(), seqs.M, 0.0, 0.0)
     rb.check_leq("zero_seed_fixed_point",
                  float(np.max(np.abs(beta0 - seqs.K_arr[1:]))),
-                 tol("zero_seed_drift"))
+                 BOUNDS["zero_seed_drift"])
 
     with rb.timed("linearity"):
         lin = sysm.phi_linearity_check()
         rb.check_leq("phi_fit_deviation", lin["max_fit_deviation"],
-                     tol("phi_fit_deviation"))
+                     BOUNDS["phi_fit_deviation"])
         rb.check_leq("phi_slope_deviation", lin["max_slope_deviation"],
-                     tol("phi_slope_deviation"))
+                     BOUNDS["phi_slope_deviation"])
         rb.check_leq("phi_local_offset_k1", lin["local_offset_dev_k1"],
-                     tol("phi_fit_deviation"))
+                     BOUNDS["phi_fit_deviation"])
 
     with rb.timed("manifolds"):
         _manifold_checks(built, rb)
 
     with rb.timed("jumps"):
-        jumps = np.array(derivative_jump_table(g))[:, 3]
+        *_, jumps = derivative_jump_table(g)
         expected = np.where(g.local.plus, g.local.alpha, -g.local.alpha)
         rb.check_leq("jump_match", float(np.max(np.abs(jumps - expected))),
-                     tol("jump_match"))
+                     BOUNDS["jump_match"])
         sc = derivative_jump_scan(g, v["jump_scan_samples"], seed=p["seed"] + 2)
-        rb.check_leq("jump_no_spurious", sc["max_offmid_jump"], tol("jump_detect"))
+        rb.check_leq("jump_no_spurious", sc["max_offmid_jump"], BOUNDS["jump_detect"])
 
     with rb.timed("structural"):
         rb.check_leq("roundtrip", sysm.roundtrip_check(v["roundtrip_samples"],
                                                        seed=p["seed"] + 3),
-                     tol("roundtrip"))
+                     BOUNDS["roundtrip"])
         rb.check_leq("det_df", sysm.det_check(v["det_samples"], seed=p["seed"] + 4,
-                                              step=v["fd_step"]), tol("det_df"))
+                                              step=v["fd_step"]), BOUNDS["det_df"])
         vt = sysm.vertical_translation_check(seed=p["seed"] + 5)
-        rb.check_leq("vertical_translate_theta", vt["max_theta_dev"], 0.0)
+        rb.check_leq("vertical_translate_theta", vt["max_theta_dev"],
+                     BOUNDS["vertical_translate_theta"])
         rb.check_leq("vertical_translate_r", vt["max_r_dev"],
-                     tol("vertical_translate_r"))
+                     BOUNDS["vertical_translate_r"])
         tw = sysm.twist_check(seed=p["seed"] + 6, step=v["fd_step"])
-        rb.check_leq("twist_positive", tw["max_fd_dev"], tol("twist_fd"))
+        rb.check_leq("twist_positive", tw["max_fd_dev"], BOUNDS["twist_fd"])
         rb.check_leq("phi_periodicity", sysm.periodicity_check(seed=p["seed"] + 7),
-                     tol("phi_periodicity"))
+                     BOUNDS["phi_periodicity"])
         rb.check_leq("phi_mean", abs(sysm.mean_check()),
-                     seqs.residual_mass + tol("mean_budget_extra"))
+                     seqs.residual_mass + BOUNDS["mean_budget_extra"])
 
     j = SemiConjugacy(table)
     mu = table.mu_of(np.arange(-table.M, table.M))
     d = j.eval(g.lift_many(mu) % 1.0) - (j.eval(mu) + p["omega"])
     rb.check_leq("semiconjugacy_midpoints", float(np.max(np.abs(d - np.round(d)))),
-                 tol("semiconjugacy"))
+                 BOUNDS["semiconjugacy"])
 
     wr = wandering_interval_check(g, min(50, table.M))
     rb.check_leq("wandering_forward", wr["max_endpoint_deviation_forward"],
-                 tol("wandering"))
+                 BOUNDS["wandering"])
     rb.check_leq("wandering_backward", wr["max_endpoint_deviation_backward"],
-                 tol("wandering"))
+                 BOUNDS["wandering"])
     rb.check_true("wandering_lengths_decreasing", wr["lengths_decreasing"])
 
 
@@ -218,16 +217,17 @@ def _verify_rigid(built: BuiltSystem, rb: ReportBuilder) -> None:
     rng = default_rng(p["seed"])
     xs = rng.random(1000)
     rb.check_leq("phi_identically_zero",
-                 float(np.max(np.abs(sysm.phi.eval(xs)))), 1e-15)
+                 float(np.max(np.abs(sysm.phi.eval(xs)))), BOUNDS["phi_identically_zero"])
     inv = sysm.verify_invariant_curve(v["invariance_samples"], seed=p["seed"])
     rb.check_leq("invariance_residual", inv["max_residual"],
-                 cfg.tol("invariance_residual"))
+                 BOUNDS["invariance_residual"])
     est = rotation_number_estimate(g, 0.25, 1000)
-    rb.check_leq("rotation_number_exact", abs(est - p["omega"]), 1e-12)
+    rb.check_leq("rotation_number_exact", abs(est - p["omega"]),
+                 BOUNDS["rotation_number_exact"])
     rb.check_leq("roundtrip", sysm.roundtrip_check(1000, seed=p["seed"] + 1),
-                 cfg.tol("roundtrip"))
+                 BOUNDS["roundtrip"])
     rb.check_leq("det_df", sysm.det_check(200, seed=p["seed"] + 2),
-                 cfg.tol("det_df"))
+                 BOUNDS["det_df"])
 
 
 def _verify(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
@@ -255,7 +255,7 @@ def _regularity(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
                   detail={"sup_tail": summ["sup_tail"],
                           "sup_head": summ["sup_head"]})
     rb.check_leq("term_sum_vs_fd_rel", summ["max_rel_fd_dev"],
-                 cfg.tol("regularity_term_rel"))
+                 BOUNDS["regularity_term_rel"])
     factor = cfg["regularity"]["compare_C_factor"]
     if factor:
         big_C = cfg["params"]["C"] * factor
@@ -278,7 +278,7 @@ def _regularity(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
         # all-gaps ratio is reported alongside but not asserted
         rb.check_geq("c_comparison_off_crossing",
                      ratios["sup_off_crossing_ratio"],
-                     cfg.tol("c_comparison_factor_min"),
+                     BOUNDS["c_comparison_factor_min"],
                      detail=ratios)
     print(f"regularity: {'PASS' if rb.report['pass'] else 'FAIL'} "
           f"(sup_all={summ['sup_all']:.4g}, tail={summ['sup_tail']:.4g})")
@@ -304,7 +304,7 @@ def _manifolds(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
     dump_segments_csv(built.system, -k_max, k_max,
                       os.path.join(outdir, "segments.csv"))
     rb.check_leq("manifold_base_orbit", mi["max_base_orbit_error"],
-                 built.cfg.tol("manifold_map"))
+                 BOUNDS["manifold_map"])
     print(f"manifolds: {'PASS' if rb.report['pass'] else 'FAIL'}")
 
 

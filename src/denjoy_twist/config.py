@@ -1,10 +1,10 @@
 """Run configuration: one INI-style file plus command-line overrides.
 
 Every figure and report is reproducible from a single config file. Unknown
-sections or keys are rejected. The [tolerances] section can override any
-named tolerance; all sampling randomness is drawn from the seed recorded
-in [params], which drives the program's PCG64 stream (`draws`), bit for
-bit numpy's ``default_rng(seed)``.
+sections or keys are rejected. No setting is an acceptance bound: those are
+the program's own (reporting.BOUNDS). All sampling randomness is drawn from
+the seed recorded in [params], which drives the program's PCG64 stream
+(`draws`), bit for bit numpy's ``default_rng(seed)``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-from .sequences import DEFAULT_TOLERANCES, SeqParams
+from .sequences import SeqParams
 
 
 class ConfigError(ValueError):
@@ -30,29 +30,6 @@ _DEFAULTS = {
         "swap_gamma": False,
         "mode": "full",             # full | rigid_rotation
         "seed": 20260809,
-        "quadrature_tolerance": 1e-13,
-    },
-    "tolerances": {
-        **DEFAULT_TOLERANCES,
-        "invariance_residual": 1e-10,
-        "roundtrip": 1e-12,
-        "det_df": 1e-9,
-        "twist_fd": 1e-9,
-        "vertical_translate_r": 5e-16,
-        "phi_periodicity": 1e-13,
-        "phi_fit_deviation": 1e-11,
-        "phi_slope_deviation": 1e-10,
-        "semiconjugacy": 1e-10,
-        "wandering": 1e-10,
-        "manifold_map": 1e-10,
-        "contraction_ratio": 1e-10,
-        "curve_side": 1e-12,
-        "jump_match": 1e-14,
-        "jump_detect": 1e-6,
-        "regularity_term_rel": 1e-6,
-        "c_comparison_factor_min": 5.0,
-        "orbit_convergence_rel": 1e-6,
-        "mean_budget_extra": 1e-6,
     },
     "verify": {
         "invariance_samples": 10000,
@@ -98,10 +75,10 @@ _POSITIVE = (
     ("verify", "jump_scan_samples"), ("verify", "roundtrip_samples"),
     ("verify", "det_samples"), ("verify", "fd_step"), ("regularity", "grid"),
     ("regularity", "fd_step_rel"), ("manifolds", "k_max"),
-    ("portrait", "steps"), ("diffusion", "n"), ("params", "quadrature_tolerance"),
+    ("portrait", "steps"), ("diffusion", "n"),
 )
 # counts, widths and factors for which 0 means none or off, and the
-# sampling seed; every tolerance is checked the same way
+# sampling seed
 _NON_NEGATIVE = (
     ("portrait", "orbits"), ("portrait", "r_band"), ("portrait", "curve_samples"),
     ("regularity", "compare_C_factor"), ("params", "seed"),
@@ -126,9 +103,6 @@ class RunConfig:
     def seq_params(self) -> SeqParams:
         p = self.sections["params"]
         return SeqParams(**{name: p[key] for key, name in _SEQ_FIELDS.items()})
-
-    def tol(self, name: str) -> float:
-        return self.sections["tolerances"][name]
 
     def echo(self) -> dict:
         return {s: {k: v for k, v in kv.items()}
@@ -180,8 +154,7 @@ def _check_values(sections) -> None:
     for sec, key in _POSITIVE:
         if not 0 < sections[sec][key] < math.inf:
             raise bad(sec, key, "must be positive and finite")
-    tolerances = tuple(("tolerances", key) for key in sections["tolerances"])
-    for sec, key in _NON_NEGATIVE + tolerances:
+    for sec, key in _NON_NEGATIVE:
         if not 0 <= sections[sec][key] < math.inf:
             raise bad(sec, key, "must be finite and 0 or more")
     # an odd grid puts a point on the midpoint of the gap, and a wider step

@@ -37,7 +37,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .reporting import write_csv
+from .reporting import BOUNDS, write_csv
 
 
 class CalibrationError(RuntimeError):
@@ -316,13 +316,16 @@ class ProfileSet:
     achieved_error: float   # worst disagreement with the independent mass check
 
 
-def calibrate_profiles(quadrature_tolerance: float = 1e-13) -> ProfileSet:
+def calibrate_profiles(quadrature_tolerance: float | None = None) -> ProfileSet:
     """Build the three profiles, fixing shoulder coefficients by quadrature.
 
     Deterministic: the same tolerance always yields bit-identical profiles.
     Raises CalibrationError if the independent mass check cannot confirm
-    the tabulated kernel masses to the requested tolerance.
+    the tabulated kernel masses to the requested tolerance, by default the
+    bound table's kernel_mass.
     """
+    if quadrature_tolerance is None:
+        quadrature_tolerance = BOUNDS["kernel_mass"]
     if not quadrature_tolerance > 0:
         raise ValueError("quadrature tolerance must be positive")
 

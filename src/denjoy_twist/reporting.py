@@ -1,10 +1,11 @@
-"""Machine-readable run reports.
+"""Machine-readable run reports and the acceptance bounds they judge by.
 
 A report is a plain dict with a fixed schema: config echo, construction
 summary, one entry per check (name, measured value, tolerance, pass flag),
-and an overall flag. Timings live in a separate top-level key excluded from
-determinism comparisons; everything else is byte-identical across runs of
-the same config.
+and an overall flag; each tolerance is a row of BOUNDS or computed from one.
+Timings live in a separate top-level key excluded from determinism
+comparisons; everything else is byte-identical across runs of the same
+config.
 """
 
 from __future__ import annotations
@@ -14,6 +15,36 @@ import time
 from contextlib import contextmanager
 
 SCHEMA_VERSION = 1
+
+# The acceptance bound of every check, by name: the program's, not a run's,
+# so no config value can loosen one. Two bounds are computed where they are
+# used: beta_scaled_bound's params.B, and phi_mean's residual mass plus
+# mean_budget_extra.
+BOUNDS = {
+    # sequences: the recurrence, its zero-seed oracle, the identities of the
+    # estimate chain and the slack windows of its constants at desk scale
+    "recurrence_residual": 1e-13, "zero_seed_drift": 1e-12,
+    "length_formula": 1e-12, "m_identity": 1e-14, "crossing_identity": 1e-14,
+    "ratio_bound_lo": 0.5, "ratio_bound_hi": 5.0,
+    "ratio_step_lo": 0.05, "ratio_step_hi": 20.0, "m_slack": 10.0,
+    # profiles: the independent check of the two kernel masses
+    "kernel_mass": 1e-13,
+    # verify on the full map
+    "invariance_residual": 1e-10, "rotation_number_gap_times_n": 1.0,
+    "roundtrip": 1e-12, "det_df": 1e-9, "twist_fd": 1e-9,
+    "vertical_translate_theta": 0.0, "vertical_translate_r": 5e-16,
+    "phi_periodicity": 1e-13, "phi_fit_deviation": 1e-11,
+    "phi_slope_deviation": 1e-10, "mean_budget_extra": 1e-6,
+    "semiconjugacy": 1e-10, "wandering": 1e-10,
+    "jump_match": 1e-14, "jump_detect": 1e-6,
+    # verify in rigid-rotation mode
+    "phi_identically_zero": 1e-15, "rotation_number_exact": 1e-12,
+    # verify and manifolds
+    "manifold_map": 1e-10, "contraction_ratio": 1e-10, "curve_side": 1e-12,
+    "orbit_convergence_rel": 1e-6,
+    # regularity
+    "regularity_term_rel": 1e-6, "c_comparison_factor_min": 5.0,
+}
 
 
 @contextmanager

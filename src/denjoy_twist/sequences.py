@@ -19,23 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reporting import write_csv_blocks
+from .reporting import BOUNDS, write_csv_blocks
 
 
 class ConstructionError(RuntimeError):
     """A sweep of the recurrence left its admissible domain."""
-
-
-DEFAULT_TOLERANCES = {
-    "recurrence_residual": 1e-13,
-    "zero_seed_drift": 1e-12,
-    # slack windows for the empirical estimate constants at desk scale
-    "ratio_bound_lo": 0.5,
-    "ratio_bound_hi": 5.0,
-    "ratio_step_lo": 0.05,
-    "ratio_step_hi": 20.0,
-    "m_slack": 10.0,
-}
 
 
 @dataclass(frozen=True)
@@ -264,12 +252,12 @@ def recurrence_residuals(seqs: GapSequences) -> np.ndarray:
     return res
 
 
-def verify_sequence_estimates(seqs: GapSequences, tol=DEFAULT_TOLERANCES) -> dict:
+def verify_sequence_estimates(seqs: GapSequences) -> dict:
     """Empirical constants and pass flags for the estimate chain.
 
     Each entry reports the measured best constants, each computed once, and
-    judges its pass flag from them against the slack windows and the
-    recurrence tolerance of tol (a config's [tolerances] table). The
+    judges its pass flag from them against its rows of the bound table
+    (reporting.BOUNDS): the slack windows and the identity bounds. The
     crossing pairs straddling k = 0 (where the |k|-symmetric length formula
     flips the sign of K) are excluded from the two-sided difference estimates
     and reported on their own: there the estimates provably degrade to O(1/C)
@@ -290,7 +278,7 @@ def verify_sequence_estimates(seqs: GapSequences, tol=DEFAULT_TOLERANCES) -> dic
     def window(values, name, ok=True):
         lo, hi = float(values.min()), float(values.max())
         return {"min": lo, "max": hi,
-                "pass": ok and tol[name + "_lo"] <= lo and hi <= tol[name + "_hi"]}
+                "pass": ok and BOUNDS[name + "_lo"] <= lo and hi <= BOUNDS[name + "_hi"]}
 
     est = {}
     # |K_k| (|k|+C) bounded above and below
@@ -310,7 +298,8 @@ def verify_sequence_estimates(seqs: GapSequences, tol=DEFAULT_TOLERANCES) -> dic
     # length formula identity: ell_k (|k|+C) log(|k|+C)^(1+delta) == a_C
     ident = ell * x * np.log(x) ** (1.0 + params.delta)
     dev = float(np.max(np.abs(ident / seqs.a_C - 1.0)))
-    est["length_formula"] = {"a_C": seqs.a_C, "max_rel_dev": dev, "pass": dev <= 1e-12}
+    est["length_formula"] = {"a_C": seqs.a_C, "max_rel_dev": dev,
+                             "pass": dev <= BOUNDS["length_formula"]}
 
     # K_k^2 / ell_k decays along the tail
     q = K**2 / ell
@@ -328,11 +317,11 @@ def verify_sequence_estimates(seqs: GapSequences, tol=DEFAULT_TOLERANCES) -> dic
     mdev = np.abs(m[off] - 2.0)
     max_ratio = float((mdev / np.float_power(K_prev[off], 2.0)).max())
     est["m_near_two"] = {"max_ratio": max_ratio, "max_dev": float(mdev.max()),
-                         "pass": max_ratio <= tol["m_slack"]}
+                         "pass": max_ratio <= BOUNDS["m_slack"]}
     # the exact identity m_{k+1} - 2 - (K_{k+1} - K_k) = K_k^2/(1+K_k)
     dev = float(np.max(np.abs(m[1:] - 2.0 - dK[1:]
                               - np.float_power(K[:-1], 2.0) / (1.0 + K[:-1]))))
-    est["m_identity"] = {"max_abs_dev": dev, "pass": dev <= 1e-14}
+    est["m_identity"] = {"max_abs_dev": dev, "pass": dev <= BOUNDS["m_identity"]}
 
     # beta bounds (forward) and alpha bounds (backward)
     bn = seqs.beta(ks[M + 1:])
@@ -347,7 +336,7 @@ def verify_sequence_estimates(seqs: GapSequences, tol=DEFAULT_TOLERANCES) -> dic
     # sign pattern and recurrence residual
     est["sign_pattern"] = {"pass": negative and bool(np.all(alpha[M + 1:] > 0.0))}
     res = float(recurrence_residuals(seqs).max())
-    est["recurrence_residual"] = {"max": res, "pass": res <= tol["recurrence_residual"]}
+    est["recurrence_residual"] = {"max": res, "pass": res <= BOUNDS["recurrence_residual"]}
 
     # a posteriori constant of the assumption |alpha_k| <= A |K_k|
     A = float((np.abs(alpha) / np.abs(K)).max())
@@ -357,7 +346,8 @@ def verify_sequence_estimates(seqs: GapSequences, tol=DEFAULT_TOLERANCES) -> dic
     m0_minus_2 = float(m[M]) - 2.0
     dev = abs(m0_minus_2 - 2.0 * float(K[M]))
     crossing = {"K_step_at_0": float(dK[M]), "m0_minus_2": m0_minus_2,
-                "identity_m0_2K0_dev": dev, "identity_pass": dev <= 1e-14}
+                "identity_m0_2K0_dev": dev,
+                "identity_pass": dev <= BOUNDS["crossing_identity"]}
     return {"estimates": est, "crossing": crossing,
             "pass": all(v["pass"] for v in est.values()) and crossing["identity_pass"]}
 

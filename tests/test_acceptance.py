@@ -127,7 +127,7 @@ def test_criterion_7_regularity(desk, desk_big_C):
 def test_criterion_8_derivative_jumps(desk):
     g, seqs = desk.g, desk.seqs
     worst = 0.0
-    for k, _l, _r, jump in derivative_jump_table(g):
+    for k, _l, _r, jump in zip(*derivative_jump_table(g)):
         expected = float(seqs.alpha(k)) if k >= 1 else -float(seqs.alpha(k))
         worst = max(worst, abs(jump - expected))
     scan = derivative_jump_scan(g, 10000, seed=108)

@@ -364,7 +364,7 @@ def test_wandering_intervals(small):
 
 def test_jump_table(small):
     g, seqs = small.g, small.seqs
-    rows = {k: jump for k, _l, _r, jump in derivative_jump_table(g)}
+    rows = {k: jump for k, _l, _r, jump in zip(*derivative_jump_table(g))}
     assert abs(rows[3] - float(seqs.alpha(3))) <= 1e-14
     assert rows[3] > 0.0
     assert abs(rows[-2] - (-float(seqs.alpha(-2)))) <= 1e-14
@@ -387,7 +387,7 @@ def test_derivative_side_at_global_midpoint(small):
 
 def test_swapped_jump_signs(swapped):
     g, seqs = swapped.g, swapped.seqs
-    rows = {k: jump for k, _l, _r, jump in derivative_jump_table(g)}
+    rows = {k: jump for k, _l, _r, jump in zip(*derivative_jump_table(g))}
     assert abs(rows[3] + float(seqs.alpha(3))) <= 1e-14
 
 

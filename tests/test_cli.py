@@ -12,7 +12,7 @@ from denjoy_twist import circle_map, cli
 from denjoy_twist.cli import BuiltSystem, main
 from denjoy_twist.config import ConfigError, load_config, parse_float_list
 from denjoy_twist.profiles import calibrate_profiles
-from denjoy_twist.reporting import deterministic_dump
+from denjoy_twist.reporting import BOUNDS, deterministic_dump
 from denjoy_twist.sequences import build_sequences
 
 FAST = ["--set", "params.M=32", "--set", "verify.rotation_n=500",
@@ -128,9 +128,9 @@ def test_regularity_calibrates_profiles_once(tmp_path, monkeypatch):
     # the profiles do not depend on C: the large-C rebuild reuses them
     calls = []
 
-    def counting(tol):
-        calls.append(tol)
-        return calibrate_profiles(tol)
+    def counting(*args):
+        calls.append(args)
+        return calibrate_profiles(*args)
 
     monkeypatch.setattr(cli, "calibrate_profiles", counting)
     assert run(["regularity", "--set", "params.M=32",
@@ -174,10 +174,9 @@ def test_rigid_rotation_refused_where_the_full_map_is_needed(tmp_path, capsys,
     assert list((tmp_path / "r").iterdir()) == []
 
 
-def test_verify_unattainable_tolerance_fails(tmp_path):
-    code = run(["verify"] + FAST
-               + ["--set", "tolerances.invariance_residual=1e-20"],
-               tmp_path, "vf")
+def test_verify_unattainable_tolerance_fails(tmp_path, monkeypatch):
+    monkeypatch.setitem(BOUNDS, "invariance_residual", 1e-20)
+    code = run(["verify"] + FAST, tmp_path, "vf")
     assert code == 1
     rep = json.loads((tmp_path / "vf" / "verify.json").read_text())
     failing = [c for c in rep["checks"] if not c["pass"]]
@@ -193,9 +192,9 @@ def test_verify_smallest_truncation(tmp_path):
     assert rep["pass"] and all(c["pass"] for c in rep["checks"])
 
 
-def test_unconfirmable_quadrature_tolerance_exits_2(tmp_path, capsys):
-    code = run(["build", "--set", "params.quadrature_tolerance=1e-20"],
-               tmp_path, "q")
+def test_unconfirmable_quadrature_tolerance_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "calibrate_profiles", lambda: calibrate_profiles(1e-20))
+    code = run(["build"], tmp_path, "q")
     assert code == 2
     assert "kernel mass check failed" in capsys.readouterr().err
 
@@ -290,12 +289,12 @@ def _sha256(data: bytes) -> str:
 # (json.dumps with indent=2, sort_keys=True) and its deterministic dump
 MANIFOLD_DIGESTS = {
     "false": ("af10f730d643140555894df6774c8711bd1997c6e2fc236434f85971bb8ffb5b",
-              "9f1cbaddeaa97df679814173cee4d5f0feea4368c9253f21f5b9f4cb348b188b"),
+              "2a178d8c61d8e2b9c20390c735d10485804addcf43ae5ac8e6572d1f7ae46795"),
     "true": ("af10f730d643140555894df6774c8711bd1997c6e2fc236434f85971bb8ffb5b",
-             "6e0c8949c2520d4233dcd116934a15952061e64df993966073929467a1dd6c9d"),
+             "59bce850551475a54914afb68f3d2efcacdfc1ec8e58b2ee42811b4c835e5791"),
 }
 DIFFUSION_DIGEST = ("392acdffc53afc0acf3343392cc2ac5b4db8b70034c4d5ba9e5e8dc907dd416d",
-                    "b48ed8096c7c82a2c2f9396f0f0c931ad484d1fe83751fcc5172230df35b9626")
+                    "dc59414ebd7450276b4780ee341766f13972652ed8ec8e6a81f2acb742807f30")
 
 
 # sha256 of every file a command writes, its report through
@@ -307,20 +306,20 @@ PORTRAIT = ["portrait", "--set", "params.M=32", "--set", "portrait.orbits=4",
             "--set", "portrait.steps=100"]
 OUTPUT_DIGESTS = {
     "verify": (["verify"] + FAST, {
-        "verify.json": "c7314615c3e826c4b740c0212dfe98cb6bc83d24b7973335bf534f23d36ad17a"}),
+        "verify.json": "02f3a3f53bd05d75ca5310a85e3b818c9bae9c9613eb469409eeca6cb09fb4fe"}),
     # 599 gaps: the linearity check fits two full blocks of 256 gaps and a
     # partial one
     "verify_blocks": (["verify"] + FAST + ["--set", "params.M=300"], {
-        "verify.json": "e85f23366a66e35d9b626007525691f64faafe61b48bc7df54ce380ddc91a016"}),
+        "verify.json": "236af79644752c1b7d722b17db0a62fb2085567351b3c6b3729b9efedd871cdd"}),
     "verify_rigid": (["verify"] + FAST + ["--set", "params.mode=rigid_rotation"], {
-        "verify.json": "46de071c297cd362e5111af110a5cdf6e1eba16601562ae40ee5196c0eec1877"}),
+        "verify.json": "75fb0636e415d9081d7c558d5862d7fcdd298f6343157ffc2716aae301c87d32"}),
     "regularity": (["regularity", "--set", "params.M=32",
                     "--set", "regularity.compare_C_factor=100"], {
         "regularity.csv": "f4aa405180f0ff2ee0e8e540fa278f83ff76f40503e3803eb0a2937fa1ac1de1",
-        "regularity.json": "2535d68f2d2713abefd16be37e94193b8e83ce65e84183dc336a3bafcf9a59b6"}),
+        "regularity.json": "87b52543f7c0cb1f97995d9028cee4a6e647988bfc12ebd7cfa0b8c28a06d300"}),
     # odd M: M // 2 is the tail index of the estimates
     "build_odd": (["build", "--set", "params.M=33"], {
-        "build.json": "523e0c882a55cd2c2684f40b311cd46c96c9158604abf5e1f6903fc83082f93a",
+        "build.json": "f8b5b769d89986e6663a70ece264d6d6652ce06bfe425ef7dc9ebb0146683d25",
         "estimates.json": "b5a426bdae1aa97edfe5134f28ea8e24ada15c62fd6075991584d4824ddd1bf4",
         "gaps.csv": "d1b2d943cee4ee7212121bf8f6c214125f95d21c764f79308c8bfd2a394ce00b",
         "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
@@ -328,9 +327,9 @@ OUTPUT_DIGESTS = {
     # 65 gaps: the scan joins a 64-gap block and a 1-gap block
     "regularity_odd": (["regularity", "--set", "params.M=33"], {
         "regularity.csv": "7b581cd55e90022839cd397ed582dc0ee183d79a13f96c09c92fe6d76575e7c5",
-        "regularity.json": "557fdf6e63ed4f9b2744301fea14c4e9a16635ec7af31b5ec579283d32a21c09"}),
+        "regularity.json": "4b30a809d9ecb692161db08f7916666f664b4fb5f178d47ab891c7cf0d2b6ba2"}),
     "build": (["build", "--set", "params.M=64"], {
-        "build.json": "3fb8993ee706647ff923b679d6e29e91d8712ea5fe9a1b2249f9b034f0214869",
+        "build.json": "60b8a58474106fd6095efe0b3b1e619b90ea0c252f02c79072dbb25a97134c20",
         "estimates.json": "393b0ad6f067e672ea9a5544b3a2c54e2b136bc1bf033fdfb46bf211cbe8cdc9",
         "gaps.csv": "8b8bd7609bdb22233b4152749202520f9d5dd5c7bf2bcb836e6164dfc0948411",
         "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
@@ -338,7 +337,7 @@ OUTPUT_DIGESTS = {
     # 10000 gaps and 10001 CSV rows: the breakpoint pass of the gap family
     # and each CSV writer run several full blocks and a partial one
     "build_blocks": (["build", "--set", "params.M=5000"], {
-        "build.json": "abd242cf40e30a6218d95dc2f001b05066c443a496a22bbfc7bc09c25eb3f1d8",
+        "build.json": "2b84f9ce6e492653c79dfe9ddf2bbd7f9601a1280d4b93472903475b87f1378c",
         "estimates.json": "330ed00ec360b707b1e407fbed5155ee0003588da63d8c93dc00a0084230aced",
         "gaps.csv": "4202ab0bb98c6bac81398b5332629de1c8c3c69c89b00a9165a69495fbc15418",
         "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
@@ -346,7 +345,7 @@ OUTPUT_DIGESTS = {
     # 1039 gaps: regularity.csv is written in a full block and a partial one
     "regularity_blocks": (["regularity", "--set", "params.M=520"], {
         "regularity.csv": "ffd42fe261d5dc3a35aa85dbe0949a1aa40b97fc417afc48522c26bcaad569dc",
-        "regularity.json": "dc540564a264c6e5b105c89a4fdeb0cc5b766460221bff6c2816e272413e8bc4"}),
+        "regularity.json": "a4947a58409f4ee3d242b222db898925c60777bbec787e0061b0611edca5133f"}),
     "portrait": (PORTRAIT, {
         "portrait.csv": "2868f5ab46b38d41546976d2988cd7a6e798c5d198eb1245d64671ba76b6a701"}),
     "portrait_swap": (PORTRAIT + ["--set", "params.swap_gamma=true"], {
@@ -408,6 +407,15 @@ def test_config_rejects_unknown(tmp_path):
         load_config(None, ["params.mode=sideways"])
 
 
+def test_config_file_cannot_set_a_bound(tmp_path, capsys):
+    # the deleted [tolerances] section is refused by name, as any unknown one
+    ini = tmp_path / "loose.ini"
+    ini.write_text("[params]\nM = 16\n\n[tolerances]\nroundtrip = 1\n")
+    assert run(["verify", "--config", str(ini)], tmp_path, "t") == 2
+    err = capsys.readouterr().err
+    assert "[tolerances]" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, override", [
     ("verify", "verify.rotation_starts="),
     ("verify", "verify.rotation_starts= , "),
@@ -442,21 +450,23 @@ def test_config_rejects_unknown(tmp_path):
     ("regularity", "regularity.grid=3"),
     ("regularity", "regularity.fd_step_rel=0.001"),
     ("regularity", "regularity.fd_step_rel=0.00099"),
-    # a tolerance that is NaN, negative or infinite fails or passes every run
-    ("verify", "tolerances.roundtrip=nan"),
-    ("verify", "tolerances.roundtrip=-1"),
-    ("verify", "tolerances.roundtrip=inf"),
-    ("build", "params.quadrature_tolerance=inf"),
-    ("build", "params.quadrature_tolerance=-1"),
     # the large-C rebuild is refused by the construction: C * factor < 10,
     # and a C so large that the seed underflows
     ("regularity", "regularity.compare_C_factor=1e-3"),
     ("regularity", "regularity.compare_C_factor=1e300"),
-    # deleted keys: no code read the first two, and verify's manifold checks
-    # read manifolds.k_max
+    # deleted keys: no code read the first two, verify's manifold checks
+    # read manifolds.k_max, and every acceptance bound is the program's own
+    # (reporting.BOUNDS), which no run can set, loosened or not
     ("manifolds", "manifolds.extend_to=5"),
     ("build", "tolerances.normalizer_rel=1e-10"),
     ("verify", "verify.manifold_k_max=50"),
+    ("verify", "tolerances.roundtrip=1"),
+    ("verify", "tolerances.roundtrip=nan"),
+    ("verify", "tolerances.roundtrip=-1"),
+    ("verify", "tolerances.roundtrip=inf"),
+    ("build", "params.quadrature_tolerance=1"),
+    ("build", "params.quadrature_tolerance=inf"),
+    ("build", "params.quadrature_tolerance=-1"),
 ])
 def test_checks_with_nothing_to_measure_exit_2(tmp_path, capsys, command, override):
     # each would otherwise pass a check on no samples, die inside numpy, or

@@ -1,17 +1,21 @@
-"""The config surface holds only settings that some command reads, and the
-README documents only settings that exist."""
+"""The config surface holds only settings that some command reads, the bound
+table only bounds that some check reads, and the README documents only
+settings that exist."""
 
 import re
+import sys
 from pathlib import Path
 
 from denjoy_twist import cli
 from denjoy_twist.config import _DEFAULTS, load_config
+from denjoy_twist.reporting import BOUNDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class _Recording(dict):
-    """A config section that records each key read from it by subscript."""
+    """A config section or the bound table, recording each key read from it
+    by subscript."""
 
     def __init__(self, section, values, seen):
         super().__init__(values)
@@ -20,6 +24,22 @@ class _Recording(dict):
     def __getitem__(self, key):
         self.seen.add((self.section, key))
         return super().__getitem__(key)
+
+
+# the six commands on small sizes, regularity with its large-C comparison
+_SMALL = ["--set", "params.M=16"]
+_VERIFY = ["verify", "--set", "verify.rotation_n=500",
+           "--set", "verify.invariance_samples=200", "--set", "verify.roundtrip_samples=100",
+           "--set", "verify.det_samples=20", "--set", "verify.jump_scan_samples=200"]
+_RUNS = [
+    ["build"],
+    _VERIFY,
+    ["regularity", "--set", "regularity.compare_C_factor=100"],
+    ["portrait", "--set", "portrait.orbits=2", "--set", "portrait.steps=10",
+     "--set", "portrait.curve_samples=8"],
+    ["manifolds"],
+    ["diffusion", "--set", "diffusion.n=100"],
+]
 
 
 def test_every_setting_is_read(tmp_path, monkeypatch):
@@ -35,26 +55,29 @@ def test_every_setting_is_read(tmp_path, monkeypatch):
         return cfg
 
     monkeypatch.setattr(cli, "load_config", recording)
-    small = ["--set", "params.M=16"]
-    runs = [
-        ["build"],
-        ["verify", "--set", "verify.rotation_n=500",
-         "--set", "verify.invariance_samples=200", "--set", "verify.roundtrip_samples=100",
-         "--set", "verify.det_samples=20", "--set", "verify.jump_scan_samples=200"],
-        ["regularity", "--set", "regularity.compare_C_factor=100"],
-        ["portrait", "--set", "portrait.orbits=2", "--set", "portrait.steps=10",
-         "--set", "portrait.curve_samples=8"],
-        ["manifolds"],
-        ["diffusion", "--set", "diffusion.n=100"],
-    ]
-    for i, args in enumerate(runs):
-        assert cli.main(args + small + ["--out", str(tmp_path / str(i))]) == 0
+    for i, args in enumerate(_RUNS):
+        assert cli.main(args + _SMALL + ["--out", str(tmp_path / str(i))]) == 0
     # output.directory is read only when --out is not given
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["build"] + small) == 0
+    assert cli.main(["build"] + _SMALL) == 0
     assert (tmp_path / _DEFAULTS["output"]["directory"] / "build.json").exists()
     unread = {(sec, key) for sec, kv in _DEFAULTS.items() for key in kv} - seen
     assert not unread, f"settings no command reads: {sorted(unread)}"
+
+
+def test_every_bound_is_read(tmp_path, monkeypatch):
+    # the six commands and rigid-rotation verify, with every module's binding
+    # of the bound table recording its reads
+    seen = set()
+    recording = _Recording("bounds", BOUNDS, seen)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("denjoy_twist.") and getattr(module, "BOUNDS", None) is BOUNDS:
+            monkeypatch.setattr(module, "BOUNDS", recording)
+    runs = _RUNS + [_VERIFY + ["--set", "params.mode=rigid_rotation"]]
+    for i, args in enumerate(runs):
+        assert cli.main(args + _SMALL + ["--out", str(tmp_path / str(i))]) == 0
+    unread = {("bounds", key) for key in BOUNDS} - seen
+    assert not unread, f"bounds no check reads: {sorted(unread)}"
 
 
 def test_readme_example_config_gives_the_defaults(tmp_path):
@@ -68,13 +91,12 @@ def test_readme_example_config_gives_the_defaults(tmp_path):
 
 
 def test_readme_names_only_existing_settings():
-    # every section.key whose section is a config section, tolerances.* as a
-    # wildcard; output file names such as verify.json are not settings
+    # every section.key whose section is a config section; output file names
+    # such as verify.json are not settings
     text = README.read_text()
     sections = "|".join(_DEFAULTS)
-    named = set(re.findall(rf"\b({sections})\.([A-Za-z_*][A-Za-z_0-9]*)", text))
+    named = set(re.findall(rf"\b({sections})\.([A-Za-z_][A-Za-z_0-9]*)", text))
     assert named, "the README names no setting"
     missing = sorted(f"{sec}.{key}" for sec, key in named
-                     if key not in _DEFAULTS[sec] and key not in ("json", "csv")
-                     and (sec, key) != ("tolerances", "*"))
+                     if key not in _DEFAULTS[sec] and key not in ("json", "csv"))
     assert not missing, f"README names settings that do not exist: {missing}"
