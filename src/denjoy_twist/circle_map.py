@@ -421,10 +421,6 @@ class CircleHomeo:
             return n + (y_lo[i] + slope[i] * (fr - x_lo[i]))
         return n + (y_lo[i] + self.local.value(fr - x_lo[i], gap_k[i]))
 
-    def eval(self, x: float) -> float:
-        v = self.lift(x)
-        return v - math.floor(v)
-
     def inverse_lift(self, y: float) -> float:
         m = math.floor(y - self.y_start)
         yf = y - m
@@ -433,10 +429,6 @@ class CircleHomeo:
         if gap_k[i] == _NOT_GAP:
             return (x_lo[i] + (yf - y_lo[i]) / slope[i]) + m
         return (x_lo[i] + self.local.invert(yf - y_lo[i], gap_k[i])) + m
-
-    def inverse_eval(self, y: float) -> float:
-        v = self.inverse_lift(y)
-        return v - math.floor(v)
 
     def lift_many(self, xs) -> np.ndarray:
         """Vectorized lift: affine pieces inline, all gap points in one call."""
@@ -550,12 +542,12 @@ def wandering_interval_check(g: CircleHomeo, n_max: int) -> dict:
     if n_max > tb.M:
         raise ValueError("n_max exceeds the stored range")
     dev = {}
-    for name, step, sign in (("forward", g.eval, 1), ("backward", g.inverse_eval, -1)):
+    for name, lift, sign in (("forward", g.lift, 1), ("backward", g.inverse_lift, -1)):
         worst = 0.0
         a = float(tb.lam_of(0))
         b = a + float(tb.ell_of(0))
         for n in range(1, n_max + 1):
-            a, b = step(a), step(b)
+            a, b = lift(a) % 1.0, lift(b) % 1.0
             lam = float(tb.lam_of(sign * n))
             worst = max(worst, abs(a - lam),
                         abs(b - (lam + float(tb.ell_of(sign * n)))))

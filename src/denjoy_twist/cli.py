@@ -217,7 +217,7 @@ def _verify_rigid(built: BuiltSystem, rb: ReportBuilder) -> None:
     rng = default_rng(p["seed"])
     xs = rng.random(1000)
     rb.check_leq("phi_identically_zero",
-                 float(np.max(np.abs(sysm.phi.eval(xs)))), BOUNDS["phi_identically_zero"])
+                 float(np.max(np.abs(sysm.phi(xs)))), BOUNDS["phi_identically_zero"])
     inv = sysm.verify_invariant_curve(v["invariance_samples"], seed=p["seed"])
     rb.check_leq("invariance_residual", inv["max_residual"],
                  BOUNDS["invariance_residual"])

@@ -24,70 +24,66 @@ class ConfigError(ValueError):
 _SEQ_FIELDS = {"omega": "omega", "delta": "delta", "C": "bigC", "B": "bigB",
                "M": "truncation_M", "alpha1_policy": "alpha1_policy"}
 
-_DEFAULTS = {
+# the rule each value must meet, with the message naming what it failed: the
+# sample counts, orbit lengths and difference steps are positive (at zero a
+# check would pass having measured nothing); counts, widths and factors for
+# which 0 means none or off, and the sampling seed, are 0 or more; lists are
+# comma-separated numbers, kept as written, some needing at least one
+_RULES = {
+    "positive": (lambda v: 0 < v < math.inf, "must be positive and finite"),
+    "non-negative": (lambda v: 0 <= v < math.inf, "must be finite and 0 or more"),
+    "numbers": (lambda v: _finite_numbers(v) is not None,
+                "expected finite numbers separated by commas"),
+    "some numbers": (lambda v: bool(_finite_numbers(v)),
+                     "expected finite numbers separated by commas, at least one"),
+}
+
+# section -> key -> (default, rule or None); the cross-field rules are in
+# _check_values
+_SETTINGS = {
     "params": {
-        **{key: getattr(SeqParams, name) for key, name in _SEQ_FIELDS.items()},
-        "swap_gamma": False,
-        "mode": "full",             # full | rigid_rotation
-        "seed": 20260809,
+        **{key: (getattr(SeqParams, name), None) for key, name in _SEQ_FIELDS.items()},
+        "swap_gamma": (False, None),
+        "mode": ("full", None),             # full | rigid_rotation
+        "seed": (20260809, "non-negative"),
     },
     "verify": {
-        "invariance_samples": 10000,
-        "rotation_n": 100000,
-        "rotation_starts": "0.0,0.37,0.73",
-        "jump_scan_samples": 10000,
-        "roundtrip_samples": 10000,
-        "det_samples": 1000,
-        "fd_step": 1e-6,
+        "invariance_samples": (10000, "positive"),
+        "rotation_n": (100000, "positive"),
+        "rotation_starts": ("0.0,0.37,0.73", "some numbers"),
+        "jump_scan_samples": (10000, "positive"),
+        "roundtrip_samples": (10000, "positive"),
+        "det_samples": (1000, "positive"),
+        "fd_step": (1e-6, "positive"),
     },
     "regularity": {
-        "grid": 256,
-        "fd_step_rel": 1e-4,
-        "compare_C_factor": 0.0,
+        "grid": (256, "positive"),
+        "fd_step_rel": (1e-4, "positive"),
+        "compare_C_factor": (0.0, "non-negative"),
     },
     "portrait": {
-        "orbits": 20,
-        "steps": 10000,
-        "r_band": 0.05,
-        "curve_samples": 512,
+        "orbits": (20, "non-negative"),
+        "steps": (10000, "positive"),
+        "r_band": (0.05, "non-negative"),
+        "curve_samples": (512, "non-negative"),
     },
     "manifolds": {
-        "k_max": 50,
+        "k_max": (50, "positive"),
     },
     "diffusion": {
-        "offsets": "-1e-3,1e-3",
-        "n": 100000,
-        "theta0": "mu1",
-        "thresholds": "1e-3,1e-2,1e-1",
+        "offsets": ("-1e-3,1e-3", "some numbers"),
+        "n": (100000, "positive"),
+        "theta0": ("mu1", None),
+        "thresholds": ("1e-3,1e-2,1e-1", "numbers"),
     },
     "output": {
-        "directory": "out",
-        "write_csv": True,
+        "directory": ("out", None),
+        "write_csv": (True, None),
     },
 }
 
-
-# sample counts, orbit lengths and difference steps of the checks: at zero
-# a check would pass having measured nothing; likewise the orbit lengths of
-# portrait and diffusion
-_POSITIVE = (
-    ("verify", "invariance_samples"), ("verify", "rotation_n"),
-    ("verify", "jump_scan_samples"), ("verify", "roundtrip_samples"),
-    ("verify", "det_samples"), ("verify", "fd_step"), ("regularity", "grid"),
-    ("regularity", "fd_step_rel"), ("manifolds", "k_max"),
-    ("portrait", "steps"), ("diffusion", "n"),
-)
-# counts, widths and factors for which 0 means none or off, and the
-# sampling seed
-_NON_NEGATIVE = (
-    ("portrait", "orbits"), ("portrait", "r_band"), ("portrait", "curve_samples"),
-    ("regularity", "compare_C_factor"), ("params", "seed"),
-)
-# comma-separated numbers, kept as written; True: at least one is needed
-_FLOAT_LISTS = {
-    ("verify", "rotation_starts"): True, ("diffusion", "offsets"): True,
-    ("diffusion", "thresholds"): False,
-}
+_DEFAULTS = {sec: {key: default for key, (default, _) in rows.items()}
+             for sec, rows in _SETTINGS.items()}
 
 
 @dataclass
@@ -151,12 +147,10 @@ def _check_values(sections) -> None:
                                     and _one_finite(policy[len("value:"):])):
         raise bad("params", "alpha1_policy",
                   "expected 'half_K1' or 'value:<finite number>'")
-    for sec, key in _POSITIVE:
-        if not 0 < sections[sec][key] < math.inf:
-            raise bad(sec, key, "must be positive and finite")
-    for sec, key in _NON_NEGATIVE:
-        if not 0 <= sections[sec][key] < math.inf:
-            raise bad(sec, key, "must be finite and 0 or more")
+    for sec, rows in _SETTINGS.items():
+        for key, (_, rule) in rows.items():
+            if rule is not None and not _RULES[rule][0](sections[sec][key]):
+                raise bad(sec, key, _RULES[rule][1])
     # an odd grid puts a point on the midpoint of the gap, and a wider step
     # takes a finite-difference stencil out of its half-gap
     grid = sections["regularity"]["grid"]
@@ -164,11 +158,6 @@ def _check_values(sections) -> None:
         raise bad("regularity", "grid", "must be even")
     if not sections["regularity"]["fd_step_rel"] < 0.25 / grid:
         raise bad("regularity", "fd_step_rel", f"must be below 1/(4 grid) = {0.25 / grid:g}")
-    for (sec, key), needed in _FLOAT_LISTS.items():
-        values = _finite_numbers(sections[sec][key])
-        if values is None or (needed and not values):
-            raise bad(sec, key, "expected finite numbers separated by commas"
-                      + (", at least one" if needed else ""))
     theta0 = sections["diffusion"]["theta0"]
     if theta0 != "mu1" and not _one_finite(theta0):
         raise bad("diffusion", "theta0", "expected 'mu1' or a finite number")

@@ -14,7 +14,6 @@ downstream depends on the unrealizable infinite layout).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,10 +149,6 @@ class SemiConjugacy:
         mass_below = np.where(i >= 0, tb.cum_mass[i] + tb.ell_of(k), 0.0)
         t = np.where(inside, tb.t_of(k), (x - mass_below) / tb.residual_mass)
         return float(t) if t.ndim == 0 else t
-
-    def lift(self, x: float) -> float:
-        n = math.floor(x)
-        return n + self.eval(x - n)
 
 
 def dump_gap_table_csv(table: GapTable, path) -> None:

@@ -35,50 +35,44 @@ from .reporting import write_csv, write_csv_blocks
 _BLOCK_POINTS = 2**14
 
 
-@dataclass
-class GeneratingFunction:
-    """phi = (g~ - Id) + (g~^{-1} - Id), evaluated through periodic parts.
+class TwistSystem:
+    """The assembled map f, its inverse, and the invariant curve.
 
-    The one scalar-or-array rule of the twist layer: a scalar x is read
-    as a Python float through g's scalar lifts, an array through its _many
-    lifts, with the same arithmetic, so the two agree bitwise. Fractional
-    parts are x % 1.0, bitwise x - floor(x) for floats and arrays alike.
+    phi = (g~ - Id) + (g~^{-1} - Id) is read through periodic parts, with
+    the one scalar-or-array rule of the twist layer (`_lifts`): a scalar x
+    is read as a Python float through g's scalar lifts, an array through its
+    _many lifts, with the same arithmetic, so the two agree bitwise.
+    Fractional parts are x % 1.0, bitwise x - floor(x) for floats and arrays
+    alike.
     """
 
-    g: object
+    def __init__(self, g, table=None, seqs=None):
+        self.g = g
+        self.table = table
+        self.seqs = seqs
 
-    def lifts(self, x):
+    def _lifts(self, x):
         """frac(x), and g's lift and inverse lift to evaluate there."""
         if isinstance(x, float) or np.ndim(x) == 0:
             return float(x) % 1.0, self.g.lift, self.g.inverse_lift
         return (np.asarray(x, dtype=float) % 1.0, self.g.lift_many,
                 self.g.inverse_lift_many)
 
-    def terms(self, x):
+    def _phi_terms(self, x):
         """g~ - Id and g~^{-1} - Id at the fractional part of x, whose sum is
         phi(x)."""
-        fr, lift, inverse_lift = self.lifts(x)
+        fr, lift, inverse_lift = self._lifts(x)
         return lift(fr) - fr, inverse_lift(fr) - fr
 
-    def eval(self, x):
-        up, down = self.terms(x)
+    def phi(self, x):
+        up, down = self._phi_terms(x)
         return up + down
-
-
-class TwistSystem:
-    """The assembled map f, its inverse, and the invariant curve."""
-
-    def __init__(self, g, table=None, seqs=None):
-        self.g = g
-        self.table = table
-        self.seqs = seqs
-        self.phi = GeneratingFunction(g)
 
     # -- the map -----------------------------------------------------------
 
     def curve_height(self, theta):
         """gamma(theta) = g~(theta) - theta on the canonical branch."""
-        fr, lift, _ = self.phi.lifts(theta)
+        fr, lift, _ = self._lifts(theta)
         return lift(fr) - fr
 
     # Each step takes theta and r as floats, giving Python floats, or as
@@ -91,7 +85,7 @@ class TwistSystem:
         # theta output commutes bitwise with vertical integer translation
         w = theta % 1.0 + r % 1.0
         theta1 = w - (w >= 1.0)   # back into [0, 1)
-        height, down = self.phi.terms(theta1)
+        height, down = self._phi_terms(theta1)
         return theta1, r + (height + down), height
 
     def forward(self, theta, r):
@@ -100,16 +94,16 @@ class TwistSystem:
 
     def backward(self, theta, r):
         th = theta % 1.0
-        p = self.phi.eval(th)
+        p = self.phi(th)
         w = th - r % 1.0 + p
         return w % 1.0, r - p
 
     def forward_lift(self, theta, r):
         w = theta + r
-        return w, r + self.phi.eval(w)
+        return w, r + self.phi(w)
 
     def backward_lift(self, theta, r):
-        p = self.phi.eval(theta)
+        p = self.phi(theta)
         return theta - r + p, r - p
 
     # -- checks ------------------------------------------------------------
@@ -220,13 +214,13 @@ class TwistSystem:
     def periodicity_check(self, n_samples: int = 1000, seed: int = 5) -> float:
         rng = default_rng(seed)
         xs = rng.random(n_samples)
-        return float(np.max(np.abs(self.phi.eval(xs + 1.0)
-                                   - self.phi.eval(xs))))
+        return float(np.max(np.abs(self.phi(xs + 1.0)
+                                   - self.phi(xs))))
 
     def mean_check(self, n_grid: int = 8192) -> float:
         """Quadrature mean of phi (exact zero is unattainable under truncation)."""
         xs = (np.arange(n_grid) + 0.5) / n_grid
-        return float(np.mean(self.phi.eval(xs)))
+        return float(np.mean(self.phi(xs)))
 
     # -- phi linearity on the middle segments -------------------------------
 

@@ -149,7 +149,7 @@ def test_criterion_9_structural(desk):
     worst_j = 0.0
     for k in range(-desk.table.M, desk.table.M):
         x = float(desk.table.mu_of(k))
-        d = j.eval(desk.g.eval(x)) - (j.eval(x) + desk.params.omega)
+        d = j.eval(desk.g.lift(x) % 1.0) - (j.eval(x) + desk.params.omega)
         worst_j = max(worst_j, abs(d - round(d)))
     ok = (rt <= 1e-12 and det <= 1e-9 and vt["max_theta_dev"] == 0.0
           and vt["max_r_dev"] <= 5e-16 and worst_j <= 1e-10)

@@ -25,7 +25,7 @@ def rigid():
 
 def test_phi_zero_for_rotation(rigid):
     xs = np.linspace(0.0, 2.0, 101)
-    assert np.max(np.abs(rigid.phi.eval(xs))) <= 1e-15
+    assert np.max(np.abs(rigid.phi(xs))) <= 1e-15
 
 
 def test_phi_midpoint_values(small):
@@ -36,7 +36,7 @@ def test_phi_midpoint_values(small):
         mu = float(tb.mu_of(k))
         expected = (float(circle_delta(tb.mu_of(k + 1), mu))
                     + float(circle_delta(tb.mu_of(k - 1), mu)))
-        assert abs(small.system.phi.eval(mu) - expected) <= 1e-11
+        assert abs(small.system.phi(mu) - expected) <= 1e-11
 
 
 def test_phi_against_bisection_oracle(small):
@@ -55,7 +55,7 @@ def test_phi_against_bisection_oracle(small):
                 hi = mid
         ginv = 0.5 * (lo + hi)
         oracle = (g.lift(x) - x) + (ginv - x)
-        assert abs(small.system.phi.eval(x) - oracle) <= 1e-12
+        assert abs(small.system.phi(x) - oracle) <= 1e-12
 
 
 def test_phi_one_sided_derivatives(small):
@@ -93,17 +93,17 @@ def test_roundtrip(small):
 
 def test_nan_sample_fails_the_check(small, monkeypatch):
     # one NaN phi value must surface in the reduction, not be dropped by it
-    phi = small.system.phi
-    clean = phi.eval
+    sysm = small.system
+    clean = sysm.phi
 
     def with_nan(xs):
         out = clean(xs)
         out.flat[0] = np.nan
         return out
 
-    monkeypatch.setattr(phi, "eval", with_nan)
-    assert math.isnan(small.system.roundtrip_check(50, seed=42))
-    assert math.isnan(small.system.det_check(50, seed=44))
+    monkeypatch.setattr(sysm, "phi", with_nan)
+    assert math.isnan(sysm.roundtrip_check(50, seed=42))
+    assert math.isnan(sysm.det_check(50, seed=44))
 
 
 def test_scalar_and_array_steps_agree_bitwise(small):
@@ -246,7 +246,7 @@ def test_regularity_scan_working_set(profiles, traced_peak):
 
 def test_phi_linear_fit_rigid(rigid):
     xs = np.linspace(0.1, 0.2, 64)
-    vals = rigid.phi.eval(xs)
+    vals = rigid.phi(xs)
     slope = np.polyfit(xs, vals, 1)[0]
     assert abs(slope) <= 1e-12
 
