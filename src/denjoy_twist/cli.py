@@ -94,8 +94,22 @@ def _build(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
         dump_sequences_csv(built.seqs, os.path.join(outdir, "sequences.csv"))
         dump_gap_table_csv(built.table, os.path.join(outdir, "gaps.csv"))
         export_profile_csv(built.profiles, os.path.join(outdir, "profiles.csv"))
+    dump_json(_estimate_checks(built, rb), os.path.join(outdir, "estimates.json"))
+
+
+def _estimate_checks(built: BuiltSystem, rb: ReportBuilder) -> dict:
+    """The sequence-estimate checks of build and verify; returns the
+    estimates."""
     est = verify_sequence_estimates(built.seqs)
-    dump_json(est, os.path.join(outdir, "estimates.json"))
+    rb.check_true("sequence_estimates", est["pass"], detail=est["estimates"])
+    rb.check_true("sign_pattern", est["estimates"]["sign_pattern"]["pass"])
+    rb.check_leq("beta_scaled_bound",
+                 est["estimates"]["beta_forward"]["max_scaled"],
+                 built.cfg["params"]["B"])
+    rb.check_leq("recurrence_residual",
+                 est["estimates"]["recurrence_residual"]["max"],
+                 BOUNDS["recurrence_residual"])
+    return est
 
 
 def _manifold_checks(built: BuiltSystem, rb: ReportBuilder):
@@ -143,14 +157,7 @@ def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
         rb.check_leq("rotation_number_gap_times_n", worst * n,
                      BOUNDS["rotation_number_gap_times_n"], detail={"n": n})
 
-    est = verify_sequence_estimates(seqs)
-    rb.check_true("sequence_estimates", est["pass"], detail=est["estimates"])
-    rb.check_true("sign_pattern", est["estimates"]["sign_pattern"]["pass"])
-    rb.check_leq("beta_scaled_bound",
-                 est["estimates"]["beta_forward"]["max_scaled"], p["B"])
-    rb.check_leq("recurrence_residual",
-                 est["estimates"]["recurrence_residual"]["max"],
-                 BOUNDS["recurrence_residual"])
+    _estimate_checks(built, rb)
 
     # zero-seed oracle: sweeping from alpha1 = alpha0 = 0 reproduces K
     beta0 = seqs.K_arr[1:] + sweep_alphas(seqs.K_arr.tolist(), seqs.M, 0.0, 0.0)

@@ -10,7 +10,7 @@ import pytest
 import denjoy_twist
 from denjoy_twist import circle_map, cli
 from denjoy_twist.cli import BuiltSystem, main
-from denjoy_twist.config import ConfigError, load_config, parse_float_list
+from denjoy_twist.config import _SETTINGS, ConfigError, load_config, parse_float_list
 from denjoy_twist.profiles import calibrate_profiles
 from denjoy_twist.reporting import BOUNDS, deterministic_dump
 from denjoy_twist.sequences import build_sequences
@@ -82,6 +82,17 @@ def test_build_minimal_truncation(tmp_path):
 
 def test_build_rejects_bad_delta(tmp_path):
     assert run(["build", "--set", "params.delta=-1"], tmp_path, "bad") == 2
+
+
+def test_build_asserts_its_estimates(tmp_path):
+    # at delta = 20 the ratio bound leaves its window: the estimates.json that
+    # build writes reads false, and so must its report and exit code
+    assert run(["build", "--set", "params.M=16", "--set", "params.delta=20"],
+               tmp_path, "b") == 1
+    rep = json.loads((tmp_path / "b" / "build.json").read_text())
+    est = json.loads((tmp_path / "b" / "estimates.json").read_text())
+    failed = [c["name"] for c in rep["checks"] if not c["pass"]]
+    assert failed == ["sequence_estimates"] and not est["pass"]
 
 
 def test_verify_passes_and_is_deterministic(tmp_path):
@@ -416,7 +427,7 @@ def test_config_file_cannot_set_a_bound(tmp_path, capsys):
     assert "[tolerances]" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command, override", [
+_BAD_SETTINGS = [
     ("verify", "verify.rotation_starts="),
     ("verify", "verify.rotation_starts= , "),
     ("verify", "verify.rotation_n=0"),
@@ -467,7 +478,18 @@ def test_config_file_cannot_set_a_bound(tmp_path, capsys):
     ("build", "params.quadrature_tolerance=1"),
     ("build", "params.quadrature_tolerance=inf"),
     ("build", "params.quadrature_tolerance=-1"),
-])
+]
+# and one value against each setting's own rule in config's table, under the
+# command of its section
+_BAD_SETTINGS += [row for row in (
+    (sec if sec in cli._COMMANDS else "build",
+     f"{sec}.{key}=" + {"positive": "0", "non-negative": "-1", "numbers": "a",
+                        "some numbers": ""}[rule])
+    for sec, rows in _SETTINGS.items() for key, (_, rule) in rows.items() if rule)
+    if row not in _BAD_SETTINGS]
+
+
+@pytest.mark.parametrize("command, override", _BAD_SETTINGS)
 def test_checks_with_nothing_to_measure_exit_2(tmp_path, capsys, command, override):
     # each would otherwise pass a check on no samples, die inside numpy, or
     # be accepted and ignored
