@@ -330,7 +330,7 @@ OUTPUT_DIGESTS = {
         "regularity.json": "87b52543f7c0cb1f97995d9028cee4a6e647988bfc12ebd7cfa0b8c28a06d300"}),
     # odd M: M // 2 is the tail index of the estimates
     "build_odd": (["build", "--set", "params.M=33"], {
-        "build.json": "f8b5b769d89986e6663a70ece264d6d6652ce06bfe425ef7dc9ebb0146683d25",
+        "build.json": "4deeb59661827e738c93dfaf47e5f8596d065656a22194f129e073c4750e6eab",
         "estimates.json": "b5a426bdae1aa97edfe5134f28ea8e24ada15c62fd6075991584d4824ddd1bf4",
         "gaps.csv": "d1b2d943cee4ee7212121bf8f6c214125f95d21c764f79308c8bfd2a394ce00b",
         "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
@@ -340,7 +340,7 @@ OUTPUT_DIGESTS = {
         "regularity.csv": "7b581cd55e90022839cd397ed582dc0ee183d79a13f96c09c92fe6d76575e7c5",
         "regularity.json": "4b30a809d9ecb692161db08f7916666f664b4fb5f178d47ab891c7cf0d2b6ba2"}),
     "build": (["build", "--set", "params.M=64"], {
-        "build.json": "60b8a58474106fd6095efe0b3b1e619b90ea0c252f02c79072dbb25a97134c20",
+        "build.json": "75c7da026957bc39eb2b013e6b168009d230dcd5fca8b89e7c24339321632add",
         "estimates.json": "393b0ad6f067e672ea9a5544b3a2c54e2b136bc1bf033fdfb46bf211cbe8cdc9",
         "gaps.csv": "8b8bd7609bdb22233b4152749202520f9d5dd5c7bf2bcb836e6164dfc0948411",
         "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
@@ -348,7 +348,7 @@ OUTPUT_DIGESTS = {
     # 10000 gaps and 10001 CSV rows: the breakpoint pass of the gap family
     # and each CSV writer run several full blocks and a partial one
     "build_blocks": (["build", "--set", "params.M=5000"], {
-        "build.json": "2b84f9ce6e492653c79dfe9ddf2bbd7f9601a1280d4b93472903475b87f1378c",
+        "build.json": "5b347ac6484cedf36152b1fd5ec7c922b6b56a488911614cab1e34ab00f9ec40",
         "estimates.json": "330ed00ec360b707b1e407fbed5155ee0003588da63d8c93dc00a0084230aced",
         "gaps.csv": "4202ab0bb98c6bac81398b5332629de1c8c3c69c89b00a9165a69495fbc15418",
         "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
