@@ -12,6 +12,7 @@ from denjoy_twist.circle_map import (_NOT_GAP, CircleHomeo, LocalDiffeo, RigidRo
 from denjoy_twist.cli import build_full_system
 from denjoy_twist.layout import circle_delta
 from denjoy_twist.profiles import _TABLE_PANELS, profile_eval
+from denjoy_twist.reporting import BOUNDS
 from denjoy_twist.sequences import ConstructionError, SeqParams, build_sequences
 
 
@@ -327,6 +328,23 @@ def test_one_sided_agreement_off_midpoints(small):
         x = float(g.table.lam_of(k)) + s * float(g.table.ell_of(k))
         worst = max(worst, abs(g.derivative(x, "left") - g.derivative(x, "right")))
     assert worst <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="uniform samples never fall on a piece edge, "
+                   "so the scan reads 0.0 whatever g' does there (CHANGES.md FOUND 52)")
+def test_jump_scan_sees_an_injected_jump(profiles):
+    # a fresh build, as its slope column is edited in place: one transport
+    # piece between two gaps made 1.001 times as steep, a jump of 1e-3 in g'
+    # at both its edges
+    *_, g, _ = build_full_system(SeqParams(truncation_M=500), profiles, False)
+    gap = g._gap_k != _NOT_GAP
+    i = int(np.flatnonzero(~gap & np.roll(gap, 1) & np.roll(gap, -1))[0])
+    g._slope[i] *= 1.001
+    edge = float(g._x_lo[i])
+    there = abs(g.derivative(edge, "right") - g.derivative(edge, "left"))
+    seen = derivative_jump_scan(g, 10000, seed=20260809 + 2)["max_offmid_jump"]
+    # equal truth values: a lost injection passes too, and so fails as XPASS
+    assert (there > BOUNDS["jump_detect"]) == (seen > BOUNDS["jump_detect"])
 
 
 def test_derivative_one_at_gap_edges(small):
