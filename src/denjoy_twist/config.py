@@ -152,7 +152,9 @@ def _check_values(sections) -> None:
             if rule is not None and not _RULES[rule][0](sections[sec][key]):
                 raise bad(sec, key, _RULES[rule][1])
     # an odd grid puts a point on the midpoint of the gap, and a wider step
-    # takes a finite-difference stencil out of its half-gap
+    # takes a finite-difference stencil out of its half-gap (taken about
+    # h_{k-1}^{-1}(u), its step over h_{k-1}' puts the stencil's image at
+    # u +- 2 hstep where h_{k-1} is affine: next to the gap ends and midpoint)
     grid = sections["regularity"]["grid"]
     if grid % 2:
         raise bad("regularity", "grid", "must be even")

@@ -277,10 +277,19 @@ class TwistSystem:
                                fd_step_rel: float = 1e-4) -> "RegularityReport":
         """Per-gap second-derivative data for zeta_k = h_k + h_{k-1}^{-1} - 2 Id.
 
-        Evaluates the four closed-form terms on an interior grid that avoids
+        Evaluates the four closed-form terms on an interior grid u that avoids
         the midpoint, sums them, and cross-checks against (i) a five-point
         finite difference of the analytic first derivative and (ii) the
         direct chain-rule second derivative.
+
+        h_{k-1} is inverted once per grid point, v = h_{k-1}^{-1}(u). The
+        difference is taken in those coordinates: F(w) = zeta_k'(h_{k-1}(w))
+        needs no inversion, and its stencil v + c delta, c in {+-1, +-2},
+        with delta = hstep / h_{k-1}'(v), divided by 12 hstep, differences
+        F'(v) / h_{k-1}'(v) = zeta_k''(u). Where h_{k-1} is affine (its ends
+        and linear middle, next to the gap ends and the midpoint) h_{k-1}
+        takes the stencil onto u + c hstep, so a step below 1/(4 n_grid)
+        keeps it inside its half-gap.
         """
         h, M = self.g.local, self.table.M
         eta = h.eta
@@ -309,21 +318,14 @@ class TwistSystem:
                 return (K * profile_eval(eta, x, 0)
                         + alpha * profile_eval(h.gamma_plus, x, 0, reflect=minus))
 
-            def dzeta(uu, psi_v=None):
+            def dzeta(uu, psi_v):
                 """zeta_k' at uu; psi_v is psi_{k-1} at h_{k-1}^{-1}(uu)."""
-                if psi_v is None:
-                    psi_v = psi(h.invert(uu, k - 1) / ell_km1, K_km1, a_km1,
-                                ~h.plus[j - 1])
                 return psi(uu / ell_k, K_k, a_k, ~h.plus[j]) - psi_v / (1.0 + psi_v)
 
-            # five-point FD of the analytic first derivative of zeta, first,
-            # one shifted grid at a time
-            hstep = fd_step_rel * ell_k
-            fd = -dzeta(u + 2 * hstep)
-            fd += 8.0 * dzeta(u + hstep)
-            fd -= 8.0 * dzeta(u - hstep)
-            fd += dzeta(u - 2 * hstep)
-            fd /= 12.0 * hstep
+            def dzeta_at_h(w):
+                """zeta_k' at h_{k-1}(w), with no inversion."""
+                return dzeta(h.value(w, k - 1),
+                             psi(w / ell_km1, K_km1, a_km1, ~h.plus[j - 1]))
 
             v = h.invert(u, k - 1)
             sup_zeta = sup(h.value(u, k) + v - 2.0 * u)
@@ -336,6 +338,15 @@ class TwistSystem:
                                               reflect=~h.plus[j - 1])
             psi_v = K_km1 * eta_st + a_km1 * gkm1_st
             sup_dz = sup(dzeta(u, psi_v))
+
+            # five-point FD of zeta_k' o h_{k-1} about v, one point at a time
+            hstep = fd_step_rel * ell_k
+            delta = hstep / (1.0 + psi_v)
+            fd = -dzeta_at_h(v + 2 * delta)
+            fd += 8.0 * dzeta_at_h(v + delta)
+            fd -= 8.0 * dzeta_at_h(v - delta)
+            fd += dzeta_at_h(v - 2 * delta)
+            fd /= 12.0 * hstep
             dpsi_v = (K_km1 * eta1_st + a_km1 * gkm1_1_st) / ell_km1
             df_inv = (ell_k / ell_km1) / (1.0 + psi_v)
 

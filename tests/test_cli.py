@@ -326,8 +326,8 @@ OUTPUT_DIGESTS = {
         "verify.json": "75fb0636e415d9081d7c558d5862d7fcdd298f6343157ffc2716aae301c87d32"}),
     "regularity": (["regularity", "--set", "params.M=32",
                     "--set", "regularity.compare_C_factor=100"], {
-        "regularity.csv": "f4aa405180f0ff2ee0e8e540fa278f83ff76f40503e3803eb0a2937fa1ac1de1",
-        "regularity.json": "87b52543f7c0cb1f97995d9028cee4a6e647988bfc12ebd7cfa0b8c28a06d300"}),
+        "regularity.csv": "f57f88eea4554a03c7da35c8ee55897f31c8a9159683fc748ea49a7d690bec1a",
+        "regularity.json": "b68333057c47efd958e37cc5e58d180b35b82864ceec9a1b7a4929918684735f"}),
     # odd M: M // 2 is the tail index of the estimates
     "build_odd": (["build", "--set", "params.M=33"], {
         "build.json": "4deeb59661827e738c93dfaf47e5f8596d065656a22194f129e073c4750e6eab",
@@ -337,8 +337,8 @@ OUTPUT_DIGESTS = {
         "sequences.csv": "02931065fe0a0876137622bf955c7dcafcb0208a80a7d4cd556dd1b91b8ac00b"}),
     # 65 gaps: the scan joins a 64-gap block and a 1-gap block
     "regularity_odd": (["regularity", "--set", "params.M=33"], {
-        "regularity.csv": "7b581cd55e90022839cd397ed582dc0ee183d79a13f96c09c92fe6d76575e7c5",
-        "regularity.json": "4b30a809d9ecb692161db08f7916666f664b4fb5f178d47ab891c7cf0d2b6ba2"}),
+        "regularity.csv": "3a6c86eeabc838bd97fc83a617a4dc3fab5e99a80550197ad8c6abc189f6b35c",
+        "regularity.json": "8f3c682de55bf750a14df1587c32d77756c2bfa8a2cfd2047021e4f4194f5704"}),
     "build": (["build", "--set", "params.M=64"], {
         "build.json": "75c7da026957bc39eb2b013e6b168009d230dcd5fca8b89e7c24339321632add",
         "estimates.json": "393b0ad6f067e672ea9a5544b3a2c54e2b136bc1bf033fdfb46bf211cbe8cdc9",
@@ -355,8 +355,8 @@ OUTPUT_DIGESTS = {
         "sequences.csv": "92d4d57b782a8f4fe7cae007dfe4163c0db5da2f17039c7a8418ed971c2bfe87"}),
     # 1039 gaps: regularity.csv is written in a full block and a partial one
     "regularity_blocks": (["regularity", "--set", "params.M=520"], {
-        "regularity.csv": "ffd42fe261d5dc3a35aa85dbe0949a1aa40b97fc417afc48522c26bcaad569dc",
-        "regularity.json": "a4947a58409f4ee3d242b222db898925c60777bbec787e0061b0611edca5133f"}),
+        "regularity.csv": "3041ee4aed560a6a4de7139a823adc4971b91ce6aee49538d84b7be0e331cbe1",
+        "regularity.json": "1ef141ac71301e4ab6895762941e47e8a5463302e36b5cc74de173304dc5c8dd"}),
     "portrait": (PORTRAIT, {
         "portrait.csv": "2868f5ab46b38d41546976d2988cd7a6e798c5d198eb1245d64671ba76b6a701"}),
     "portrait_swap": (PORTRAIT + ["--set", "params.swap_gamma=true"], {
@@ -457,7 +457,9 @@ _BAD_SETTINGS = [
     ("portrait", "params.seed=-1"),
     ("regularity", "regularity.compare_C_factor=-3"),
     # an odd grid puts a point on a gap midpoint, and a step of 1/(4 grid)
-    # or more takes the first five-point stencil out of its gap
+    # or more takes the first five-point stencil out of its gap: the scan's
+    # stencil, taken in h_{k-1}^{-1} coordinates with its step divided by
+    # h_{k-1}', lands on u +- 2 hstep there, where h_{k-1} is affine
     ("regularity", "regularity.grid=3"),
     ("regularity", "regularity.fd_step_rel=0.001"),
     ("regularity", "regularity.fd_step_rel=0.00099"),

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from denjoy_twist import twist_map
-from denjoy_twist.circle_map import RigidRotation
+from denjoy_twist.circle_map import _INVERT_REL_TOL, RigidRotation
 from denjoy_twist.cli import build_full_system
+from denjoy_twist.config import load_config
 from denjoy_twist.layout import circle_delta
 from denjoy_twist.twist_map import (base_segments, build_twist_system,
                                     curve_side_check, diffusion_probe,
@@ -263,20 +264,64 @@ def test_regularity_scan(small):
 
 
 def test_regularity_scan_inverts_each_point_once(small, monkeypatch):
-    # M=64 gives two 64-gap blocks; each inverts its grid once and each of
-    # the four finite-difference shifts once
+    # M=64 gives two 64-gap blocks; each inverts its grid once, and its
+    # finite-difference stencil is taken about that inversion, in
+    # h_{k-1}^{-1} coordinates, with no inversion of its own
     h, calls = small.g.local, []
     invert = h.invert
     monkeypatch.setattr(h, "invert", lambda v, k: calls.append(k) or invert(v, k))
     small.system.second_derivative_scan()
-    assert len(calls) == 2 * 5
+    assert len(calls) == 2 * 1
+
+
+def test_regularity_fd_check_not_floored_by_inversion(profiles):
+    # a stencil point inverted to Newton's tolerance carries a relative error
+    # up to _INVERT_REL_TOL / fd_step_rel into the difference: 4.37e-8 here
+    # when each point was inverted; about one inversion it reads 1.1e-9
+    *_, system = build_full_system(SeqParams(truncation_M=125), profiles, False)
+    rep = system.second_derivative_scan(fd_step_rel=1e-6)
+    assert rep.summary()["max_rel_fd_dev"] <= _INVERT_REL_TOL / 1e-6
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_regularity_stencil_stays_in_its_half_gap(profiles, swap):
+    # the scan's stencil is v + c delta, c in {+-1, +-2}, about
+    # v = h_{k-1}^{-1}(u) with delta = hstep / h_{k-1}'(v). At the widest step
+    # the config accepts, its ends stay in v's closed half of gap k-1, and
+    # h_{k-1} takes them into u's closed half of gap k, each to within the
+    # roundings of v and of v + c delta (1.004 eps ell at most here): the ends
+    # nearest a gap end or the midpoint meet it, as u +- 2 hstep does. A step
+    # hstep with no division by h_{k-1}'(v) overshoots by 6e10 eps ell
+    n_grid = 256
+    fd_step_rel = float(np.nextafter(0.25 / n_grid, 0.0))
+    load_config(overrides=[f"regularity.grid={n_grid}",
+                           f"regularity.fd_step_rel={fd_step_rel!r}"])
+    M = 125
+    *_, system = build_full_system(SeqParams(truncation_M=M), profiles, swap)
+    h, eps = system.g.local, np.finfo(float).eps
+    k = np.arange(-M + 1, M)[:, None]
+    ell_k, ell_km1 = h.ell[k + M], h.ell[k - 1 + M]
+    u = (np.arange(n_grid) + 0.5) / n_grid * ell_k
+    v = h.invert(u, k - 1)
+    delta = fd_step_rel * ell_k / h.deriv(v, k - 1)
+
+    def outside_half(x, at, ell):
+        """How far x lies outside the half of [0, ell] that holds at, in
+        units of eps ell."""
+        lo = np.where(at < ell / 2, 0.0, ell / 2)
+        return np.maximum(lo - x, x - (lo + ell / 2)) / (eps * ell)
+
+    for c in (-2.0, 2.0):
+        w = v + c * delta
+        assert np.max(outside_half(w, v, ell_km1)) <= 2.0
+        assert np.max(outside_half(h.value(w, k - 1), u, ell_k)) <= 2.0
 
 
 def test_regularity_scan_evaluates_profiles_at_st_once(small, monkeypatch):
     # three s-grid calls, then per block: psi_k and psi_{k-1} (two calls
-    # each) at each of the four finite-difference shifts, psi_k at the grid,
-    # and one two-order call per profile at st, where psi_{k-1} is read
-    # from (22 per block when dzeta evaluated it again)
+    # each) at each of the four finite-difference stencil points, psi_k at
+    # the grid, and one two-order call per profile at st, where psi_{k-1} is
+    # read from (22 per block when dzeta evaluated it again)
     calls = []
     real = twist_map.profile_eval
     monkeypatch.setattr(twist_map, "profile_eval",
