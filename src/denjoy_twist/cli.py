@@ -88,13 +88,14 @@ def _outdir(cfg: RunConfig, override=None) -> str:
 
 
 def _build(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
-    if built.rigid:
-        return
-    if built.cfg["output"]["write_csv"]:
-        dump_sequences_csv(built.seqs, os.path.join(outdir, "sequences.csv"))
-        dump_gap_table_csv(built.table, os.path.join(outdir, "gaps.csv"))
-        export_profile_csv(built.profiles, os.path.join(outdir, "profiles.csv"))
-    dump_json(_estimate_checks(built, rb), os.path.join(outdir, "estimates.json"))
+    if not built.rigid:
+        if built.cfg["output"]["write_csv"]:
+            dump_sequences_csv(built.seqs, os.path.join(outdir, "sequences.csv"))
+            dump_gap_table_csv(built.table, os.path.join(outdir, "gaps.csv"))
+            export_profile_csv(built.profiles, os.path.join(outdir, "profiles.csv"))
+        dump_json(_estimate_checks(built, rb), os.path.join(outdir, "estimates.json"))
+    failed = [entry["name"] for entry in rb.checks if not entry["pass"]]
+    print(f"build: FAIL ({', '.join(failed)})" if failed else "build: PASS")
 
 
 def _estimate_checks(built: BuiltSystem, rb: ReportBuilder) -> dict:

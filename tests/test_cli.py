@@ -35,9 +35,10 @@ def _python(*args):
                           text=True, timeout=120)
 
 
-def test_build_writes_summary_and_csvs(tmp_path):
+def test_build_writes_summary_and_csvs(tmp_path, capsys):
     code = run(["build", "--set", "params.M=32"], tmp_path, "b")
     assert code == 0
+    assert capsys.readouterr().out == "build: PASS\n"
     rep = json.loads((tmp_path / "b" / "build.json").read_text())
     assert 0.0 < rep["summary"]["residual_mass"] < 1.0
     for name in ("sequences.csv", "gaps.csv", "profiles.csv"):
@@ -84,11 +85,13 @@ def test_build_rejects_bad_delta(tmp_path):
     assert run(["build", "--set", "params.delta=-1"], tmp_path, "bad") == 2
 
 
-def test_build_asserts_its_estimates(tmp_path):
+def test_build_asserts_its_estimates(tmp_path, capsys):
     # at delta = 20 the ratio bound leaves its window: the estimates.json that
-    # build writes reads false, and so must its report and exit code
+    # build writes reads false, and so must its report, exit code and the
+    # PASS/FAIL line, which names each failing check
     assert run(["build", "--set", "params.M=16", "--set", "params.delta=20"],
                tmp_path, "b") == 1
+    assert capsys.readouterr().out == "build: FAIL (sequence_estimates)\n"
     rep = json.loads((tmp_path / "b" / "build.json").read_text())
     est = json.loads((tmp_path / "b" / "estimates.json").read_text())
     failed = [c["name"] for c in rep["checks"] if not c["pass"]]
