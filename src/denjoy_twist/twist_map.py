@@ -289,7 +289,7 @@ class TwistSystem:
         F'(v) / h_{k-1}'(v) = zeta_k''(u). Where h_{k-1} is affine (its ends
         and linear middle, next to the gap ends and the midpoint) h_{k-1}
         takes the stencil onto u + c hstep, so a step below 1/(4 n_grid)
-        keeps it inside its half-gap.
+        keeps it inside its half-gap, up to rounding.
         """
         h, M = self.g.local, self.table.M
         eta = h.eta

@@ -290,8 +290,10 @@ def test_regularity_stencil_stays_in_its_half_gap(profiles, swap):
     # the config accepts, its ends stay in v's closed half of gap k-1, and
     # h_{k-1} takes them into u's closed half of gap k, each to within the
     # roundings of v and of v + c delta (1.004 eps ell at most here): the ends
-    # nearest a gap end or the midpoint meet it, as u +- 2 hstep does. A step
-    # hstep with no division by h_{k-1}'(v) overshoots by 6e10 eps ell
+    # nearest a gap end or the midpoint meet it, as u +- 2 hstep does (so at
+    # this step the cross-check reads 1.0: the rule keeps no margin for
+    # rounding). A step hstep not divided by h_{k-1}'(v) overshoots by
+    # 6e10 eps ell
     n_grid = 256
     fd_step_rel = float(np.nextafter(0.25 / n_grid, 0.0))
     load_config(overrides=[f"regularity.grid={n_grid}",
