@@ -21,6 +21,7 @@ from .circle_map import (RigidRotation, build_circle_homeo, derivative_jump_scan
 from .config import ConfigError, RunConfig, load_config, parse_float_list
 from .draws import default_rng
 from .layout import SemiConjugacy, build_gap_table, dump_gap_table_csv
+from .parallel import fork_map
 from .profiles import CalibrationError, calibrate_profiles, export_profile_csv
 from .reporting import BOUNDS, ReportBuilder, timed, write_report
 from .sequences import (ConstructionError, build_sequences, dump_sequences_csv,
@@ -90,9 +91,10 @@ def _outdir(cfg: RunConfig, override=None) -> str:
 def _build(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
     if not built.rigid:
         if built.cfg["output"]["write_csv"]:
-            dump_sequences_csv(built.seqs, os.path.join(outdir, "sequences.csv"))
-            dump_gap_table_csv(built.table, os.path.join(outdir, "gaps.csv"))
-            export_profile_csv(built.profiles, os.path.join(outdir, "profiles.csv"))
+            fork_map(lambda job: job[0](job[1], os.path.join(outdir, job[2])), (
+                (dump_sequences_csv, built.seqs, "sequences.csv"),
+                (dump_gap_table_csv, built.table, "gaps.csv"),
+                (export_profile_csv, built.profiles, "profiles.csv")))
         dump_json(_estimate_checks(built, rb), os.path.join(outdir, "estimates.json"))
     failed = [entry["name"] for entry in rb.checks if not entry["pass"]]
     print(f"build: FAIL ({', '.join(failed)})" if failed else "build: PASS")

@@ -154,12 +154,19 @@ def _check_values(sections) -> None:
     # an odd grid puts a point on the midpoint of the gap, and a wider step
     # takes a finite-difference stencil out of its half-gap (taken about
     # h_{k-1}^{-1}(u), its step over h_{k-1}' puts the stencil's image at
-    # u +- 2 hstep where h_{k-1} is affine: next to the gap ends and midpoint)
+    # u +- 2 hstep where h_{k-1} is affine: next to the gap ends and midpoint,
+    # 2 (1/(4 grid) - fd_step_rel) ell from them). Rounding moved the ends by
+    # up to 1.004 eps ell, onto the kink at a step just below 1/(4 grid); the
+    # margin of 2 eps keeps them 4 eps ell clear
     grid = sections["regularity"]["grid"]
     if grid % 2:
         raise bad("regularity", "grid", "must be even")
-    if not sections["regularity"]["fd_step_rel"] < 0.25 / grid:
-        raise bad("regularity", "fd_step_rel", f"must be below 1/(4 grid) = {0.25 / grid:g}")
+    widest = 0.25 / grid - 2 * math.ulp(1.0)
+    if not sections["regularity"]["fd_step_rel"] <= widest:
+        raise bad("regularity", "fd_step_rel",
+                  f"must be at most 1/(4 grid) - 2 eps = {widest!r} (a stencil "
+                  f"end then lies 4 eps ell inside its half-gap, and rounding "
+                  f"moves it by up to 1.004 eps ell)")
     theta0 = sections["diffusion"]["theta0"]
     if theta0 != "mu1" and not _one_finite(theta0):
         raise bad("diffusion", "theta0", "expected 'mu1' or a finite number")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
+from itertools import chain
 
 SCHEMA_VERSION = 1
 
@@ -101,14 +102,21 @@ class ReportBuilder:
         return {**self.report, "timings": self.timings}
 
 
-def write_csv(path, header, rows) -> None:
-    """A CSV of header and rows (tuples), bytewise what csv.writer writes for
-    them: "%s" of a Python float is its repr, as csv writes it, rows end in
-    \r\n, and no field the program writes needs quoting."""
-    fmt = ",".join(["%s"] * len(header)) + "\r\n"
+def csv_lines(rows, width):
+    """The CSV line of each row (a tuple of width fields), bytewise what
+    csv.writer writes for it: "%s" of a Python float is its repr, as csv
+    writes it, rows end in \r\n, and no field the program writes needs
+    quoting."""
+    fmt = ",".join(["%s"] * width) + "\r\n"
+    return (fmt % row for row in rows)
+
+
+def write_csv(path, header, rows, texts=()) -> None:
+    """A CSV of header and rows (tuples), then texts: strings of lines that
+    csv_lines made."""
     with open(path, "w", newline="") as fh:
-        fh.write(fmt % tuple(header))
-        fh.writelines(fmt % row for row in rows)
+        fh.writelines(csv_lines(chain([tuple(header)], rows), len(header)))
+        fh.writelines(texts)
 
 
 # rows per block of write_csv_blocks

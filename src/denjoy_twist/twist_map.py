@@ -27,12 +27,17 @@ import numpy as np
 from .draws import default_rng
 from .layout import circle_delta
 from .profiles import profile_eval
-from .reporting import write_csv, write_csv_blocks
+from .parallel import fork_map
+from .reporting import csv_lines, write_csv, write_csv_blocks
 
 # grid points per array pass of the linearity check and the second-derivative
 # scan, in whole gaps (256 x 64 and 64 x 256 at the default grids): their
 # temporaries stay at a few MB whatever M is
 _BLOCK_POINTS = 2**14
+
+# portrait rows per fork_map call, in whole orbits (at least one): the texts
+# of one call, a few MB, are held until written
+_PORTRAIT_ROWS = 2**16
 
 
 class TwistSystem:
@@ -290,6 +295,8 @@ class TwistSystem:
         and linear middle, next to the gap ends and the midpoint) h_{k-1}
         takes the stencil onto u + c hstep, so a step below 1/(4 n_grid)
         keeps it inside its half-gap, up to rounding.
+
+        The blocks of gaps are shared out by fork_map.
         """
         h, M = self.g.local, self.table.M
         eta = h.eta
@@ -376,7 +383,8 @@ class TwistSystem:
                     sup(total - fd) / sup(fd), sup(total - direct))
 
         block = max(1, _BLOCK_POINTS // n_grid)
-        blocks = [scan_block(ks[lo:lo + block, None]) for lo in range(0, len(ks), block)]
+        blocks = fork_map(scan_block, [ks[lo:lo + block, None]
+                                       for lo in range(0, len(ks), block)])
         return RegularityReport(ks, *map(np.concatenate, zip(*blocks)))
 
 
@@ -601,21 +609,30 @@ def dump_phase_portrait_csv(system: TwistSystem, orbits, n_steps: int, path,
     """(orbit, step, theta, r) rows; orbit 0 samples the invariant curve.
 
     Each orbit is stepped on Python floats, one scalar forward per step, and
-    written row by row as it is stepped.
+    made into its CSV text, the orbits shared out by fork_map about
+    _PORTRAIT_ROWS rows at a time; the curve rows and then the texts are
+    written in orbit order.
     """
+    header = ("orbit", "step", "theta", "r")
     ths = (np.arange(curve_samples) + 0.5) / curve_samples
 
-    def rows():
-        yield from zip(repeat(0), count(), ths.tolist(),
-                       system.curve_height(ths).tolist())
-        for i, (th, r) in enumerate(orbits, 1):
-            th, r = float(th) % 1.0, float(r)
+    def orbit_text(numbered):
+        i, (th, r) = numbered
+
+        def rows(th, r):
             yield i, 0, th, r
             for s in range(1, n_steps + 1):
                 th, r = system.forward(th, r)
                 yield i, s, th, r
 
-    write_csv(path, ("orbit", "step", "theta", "r"), rows())
+        return "".join(csv_lines(rows(float(th) % 1.0, float(r)), len(header)))
+
+    numbered = list(enumerate(orbits, 1))
+    per_call = max(1, _PORTRAIT_ROWS // (n_steps + 1))
+    texts = (text for lo in range(0, len(numbered), per_call)
+             for text in fork_map(orbit_text, numbered[lo:lo + per_call]))
+    write_csv(path, header, zip(repeat(0), count(), ths.tolist(),
+                                system.curve_height(ths).tolist()), texts)
 
 
 def dump_json(obj: dict, path) -> None:

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import pytest
@@ -72,3 +73,9 @@ def traced_retained():
         finally:
             tracemalloc.stop()
     return retained
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """The process may run on one CPU only, so fork_map forks nothing."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})

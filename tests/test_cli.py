@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import denjoy_twist
-from denjoy_twist import circle_map, cli
+from denjoy_twist import circle_map, cli, twist_map
 from denjoy_twist.cli import BuiltSystem, main
 from denjoy_twist.config import _SETTINGS, ConfigError, load_config, parse_float_list
 from denjoy_twist.profiles import calibrate_profiles
@@ -367,8 +367,7 @@ OUTPUT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
-def test_outputs_byte_identical(tmp_path, name):
+def _assert_outputs_pinned(tmp_path, name):
     args, digests = OUTPUT_DIGESTS[name]
     assert run(args, tmp_path, "o") == 0
     report = f"{args[0]}.json"
@@ -376,6 +375,29 @@ def test_outputs_byte_identical(tmp_path, name):
         deterministic_dump(json.loads(path.read_text())).encode()
         if path.name == report else path.read_bytes())
         for path in (tmp_path / "o").iterdir()} == digests
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
+def test_outputs_byte_identical(tmp_path, name):
+    # at the machine's own affinity: build, portrait and regularity share
+    # their work out over every CPU the process may use
+    _assert_outputs_pinned(tmp_path, name)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in OUTPUT_DIGESTS if n.startswith(
+    ("build", "portrait", "regularity"))))
+def test_outputs_byte_identical_on_one_cpu(tmp_path, one_cpu, name):
+    # the same pins where fork_map forks nothing
+    _assert_outputs_pinned(tmp_path, name)
+
+
+@pytest.mark.parametrize("rows", [1, 202])
+def test_portrait_pinned_across_fork_map_calls(tmp_path, monkeypatch, rows):
+    # the pinned portrait's 4 orbits of 101 rows, one or two per fork_map
+    # call, on two CPUs whatever the machine has
+    monkeypatch.setattr(twist_map, "_PORTRAIT_ROWS", rows)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _assert_outputs_pinned(tmp_path, "portrait")
 
 
 @pytest.mark.parametrize("swap", sorted(MANIFOLD_DIGESTS))
@@ -462,10 +484,14 @@ _BAD_SETTINGS = [
     # an odd grid puts a point on a gap midpoint, and a step of 1/(4 grid)
     # or more takes the first five-point stencil out of its gap: the scan's
     # stencil, taken in h_{k-1}^{-1} coordinates with its step divided by
-    # h_{k-1}', lands on u +- 2 hstep there, where h_{k-1} is affine
+    # h_{k-1}', lands on u +- 2 hstep there, where h_{k-1} is affine. A step
+    # less than 2 eps below 1/(4 grid) is refused too: at the step just below
+    # it rounding took the stencil's ends onto the midpoint, and the
+    # cross-check read 1.0
     ("regularity", "regularity.grid=3"),
     ("regularity", "regularity.fd_step_rel=0.001"),
     ("regularity", "regularity.fd_step_rel=0.00099"),
+    ("regularity", "regularity.fd_step_rel=0.0009765624999999999"),
     # the large-C rebuild is refused by the construction: C * factor < 10,
     # and a C so large that the seed underflows
     ("regularity", "regularity.compare_C_factor=1e-3"),

@@ -7,7 +7,7 @@ import pytest
 from denjoy_twist import twist_map
 from denjoy_twist.circle_map import _INVERT_REL_TOL, RigidRotation
 from denjoy_twist.cli import build_full_system
-from denjoy_twist.config import load_config
+from denjoy_twist.config import ConfigError, load_config
 from denjoy_twist.layout import circle_delta
 from denjoy_twist.twist_map import (base_segments, build_twist_system,
                                     curve_side_check, diffusion_probe,
@@ -263,10 +263,12 @@ def test_regularity_scan(small):
     assert max(rep.sup_zeta) < 1.0
 
 
-def test_regularity_scan_inverts_each_point_once(small, monkeypatch):
+def test_regularity_scan_inverts_each_point_once(small, monkeypatch, one_cpu):
     # M=64 gives two 64-gap blocks; each inverts its grid once, and its
     # finite-difference stencil is taken about that inversion, in
-    # h_{k-1}^{-1} coordinates, with no inversion of its own
+    # h_{k-1}^{-1} coordinates, with no inversion of its own. The count is
+    # per block whichever process runs it: on one CPU no block runs in a
+    # child, where these counters cannot see it
     h, calls = small.g.local, []
     invert = h.invert
     monkeypatch.setattr(h, "invert", lambda v, k: calls.append(k) or invert(v, k))
@@ -287,17 +289,19 @@ def test_regularity_fd_check_not_floored_by_inversion(profiles):
 def test_regularity_stencil_stays_in_its_half_gap(profiles, swap):
     # the scan's stencil is v + c delta, c in {+-1, +-2}, about
     # v = h_{k-1}^{-1}(u) with delta = hstep / h_{k-1}'(v). At the widest step
-    # the config accepts, its ends stay in v's closed half of gap k-1, and
-    # h_{k-1} takes them into u's closed half of gap k, each to within the
-    # roundings of v and of v + c delta (1.004 eps ell at most here): the ends
-    # nearest a gap end or the midpoint meet it, as u +- 2 hstep does (so at
-    # this step the cross-check reads 1.0: the rule keeps no margin for
-    # rounding). A step hstep not divided by h_{k-1}'(v) overshoots by
-    # 6e10 eps ell
+    # the config accepts, 1/(4 grid) - 2 eps, its ends lie strictly inside
+    # v's half of gap k-1, and h_{k-1} takes them strictly inside u's half of
+    # gap k: 4 eps ell inside less rounding, 2.97 eps ell at least here. At
+    # the step just below 1/(4 grid) rounding took the ends nearest a gap end
+    # or the midpoint 1.004 eps ell past it, and the cross-check read 1.0. A
+    # step hstep not divided by h_{k-1}'(v) overshoots by 6e10 eps ell
     n_grid = 256
-    fd_step_rel = float(np.nextafter(0.25 / n_grid, 0.0))
+    fd_step_rel = 0.25 / n_grid - 2 * math.ulp(1.0)
     load_config(overrides=[f"regularity.grid={n_grid}",
                            f"regularity.fd_step_rel={fd_step_rel!r}"])
+    with pytest.raises(ConfigError, match="1.004 eps ell"):
+        load_config(overrides=[f"regularity.grid={n_grid}",
+                               f"regularity.fd_step_rel={math.nextafter(fd_step_rel, 1.0)!r}"])
     M = 125
     *_, system = build_full_system(SeqParams(truncation_M=M), profiles, swap)
     h, eps = system.g.local, np.finfo(float).eps
@@ -315,15 +319,16 @@ def test_regularity_stencil_stays_in_its_half_gap(profiles, swap):
 
     for c in (-2.0, 2.0):
         w = v + c * delta
-        assert np.max(outside_half(w, v, ell_km1)) <= 2.0
-        assert np.max(outside_half(h.value(w, k - 1), u, ell_k)) <= 2.0
+        assert np.max(outside_half(w, v, ell_km1)) < 0.0
+        assert np.max(outside_half(h.value(w, k - 1), u, ell_k)) < 0.0
 
 
-def test_regularity_scan_evaluates_profiles_at_st_once(small, monkeypatch):
+def test_regularity_scan_evaluates_profiles_at_st_once(small, monkeypatch, one_cpu):
     # three s-grid calls, then per block: psi_k and psi_{k-1} (two calls
     # each) at each of the four finite-difference stencil points, psi_k at
     # the grid, and one two-order call per profile at st, where psi_{k-1} is
-    # read from (22 per block when dzeta evaluated it again)
+    # read from (22 per block when dzeta evaluated it again); on one CPU, so
+    # that every block is counted in this process
     calls = []
     real = twist_map.profile_eval
     monkeypatch.setattr(twist_map, "profile_eval",
