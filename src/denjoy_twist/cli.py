@@ -21,9 +21,8 @@ from .circle_map import (RigidRotation, build_circle_homeo, derivative_jump_scan
 from .config import ConfigError, RunConfig, load_config, parse_float_list
 from .draws import default_rng
 from .layout import SemiConjugacy, build_gap_table, dump_gap_table_csv
-from .parallel import fork_map
 from .profiles import CalibrationError, calibrate_profiles, export_profile_csv
-from .reporting import BOUNDS, ReportBuilder, timed, write_report
+from .reporting import BOUNDS, ReportBuilder, fork_map, timed, write_report
 from .sequences import (ConstructionError, build_sequences, dump_sequences_csv,
                         sweep_alphas, verify_sequence_estimates)
 from .twist_map import (build_twist_system, curve_side_check, diffusion_probe,

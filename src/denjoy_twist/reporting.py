@@ -6,12 +6,20 @@ and an overall flag; each tolerance is a row of BOUNDS or computed from one.
 Timings live in a separate top-level key excluded from determinism
 comparisons; everything else is byte-identical across runs of the same
 config.
+
+The CSV rows that the commands write are made here, and so is fork_map, the
+one way a command body shares its independent parts over the CPUs the
+process may use.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import sys
 import time
+import warnings
 from contextlib import contextmanager
 from itertools import chain
 
@@ -132,6 +140,95 @@ def write_csv_blocks(path, header, n, block) -> None:
             yield from zip(*(c.tolist() for c in block(lo, min(lo + _CSV_BLOCK, n))))
 
     write_csv(path, header, rows())
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity mask on this platform
+        return 1
+
+
+def _run_share(fn, share, fd, parents_fds) -> None:
+    """In a child: close the parent's pipe ends, write the pickled results of
+    share, or the exception that stopped it, to fd, and leave without running
+    any exit handler (a child that cannot pickle either leaves without
+    writing)."""
+    try:
+        for parents_fd in parents_fds:
+            os.close(parents_fd)
+        try:
+            payload = pickle.dumps((True, [fn(x) for x in share]), -1)
+        except BaseException as exc:   # the parent re-raises it
+            payload = pickle.dumps((False, exc), -1)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+    finally:
+        os._exit(0)
+
+
+def fork_map(fn, items) -> list:
+    """[fn(x) for x in items], one contiguous share of items per CPU.
+
+    The items are cut into one share per CPU of the process's affinity mask.
+    The parent computes the first share; each other share runs in a child of
+    os.fork, which inherits everything fn reads, so fn need not be
+    picklable, and returns its pickled results, or its exception, through a
+    pipe. The results are the same objects bit for bit as one process makes,
+    so a caller's outputs do not depend on how many CPUs ran it. With one
+    CPU or one item, or without os.fork, it is the list comprehension. No
+    setting chooses between the two.
+
+    The package starts no thread of its own, and no share calls BLAS, whose
+    idle pool is the only other thread, so no child inherits a lock that
+    another thread held at the fork. That pool is why Python 3.12 and later
+    warn at each fork (a DeprecationWarning about forking a multi-threaded
+    process); the warning is ignored around os.fork for that reason.
+    """
+    items = list(items)
+    n = min(len(items), _cpus())
+    if n < 2 or not hasattr(os, "fork"):
+        return [fn(x) for x in items]
+    cuts = [len(items) * i // n for i in range(n + 1)]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []   # (pid, read end of its pipe)
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            r, w = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    _run_share(fn, items[lo:hi], w, [r] + [fd for _, fd in children])
+                children.append((pid, r))
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+        results = [fn(x) for x in items[:cuts[1]]]
+        for _, fd in children:
+            # unpickled as read, so the pickle's bytes are never held whole
+            with os.fdopen(fd, "rb", closefd=False) as fh:
+                try:
+                    ok, value = pickle.load(fh)
+                except EOFError:
+                    raise ChildProcessError("fork_map: a child left without "
+                                            "a result") from None
+            if not ok:
+                raise value
+            results += value
+        return results
+    finally:
+        # closing the read ends first lets a child still writing a result
+        # that fills its pipe leave, so reaping it cannot wait forever
+        for _, fd in children:
+            os.close(fd)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
 
 
 def deterministic_dump(report: dict) -> str:

@@ -20,23 +20,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import chain, count, repeat
 
 import numpy as np
 
 from .draws import default_rng
 from .layout import circle_delta
 from .profiles import profile_eval
-from .parallel import fork_map
-from .reporting import csv_lines, write_csv, write_csv_blocks
+from .reporting import csv_lines, fork_map, write_csv, write_csv_blocks
 
 # grid points per array pass of the linearity check and the second-derivative
 # scan, in whole gaps (256 x 64 and 64 x 256 at the default grids): their
 # temporaries stay at a few MB whatever M is
 _BLOCK_POINTS = 2**14
 
-# portrait rows per fork_map call, in whole orbits (at least one): the texts
-# of one call, a few MB, are held until written
+# portrait rows per fork_map call, in whole orbits: the texts of one call, a
+# few MB, are held until written; an orbit longer than this is streamed
 _PORTRAIT_ROWS = 2**16
 
 
@@ -608,31 +607,36 @@ def dump_phase_portrait_csv(system: TwistSystem, orbits, n_steps: int, path,
                             curve_samples: int = 512) -> None:
     """(orbit, step, theta, r) rows; orbit 0 samples the invariant curve.
 
-    Each orbit is stepped on Python floats, one scalar forward per step, and
-    made into its CSV text, the orbits shared out by fork_map about
-    _PORTRAIT_ROWS rows at a time; the curve rows and then the texts are
-    written in orbit order.
+    Each orbit is stepped on Python floats, one scalar forward per step.
+    Where an orbit has at most _PORTRAIT_ROWS rows, each orbit is made into
+    its CSV text, the orbits shared out by fork_map _PORTRAIT_ROWS rows at a
+    time at most, and the curve rows and then the texts are written in orbit
+    order; a longer orbit is written row by row as it is stepped, so the
+    memory held stays bounded whatever n_steps is.
     """
     header = ("orbit", "step", "theta", "r")
     ths = (np.arange(curve_samples) + 0.5) / curve_samples
+    curve = zip(repeat(0), count(), ths.tolist(), system.curve_height(ths).tolist())
+    starts = [(i, float(th) % 1.0, float(r)) for i, (th, r) in enumerate(orbits, 1)]
 
-    def orbit_text(numbered):
-        i, (th, r) = numbered
+    def rows(start):
+        i, th, r = start
+        yield i, 0, th, r
+        for s in range(1, n_steps + 1):
+            th, r = system.forward(th, r)
+            yield i, s, th, r
 
-        def rows(th, r):
-            yield i, 0, th, r
-            for s in range(1, n_steps + 1):
-                th, r = system.forward(th, r)
-                yield i, s, th, r
+    per_call = _PORTRAIT_ROWS // (n_steps + 1)
+    if per_call == 0:
+        write_csv(path, header, chain(curve, *map(rows, starts)))
+        return
 
-        return "".join(csv_lines(rows(float(th) % 1.0, float(r)), len(header)))
+    def orbit_text(start):
+        return "".join(csv_lines(rows(start), len(header)))
 
-    numbered = list(enumerate(orbits, 1))
-    per_call = max(1, _PORTRAIT_ROWS // (n_steps + 1))
-    texts = (text for lo in range(0, len(numbered), per_call)
-             for text in fork_map(orbit_text, numbered[lo:lo + per_call]))
-    write_csv(path, header, zip(repeat(0), count(), ths.tolist(),
-                                system.curve_height(ths).tolist()), texts)
+    texts = (text for lo in range(0, len(starts), per_call)
+             for text in fork_map(orbit_text, starts[lo:lo + per_call]))
+    write_csv(path, header, curve, texts)
 
 
 def dump_json(obj: dict, path) -> None:

@@ -391,10 +391,11 @@ def test_outputs_byte_identical_on_one_cpu(tmp_path, one_cpu, name):
     _assert_outputs_pinned(tmp_path, name)
 
 
-@pytest.mark.parametrize("rows", [1, 202])
+@pytest.mark.parametrize("rows", [1, 101, 202])
 def test_portrait_pinned_across_fork_map_calls(tmp_path, monkeypatch, rows):
-    # the pinned portrait's 4 orbits of 101 rows, one or two per fork_map
-    # call, on two CPUs whatever the machine has
+    # the pinned portrait's 4 orbits of 101 rows, streamed row by row (an
+    # orbit longer than a call), or one or two per fork_map call, on two
+    # CPUs whatever the machine has
     monkeypatch.setattr(twist_map, "_PORTRAIT_ROWS", rows)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     _assert_outputs_pinned(tmp_path, "portrait")

@@ -1,10 +1,11 @@
 import os
 import signal
+import warnings
 
 import pytest
 
 from denjoy_twist import cli
-from denjoy_twist.parallel import fork_map
+from denjoy_twist.reporting import fork_map
 from denjoy_twist.sequences import ConstructionError
 
 
@@ -92,3 +93,46 @@ def test_one_cpu_does_not_fork(monkeypatch, one_cpu):
 def test_no_fork_where_the_platform_has_none(monkeypatch, four_cpus):
     monkeypatch.delattr(os, "fork")
     assert fork_map(lambda x: x + 1, range(5)) == [1, 2, 3, 4, 5]
+
+
+def test_fork_warning_is_ignored(monkeypatch, four_cpus):
+    # Python 3.12 and later warn in the parent at each fork of a process with
+    # more than one thread, and numpy's BLAS pool is one; the suite makes
+    # that warning an error, raised after the child exists
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn("This process is multi-threaded, use of fork() may "
+                          "lead to deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    assert fork_map(lambda x: x + 1, range(4)) == [1, 2, 3, 4]
+    _no_child_left()
+
+
+def _open_fds():
+    return len(os.listdir(f"/proc/{os.getpid()}/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc")
+@pytest.mark.parametrize("exc", [OSError, KeyboardInterrupt])
+def test_failed_fork_closes_its_pipe(monkeypatch, four_cpus, exc):
+    # the second fork fails: the first child is reaped and no pipe end is
+    # left open, whatever the failure's type
+    fork, forks = os.fork, []
+
+    def second_fork_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise exc("fork failed")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    before = _open_fds()
+    with pytest.raises(exc, match="fork failed"):
+        fork_map(lambda x: x, range(4))
+    assert _open_fds() == before
+    _no_child_left()

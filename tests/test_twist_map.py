@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -236,11 +237,12 @@ def test_phi_linearity_working_set_is_blocked(profiles):
     assert peak <= 8 * 2**20
 
 
-def test_regularity_scan_working_set(profiles, traced_peak):
+def test_regularity_scan_working_set(profiles, traced_peak, one_cpu):
     # each block's terms are reduced to their sups as they are formed and
     # freed with the block: the one-block peak of 7.1 MB at M=125 (249
     # gaps, four blocks) came from keeping every term and the last block's
-    # arrays alive
+    # arrays alive. On one CPU, so that every block runs in the process that
+    # measures
     *_, system = build_full_system(SeqParams(truncation_M=125), profiles, False)
     assert traced_peak(system.second_derivative_scan) <= 5 * 2**20
 
@@ -501,6 +503,23 @@ def test_dumps(small, tmp_path):
                             tmp_path / "portrait.csv", curve_samples=16)
     lines = (tmp_path / "portrait.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 16 + 11
+
+
+def test_portrait_streams_an_orbit_longer_than_a_call(small, tmp_path, monkeypatch,
+                                                      traced_peak):
+    # an orbit of more than _PORTRAIT_ROWS rows is written as it is stepped,
+    # in this process: its 20001 rows (about 2.9 MB of text) are never held
+    monkeypatch.setattr(twist_map, "_PORTRAIT_ROWS", 1000)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    path = tmp_path / "portrait.csv"
+    peak = traced_peak(dump_phase_portrait_csv, small.system,
+                       [(0.2, 0.6), (0.7, 0.4)], 20000, path, 16)
+    assert path.read_text().count("\n") == 1 + 16 + 2 * 20001
+    assert peak <= 2**20
+
+
+def _refuse_fork():
+    raise AssertionError("os.fork called")
 
 
 def test_diffusion_reads_the_height_its_step_computed(small):
