@@ -138,11 +138,14 @@ def _manifold_checks(built: BuiltSystem, rb: ReportBuilder):
 
 
 def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
+    """verify's checks in eight independent blocks, each on a builder of its
+    own, shared out by fork_map; the entries and wall time of each block are
+    replayed into rb in block order, so the report is one process's."""
     cfg = built.cfg
     sysm, seqs, g, table = built.system, built.seqs, built.g, built.table
     v, p = cfg["verify"], cfg["params"]
 
-    with rb.timed("invariance"):
+    def invariance(rb):
         inv = sysm.verify_invariant_curve(v["invariance_samples"], seed=p["seed"])
         rb.check_leq("invariance_residual", inv["max_residual"],
                      BOUNDS["invariance_residual"])
@@ -151,7 +154,7 @@ def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
         rb.check_leq("invariance_residual_translated", invt["max_residual"],
                      BOUNDS["invariance_residual"])
 
-    with rb.timed("rotation"):
+    def rotation(rb):
         n = v["rotation_n"]
         worst = 0.0
         for x0 in parse_float_list(v["rotation_starts"]):
@@ -159,15 +162,15 @@ def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
         rb.check_leq("rotation_number_gap_times_n", worst * n,
                      BOUNDS["rotation_number_gap_times_n"], detail={"n": n})
 
-    _estimate_checks(built, rb)
+    def estimates(rb):
+        _estimate_checks(built, rb)
+        # zero-seed oracle: sweeping from alpha1 = alpha0 = 0 reproduces K
+        beta0 = seqs.K_arr[1:] + sweep_alphas(seqs.K_arr.tolist(), seqs.M, 0.0, 0.0)
+        rb.check_leq("zero_seed_fixed_point",
+                     float(np.max(np.abs(beta0 - seqs.K_arr[1:]))),
+                     BOUNDS["zero_seed_drift"])
 
-    # zero-seed oracle: sweeping from alpha1 = alpha0 = 0 reproduces K
-    beta0 = seqs.K_arr[1:] + sweep_alphas(seqs.K_arr.tolist(), seqs.M, 0.0, 0.0)
-    rb.check_leq("zero_seed_fixed_point",
-                 float(np.max(np.abs(beta0 - seqs.K_arr[1:]))),
-                 BOUNDS["zero_seed_drift"])
-
-    with rb.timed("linearity"):
+    def linearity(rb):
         lin = sysm.phi_linearity_check()
         rb.check_leq("phi_fit_deviation", lin["max_fit_deviation"],
                      BOUNDS["phi_fit_deviation"])
@@ -176,18 +179,18 @@ def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
         rb.check_leq("phi_local_offset_k1", lin["local_offset_dev_k1"],
                      BOUNDS["phi_fit_deviation"])
 
-    with rb.timed("manifolds"):
+    def manifolds(rb):
         _manifold_checks(built, rb)
 
-    with rb.timed("jumps"):
-        *_, jumps = derivative_jump_table(g)
+    def jumps(rb):
+        *_, found = derivative_jump_table(g)
         expected = np.where(g.local.plus, g.local.alpha, -g.local.alpha)
-        rb.check_leq("jump_match", float(np.max(np.abs(jumps - expected))),
+        rb.check_leq("jump_match", float(np.max(np.abs(found - expected))),
                      BOUNDS["jump_match"])
         sc = derivative_jump_scan(g, v["jump_scan_samples"], seed=p["seed"] + 2)
         rb.check_leq("jump_no_spurious", sc["max_offmid_jump"], BOUNDS["jump_detect"])
 
-    with rb.timed("structural"):
+    def structural(rb):
         rb.check_leq("roundtrip", sysm.roundtrip_check(v["roundtrip_samples"],
                                                        seed=p["seed"] + 3),
                      BOUNDS["roundtrip"])
@@ -205,18 +208,32 @@ def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
         rb.check_leq("phi_mean", abs(sysm.mean_check()),
                      seqs.residual_mass + BOUNDS["mean_budget_extra"])
 
-    j = SemiConjugacy(table)
-    mu = table.mu_of(np.arange(-table.M, table.M))
-    d = j.eval(g.lift_many(mu) % 1.0) - (j.eval(mu) + p["omega"])
-    rb.check_leq("semiconjugacy_midpoints", float(np.max(np.abs(d - np.round(d)))),
-                 BOUNDS["semiconjugacy"])
+    def wandering(rb):
+        j = SemiConjugacy(table)
+        mu = table.mu_of(np.arange(-table.M, table.M))
+        d = j.eval(g.lift_many(mu) % 1.0) - (j.eval(mu) + p["omega"])
+        rb.check_leq("semiconjugacy_midpoints", float(np.max(np.abs(d - np.round(d)))),
+                     BOUNDS["semiconjugacy"])
+        wr = wandering_interval_check(g, min(50, table.M))
+        rb.check_leq("wandering_forward", wr["max_endpoint_deviation_forward"],
+                     BOUNDS["wandering"])
+        rb.check_leq("wandering_backward", wr["max_endpoint_deviation_backward"],
+                     BOUNDS["wandering"])
+        rb.check_true("wandering_lengths_decreasing", wr["lengths_decreasing"])
 
-    wr = wandering_interval_check(g, min(50, table.M))
-    rb.check_leq("wandering_forward", wr["max_endpoint_deviation_forward"],
-                 BOUNDS["wandering"])
-    rb.check_leq("wandering_backward", wr["max_endpoint_deviation_backward"],
-                 BOUNDS["wandering"])
-    rb.check_true("wandering_lengths_decreasing", wr["lengths_decreasing"])
+    def run_block(block):
+        block_rb = ReportBuilder({})
+        with block_rb.timed(block.__name__):
+            block(block_rb)
+        return block_rb.checks, block_rb.timings
+
+    for checks, timings in fork_map(run_block, (
+            invariance, rotation, estimates, linearity,
+            manifolds, jumps, structural, wandering)):
+        for e in checks:
+            rb.add_check(e["name"], e["measured"], e["tolerance"], e["pass"],
+                         e.get("detail"))
+        rb.timings.update(timings)
 
 
 def _verify_rigid(built: BuiltSystem, rb: ReportBuilder) -> None:
@@ -324,9 +341,9 @@ def _diffusion(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
     else:
         theta0 = float(d["theta0"])
     thresholds = tuple(parse_float_list(d["thresholds"]))
-    probes = [diffusion_probe(built.system, theta0, off, d["n"],
-                              thresholds=thresholds)
-              for off in parse_float_list(d["offsets"])]
+    probes = fork_map(lambda off: diffusion_probe(built.system, theta0, off, d["n"],
+                                                  thresholds=thresholds),
+                      parse_float_list(d["offsets"]))
     rb.set_summary(probes=probes)
     for pr in probes:
         print(f"diffusion offset={pr['offset']:+.3e}: "

@@ -13,7 +13,7 @@ from denjoy_twist.cli import BuiltSystem, main
 from denjoy_twist.config import _SETTINGS, ConfigError, load_config, parse_float_list
 from denjoy_twist.profiles import calibrate_profiles
 from denjoy_twist.reporting import BOUNDS, deterministic_dump
-from denjoy_twist.sequences import build_sequences
+from denjoy_twist.sequences import ConstructionError, build_sequences
 
 FAST = ["--set", "params.M=32", "--set", "verify.rotation_n=500",
         "--set", "verify.invariance_samples=500",
@@ -314,8 +314,9 @@ DIFFUSION_DIGEST = ("392acdffc53afc0acf3343392cc2ac5b4db8b70034c4d5ba9e5e8dc907d
 # sha256 of every file a command writes, its report through
 # deterministic_dump and the other files as bytes: verify under FAST in full
 # (at M=32 and M=300) and in rigid-rotation mode, regularity at M=32 with
-# the large-C comparison, build at M=64, and portrait at M=32 (4 orbits x 100
-# steps) without and with the jump profiles exchanged
+# the large-C comparison, build at M=64, portrait at M=32 (4 orbits x 100
+# steps) without and with the jump profiles exchanged, and diffusion as
+# DIFFUSION_DIGEST pins it
 PORTRAIT = ["portrait", "--set", "params.M=32", "--set", "portrait.orbits=4",
             "--set", "portrait.steps=100"]
 OUTPUT_DIGESTS = {
@@ -364,6 +365,8 @@ OUTPUT_DIGESTS = {
         "portrait.csv": "2868f5ab46b38d41546976d2988cd7a6e798c5d198eb1245d64671ba76b6a701"}),
     "portrait_swap": (PORTRAIT + ["--set", "params.swap_gamma=true"], {
         "portrait.csv": "a94fb5be6effc5969f427f2477e23ed90c3f887c1b7a78c45511543004651661"}),
+    "diffusion": (["diffusion", "--set", "params.M=16", "--set", "diffusion.n=2000"], {
+        "diffusion.json": DIFFUSION_DIGEST[1]}),
 }
 
 
@@ -379,16 +382,42 @@ def _assert_outputs_pinned(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
 def test_outputs_byte_identical(tmp_path, name):
-    # at the machine's own affinity: build, portrait and regularity share
-    # their work out over every CPU the process may use
+    # at the machine's own affinity: every command but rigid-rotation verify
+    # shares its work out over every CPU the process may use
     _assert_outputs_pinned(tmp_path, name)
 
 
-@pytest.mark.parametrize("name", sorted(n for n in OUTPUT_DIGESTS if n.startswith(
-    ("build", "portrait", "regularity"))))
+@pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
 def test_outputs_byte_identical_on_one_cpu(tmp_path, one_cpu, name):
     # the same pins where fork_map forks nothing
     _assert_outputs_pinned(tmp_path, name)
+
+
+@pytest.mark.parametrize("name", ["diffusion", "verify", "verify_blocks",
+                                  "verify_rigid"])
+def test_verify_and_diffusion_pinned_on_two_cpus(tmp_path, monkeypatch, name):
+    # verify's check blocks and diffusion's probes shared over two CPUs
+    # whatever the machine has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _assert_outputs_pinned(tmp_path, name)
+
+
+@pytest.mark.parametrize("exc", [ValueError, ConstructionError])
+def test_failing_verify_block_exits_2_by_name(tmp_path, capsys, monkeypatch, exc):
+    # on two CPUs the wandering block runs in the child's share: its error
+    # reaches the CLI as the parent's own, and the child is reaped
+    parent = os.getpid()
+
+    def refuse(*args):
+        raise exc("boom" if os.getpid() != parent else "ran in the parent")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "wandering_interval_check", refuse)
+    assert run(["verify"] + FAST, tmp_path, "v") == 2
+    err = capsys.readouterr().err
+    assert err == "error: boom\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("rows", [1, 101, 202])

@@ -42,10 +42,11 @@ _RUNS = [
 ]
 
 
-def test_every_setting_is_read(tmp_path, monkeypatch):
+def test_every_setting_is_read(tmp_path, monkeypatch, one_cpu):
     # the six commands on small sizes; load_config's own value checks and the
     # report's config echo are not reads, as they run before or beside the
-    # recording (the echo iterates items)
+    # recording (the echo iterates items); on one CPU, since a read in a
+    # child of fork_map is recorded in the child
     seen = set()
 
     def recording(*args):
@@ -65,9 +66,9 @@ def test_every_setting_is_read(tmp_path, monkeypatch):
     assert not unread, f"settings no command reads: {sorted(unread)}"
 
 
-def test_every_bound_is_read(tmp_path, monkeypatch):
+def test_every_bound_is_read(tmp_path, monkeypatch, one_cpu):
     # the six commands and rigid-rotation verify, with every module's binding
-    # of the bound table recording its reads
+    # of the bound table recording its reads, on one CPU as above
     seen = set()
     recording = _Recording("bounds", BOUNDS, seen)
     for name, module in list(sys.modules.items()):
