@@ -37,14 +37,14 @@ import numpy as np
 
 from .draws import default_rng
 from .layout import GapTable, circle_delta
-from .profiles import _ANTI, _TABLE_PANELS, ProfileSet, profile_eval
+from .profiles import _ANTI, _TABLE_PANELS, ProfileSet, _float_read, profile_eval
 from .sequences import ConstructionError
 
 _NOT_GAP = 10**9   # the gap k of a piece that is not a gap
 
 _INVERT_REL_TOL = 1e-14
 _INVERT_MAX_ITER = 200
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 _BREAKS = np.array([0.0, 0.375, 0.5, 0.625, 1.0])   # breakpoints of h_k, in s
 _BP_BLOCK = 2**11   # gaps per array pass over the family at build
 
@@ -145,14 +145,19 @@ class LocalDiffeo:
 
     def _h(self, u, cols, orders, side=None):
         """h_k or h_k' at u for each profile order of orders ("antiderivative"
-        or 0), from one profile_eval per profile, with the gap columns cols of
-        _cols; gamma_minus is gamma_plus reflected."""
+        or 0), from one read per profile, with the gap columns cols of _cols;
+        gamma_minus is gamma_plus reflected. A Python float u in one gap
+        reads the profiles on the float route."""
         ell, K, alpha, minus = cols
-        if not isinstance(u, float):
+        if isinstance(u, float) and isinstance(minus, bool):
+            s = u / ell
+            es = _float_read(self.eta, s, orders)
+            gs = _float_read(self.gamma_plus, s, orders, side, minus)
+        else:
             u = np.asarray(u, dtype=float)
-        s = u / ell
-        es = profile_eval(self.eta, s, orders)
-        gs = profile_eval(self.gamma_plus, s, orders, side=side, reflect=minus)
+            s = u / ell
+            es = profile_eval(self.eta, s, orders)
+            gs = profile_eval(self.gamma_plus, s, orders, side=side, reflect=minus)
         return [u + K * ell * e + alpha * ell * g if o == _ANTI else
                 1.0 + K * e + alpha * g for o, e, g in zip(orders, es, gs)]
 
@@ -213,19 +218,20 @@ class LocalDiffeo:
         """invert at one point on Python floats: the array route's range
         check, clip, closed form and Newton iterates, step for step."""
         j = k + self.M
-        vs = [0.0, *self._bp_v[j].tolist()]
+        v1, v2, v3, v4 = self._bp_v[j].tolist()   # h_k(0) is 0.0, not stored
         tol = _INVERT_REL_TOL * self.ell_next.item(j)
         slack = tol + 8.0 * _EPS
-        if v < -slack or v > vs[4] + slack:
+        if v < -slack or v > v4 + slack:
             raise ValueError(f"inverse argument outside [0, ell_{k + 1}]")
-        v = 0.0 if v <= 0.0 else min(v, vs[4])   # np.clip: -0.0 to 0.0, NaN kept
+        v = 0.0 if v <= 0.0 else v4 if v4 < v else v   # np.clip: -0.0 to 0.0, NaN kept
         ell, K, alpha, minus = cols = self._cols(k)
-        if not (v < vs[1] or v > vs[3]):   # the linear pieces, or NaN
-            slope = 1.0 + K + (alpha if (v > vs[2]) != minus else 0.0)
+        if not (v < v1 or v > v3):   # the linear pieces, or NaN
+            slope = 1.0 + K + (alpha if (v > v2) != minus else 0.0)
             return (v - (0.0 if slope == 1.0 + K else -alpha * ell / 2.0)) / slope
-        a, b = (0, 1) if v < vs[1] else (3, 4)
+        # the shoulder's bracket, breakpoints 0, 1 or 3, 4, and their images
+        a, b, lo_v, hi_v = (0, 1, 0.0, v1) if v < v1 else (3, 4, v3, v4)
         lo, hi = ell * _BREAKS.item(a), ell * _BREAKS.item(b)
-        u = lo + (hi - lo) * (v - vs[a]) / (vs[b] - vs[a])
+        u = lo + (hi - lo) * (v - lo_v) / (hi_v - lo_v)
         for _ in range(_INVERT_MAX_ITER):
             f, d = self._h(u, cols, (_ANTI, 0))
             f = f - v
@@ -417,18 +423,21 @@ class CircleHomeo:
         fr = x - n
         x_lo, y_lo, slope, gap_k = self._columns
         i = bisect.bisect_right(x_lo, fr) - 1
-        if gap_k[i] == _NOT_GAP:
+        k = gap_k[i]
+        if k == _NOT_GAP:
             return n + (y_lo[i] + slope[i] * (fr - x_lo[i]))
-        return n + (y_lo[i] + self.local.value(fr - x_lo[i], gap_k[i]))
+        return n + (y_lo[i] + self.local.value(fr - x_lo[i], k))
 
     def inverse_lift(self, y: float) -> float:
         m = math.floor(y - self.y_start)
         yf = y - m
         x_lo, y_lo, slope, gap_k = self._columns
-        i = min(bisect.bisect_right(y_lo, yf) - 1, self.n_pieces - 1)
-        if gap_k[i] == _NOT_GAP:
+        # y_lo's last entry closes the last piece: the search stops before it
+        i = bisect.bisect_right(y_lo, yf, 0, self.n_pieces) - 1
+        k = gap_k[i]
+        if k == _NOT_GAP:
             return (x_lo[i] + (yf - y_lo[i]) / slope[i]) + m
-        return (x_lo[i] + self.local.invert(yf - y_lo[i], gap_k[i])) + m
+        return (x_lo[i] + self.local.invert(yf - y_lo[i], k)) + m
 
     def lift_many(self, xs) -> np.ndarray:
         """Vectorized lift: affine pieces inline, all gap points in one call."""

@@ -341,9 +341,19 @@ def _diffusion(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
     else:
         theta0 = float(d["theta0"])
     thresholds = tuple(parse_float_list(d["thresholds"]))
-    probes = fork_map(lambda off: diffusion_probe(built.system, theta0, off, d["n"],
-                                                  thresholds=thresholds),
-                      parse_float_list(d["offsets"]))
+
+    def run_probe(job):
+        # timed in the share that runs it, replayed in offset order
+        i, off = job
+        timings = {}
+        with timed(timings, f"probe_{i}"):
+            probe = diffusion_probe(built.system, theta0, off, d["n"], thresholds=thresholds)
+        return probe, timings
+
+    probes = []
+    for probe, timings in fork_map(run_probe, enumerate(parse_float_list(d["offsets"]))):
+        probes.append(probe)
+        rb.timings.update(timings)
     rb.set_summary(probes=probes)
     for pr in probes:
         print(f"diffusion offset={pr['offset']:+.3e}: "

@@ -22,8 +22,12 @@ The n-th derivative carries the chain factor gain * scale^n. A mirrored point
 negates the first derivative, and its antiderivative is F(1) - F(1 - t), with
 F(1) = 2 (Ms + c Mb) / 8 + 1/4 for eta and -0.0 for the gamma pair. At t = 1/2
 the gamma profiles take the piece on the side asked for. NaN gives NaN.
-A Python float t is read on Python floats but for numpy's exp and pow: the
-array route's bits without numpy's per-call cost on a one-point array.
+A Python float t takes the float route: its row is found once, by bisect,
+and read from constants fixed at calibration (the chain factors, base,
+offset and mirror flag of each row), on Python floats but for numpy's exp
+and pow and the one coefficient block of the kernel table it reads, in
+place: the array route's bits without numpy's per-call cost on a one-point
+array.
 Plateaus and zero regions are exact by construction, which downstream code
 relies on for the piecewise-linear identities; TS and TB are dense cubic
 Hermite tables whose slopes are S and B sampled exactly.
@@ -32,6 +36,7 @@ Hermite tables whose slopes are S and B sampled exactly.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 
@@ -48,6 +53,9 @@ class OneSidedLimitRequired(ValueError):
     """Derivative queried exactly at the jump point without a side flag: the
     gamma profiles carry distinct one-sided data at 1/2, so the caller must
     pick side="left" or side="right"."""
+
+
+_ONE_SIDED = "gamma derivative at t = 1/2 is one-sided; pass side="
 
 
 # --- smooth step and bump kernels -------------------------------------------
@@ -158,8 +166,10 @@ class _HermiteTable:
     A call gives a row per curve, from one index and one take."""
 
     def __init__(self, coef):
-        # coef[curve, j, i] multiplies (x - x_i)^(3 - j) on interval i
+        # coef[curve, j, i] multiplies (x - x_i)^(3 - j) on interval i;
+        # by_interval[i] is interval i's [curve, j] block, a view
         self.coef = coef
+        self.by_interval = np.moveaxis(coef, -1, 0)
         self.n = coef.shape[-1]
 
     def curve(self, c):
@@ -172,11 +182,17 @@ class _HermiteTable:
         # [0, n - 1] and truncated is the interval a search of the nodes would
         # find; the clamp sends NaN to the last interval (fmin drops it),
         # where it stays NaN through the power sum. A Python float gives a
-        # list of floats, read from the coefficients in place.
+        # list of floats, read from the coefficients in place, with
+        # _power_sum's operations.
         if isinstance(v, float):
-            nv = self.n * v
-            i = int(nv) if 0 <= nv < self.n - 1 else 0 if nv < 0 else self.n - 1
-            return [_power_sum(v - i / self.n, *c) for c in self.coef[:, :, i].tolist()]
+            n = self.n
+            nv = n * v
+            i = int(nv) if 0 <= nv < n - 1 else 0 if nv < 0 else n - 1
+            s = v - i / n
+            ss = s * s
+            sss = ss * s
+            return [((c3 + c2 * s) + c1 * ss) + c0 * sss
+                    for c0, c1, c2, c3 in self.by_interval[i].tolist()]
         v = np.asarray(v, dtype=float)
         i = np.fmax(np.fmin(self.n * v, self.n - 1), 0).astype(np.intp)
         return _power_sum(v - i / self.n, *np.take(self.coef, i, axis=-1).swapaxes(0, 1))
@@ -211,16 +227,14 @@ def _cumulative_table(kernels, n_panels=_TABLE_PANELS):
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     cum = np.zeros((len(kernels), n_panels + 1))
     for row, f in zip(cum, kernels):
-        # Neumaier compensated running sum, on Python floats: keeps node
-        # values within one ulp.
-        s = comp = 0.0
-        sums = [0.0]
-        for term in _panel_integrals(f, _GL_ORDER, n_panels).tolist():
-            t = s + term
-            comp += (s - t) + term if abs(s) >= abs(term) else (term - t) + s
-            s = t
-            sums.append(s + comp)
-        row[:] = sums
+        # Neumaier compensated running sum: keeps node values within one
+        # ulp. np.cumsum adds in sequence, each sum from 0.0, so the running
+        # sums s and compensations are those of the loop term by term
+        terms = _panel_integrals(f, _GL_ORDER, n_panels)
+        s = np.cumsum(np.append(0.0, terms))
+        prev, t = s[:-1], s[1:]
+        err = np.where(np.abs(prev) >= np.abs(terms), (prev - t) + terms, (terms - t) + prev)
+        row[1:] = t + np.cumsum(np.append(0.0, err))[1:]
     d = np.array([f(edges) for f in kernels])
     dx = np.diff(edges)
     slope = np.diff(cum) / dx
@@ -285,6 +299,18 @@ class _Piece:
         return out
 
 
+def _float_row(pc: _Piece) -> tuple:
+    """The constants a float read of row pc needs, fixed once: its mirror
+    flag, scale and shift; its (at most two) terms as kernel, coefficient,
+    kernel, coefficient, a missing kernel None; its antiderivative row; the
+    chain factors gain * scale^n of orders 0, 1, 2 and gain / scale of the
+    antiderivative; its base and offset."""
+    (f0, c0), (f1, c1) = pc.terms + ((None, 0.0),) * (2 - len(pc.terms))
+    return (pc.mirror, pc.scale, pc.shift, f0, c0, f1, c1, pc.antis,
+            (*(pc.gain * pc.scale**n for n in (0, 1, 2)), pc.gain / pc.scale),
+            pc.base, pc.offset)
+
+
 @dataclass(frozen=True)
 class PlateauProfile:
     """One calibrated profile with exact plateau/zero regions: a piece table.
@@ -295,13 +321,16 @@ class PlateauProfile:
     pieces: tuple = field(repr=False)
     anti_one: float = -0.0         # the antiderivative at t = 1
     jump: float | None = None      # the x where side= picks the row, if any
-    # the row starts: a tuple for bisect, and a column for the array route
+    # the row starts: a tuple for bisect, and a column for the array route;
+    # each row's constants for the float route (_float_row)
     los: tuple = field(init=False, repr=False, compare=False)
     starts: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "los", tuple(float(pc.lo) for pc in self.pieces))
         object.__setattr__(self, "starts", np.array(self.los)[:, None])
+        object.__setattr__(self, "rows", tuple(map(_float_row, self.pieces)))
 
 
 @dataclass(frozen=True)
@@ -372,9 +401,43 @@ def calibrate_profiles(quadrature_tolerance: float | None = None) -> ProfileSet:
     return ProfileSet(eta, gp, step_mass, bump_mass, achieved)
 
 
+def _float_read(p: PlateauProfile, t, orders, side=None, reflect=False):
+    """profile_eval at a Python float t with a bool reflect, the arguments
+    checked: a list of Python floats, one per order, the array route's
+    bits. The row is found once, by bisect, and read from its _float_row
+    constants with _Piece.eval's and _row's operations in their order; a
+    factor 1 and a zero base, which those skip, change no bit."""
+    x = 1.0 - t if reflect else t
+    n = bisect.bisect_right(p.los, x) if x == x else 0   # a NaN is in slot 0
+    if x == p.jump:
+        if side is not None:
+            n += reflect != (side == "right")   # the jump closes the row on its left
+        elif 1 in orders or 2 in orders:
+            raise OneSidedLimitRequired(_ONE_SIDED)
+    if not n:
+        return [math.nan] * len(orders)
+    mirror, scale, shift, f0, c0, f1, c1, antis, chain, base, offset = p.rows[n - 1]
+    flip = mirror != reflect   # a mirror image: slope negated, antiderivative from 1
+    if f0 is None:   # a zero row
+        return [(-0.0 if o == 1 else p.anti_one if o == _ANTI else 0.0) if flip else 0.0
+                for o in orders]
+    s = scale * ((1.0 - x if mirror else x) - shift)
+    out = []
+    for o in orders:
+        if o == _ANTI:
+            v = antis(s)
+            w = chain[3] * ((c0 * v[0] if f1 is None else c0 * v[0] + c1 * v[1]) - base)
+            w = offset + w if offset else w
+            out.append(p.anti_one - w if flip else w)
+        else:
+            w = chain[o] * (c0 * f0(s, o) if f1 is None else c0 * f0(s, o) + c1 * f1(s, o))
+            out.append(-w if flip and o == 1 else w)
+    return out
+
+
 def _row(p: PlateauProfile, slot, m, x, orders):
-    """Row slot of p (0: none, NaN) at x read with mirror flag m, a result
-    per order; a mirror image negates the slope and integrates from 1."""
+    """Row slot of p (0: none, NaN) at points x read with mirror flag m, a
+    result per order; a mirror image negates the slope and integrates from 1."""
     pc = p.pieces[slot - 1] if slot else None
     if pc is None:
         return [np.nan] * len(orders)
@@ -403,39 +466,33 @@ def profile_eval(p: PlateauProfile, t, order=0, side=None, reflect=False):
         raise ValueError(f"order must be one of {_ORDERS} or a tuple of them")
     if side not in (None, "left", "right"):
         raise ValueError("side must be None, 'left' or 'right'")
-    scalar = isinstance(t, float) and isinstance(reflect, bool)
-    if scalar:
-        x = 1.0 - float(t) if reflect else float(t)
-        # the row count at or below x; a NaN is in slot 0
-        n_at = bisect.bisect_right(p.los, x) if x == x else 0
-    else:
-        t = np.asarray(t, dtype=float)
-        x = t.ravel()
-        # x = 1 - t where the read is reflected: one bool when all flags agree
-        if isinstance(reflect, np.ndarray):
-            reflect = np.broadcast_to(reflect, t.shape).ravel()
-            some = reflect.any()
-            if not some or reflect.all():
-                reflect = bool(some)
-        per_point = isinstance(reflect, np.ndarray)
-        if per_point:
-            x = np.where(reflect, 1.0 - x, x)
-        elif reflect:
-            x = 1.0 - x
-        # x is in row n_at - 1, n_at the count of starts at or below x: for so
-        # few starts many times faster than np.searchsorted. A NaN is at or
-        # above none and stays NaN in slot 0.
-        n_at = np.add.reduce(p.starts <= x, axis=0, dtype=np.uint8)
+    if isinstance(t, float) and isinstance(reflect, bool):
+        outs = _float_read(p, float(t), orders, side, reflect)
+        return tuple(outs) if isinstance(order, tuple) else outs[0]
+    t = np.asarray(t, dtype=float)
+    x = t.ravel()
+    # x = 1 - t where the read is reflected: one bool when all flags agree
+    if isinstance(reflect, np.ndarray):
+        reflect = np.broadcast_to(reflect, t.shape).ravel()
+        some = reflect.any()
+        if not some or reflect.all():
+            reflect = bool(some)
+    per_point = isinstance(reflect, np.ndarray)
+    if per_point:
+        x = np.where(reflect, 1.0 - x, x)
+    elif reflect:
+        x = 1.0 - x
+    # x is in row n_at - 1, n_at the count of starts at or below x: for so
+    # few starts many times faster than np.searchsorted. A NaN is at or
+    # above none and stays NaN in slot 0.
+    n_at = np.add.reduce(p.starts <= x, axis=0, dtype=np.uint8)
     if p.jump is not None:
         at_jump = x == p.jump
         if side is not None:
             # the jump closes the row on its left
             n_at += at_jump & (reflect != (side == "right"))
         elif (1 in orders or 2 in orders) and np.any(at_jump):
-            raise OneSidedLimitRequired("gamma derivative at t = 1/2 is one-sided; pass side=")
-    if scalar:
-        outs = _row(p, n_at, reflect, x, orders)
-        return tuple(outs) if isinstance(order, tuple) else outs[0]
+            raise OneSidedLimitRequired(_ONE_SIDED)
     # a group per slot, or per slot and flag (key 2 slot + flag) where the
     # flags differ per point: each group takes one mirror transform
     if per_point:

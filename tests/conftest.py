@@ -31,6 +31,12 @@ def small(profiles):
 
 
 @pytest.fixture(scope="session")
+def m16(profiles):
+    """The smallest truncation the CLI tests run."""
+    return Built(SeqParams(truncation_M=16), profiles)
+
+
+@pytest.fixture(scope="session")
 def desk(profiles):
     """The default desk-scale configuration (acceptance scale)."""
     return Built(SeqParams(), profiles)

@@ -464,13 +464,17 @@ def test_construction_working_set(bench_build, profiles, traced_peak):
 def test_newton_one_profile_eval_per_profile_per_iteration(small, monkeypatch):
     # each Newton iteration reads eta and gamma_k once each, h_k and h_k'
     # from the one call: so the calls pair up (eta, gamma) at the same
-    # points, both ask for both orders, and each pair sees new iterates
+    # points, both ask for both orders, and each pair sees new iterates.
+    # Array points read through profile_eval, a Python float through the
+    # float route's reader: both are counted
     import denjoy_twist.circle_map as cm
-    real, calls = cm.profile_eval, []
+    calls = []
 
-    def counted(p, t, order=0, side=None, reflect=False):
-        calls.append((p.kind, np.array(t, dtype=float), order))
-        return real(p, t, order, side=side, reflect=reflect)
+    def counting(real):
+        def counted(p, t, order=0, side=None, reflect=False):
+            calls.append((p.kind, np.array(t, dtype=float), order))
+            return real(p, t, order, side, reflect)
+        return counted
 
     h = small.g.local
     ks = np.arange(-small.g.M, small.g.M)
@@ -479,10 +483,11 @@ def test_newton_one_profile_eval_per_profile_per_iteration(small, monkeypatch):
     u = np.concatenate([0.3 * h.ell, 0.8 * h.ell])
     k = np.tile(ks, 2)
     for v, kk in ((h.value(u, k), k), (float(h.value(0.2 * h.ell[3], 3 - small.g.M)), 3 - small.g.M)):
-        monkeypatch.setattr(cm, "profile_eval", counted)
-        calls.clear()
-        h.invert(v, kk)
-        monkeypatch.setattr(cm, "profile_eval", real)
+        with monkeypatch.context() as m:
+            for name in ("profile_eval", "_float_read"):
+                m.setattr(cm, name, counting(getattr(cm, name)))
+            calls.clear()
+            h.invert(v, kk)
         assert [c[0] for c in calls] == ["eta", "gamma_plus"] * (len(calls) // 2)
         for (_, s_eta, o_eta), (_, s_gamma, o_gamma) in zip(calls[::2], calls[1::2]):
             assert o_eta == o_gamma == ("antiderivative", 0)
@@ -517,19 +522,24 @@ def _same(a, b):
         a[~np.isnan(a)].view(np.int64), b[~np.isnan(b)].view(np.int64))
 
 
-@pytest.mark.parametrize("bundle", ["small", "swapped"])
+@pytest.mark.parametrize("bundle", ["small", "swapped", "m16"])
 def test_float_route_bitwise_equals_array_route(bundle, request):
-    # a Python float with an int gap is read on floats: value, both one-sided
-    # derivatives and the inverse at each breakpoint of h_k +-1 ulp, in u and
-    # in v, give the array route's bits, as Python floats; NaN gives NaN
+    # a Python float with an int gap is read on floats: at every gap, value,
+    # both one-sided derivatives and the inverse at each breakpoint of h_k
+    # +-1 ulp and at 16 seeded points, in u and in v, give the array route's
+    # bits, as Python floats; NaN gives NaN. "swapped" reads gamma_minus
+    # where the others read gamma_plus
     from denjoy_twist.circle_map import _BREAKS
     h = request.getfixturevalue(bundle).g.local
     M = h.M
-    for k in (-M, -1, 0, 1, M - 1):
+    rng = np.random.default_rng(23)
+    for k in range(-M, M):
         u = h.ell[k + M] * _BREAKS
-        u = np.concatenate([u, np.nextafter(u, -np.inf), np.nextafter(u, np.inf), [np.nan]])
+        u = np.concatenate([u, np.nextafter(u, -np.inf), np.nextafter(u, np.inf),
+                            h.ell[k + M] * rng.random(16), [np.nan]])
         v = np.append(0.0, h._bp_v[k + M])   # h_k(0) is 0.0, not stored
-        v = np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf), [np.nan]])
+        v = np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf),
+                            h._bp_v[k + M, 3] * rng.random(16), [np.nan]])
         ks = np.full(u.size, k)
         for f, x, kw in ((h.value, u, {}), (h.deriv, u, {}), (h.deriv, u, {"side": "left"}),
                          (h.deriv, u, {"side": "right"}), (h.invert, v, {})):

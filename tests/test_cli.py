@@ -176,6 +176,20 @@ def test_build_timings_split_by_layer(tmp_path):
     assert sum(timings[name] for name in layers) <= timings["build"]
 
 
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
+def test_diffusion_times_each_probe(tmp_path, monkeypatch, cpus):
+    # each probe is timed in the share that ran it, one key per offset in
+    # offset order, beside the build's; the deterministic dump leaves them out
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert run(["diffusion", "--set", "params.M=16", "--set", "diffusion.n=100",
+                "--set", "diffusion.offsets=-1e-3,1e-3,2e-3"], tmp_path, "d") == 0
+    rep = json.loads((tmp_path / "d" / "diffusion.json").read_text())
+    probes = [name for name in rep["timings"] if name.startswith("probe")]
+    assert probes == ["probe_0", "probe_1", "probe_2"]
+    assert all(rep["timings"][name] > 0.0 for name in probes)
+    assert "probe_0" not in deterministic_dump(rep)
+
+
 @pytest.mark.parametrize("command, message", [
     ("regularity", "regularity scan requires mode=full"),
     ("manifolds", "manifold checks require mode=full"),

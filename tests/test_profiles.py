@@ -410,16 +410,20 @@ def _same(a, b):
 @pytest.mark.parametrize("reflect", [False, True])
 def test_scalar_route_bitwise_equals_array_route(profiles, kind, reflect):
     # a Python float t with a bool reflect is read on floats; every order and
-    # two combined ones, every side, at each row start +-1 ulp, 0, 1/2, 1,
-    # NaN and seeded points give the array route's bits and Python floats
+    # three combined ones, every side, at each row start +-1 ulp, 0, 1/2, 1,
+    # NaN, 64 seeded points in each row and seeded points beyond [0, 1]
+    # give the array route's bits and Python floats
     from denjoy_twist.profiles import OneSidedLimitRequired
     p = getattr(profiles, kind)
     starts = np.array([pc.lo for pc in p.pieces[1:]])
+    rng = np.random.default_rng(19)
+    rows = np.concatenate([[-0.1], starts, [1.1]])
     t = np.concatenate([starts, np.nextafter(starts, -np.inf), np.nextafter(starts, np.inf),
-                        [0.0, 0.5, 1.0, np.nan],
-                        np.random.default_rng(19).uniform(-0.1, 1.1, 200)])
+                        [0.0, 0.5, 1.0, np.nan], rng.uniform(-0.1, 1.1, 200),
+                        *(rng.uniform(lo, hi, 64) for lo, hi in zip(rows, rows[1:]))])
     t = np.concatenate([t, 1.0 - t]) if reflect else t
-    for order in (0, 1, 2, "antiderivative", ("antiderivative", 0), (1, 0)):
+    for order in (0, 1, 2, "antiderivative", ("antiderivative",), ("antiderivative", 0),
+                  (1, 0)):
         for side in (None, "left", "right"):
             def scalar(x):
                 try:
@@ -442,6 +446,65 @@ def test_scalar_route_bitwise_equals_array_route(profiles, kind, reflect):
             for g, a in zip(got, arr):
                 assert all(type(v) is float for v in g)
                 assert _same(g, a), (order, side)
+
+
+@pytest.mark.parametrize("kind", ["eta", "gamma_plus"])
+@pytest.mark.parametrize("reflect", [False, True])
+def test_scalar_route_bitwise_at_every_hermite_node(profiles, kind, reflect):
+    # each row read through a kernel table, at the t of every node i/4096 of
+    # the table and one ulp either side: the antiderivative alone and with
+    # the value, on floats, are the array route's bits
+    from denjoy_twist.profiles import _HermiteTable
+    p = getattr(profiles, kind)
+    nodes = np.arange(_TABLE_PANELS + 1) / _TABLE_PANELS
+    x = np.concatenate([pc.shift + nodes / pc.scale for pc in p.pieces
+                        if isinstance(pc.antis, _HermiteTable)])
+    x = np.concatenate([x, 1.0 - x])   # the mirrored rows too
+    x = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+    t = 1.0 - x if reflect else x
+    for order in ("antiderivative", ("antiderivative", 0)):
+        got = [profile_eval(p, v, order, reflect=reflect) for v in t.tolist()]
+        arr = profile_eval(p, t, order, reflect=reflect)
+        got, arr = (list(zip(*got)), arr) if isinstance(order, tuple) else ([got], [arr])
+        for g, a in zip(got, arr):
+            assert all(type(v) is float for v in g)
+            assert _same(g, a), order
+
+
+def _neumaier(terms):
+    """The compensated running sum of _cumulative_table on Python floats,
+    term by term: the oracle of its array form."""
+    s = comp = 0.0
+    sums = [0.0]
+    for term in terms:
+        t = s + term
+        comp += (s - t) + term if abs(s) >= abs(term) else (term - t) + s
+        s = t
+        sums.append(s + comp)
+    return sums
+
+
+@pytest.mark.parametrize("kernel", [smooth_step, bump, lambda x: np.sin(50.0 * x) * np.exp(10.0 * x)],
+                         ids=["smooth_step", "bump", "signed"])
+def test_cumulative_sum_bitwise_equals_python_loop(kernel):
+    # every node value and the mass are the Python loop's bits, for the two
+    # kernels and for a kernel of both signs whose running sum crosses zero,
+    # so both branches of the compensation are taken
+    from denjoy_twist.profiles import _GL_ORDER, _panel_integrals
+    table, (mass,) = _cumulative_table((kernel,))
+    sums = _neumaier(_panel_integrals(kernel, _GL_ORDER, _TABLE_PANELS).tolist())
+    assert _same(np.append(table.coef[0, 3], mass), sums)
+
+
+def test_calibration_retains_one_kernel_table(traced_retained):
+    # the calibrated profiles hold the one two-curve kernel table and a few
+    # KB of piece objects (5.9 KB on Python 3.11): no copy of a table, as a
+    # list or an array, per profile or per process
+    calibrate_profiles()   # imports and caches warmed
+    profiles, held = traced_retained(calibrate_profiles)
+    table = profiles.eta.pieces[1].antis.coef
+    assert table.nbytes == 2 * 4 * _TABLE_PANELS * 8
+    assert held - table.nbytes <= 8 * 1024
 
 
 def test_hermite_table_float_route():
