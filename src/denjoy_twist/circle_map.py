@@ -37,7 +37,8 @@ import numpy as np
 
 from .draws import default_rng
 from .layout import GapTable, circle_delta
-from .profiles import _ANTI, _TABLE_PANELS, ProfileSet, _float_read, profile_eval
+from .profiles import (_ANTI, _TABLE_PANELS, ProfileSet, _check_side, _read, _read_array,
+                       profile_eval)
 from .sequences import ConstructionError
 
 _NOT_GAP = 10**9   # the gap k of a piece that is not a gap
@@ -146,18 +147,17 @@ class LocalDiffeo:
     def _h(self, u, cols, orders, side=None):
         """h_k or h_k' at u for each profile order of orders ("antiderivative"
         or 0), from one read per profile, with the gap columns cols of _cols;
-        gamma_minus is gamma_plus reflected. A Python float u in one gap
-        reads the profiles on the float route."""
+        gamma_minus is gamma_plus reflected. The reader is picked once: a
+        Python float u in one gap is read by _read, anything else by
+        _read_array."""
         ell, K, alpha, minus = cols
         if isinstance(u, float) and isinstance(minus, bool):
-            s = u / ell
-            es = _float_read(self.eta, s, orders)
-            gs = _float_read(self.gamma_plus, s, orders, side, minus)
+            read = _read
         else:
-            u = np.asarray(u, dtype=float)
-            s = u / ell
-            es = profile_eval(self.eta, s, orders)
-            gs = profile_eval(self.gamma_plus, s, orders, side=side, reflect=minus)
+            read, u = _read_array, np.asarray(u, dtype=float)
+        s = u / ell
+        es = read(self.eta, s, orders)
+        gs = read(self.gamma_plus, s, orders, side, minus)
         return [u + K * ell * e + alpha * ell * g if o == _ANTI else
                 1.0 + K * e + alpha * g for o, e, g in zip(orders, es, gs)]
 
@@ -165,6 +165,7 @@ class LocalDiffeo:
         return self._h(u, self._cols(k), (_ANTI,))[0]
 
     def deriv(self, u, k, side=None):
+        _check_side(side)
         return self._h(u, self._cols(k), (0,), side)[0]
 
     def invert(self, v, k):
@@ -418,8 +419,11 @@ class CircleHomeo:
     # -- evaluation --------------------------------------------------------
 
     def lift(self, x: float) -> float:
-        """Continuous increasing lift with g~(x+1) = g~(x)+1 exactly."""
-        n = math.floor(x)
+        """Continuous increasing lift with g~(x+1) = g~(x)+1 exactly; NaN or inf gives NaN."""
+        try:
+            n = math.floor(x)
+        except (ValueError, OverflowError):
+            return x - x
         fr = x - n
         x_lo, y_lo, slope, gap_k = self._columns
         i = bisect.bisect_right(x_lo, fr) - 1
@@ -429,8 +433,16 @@ class CircleHomeo:
         return n + (y_lo[i] + self.local.value(fr - x_lo[i], k))
 
     def inverse_lift(self, y: float) -> float:
-        m = math.floor(y - self.y_start)
+        """The inverse of lift; NaN or inf gives NaN."""
+        y0 = self.y_start
+        try:
+            m = math.floor(y - y0)
+        except (ValueError, OverflowError):
+            return y - y
         yf = y - m
+        if yf < y0:   # y - y_start rounded up to the integer m
+            m -= 1
+            yf = y - m
         x_lo, y_lo, slope, gap_k = self._columns
         # y_lo's last entry closes the last piece: the search stops before it
         i = bisect.bisect_right(y_lo, yf, 0, self.n_pieces) - 1
@@ -458,6 +470,7 @@ class CircleHomeo:
         """Vectorized inverse lift: affine pieces inline, all gap points in one call."""
         ys = np.asarray(ys, dtype=float)
         ms = np.floor(ys - self.y_start)
+        ms -= ys - ms < self.y_start   # ys - y_start rounded up to the integer ms
         yf = ys - ms
         idx = np.minimum(np.searchsorted(self._y_lo, yf, side="right") - 1,
                          self.n_pieces - 1)
@@ -479,6 +492,7 @@ class CircleHomeo:
         call. side picks the one-sided limit at a gap midpoint and at a
         piece's left edge, where the left limit is the previous piece's.
         """
+        _check_side(side)
         fr = np.atleast_1d(x) % 1.0
         i = np.searchsorted(self._x_lo, fr, side="right") - 1
         u = fr - self._x_lo[i]

@@ -22,12 +22,13 @@ The n-th derivative carries the chain factor gain * scale^n. A mirrored point
 negates the first derivative, and its antiderivative is F(1) - F(1 - t), with
 F(1) = 2 (Ms + c Mb) / 8 + 1/4 for eta and -0.0 for the gamma pair. At t = 1/2
 the gamma profiles take the piece on the side asked for. NaN gives NaN.
-A Python float t takes the float route: its row is found once, by bisect,
-and read from constants fixed at calibration (the chain factors, base,
-offset and mirror flag of each row), on Python floats but for numpy's exp
-and pow and the one coefficient block of the kernel table it reads, in
-place: the array route's bits without numpy's per-call cost on a one-point
-array.
+One reader, _read, holds a row's arithmetic, on constants fixed at
+calibration (the chain factors, base, offset and mirror flag of each row).
+A Python float t finds its row by bisect and is read on Python floats but
+for numpy's exp and pow and the one coefficient block of the kernel table
+it reads, in place: no numpy per-call cost on a one-point array. An array
+is grouped by row and each group read by the same function, so both routes
+give the same bits.
 Plateaus and zero regions are exact by construction, which downstream code
 relies on for the piecewise-linear identities; TS and TB are dense cubic
 Hermite tables whose slopes are S and B sampled exactly.
@@ -266,10 +267,9 @@ _ONE, _ONE_ANTI = (lambda s, order: 0.0 if order else 1.0), (lambda s: (s,))
 
 @dataclass(frozen=True)
 class _Piece:
-    """A table row for x from lo up to the next row's lo, as the module
-    docstring has it; antiderivative offset + gain / scale * (sum(coeff *
-    F(s)) - base). A factor 1 and a zero offset or base are skipped: the same
-    floats, signed zeros included, in fewer array passes."""
+    """The calibration record of a table row for x from lo up to the next
+    row's lo, as the module docstring has it; antiderivative offset + gain /
+    scale * (sum(coeff * F(s)) - base). _read reads it from _constants."""
 
     lo: float
     mirror: bool = False
@@ -281,26 +281,9 @@ class _Piece:
     offset: float = 0.0
     base: float = 0.0
 
-    def eval(self, u, orders):
-        """The row at u (x, or 1 - x on a mirrored row), a result per order."""
-        s = self.scale * (u - self.shift)
-        out = []
-        for order in orders:
-            anti = order == _ANTI
-            vals = self.antis(s) if anti else [f(s, order) for f, _ in self.terms]
-            w = None
-            for v, (_, coeff) in zip(vals, self.terms):
-                v = v if coeff == 1.0 else coeff * v
-                w = v if w is None else w + v
-            k = self.gain / self.scale if anti else self.gain * self.scale**order
-            w = w - self.base if anti and self.base else w
-            w = w if k == 1.0 else k * w
-            out.append(self.offset + w if anti and self.offset else w)
-        return out
 
-
-def _float_row(pc: _Piece) -> tuple:
-    """The constants a float read of row pc needs, fixed once: its mirror
+def _constants(pc: _Piece) -> tuple:
+    """The constants a read of row pc needs, fixed once: its mirror
     flag, scale and shift; its (at most two) terms as kernel, coefficient,
     kernel, coefficient, a missing kernel None; its antiderivative row; the
     chain factors gain * scale^n of orders 0, 1, 2 and gain / scale of the
@@ -322,7 +305,7 @@ class PlateauProfile:
     anti_one: float = -0.0         # the antiderivative at t = 1
     jump: float | None = None      # the x where side= picks the row, if any
     # the row starts: a tuple for bisect, and a column for the array route;
-    # each row's constants for the float route (_float_row)
+    # each row's constants (_constants), which both routes read
     los: tuple = field(init=False, repr=False, compare=False)
     starts: np.ndarray = field(init=False, repr=False, compare=False)
     rows: tuple = field(init=False, repr=False, compare=False)
@@ -330,7 +313,7 @@ class PlateauProfile:
     def __post_init__(self):
         object.__setattr__(self, "los", tuple(float(pc.lo) for pc in self.pieces))
         object.__setattr__(self, "starts", np.array(self.los)[:, None])
-        object.__setattr__(self, "rows", tuple(map(_float_row, self.pieces)))
+        object.__setattr__(self, "rows", tuple(map(_constants, self.pieces)))
 
 
 @dataclass(frozen=True)
@@ -401,19 +384,23 @@ def calibrate_profiles(quadrature_tolerance: float | None = None) -> ProfileSet:
     return ProfileSet(eta, gp, step_mass, bump_mass, achieved)
 
 
-def _float_read(p: PlateauProfile, t, orders, side=None, reflect=False):
-    """profile_eval at a Python float t with a bool reflect, the arguments
-    checked: a list of Python floats, one per order, the array route's
-    bits. The row is found once, by bisect, and read from its _float_row
-    constants with _Piece.eval's and _row's operations in their order; a
-    factor 1 and a zero base, which those skip, change no bit."""
-    x = 1.0 - t if reflect else t
-    n = bisect.bisect_right(p.los, x) if x == x else 0   # a NaN is in slot 0
-    if x == p.jump:
-        if side is not None:
-            n += reflect != (side == "right")   # the jump closes the row on its left
-        elif 1 in orders or 2 in orders:
-            raise OneSidedLimitRequired(_ONE_SIDED)
+def _read(p: PlateauProfile, t, orders, side=None, reflect=False, n=None):
+    """The one body of a row's arithmetic: p at t from its rows constants, a
+    result per order. A Python float t (n None) finds its row by bisect and
+    takes the jump rule: Python floats. The array route passes each group of
+    points in, already reflected, with its row n (0: none, NaN) and flag
+    reflect: arrays, or scalars the group broadcasts. A mirror image negates
+    the slope and integrates from 1."""
+    if n is None:
+        x = 1.0 - t if reflect else t
+        n = bisect.bisect_right(p.los, x) if x == x else 0   # a NaN is in slot 0
+        if x == p.jump:
+            if side is not None:
+                n += reflect != (side == "right")   # the jump closes the row on its left
+            elif 1 in orders or 2 in orders:
+                raise OneSidedLimitRequired(_ONE_SIDED)
+    else:
+        x = t
     if not n:
         return [math.nan] * len(orders)
     mirror, scale, shift, f0, c0, f1, c1, antis, chain, base, offset = p.rows[n - 1]
@@ -427,7 +414,7 @@ def _float_read(p: PlateauProfile, t, orders, side=None, reflect=False):
         if o == _ANTI:
             v = antis(s)
             w = chain[3] * ((c0 * v[0] if f1 is None else c0 * v[0] + c1 * v[1]) - base)
-            w = offset + w if offset else w
+            w = offset + w if offset else w   # the skip keeps a zero's sign
             out.append(p.anti_one - w if flip else w)
         else:
             w = chain[o] * (c0 * f0(s, o) if f1 is None else c0 * f0(s, o) + c1 * f1(s, o))
@@ -435,40 +422,10 @@ def _float_read(p: PlateauProfile, t, orders, side=None, reflect=False):
     return out
 
 
-def _row(p: PlateauProfile, slot, m, x, orders):
-    """Row slot of p (0: none, NaN) at points x read with mirror flag m, a
-    result per order; a mirror image negates the slope and integrates from 1."""
-    pc = p.pieces[slot - 1] if slot else None
-    if pc is None:
-        return [np.nan] * len(orders)
-    vals = (pc.eval(1.0 - x if pc.mirror else x, orders) if pc.terms
-            else [0.0] * len(orders))
-    if pc.mirror == m:
-        return vals
-    return [-v if o == 1 else p.anti_one - v if o == _ANTI else v
-            for o, v in zip(orders, vals)]
-
-
-def profile_eval(p: PlateauProfile, t, order=0, side=None, reflect=False):
-    """Evaluate a profile, a derivative, or its antiderivative from 0.
-
-    order is one of 0, 1, 2 or "antiderivative", or a tuple of them for a
-    tuple of results from one row lookup. reflect, a bool or one per point
-    (broadcast against t), reads the profile mirrored where set, at 1 - t:
-    gamma_plus so read is gamma_minus. For the gamma profiles the point
-    t = 1/2 carries one-sided data only; pass side="left"/"right" to pick a
-    branch of the value there (derivative limits agree and are 0).
-    A Python float t with a bool reflect gives Python floats, bitwise those
-    of the array route.
-    """
-    orders = order if isinstance(order, tuple) else (order,)
-    if not orders or not _ORDER_SET.issuperset(orders):
-        raise ValueError(f"order must be one of {_ORDERS} or a tuple of them")
-    if side not in (None, "left", "right"):
-        raise ValueError("side must be None, 'left' or 'right'")
-    if isinstance(t, float) and isinstance(reflect, bool):
-        outs = _float_read(p, float(t), orders, side, reflect)
-        return tuple(outs) if isinstance(order, tuple) else outs[0]
+def _read_array(p: PlateauProfile, t, orders, side=None, reflect=False):
+    """profile_eval's array route, on checked arguments: the points grouped
+    by row, or by row and flag where reflect differs per point, each group
+    read by _read; a list of arrays shaped as t, of floats for a 0-d t."""
     t = np.asarray(t, dtype=float)
     x = t.ravel()
     # x = 1 - t where the read is reflected: one bool when all flags agree
@@ -501,16 +458,42 @@ def profile_eval(p: PlateauProfile, t, order=0, side=None, reflect=False):
                    (int(n_at.min(initial=255)), int(n_at.max(initial=0))))
     outs = [np.zeros(x.shape) for _ in orders]
     for k in range(first, last + 1):
-        slot, m = divmod(k, 2) if per_point else (k, reflect)
-        pc = p.pieces[slot - 1] if slot else None
-        # a zero row leaves out at +0.0 unless its mirror image changes it
-        if pc is None or pc.terms or pc.mirror != m:
-            ii = slice(None) if first == last else (n_at == k).nonzero()[0]
-            if first < last and not ii.size:
-                continue   # no point in this group
-            for out, v in zip(outs, _row(p, slot, m, x[ii], orders)):
-                out[ii] = v
-    outs = [float(out[0]) if t.ndim == 0 else out.reshape(t.shape) for out in outs]
+        n, m = divmod(k, 2) if per_point else (k, reflect)
+        if n and not p.pieces[n - 1].terms and p.pieces[n - 1].mirror == m:
+            continue   # a zero row leaves out at +0.0 unless its mirror image changes it
+        ii = slice(None) if first == last else (n_at == k).nonzero()[0]
+        if first < last and not ii.size:
+            continue   # no point in this group
+        for out, v in zip(outs, _read(p, x[ii], orders, side, m, n)):
+            out[ii] = v
+    return [float(out[0]) if t.ndim == 0 else out.reshape(t.shape) for out in outs]
+
+
+def _check_side(side):
+    if side not in (None, "left", "right"):
+        raise ValueError("side must be None, 'left' or 'right'")
+
+
+def profile_eval(p: PlateauProfile, t, order=0, side=None, reflect=False):
+    """Evaluate a profile, a derivative, or its antiderivative from 0.
+
+    order is one of 0, 1, 2 or "antiderivative", or a tuple of them for a
+    tuple of results from one row lookup. reflect, a bool or one per point
+    (broadcast against t), reads the profile mirrored where set, at 1 - t:
+    gamma_plus so read is gamma_minus. For the gamma profiles the point
+    t = 1/2 carries one-sided data only; pass side="left"/"right" to pick a
+    branch of the value there (derivative limits agree and are 0).
+    A Python float t with a bool reflect gives Python floats, bitwise those
+    of the array route.
+    """
+    orders = order if isinstance(order, tuple) else (order,)
+    if not orders or not _ORDER_SET.issuperset(orders):
+        raise ValueError(f"order must be one of {_ORDERS} or a tuple of them")
+    _check_side(side)
+    if isinstance(t, float) and isinstance(reflect, bool):
+        outs = _read(p, float(t), orders, side, reflect)
+    else:
+        outs = _read_array(p, t, orders, side, reflect)
     return tuple(outs) if isinstance(order, tuple) else outs[0]
 
 

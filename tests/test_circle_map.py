@@ -403,6 +403,22 @@ def test_derivative_side_at_global_midpoint(small):
         assert abs(jump - expected) <= 1e-13
 
 
+def test_derivative_refuses_an_unknown_side(small):
+    # side is None, "left" or "right" at every point: an affine piece, a
+    # gap's shoulder and midpoint, floats and arrays, g and the h_k family
+    g, h, tb = small.g, small.g.local, small.table
+    x_affine = float(tb.lam_of(4) + tb.ell_of(4)) + 1e-9
+    for x in (x_affine, float(tb.lam_of(4)) + 0.2 * float(tb.ell_of(4)), float(tb.mu_of(4)),
+              np.array([x_affine, float(tb.mu_of(4))])):
+        with pytest.raises(ValueError, match="side"):
+            g.derivative(x, side="up")
+    ell = float(h.ell[4 + g.M])
+    for u, k in ((0.2 * ell, 4), (0.5 * ell, 4), (np.array([0.2, 0.9]) * ell, np.array([4, 4]))):
+        with pytest.raises(ValueError, match="side"):
+            h.deriv(u, k, side="up")
+    assert g.derivative(x_affine, side=None) == g.derivative(x_affine, side="right")
+
+
 def test_swapped_jump_signs(swapped):
     g, seqs = swapped.g, swapped.seqs
     rows = {k: jump for k, _l, _r, jump in zip(*derivative_jump_table(g))}
@@ -465,8 +481,8 @@ def test_newton_one_profile_eval_per_profile_per_iteration(small, monkeypatch):
     # each Newton iteration reads eta and gamma_k once each, h_k and h_k'
     # from the one call: so the calls pair up (eta, gamma) at the same
     # points, both ask for both orders, and each pair sees new iterates.
-    # Array points read through profile_eval, a Python float through the
-    # float route's reader: both are counted
+    # Array points read through _read_array, a Python float through _read:
+    # both are counted
     import denjoy_twist.circle_map as cm
     calls = []
 
@@ -484,7 +500,7 @@ def test_newton_one_profile_eval_per_profile_per_iteration(small, monkeypatch):
     k = np.tile(ks, 2)
     for v, kk in ((h.value(u, k), k), (float(h.value(0.2 * h.ell[3], 3 - small.g.M)), 3 - small.g.M)):
         with monkeypatch.context() as m:
-            for name in ("profile_eval", "_float_read"):
+            for name in ("_read", "_read_array"):
                 m.setattr(cm, name, counting(getattr(cm, name)))
             calls.clear()
             h.invert(v, kk)
@@ -500,19 +516,27 @@ def test_newton_one_profile_eval_per_profile_per_iteration(small, monkeypatch):
 
 def test_scalar_lift_bitwise_equals_array_lift_at_piece_edges(small):
     # the scalar lift reads its pieces from Python arrays by bisect; at every
-    # piece's left edge, one ulp either side and 1 - ulp it agrees bit for
-    # bit with the numpy path, gap and affine pieces alike
+    # piece's left edge, one ulp either side and 1 - ulp, at each integer
+    # shift k = -8 .. 8 of 0 and of y_start, one ulp either side, and at NaN
+    # it agrees bit for bit with the numpy path, gap and affine pieces
+    # alike. Just below y_start + k, y - y_start rounds up to k: the inverse
+    # must still find the piece and round-trip
     g = small.g
 
     def around(e):
         return np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)])
 
-    xs = np.append(around(g._x_lo), np.nextafter(1.0, 0.0))
+    shifts = np.arange(-8.0, 9.0)
+    xs = np.concatenate([around(g._x_lo), [np.nextafter(1.0, 0.0)], around(shifts), [np.nan]])
     assert np.array_equal(g.lift_many(xs).view(np.int64),
                           np.array([g.lift(float(x)) for x in xs]).view(np.int64))
-    ys = np.append(around(g._y_lo), np.nextafter(g.y_start + 1.0, 0.0))
-    assert np.array_equal(g.inverse_lift_many(ys).view(np.int64),
-                          np.array([g.inverse_lift(float(y)) for y in ys]).view(np.int64))
+    near = around(g.y_start + shifts)
+    ys = np.concatenate([around(g._y_lo), [np.nextafter(g.y_start + 1.0, 0.0)], near, [np.nan]])
+    back = np.array([g.inverse_lift(float(y)) for y in ys])
+    assert np.array_equal(g.inverse_lift_many(ys).view(np.int64), back.view(np.int64))
+    assert np.isnan(back[-1])
+    assert np.max(np.abs(g.lift_many(back[:-1]) - ys[:-1])) <= BOUNDS["roundtrip"]
+    assert max(abs(g.lift(g.inverse_lift(y)) - y) for y in near.tolist()) <= BOUNDS["roundtrip"]
 
 
 def _same(a, b):

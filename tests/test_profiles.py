@@ -293,7 +293,9 @@ def test_piece_table_bitwise_equals_closed_forms(profiles, kernel_tables, kind, 
     # kernel edges where exp(-1/s) runs through the subnormals and the order
     # of the products shows, each with its mirror image and its two
     # neighbours; 1/2 from both sides, the export grid and seeded points
-    # beyond [0, 1]; equal bits, so signed zeros count
+    # beyond [0, 1]; equal bits, so signed zeros count. The float route
+    # (one Python float at a time) is held to the closed forms too, at every
+    # breakpoint and its two neighbours and at 2000 seeded points of the rest
     s = 1.0 / np.linspace(700.0, 750.0, 400)
     s = np.concatenate([s, 1.0 - s, np.arange(_TABLE_PANELS + 1) / _TABLE_PANELS])
     x = np.concatenate([_BREAKS, 0.25 + s / 8.0, 0.6875 - s / 16.0, 0.6875 + s / 4.0])
@@ -301,13 +303,24 @@ def test_piece_table_bitwise_equals_closed_forms(profiles, kernel_tables, kind, 
     t = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
                         np.linspace(0.0, 1.0, 2001),
                         np.random.default_rng(16).uniform(-0.5, 1.5, 10**4)])
+    bp = np.concatenate([_BREAKS, 1.0 - _BREAKS])
+    t_float = np.concatenate([bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf),
+                              np.random.default_rng(28).choice(t, 2000, replace=False)])
     p = _reader(profiles, kind)
-    # 1 - t rounds to 1/2 one ulp below 1/2 too: no side there is an error
-    off_jump = t[(t != 0.5) & (1.0 - t != 0.5)]
-    for side, pts in (("left", t), ("right", t), (None, off_jump)):
+
+    def off_jump(pts):
+        # 1 - t rounds to 1/2 one ulp below 1/2 too: no side there is an error
+        return pts[(pts != 0.5) & (1.0 - pts != 0.5)]
+
+    for side in ("left", "right", None):
+        pts = t if side else off_jump(t)
         ours = p(pts, order, side)
         ref = _closed_form(profiles, kernel_tables, kind, pts, order, side)
         assert np.array_equal(ours.view(np.int64), ref.view(np.int64)), (side, order)
+        pts = t_float if side else off_jump(t_float)
+        ours = np.array([p(v, order, side) for v in pts.tolist()])
+        ref = _closed_form(profiles, kernel_tables, kind, pts, order, side)
+        assert np.array_equal(ours.view(np.int64), ref.view(np.int64)), ("float", side, order)
 
 
 def test_kernels_nan_gives_nan():
