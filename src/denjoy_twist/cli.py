@@ -83,7 +83,11 @@ class BuiltSystem:
 
 def _outdir(cfg: RunConfig, override=None) -> str:
     d = override or cfg["output"]["directory"]
-    os.makedirs(d, exist_ok=True)
+    try:
+        os.makedirs(d, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{'--out' if override else 'output.directory'}: cannot "
+                          f"make the directory {d!r}: {exc.strerror}") from None
     return d
 
 
@@ -114,10 +118,10 @@ def _estimate_checks(built: BuiltSystem, rb: ReportBuilder) -> dict:
     return est
 
 
-def _manifold_checks(built: BuiltSystem, rb: ReportBuilder):
-    """The segment, curve-side and orbit-convergence checks of verify and
-    manifolds, over the segments |k| <= manifolds.k_max that the stored
-    range holds; returns that k_max and the manifold_iterate_check result."""
+def _manifold_checks(built: BuiltSystem, rb: ReportBuilder) -> int:
+    """The segment, curve-side, orbit-convergence and base-orbit checks of
+    verify and manifolds, over the segments |k| <= manifolds.k_max that the
+    stored range holds; returns that k_max."""
     sysm, tb = built.system, built.table
     k_max = min(built.cfg["manifolds"]["k_max"], tb.M - 2)
     mi = manifold_iterate_check(sysm, k_max)
@@ -134,16 +138,28 @@ def _manifold_checks(built: BuiltSystem, rb: ReportBuilder):
                                  min(20, tb.M - 1))
     rb.check_leq("orbit_convergence_rel", oc["max_rel_ratio_error"],
                  BOUNDS["orbit_convergence_rel"])
-    return k_max, mi
+    rb.check_leq("manifold_base_orbit", mi["max_base_orbit_error"],
+                 BOUNDS["manifold_map"])
+    return k_max
 
 
-def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
-    """verify's checks in eight independent blocks, each on a builder of its
-    own, shared out by fork_map; the entries and wall time of each block are
-    replayed into rb in block order, so the report is one process's."""
+def _verify(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
+    """verify's checks in independent blocks, each on a builder of its own,
+    shared out by fork_map; the entries and wall time of each block are
+    replayed into rb in block order, so the report is one process's. The
+    rigid rotation runs the blocks that need no construction, after the two
+    checks only phi = 0 allows."""
     cfg = built.cfg
     sysm, seqs, g, table = built.system, built.seqs, built.g, built.table
     v, p = cfg["verify"], cfg["params"]
+
+    def rigid(rb):
+        xs = default_rng(p["seed"]).random(1000)
+        rb.check_leq("phi_identically_zero", float(np.max(np.abs(sysm.phi(xs)))),
+                     BOUNDS["phi_identically_zero"])
+        rb.check_leq("rotation_number_exact",
+                     abs(rotation_number_estimate(g, 0.25, 1000) - p["omega"]),
+                     BOUNDS["rotation_number_exact"])
 
     def invariance(rb):
         inv = sysm.verify_invariant_curve(v["invariance_samples"], seed=p["seed"])
@@ -205,8 +221,10 @@ def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
         rb.check_leq("twist_positive", tw["max_fd_dev"], BOUNDS["twist_fd"])
         rb.check_leq("phi_periodicity", sysm.periodicity_check(seed=p["seed"] + 7),
                      BOUNDS["phi_periodicity"])
+        # the rigid rotation truncates no mass
         rb.check_leq("phi_mean", abs(sysm.mean_check()),
-                     seqs.residual_mass + BOUNDS["mean_budget_extra"])
+                     (0.0 if built.rigid else seqs.residual_mass)
+                     + BOUNDS["mean_budget_extra"])
 
     def wandering(rb):
         j = SemiConjugacy(table)
@@ -223,41 +241,18 @@ def _verify_full(built: BuiltSystem, rb: ReportBuilder) -> None:
 
     def run_block(block):
         block_rb = ReportBuilder({})
-        with block_rb.timed(block.__name__):
+        with timed(block_rb.timings, block.__name__):
             block(block_rb)
         return block_rb.checks, block_rb.timings
 
-    for checks, timings in fork_map(run_block, (
-            invariance, rotation, estimates, linearity,
-            manifolds, jumps, structural, wandering)):
+    blocks = ((rigid, invariance, structural) if built.rigid else
+              (invariance, rotation, estimates, linearity,
+               manifolds, jumps, structural, wandering))
+    for checks, timings in fork_map(run_block, blocks):
         for e in checks:
             rb.add_check(e["name"], e["measured"], e["tolerance"], e["pass"],
                          e.get("detail"))
         rb.timings.update(timings)
-
-
-def _verify_rigid(built: BuiltSystem, rb: ReportBuilder) -> None:
-    cfg = built.cfg
-    sysm, g = built.system, built.g
-    v, p = cfg["verify"], cfg["params"]
-    rng = default_rng(p["seed"])
-    xs = rng.random(1000)
-    rb.check_leq("phi_identically_zero",
-                 float(np.max(np.abs(sysm.phi(xs)))), BOUNDS["phi_identically_zero"])
-    inv = sysm.verify_invariant_curve(v["invariance_samples"], seed=p["seed"])
-    rb.check_leq("invariance_residual", inv["max_residual"],
-                 BOUNDS["invariance_residual"])
-    est = rotation_number_estimate(g, 0.25, 1000)
-    rb.check_leq("rotation_number_exact", abs(est - p["omega"]),
-                 BOUNDS["rotation_number_exact"])
-    rb.check_leq("roundtrip", sysm.roundtrip_check(1000, seed=p["seed"] + 1),
-                 BOUNDS["roundtrip"])
-    rb.check_leq("det_df", sysm.det_check(200, seed=p["seed"] + 2),
-                 BOUNDS["det_df"])
-
-
-def _verify(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
-    (_verify_rigid if built.rigid else _verify_full)(built, rb)
     for entry in rb.checks:
         print(f"[{'PASS' if entry['pass'] else 'FAIL'}] {entry['name']}: "
               f"{entry['measured']} (tolerance {entry['tolerance']})")
@@ -266,7 +261,7 @@ def _verify(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
 
 def _scan(system, cfg: RunConfig, rb: ReportBuilder, name: str):
     r = cfg["regularity"]
-    with rb.timed(name):
+    with timed(rb.timings, name):
         return system.second_derivative_scan(n_grid=r["grid"],
                                              fd_step_rel=r["fd_step_rel"])
 
@@ -326,11 +321,9 @@ def _portrait(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
 
 
 def _manifolds(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
-    k_max, mi = _manifold_checks(built, rb)
+    k_max = _manifold_checks(built, rb)
     dump_segments_csv(built.system, -k_max, k_max,
                       os.path.join(outdir, "segments.csv"))
-    rb.check_leq("manifold_base_orbit", mi["max_base_orbit_error"],
-                 BOUNDS["manifold_map"])
     print(f"manifolds: {'PASS' if rb.report['pass'] else 'FAIL'}")
 
 
@@ -377,7 +370,7 @@ def run(command: str, cfg: RunConfig, outdir: str) -> int:
     exit 0 when every check passed and 1 otherwise."""
     body, report_file, rigid_refusal = _COMMANDS[command]
     rb = ReportBuilder(cfg.echo())
-    with rb.timed("build"):
+    with timed(rb.timings, "build"):
         built = BuiltSystem(cfg)
     rb.timings.update(built.timings)
     if built.rigid and rigid_refusal:

@@ -102,10 +102,6 @@ class ReportBuilder:
     def set_summary(self, **kv) -> None:
         self.report["summary"].update(kv)
 
-    def timed(self, name: str):
-        """Record the wall time of the with-block under timings[name]."""
-        return timed(self.timings, name)
-
     def finish(self) -> dict:
         return {**self.report, "timings": self.timings}
 

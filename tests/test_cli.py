@@ -85,6 +85,21 @@ def test_build_rejects_bad_delta(tmp_path):
     assert run(["build", "--set", "params.delta=-1"], tmp_path, "bad") == 2
 
 
+@pytest.mark.parametrize("command, where, name", [
+    ("build", ["--out", "{}"], "--out"),
+    ("verify", ["--set", "output.directory={}"], "output.directory")])
+def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, command,
+                                                      where, name):
+    # an existing file where the output directory should be
+    path = tmp_path / "file"
+    path.write_text("")
+    assert main([command, "--set", "params.M=16"]
+                + [arg.format(path) for arg in where]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}: ") and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_build_asserts_its_estimates(tmp_path, capsys):
     # at delta = 20 the ratio bound leaves its window: the estimates.json that
     # build writes reads false, and so must its report, exit code and the
@@ -246,8 +261,13 @@ def test_verify_rigid_rotation_mode(tmp_path):
     code = run(["verify", "--set", "params.mode=rigid_rotation"], tmp_path, "vr")
     assert code == 0
     rep = json.loads((tmp_path / "vr" / "verify.json").read_text())
-    names = [c["name"] for c in rep["checks"]]
-    assert "phi_identically_zero" in names
+    # the two checks only phi = 0 allows, then the blocks that need no
+    # construction, which full mode runs too
+    assert [c["name"] for c in rep["checks"]] == [
+        "phi_identically_zero", "rotation_number_exact",
+        "invariance_residual", "invariance_residual_translated",
+        "roundtrip", "det_df", "vertical_translate_theta", "vertical_translate_r",
+        "twist_positive", "phi_periodicity", "phi_mean"]
 
 
 def test_regularity_csv_row_contract(tmp_path):
@@ -284,7 +304,8 @@ def test_manifolds_cmd(tmp_path):
 
 def test_verify_and_manifolds_share_their_checks(tmp_path):
     shared = ["manifold_image_distance", "manifold_ratio_error",
-              "curve_side_formula", "curve_side_strict", "orbit_convergence_rel"]
+              "curve_side_formula", "curve_side_strict", "orbit_convergence_rel",
+              "manifold_base_orbit"]
     assert run(["verify"] + FAST, tmp_path, "v") == 0
     assert run(["manifolds", "--set", "params.M=32"], tmp_path, "m") == 0
     measured = []
@@ -335,13 +356,13 @@ PORTRAIT = ["portrait", "--set", "params.M=32", "--set", "portrait.orbits=4",
             "--set", "portrait.steps=100"]
 OUTPUT_DIGESTS = {
     "verify": (["verify"] + FAST, {
-        "verify.json": "02f3a3f53bd05d75ca5310a85e3b818c9bae9c9613eb469409eeca6cb09fb4fe"}),
+        "verify.json": "8960c3c64335792eb581169357f193bb484aa7e6bc298ffc7bc914a7d5d3b2c1"}),
     # 599 gaps: the linearity check fits two full blocks of 256 gaps and a
     # partial one
     "verify_blocks": (["verify"] + FAST + ["--set", "params.M=300"], {
-        "verify.json": "236af79644752c1b7d722b17db0a62fb2085567351b3c6b3729b9efedd871cdd"}),
+        "verify.json": "a8cc92d7346f03e1111f5c8fa42a586ff8a5668d5be2e203efabaecc3b64ad44"}),
     "verify_rigid": (["verify"] + FAST + ["--set", "params.mode=rigid_rotation"], {
-        "verify.json": "75fb0636e415d9081d7c558d5862d7fcdd298f6343157ffc2716aae301c87d32"}),
+        "verify.json": "031a07b7f57b1c58f27ca91bc3c04d88c00987b945ad2c7b11f739bfe917f622"}),
     "regularity": (["regularity", "--set", "params.M=32",
                     "--set", "regularity.compare_C_factor=100"], {
         "regularity.csv": "f57f88eea4554a03c7da35c8ee55897f31c8a9159683fc748ea49a7d690bec1a",
@@ -396,8 +417,8 @@ def _assert_outputs_pinned(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
 def test_outputs_byte_identical(tmp_path, name):
-    # at the machine's own affinity: every command but rigid-rotation verify
-    # shares its work out over every CPU the process may use
+    # at the machine's own affinity: every command shares its work out over
+    # every CPU the process may use
     _assert_outputs_pinned(tmp_path, name)
 
 

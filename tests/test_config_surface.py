@@ -42,11 +42,12 @@ _RUNS = [
 ]
 
 
-def test_every_setting_is_read(tmp_path, monkeypatch, one_cpu):
-    # the six commands on small sizes; load_config's own value checks and the
-    # report's config echo are not reads, as they run before or beside the
-    # recording (the echo iterates items); on one CPU, since a read in a
-    # child of fork_map is recorded in the child
+def _record_setting_reads(monkeypatch) -> set:
+    """The (section, key) of each setting that a command of cli.main reads
+    from here on; load_config's own value checks and the report's config echo
+    are not reads, as they run before or beside the recording (the echo
+    iterates items). A read in a child of fork_map is recorded in the child
+    only, so callers run on one CPU."""
     seen = set()
 
     def recording(*args):
@@ -56,6 +57,12 @@ def test_every_setting_is_read(tmp_path, monkeypatch, one_cpu):
         return cfg
 
     monkeypatch.setattr(cli, "load_config", recording)
+    return seen
+
+
+def test_every_setting_is_read(tmp_path, monkeypatch, one_cpu):
+    # the six commands on small sizes
+    seen = _record_setting_reads(monkeypatch)
     for i, args in enumerate(_RUNS):
         assert cli.main(args + _SMALL + ["--out", str(tmp_path / str(i))]) == 0
     # output.directory is read only when --out is not given
@@ -64,6 +71,17 @@ def test_every_setting_is_read(tmp_path, monkeypatch, one_cpu):
     assert (tmp_path / _DEFAULTS["output"]["directory"] / "build.json").exists()
     unread = {(sec, key) for sec, kv in _DEFAULTS.items() for key in kv} - seen
     assert not unread, f"settings no command reads: {sorted(unread)}"
+
+
+def test_rigid_verify_reads_the_verify_settings(tmp_path, monkeypatch, one_cpu):
+    # rigid-rotation verify runs the shared invariance and structural blocks,
+    # with their sample counts and finite-difference step
+    seen = _record_setting_reads(monkeypatch)
+    assert cli.main(_VERIFY + ["--set", "params.mode=rigid_rotation",
+                               "--out", str(tmp_path)]) == 0
+    read = {("verify", key) for key in ("invariance_samples", "roundtrip_samples",
+                                        "det_samples", "fd_step")}
+    assert read <= seen
 
 
 def test_every_bound_is_read(tmp_path, monkeypatch, one_cpu):
