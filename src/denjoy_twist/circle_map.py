@@ -455,7 +455,8 @@ class CircleHomeo:
         """Vectorized lift: affine pieces inline, all gap points in one call."""
         xs = np.asarray(xs, dtype=float)
         ns = np.floor(xs)
-        fr = xs - ns
+        with np.errstate(invalid="ignore"):   # inf - inf: the scalar lift's NaN
+            fr = xs - ns
         idx = np.searchsorted(self._x_lo, fr, side="right") - 1
         out = np.empty_like(fr)
         aff = self._gap_k[idx] == _NOT_GAP
@@ -470,8 +471,9 @@ class CircleHomeo:
         """Vectorized inverse lift: affine pieces inline, all gap points in one call."""
         ys = np.asarray(ys, dtype=float)
         ms = np.floor(ys - self.y_start)
-        ms -= ys - ms < self.y_start   # ys - y_start rounded up to the integer ms
-        yf = ys - ms
+        with np.errstate(invalid="ignore"):   # inf - inf: the scalar inverse's NaN
+            ms -= ys - ms < self.y_start   # ys - y_start rounded up to the integer ms
+            yf = ys - ms
         idx = np.minimum(np.searchsorted(self._y_lo, yf, side="right") - 1,
                          self.n_pieces - 1)
         out = np.empty_like(yf)
@@ -491,9 +493,11 @@ class CircleHomeo:
         Affine pieces are inline and all gap points go to the family in one
         call. side picks the one-sided limit at a gap midpoint and at a
         piece's left edge, where the left limit is the previous piece's.
+        NaN or inf gives NaN.
         """
         _check_side(side)
-        fr = np.atleast_1d(x) % 1.0
+        with np.errstate(invalid="ignore"):   # inf % 1.0 is NaN
+            fr = np.atleast_1d(x) % 1.0
         i = np.searchsorted(self._x_lo, fr, side="right") - 1
         u = fr - self._x_lo[i]
         edge = np.zeros(fr.shape, dtype=bool)
@@ -513,6 +517,8 @@ class CircleHomeo:
             ug = np.where(np.abs(ug - half) <= 8.0 * _EPS, half, ug)
             ug = np.where(edge[gap], ell, ug)
             out[gap] = self.local.deriv(ug, k, side=side)
+        # searchsorted files NaN after every start, in the last piece
+        out[np.isnan(fr)] = np.nan
         if np.ndim(x) == 0:
             return float(out[0])
         return out.reshape(np.shape(x))

@@ -4,9 +4,9 @@ of zero integral, with a jump at 1/2 and a calibrated negative lobe further
 out; and ``gamma_minus``, the exact mirror gamma_plus(1 - t), which is
 gamma_plus read with reflect set.
 
-Each is a table of pieces on x = t (x = 1 - t where the read is reflected),
-a piece 0 or gain * sum(coeff * f(s)) at s = scale * (u - shift),
-u = x or, on a mirrored piece, 1 - x, for kernels f among S = smooth_step,
+Each is a table of rows on x = t (x = 1 - t where the read is reflected),
+a row 0 or gain * sum(coeff * f(s)) at s = scale * (u - shift),
+u = x or, on a mirrored row, 1 - x, for kernels f among S = smooth_step,
 B = bump and 1. With TS, TB the antiderivatives of S, B from 0 and Ms, Mb
 their masses, value | antiderivative by region:
 
@@ -21,9 +21,10 @@ their masses, value | antiderivative by region:
 The n-th derivative carries the chain factor gain * scale^n. A mirrored point
 negates the first derivative, and its antiderivative is F(1) - F(1 - t), with
 F(1) = 2 (Ms + c Mb) / 8 + 1/4 for eta and -0.0 for the gamma pair. At t = 1/2
-the gamma profiles take the piece on the side asked for. NaN gives NaN.
-One reader, _read, holds a row's arithmetic, on constants fixed at
-calibration (the chain factors, base, offset and mirror flag of each row).
+the gamma profiles take the row on the side asked for. NaN gives NaN.
+Each row is one record, made once at calibration by _row: its start and
+the constants a read needs (the chain factors, base, offset and mirror
+flag). One reader, _read, holds a row's arithmetic on them.
 A Python float t finds its row by bisect and is read on Python floats but
 for numpy's exp and pow and the one coefficient block of the kernel table
 it reads, in place: no numpy per-call cost on a one-point array. An array
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -255,7 +256,7 @@ def _check_mass(f):
     return fine, abs(fine - coarse) + 50.0 * 2.0**-52 * abs(fine)
 
 
-# --- the piece tables -------------------------------------------------------
+# --- the row tables ---------------------------------------------------------
 
 _ANTI = "antiderivative"
 _ORDERS = (0, 1, 2, _ANTI)
@@ -265,55 +266,37 @@ _ORDER_SET = frozenset(_ORDERS)
 _ONE, _ONE_ANTI = (lambda s, order: 0.0 if order else 1.0), (lambda s: (s,))
 
 
-@dataclass(frozen=True)
-class _Piece:
-    """The calibration record of a table row for x from lo up to the next
-    row's lo, as the module docstring has it; antiderivative offset + gain /
-    scale * (sum(coeff * F(s)) - base). _read reads it from _constants."""
-
-    lo: float
-    mirror: bool = False
-    scale: float = 1.0
-    shift: float = 0.0
-    terms: tuple = ()       # (f, coeff): f(s, order)
-    antis: object = None    # the terms' F from 0 at s, a row each, in one call
-    gain: float = 1.0
-    offset: float = 0.0
-    base: float = 0.0
+def _row(lo, mirror=False, scale=1.0, shift=0.0, terms=(), antis=None, gain=1.0,
+         offset=0.0, base=0.0):
+    """A table row for x from lo up to the next row's lo, as the module
+    docstring has it, made once: its start, a Python float for bisect, and
+    the constants _read reads. These are the mirror flag, scale and shift;
+    the (at most two) terms (f, coeff), f(s, order), as kernel, coefficient,
+    kernel, coefficient, a missing kernel None (no terms: a zero row); antis,
+    the terms' F from 0 at s, a row each, in one call; the chain factors
+    gain * scale^n of orders 0, 1, 2 and gain / scale of the antiderivative,
+    offset + gain / scale * (sum(coeff * F(s)) - base); base and offset."""
+    (f0, c0), (f1, c1) = terms + ((None, 0.0),) * (2 - len(terms))
+    return float(lo), (mirror, scale, shift, f0, c0, f1, c1, antis,
+                       (*(gain * scale**n for n in (0, 1, 2)), gain / scale), base, offset)
 
 
-def _constants(pc: _Piece) -> tuple:
-    """The constants a read of row pc needs, fixed once: its mirror
-    flag, scale and shift; its (at most two) terms as kernel, coefficient,
-    kernel, coefficient, a missing kernel None; its antiderivative row; the
-    chain factors gain * scale^n of orders 0, 1, 2 and gain / scale of the
-    antiderivative; its base and offset."""
-    (f0, c0), (f1, c1) = pc.terms + ((None, 0.0),) * (2 - len(pc.terms))
-    return (pc.mirror, pc.scale, pc.shift, f0, c0, f1, c1, pc.antis,
-            (*(pc.gain * pc.scale**n for n in (0, 1, 2)), pc.gain / pc.scale),
-            pc.base, pc.offset)
-
-
-@dataclass(frozen=True)
 class PlateauProfile:
-    """One calibrated profile with exact plateau/zero regions: a piece table.
-    Frozen after calibration, so safe to share across threads."""
+    """One calibrated profile with exact plateau/zero regions: a table of
+    _row records. Set once at calibration, so safe to share across threads."""
 
-    kind: str                      # "eta" | "gamma_plus"
-    shoulder_coefficient: float    # calibration constant for the bump lobe(s)
-    pieces: tuple = field(repr=False)
-    anti_one: float = -0.0         # the antiderivative at t = 1
-    jump: float | None = None      # the x where side= picks the row, if any
-    # the row starts: a tuple for bisect, and a column for the array route;
-    # each row's constants (_constants), which both routes read
-    los: tuple = field(init=False, repr=False, compare=False)
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
-    rows: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "shoulder_coefficient", "los", "starts", "rows", "anti_one", "jump")
 
-    def __post_init__(self):
-        object.__setattr__(self, "los", tuple(float(pc.lo) for pc in self.pieces))
-        object.__setattr__(self, "starts", np.array(self.los)[:, None])
-        object.__setattr__(self, "rows", tuple(map(_constants, self.pieces)))
+    def __init__(self, kind, shoulder_coefficient, table, anti_one=-0.0, jump=None):
+        self.kind = kind   # "eta" | "gamma_plus"
+        # the calibration constant for the bump lobe(s)
+        self.shoulder_coefficient = shoulder_coefficient
+        # the row starts: a tuple for bisect, and a column for the array
+        # route; each row's constants, which both routes read
+        self.los, self.rows = zip(*table)
+        self.starts = np.array(self.los)[:, None]
+        self.anti_one = anti_one   # the antiderivative at t = 1
+        self.jump = jump           # the x where side= picks the row, if any
 
 
 @dataclass(frozen=True)
@@ -358,34 +341,32 @@ def calibrate_profiles(quadrature_tolerance: float | None = None) -> ProfileSet:
     # eta: plateau (length 1/4) + two smooth_step edges (mass step_mass/8 each)
     # leave a deficit against the unit integral; two mirrored bumps supply it.
     c = (1.0 - 0.25 - 2.0 * step_mass / 8.0) / (2.0 * bump_mass / 8.0)
-    rise = _Piece(above(0.25, 1), False, 8.0, 0.25, ((_step, 1.0), (_bump, c)),
-                  kernels)
-    plateau = _Piece(0.375, False, 1.0, 0.375, one, _ONE_ANTI,
-                     offset=(step_mass + c * bump_mass) / 8.0)
+    rise = dict(scale=8.0, shift=0.25, terms=((_step, 1.0), (_bump, c)), antis=kernels)
+    plateau = dict(scale=1.0, shift=0.375, terms=one, antis=_ONE_ANTI,
+                   offset=(step_mass + c * bump_mass) / 8.0)
     eta = PlateauProfile("eta", c, (
-        _Piece(-np.inf), rise, plateau,
-        replace(plateau, lo=above(0.5, 1), mirror=True),
-        replace(rise, lo=above(0.625, 1), mirror=True),
-        _Piece(0.75, True),
+        _row(-np.inf), _row(above(0.25, 1), **rise), _row(0.375, **plateau),
+        _row(above(0.5, 1), True, **plateau), _row(above(0.625, 1), True, **rise),
+        _row(0.75, True),
     ), anti_one=2.0 * (step_mass + c * bump_mass) / 8.0 + 0.25)
     # gamma_plus: positive mass = plateau (1/2,5/8] plus the descent edge;
     # one negative lobe of the same mass sits in (11/16, 15/16).
     c = (1.0 / 8.0 + step_mass / 16.0) / (bump_mass / 4.0)
     gp = PlateauProfile("gamma_plus", c, (
-        _Piece(-np.inf),
-        _Piece(above(0.5, 1), False, 1.0, 0.5, one, _ONE_ANTI),
-        _Piece(above(0.625, 1), False, -16.0, 0.6875, ((_step, 1.0),),
-               kernels.curve(0), offset=0.125, base=step_mass),
-        _Piece(0.6875),
-        _Piece(above(0.6875, 1), False, 4.0, 0.6875, ((_bump, 1.0),),
-               kernels.curve(1), gain=-c, offset=0.125 + step_mass / 16.0),
-        _Piece(0.9375),
+        _row(-np.inf),
+        _row(above(0.5, 1), False, 1.0, 0.5, one, _ONE_ANTI),
+        _row(above(0.625, 1), False, -16.0, 0.6875, ((_step, 1.0),),
+             kernels.curve(0), offset=0.125, base=step_mass),
+        _row(0.6875),
+        _row(above(0.6875, 1), False, 4.0, 0.6875, ((_bump, 1.0),),
+             kernels.curve(1), gain=-c, offset=0.125 + step_mass / 16.0),
+        _row(0.9375),
     ), jump=0.5)
     return ProfileSet(eta, gp, step_mass, bump_mass, achieved)
 
 
 def _read(p: PlateauProfile, t, orders, side=None, reflect=False, n=None):
-    """The one body of a row's arithmetic: p at t from its rows constants, a
+    """The one body of a row's arithmetic: p at t from its rows' constants, a
     result per order. A Python float t (n None) finds its row by bisect and
     takes the jump rule: Python floats. The array route passes each group of
     points in, already reflected, with its row n (0: none, NaN) and flag
@@ -459,8 +440,8 @@ def _read_array(p: PlateauProfile, t, orders, side=None, reflect=False):
     outs = [np.zeros(x.shape) for _ in orders]
     for k in range(first, last + 1):
         n, m = divmod(k, 2) if per_point else (k, reflect)
-        if n and not p.pieces[n - 1].terms and p.pieces[n - 1].mirror == m:
-            continue   # a zero row leaves out at +0.0 unless its mirror image changes it
+        if n and p.rows[n - 1][3] is None and p.rows[n - 1][0] == m:
+            continue   # a zero row (f0 None) leaves out at +0.0 unless its mirror image changes it
         ii = slice(None) if first == last else (n_at == k).nonzero()[0]
         if first < last and not ii.size:
             continue   # no point in this group

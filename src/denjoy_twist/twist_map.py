@@ -59,8 +59,9 @@ class TwistSystem:
         """frac(x), and g's lift and inverse lift to evaluate there."""
         if isinstance(x, float) or np.ndim(x) == 0:
             return float(x) % 1.0, self.g.lift, self.g.inverse_lift
-        return (np.asarray(x, dtype=float) % 1.0, self.g.lift_many,
-                self.g.inverse_lift_many)
+        with np.errstate(invalid="ignore"):   # inf % 1.0: the float route's NaN
+            fr = np.asarray(x, dtype=float) % 1.0
+        return fr, self.g.lift_many, self.g.inverse_lift_many
 
     def _phi_terms(self, x):
         """g~ - Id and g~^{-1} - Id at the fractional part of x, whose sum is

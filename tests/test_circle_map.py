@@ -518,25 +518,38 @@ def test_scalar_lift_bitwise_equals_array_lift_at_piece_edges(small):
     # the scalar lift reads its pieces from Python arrays by bisect; at every
     # piece's left edge, one ulp either side and 1 - ulp, at each integer
     # shift k = -8 .. 8 of 0 and of y_start, one ulp either side, and at NaN
-    # it agrees bit for bit with the numpy path, gap and affine pieces
-    # alike. Just below y_start + k, y - y_start rounds up to k: the inverse
-    # must still find the piece and round-trip
+    # and +-inf it agrees bit for bit with the numpy path, gap and affine
+    # pieces alike, NaN bits included and with no warning. Just below
+    # y_start + k, y - y_start rounds up to k: the inverse must still find
+    # the piece and round-trip
     g = small.g
 
     def around(e):
         return np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)])
 
     shifts = np.arange(-8.0, 9.0)
-    xs = np.concatenate([around(g._x_lo), [np.nextafter(1.0, 0.0)], around(shifts), [np.nan]])
+    bad = [np.nan, np.inf, -np.inf]
+    xs = np.concatenate([around(g._x_lo), [np.nextafter(1.0, 0.0)], around(shifts), bad])
     assert np.array_equal(g.lift_many(xs).view(np.int64),
                           np.array([g.lift(float(x)) for x in xs]).view(np.int64))
     near = around(g.y_start + shifts)
-    ys = np.concatenate([around(g._y_lo), [np.nextafter(g.y_start + 1.0, 0.0)], near, [np.nan]])
+    ys = np.concatenate([around(g._y_lo), [np.nextafter(g.y_start + 1.0, 0.0)], near, bad])
     back = np.array([g.inverse_lift(float(y)) for y in ys])
     assert np.array_equal(g.inverse_lift_many(ys).view(np.int64), back.view(np.int64))
-    assert np.isnan(back[-1])
-    assert np.max(np.abs(g.lift_many(back[:-1]) - ys[:-1])) <= BOUNDS["roundtrip"]
+    assert np.isnan(back[-3:]).all()
+    assert np.max(np.abs(g.lift_many(back[:-3]) - ys[:-3])) <= BOUNDS["roundtrip"]
     assert max(abs(g.lift(g.inverse_lift(y)) - y) for y in near.tolist()) <= BOUNDS["roundtrip"]
+
+
+def test_derivative_of_nan_or_inf_is_nan(m16):
+    # searchsorted files NaN after every piece start, so g' must not read
+    # the last piece's slope there; inf % 1.0 is NaN too, with no warning
+    g = m16.g
+    bad = [math.nan, math.inf, -math.inf]
+    for side in ("left", "right"):
+        assert all(math.isnan(g.derivative(x, side)) for x in bad)
+        got = g.derivative(np.array(bad + [0.3]), side)
+        assert np.isnan(got[:3]).all() and got[3] == g.derivative(0.3, side)
 
 
 def _same(a, b):

@@ -424,15 +424,15 @@ def _same(a, b):
 def test_scalar_route_bitwise_equals_array_route(profiles, kind, reflect):
     # a Python float t with a bool reflect is read on floats; every order and
     # three combined ones, every side, at each row start +-1 ulp, 0, 1/2, 1,
-    # NaN, 64 seeded points in each row and seeded points beyond [0, 1]
-    # give the array route's bits and Python floats
+    # NaN, +-inf, 64 seeded points in each row and seeded points beyond
+    # [0, 1] give the array route's bits and Python floats
     from denjoy_twist.profiles import OneSidedLimitRequired
     p = getattr(profiles, kind)
-    starts = np.array([pc.lo for pc in p.pieces[1:]])
+    starts = np.array(p.los[1:])
     rng = np.random.default_rng(19)
     rows = np.concatenate([[-0.1], starts, [1.1]])
     t = np.concatenate([starts, np.nextafter(starts, -np.inf), np.nextafter(starts, np.inf),
-                        [0.0, 0.5, 1.0, np.nan], rng.uniform(-0.1, 1.1, 200),
+                        [0.0, 0.5, 1.0, np.nan, np.inf, -np.inf], rng.uniform(-0.1, 1.1, 200),
                         *(rng.uniform(lo, hi, 64) for lo, hi in zip(rows, rows[1:]))])
     t = np.concatenate([t, 1.0 - t]) if reflect else t
     for order in (0, 1, 2, "antiderivative", ("antiderivative",), ("antiderivative", 0),
@@ -470,8 +470,8 @@ def test_scalar_route_bitwise_at_every_hermite_node(profiles, kind, reflect):
     from denjoy_twist.profiles import _HermiteTable
     p = getattr(profiles, kind)
     nodes = np.arange(_TABLE_PANELS + 1) / _TABLE_PANELS
-    x = np.concatenate([pc.shift + nodes / pc.scale for pc in p.pieces
-                        if isinstance(pc.antis, _HermiteTable)])
+    x = np.concatenate([shift + nodes / scale for _, scale, shift, *_, antis, _, _, _ in p.rows
+                        if isinstance(antis, _HermiteTable)])
     x = np.concatenate([x, 1.0 - x])   # the mirrored rows too
     x = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
     t = 1.0 - x if reflect else x
@@ -511,11 +511,11 @@ def test_cumulative_sum_bitwise_equals_python_loop(kernel):
 
 def test_calibration_retains_one_kernel_table(traced_retained):
     # the calibrated profiles hold the one two-curve kernel table and a few
-    # KB of piece objects (5.9 KB on Python 3.11): no copy of a table, as a
+    # KB of row records (3.5 KB on Python 3.11): no copy of a table, as a
     # list or an array, per profile or per process
     calibrate_profiles()   # imports and caches warmed
     profiles, held = traced_retained(calibrate_profiles)
-    table = profiles.eta.pieces[1].antis.coef
+    table = profiles.eta.rows[1][7].coef   # the rising row's antis
     assert table.nbytes == 2 * 4 * _TABLE_PANELS * 8
     assert held - table.nbytes <= 8 * 1024
 

@@ -129,6 +129,17 @@ def test_scalar_and_array_steps_agree_bitwise(small):
                                   np.array([arr_t[i], arr_r[i]]).view(np.int64)), (step, t, v)
 
 
+def test_phi_of_nan_or_inf_is_the_float_routes_nan(small):
+    # x % 1.0 at +-inf is NaN on floats; the array route gives the same
+    # bits, with no warning
+    sysm = small.system
+    xs = np.array([np.nan, np.inf, -np.inf])
+    for f in (sysm.phi, sysm.curve_height):
+        floats = np.array([f(x) for x in xs.tolist()])
+        assert np.isnan(floats).all()
+        assert np.array_equal(f(xs).view(np.int64), floats.view(np.int64))
+
+
 def test_vertical_translation(small):
     rep = small.system.vertical_translation_check(seed=43)
     assert rep["max_theta_dev"] == 0.0
