@@ -316,6 +316,43 @@ def test_verify_and_manifolds_share_their_checks(tmp_path):
     assert measured[0] == measured[1]
 
 
+# configs that load_config accepts and that fail, each with its exact set of
+# failing checks: verify at FAST counts, the two omega rows at default counts
+# and M=16, and regularity at the defaults
+_FAILING_CONFIGS = {
+    "delta=0.01,M=500": (["verify"] + FAST + ["--set", "params.delta=0.01",
+                                              "--set", "params.M=500"],
+                         {"manifold_ratio_error"}),
+    "delta=0.01,M=32": (["verify"] + FAST + ["--set", "params.delta=0.01"],
+                        {"manifold_ratio_error"}),
+    "C=1e4,M=16": (["verify"] + FAST + ["--set", "params.C=1e4", "--set", "params.M=16"],
+                   {"manifold_ratio_error"}),
+    "omega=0.999999999": (["verify", "--set", "params.omega=0.999999999",
+                           "--set", "params.M=16"], {"invariance_residual_translated"}),
+    # g~^{-1}(g~(x)) misses x by 2.1e-11 here, yet no check inverts g
+    "omega=0.500000001": (["verify", "--set", "params.omega=0.500000001",
+                           "--set", "params.M=16"], set()),
+    "alpha1=1e-12": (["verify"] + FAST + ["--set", "params.alpha1_policy=value:1e-12",
+                                          "--set", "params.M=16"], {"curve_side_strict"}),
+    "omega=1/sqrt2,delta=1,C=20": (
+        ["verify"] + FAST + ["--set", "params.omega=0.7071067811865476",
+                             "--set", "params.delta=1", "--set", "params.C=20",
+                             "--set", "params.M=64"],
+        {"phi_fit_deviation", "phi_slope_deviation", "manifold_image_distance",
+         "manifold_ratio_error"}),
+    "compare_C_factor=5": (["regularity", "--set", "regularity.compare_C_factor=5"],
+                           {"c_comparison_off_crossing"}),
+}
+
+
+@pytest.mark.parametrize("row", sorted(_FAILING_CONFIGS))
+def test_failing_config_table_pinned(tmp_path, row):
+    args, failing = _FAILING_CONFIGS[row]
+    assert run(args, tmp_path, "f") == (1 if failing else 0)
+    rep = json.loads((tmp_path / "f" / f"{args[0]}.json").read_text())
+    assert {c["name"] for c in rep["checks"] if not c["pass"]} == failing
+
+
 def test_diffusion_cmd_deterministic(tmp_path):
     args = ["diffusion", "--set", "params.M=16", "--set", "diffusion.n=300"]
     assert run(args, tmp_path, "d1") == 0
