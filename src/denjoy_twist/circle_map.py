@@ -35,8 +35,7 @@ from array import array
 
 import numpy as np
 
-from .draws import default_rng
-from .layout import GapTable, circle_delta
+from .layout import GapTable, circle_delta, points
 from .profiles import (_ANTI, _TABLE_PANELS, ProfileSet, _check_side, _read, _read_array,
                        profile_eval)
 from .sequences import ConstructionError
@@ -602,8 +601,9 @@ def derivative_jump_table(g: CircleHomeo) -> tuple:
 
 
 def derivative_jump_scan(g: CircleHomeo, n_samples: int, seed: int = 0) -> dict:
-    """One-sided derivative agreement at random non-midpoint circle points."""
-    xs = default_rng(seed).random(n_samples)
+    """One-sided derivative agreement at the circle points of the seed's
+    Kronecker set."""
+    xs = points(n_samples, seed)
     jump = np.abs(g.derivative(xs, side="right") - g.derivative(xs, side="left"))
     return {"n_samples": n_samples, "max_offmid_jump": float(np.max(jump, initial=0.0))}
 

@@ -19,8 +19,7 @@ from .circle_map import (RigidRotation, build_circle_homeo, derivative_jump_scan
                          derivative_jump_table, rotation_number_estimate,
                          wandering_interval_check)
 from .config import ConfigError, RunConfig, load_config, parse_float_list
-from .draws import default_rng
-from .layout import SemiConjugacy, build_gap_table, dump_gap_table_csv
+from .layout import SemiConjugacy, build_gap_table, dump_gap_table_csv, points
 from .profiles import CalibrationError, calibrate_profiles, export_profile_csv
 from .reporting import BOUNDS, ReportBuilder, fork_map, timed, write_report
 from .sequences import (ConstructionError, build_sequences, dump_sequences_csv,
@@ -152,9 +151,10 @@ def _verify(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
     cfg = built.cfg
     sysm, seqs, g, table = built.system, built.seqs, built.g, built.table
     v, p = cfg["verify"], cfg["params"]
+    seed = p["seed"]
 
     def rigid(rb):
-        xs = default_rng(p["seed"]).random(1000)
+        xs = points(1000, seed)
         rb.check_leq("phi_identically_zero", float(np.max(np.abs(sysm.phi(xs)))),
                      BOUNDS["phi_identically_zero"])
         rb.check_leq("rotation_number_exact",
@@ -162,11 +162,11 @@ def _verify(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
                      BOUNDS["rotation_number_exact"])
 
     def invariance(rb):
-        inv = sysm.verify_invariant_curve(v["invariance_samples"], seed=p["seed"])
+        inv = sysm.verify_invariant_curve(v["invariance_samples"], seed=seed)
         rb.check_leq("invariance_residual", inv["max_residual"],
                      BOUNDS["invariance_residual"])
-        invt = sysm.verify_invariant_curve(v["invariance_samples"],
-                                           seed=p["seed"] + 1, translate=1)
+        invt = sysm.verify_invariant_curve(v["invariance_samples"], seed=seed,
+                                           translate=1)
         rb.check_leq("invariance_residual_translated", invt["max_residual"],
                      BOUNDS["invariance_residual"])
 
@@ -203,23 +203,22 @@ def _verify(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
         expected = np.where(g.local.plus, g.local.alpha, -g.local.alpha)
         rb.check_leq("jump_match", float(np.max(np.abs(found - expected))),
                      BOUNDS["jump_match"])
-        sc = derivative_jump_scan(g, v["jump_scan_samples"], seed=p["seed"] + 2)
+        sc = derivative_jump_scan(g, v["jump_scan_samples"], seed=seed)
         rb.check_leq("jump_no_spurious", sc["max_offmid_jump"], BOUNDS["jump_detect"])
 
     def structural(rb):
-        rb.check_leq("roundtrip", sysm.roundtrip_check(v["roundtrip_samples"],
-                                                       seed=p["seed"] + 3),
+        rb.check_leq("roundtrip", sysm.roundtrip_check(v["roundtrip_samples"], seed=seed),
                      BOUNDS["roundtrip"])
-        rb.check_leq("det_df", sysm.det_check(v["det_samples"], seed=p["seed"] + 4,
+        rb.check_leq("det_df", sysm.det_check(v["det_samples"], seed=seed,
                                               step=v["fd_step"]), BOUNDS["det_df"])
-        vt = sysm.vertical_translation_check(seed=p["seed"] + 5)
+        vt = sysm.vertical_translation_check(seed=seed)
         rb.check_leq("vertical_translate_theta", vt["max_theta_dev"],
                      BOUNDS["vertical_translate_theta"])
         rb.check_leq("vertical_translate_r", vt["max_r_dev"],
                      BOUNDS["vertical_translate_r"])
-        tw = sysm.twist_check(seed=p["seed"] + 6, step=v["fd_step"])
+        tw = sysm.twist_check(seed=seed, step=v["fd_step"])
         rb.check_leq("twist_positive", tw["max_fd_dev"], BOUNDS["twist_fd"])
-        rb.check_leq("phi_periodicity", sysm.periodicity_check(seed=p["seed"] + 7),
+        rb.check_leq("phi_periodicity", sysm.periodicity_check(seed=seed),
                      BOUNDS["phi_periodicity"])
         # the rigid rotation truncates no mass
         rb.check_leq("phi_mean", abs(sysm.mean_check()),
@@ -307,13 +306,9 @@ def _regularity(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
 
 def _portrait(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
     po, p = built.cfg["portrait"], built.cfg["params"]
-    rng = default_rng(p["seed"])
-    orbits = []
-    for _ in range(po["orbits"]):
-        th = rng.random()
-        r0 = float(built.system.curve_height(th)) + rng.uniform(
-            -po["r_band"], po["r_band"])
-        orbits.append((th, r0))
+    band = po["r_band"]
+    orbits = [(th, float(built.system.curve_height(th)) + (2.0 * v - 1.0) * band)
+              for th, v in points(po["orbits"], p["seed"], 2).tolist()]
     dump_phase_portrait_csv(built.system, orbits, po["steps"],
                             os.path.join(outdir, "portrait.csv"),
                             curve_samples=po["curve_samples"])

@@ -2,9 +2,9 @@
 
 Every figure and report is reproducible from a single config file. Unknown
 sections or keys are rejected. No setting is an acceptance bound: those are
-the program's own (reporting.BOUNDS). All sampling randomness is drawn from
-the seed recorded in [params], which drives the program's PCG64 stream
-(`draws`), bit for bit numpy's ``default_rng(seed)``.
+the program's own (reporting.BOUNDS). Every sampled check and portrait's
+start points read one Kronecker point set (`layout.points`), shifted by the
+seed recorded in [params].
 """
 
 from __future__ import annotations

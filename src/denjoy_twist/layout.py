@@ -30,6 +30,28 @@ def circle_delta(a, b):
     return d
 
 
+# round(a * 2**64) for the Kronecker steps a: 1/phi, phi the golden ratio, in
+# one dimension, and the R2 pair 1/p, 1/p**2, p**3 = p + 1 the plastic
+# number, in two
+_KRONECKER = {1: (0x9E3779B97F4A7C16,), 2: (0xC13FA9A902A6328F, 0x91E10DA5C79E7B1D)}
+
+
+def points(n: int, seed: int, d: int = 1) -> np.ndarray:
+    """The first n points frac(c + i a) of the Kronecker set of seed, in
+    [0, 1)^d: shape (n,) for d = 1, (n, 2) for d = 2.
+
+    The shift is c = frac(seed a), so seed s + 1 gives the seed-s set moved
+    on by one index. Both sums are exact in 64-bit fixed point: seed meets
+    the step on Python ints, modulo 2**64, and the points wrap modulo 2**64
+    in uint64 before their top 53 bits become doubles.
+    """
+    i = np.arange(n, dtype=np.uint64)
+    fixed = np.stack([np.uint64(seed * a % 2**64) + i * np.uint64(a)
+                      for a in _KRONECKER[d]], axis=-1)
+    out = (fixed >> np.uint64(11)) * 2.0**-53
+    return out[:, 0] if d == 1 else out
+
+
 @dataclass(frozen=True)
 class GapTable:
     """Placed gaps I_k = [lambda_k, lambda_k + ell_k] for |k| <= M.

@@ -24,8 +24,7 @@ from itertools import chain, count, repeat
 
 import numpy as np
 
-from .draws import default_rng
-from .layout import circle_delta
+from .layout import circle_delta, points
 from .profiles import profile_eval
 from .reporting import csv_lines, fork_map, write_csv, write_csv_blocks
 
@@ -37,6 +36,13 @@ _BLOCK_POINTS = 2**14
 # portrait rows per fork_map call, in whole orbits: the texts of one call, a
 # few MB, are held until written; an orbit longer than this is streamed
 _PORTRAIT_ROWS = 2**16
+
+
+def _in_turn(n, seed, lo, hi):
+    """n gap indices taken in turn from [lo, hi), the first lo + seed mod
+    (hi - lo): n >= hi - lo of them take every index."""
+    span = hi - lo
+    return (np.arange(n) + seed % span) % span + lo
 
 
 class TwistSystem:
@@ -88,7 +94,11 @@ class TwistSystem:
         first term, which the step computes anyway."""
         # split r into integer and fractional parts (both exact) so the
         # theta output commutes bitwise with vertical integer translation
-        w = theta % 1.0 + r % 1.0
+        if isinstance(theta, float):
+            w = theta % 1.0 + r % 1.0
+        else:
+            with np.errstate(invalid="ignore"):   # inf % 1.0: the float route's NaN
+                w = theta % 1.0 + r % 1.0
         theta1 = w - (w >= 1.0)   # back into [0, 1)
         height, down = self._phi_terms(theta1)
         return theta1, r + (height + down), height
@@ -98,32 +108,45 @@ class TwistSystem:
         return theta1, r1
 
     def backward(self, theta, r):
-        th = theta % 1.0
+        if isinstance(theta, float):
+            th, fr = theta % 1.0, r % 1.0
+        else:
+            with np.errstate(invalid="ignore"):   # inf % 1.0: the float route's NaN
+                th, fr = theta % 1.0, r % 1.0
         p = self.phi(th)
-        w = th - r % 1.0 + p
+        w = th - fr + p
         return w % 1.0, r - p
 
     def forward_lift(self, theta, r):
-        w = theta + r
+        if isinstance(theta, float):
+            w = theta + r
+        else:
+            with np.errstate(invalid="ignore"):   # inf - inf: the float route's NaN
+                w = theta + r
         return w, r + self.phi(w)
 
     def backward_lift(self, theta, r):
         p = self.phi(theta)
-        return theta - r + p, r - p
+        if isinstance(theta, float):
+            return theta - r + p, r - p
+        with np.errstate(invalid="ignore"):   # inf - inf: the float route's NaN
+            return theta - r + p, r - p
 
     # -- checks ------------------------------------------------------------
 
     def sample_points(self, n, seed=0):
-        """Mixed circle samples: gap interiors, gap endpoints, residual."""
-        rng = default_rng(seed)
+        """Mixed circle samples from the seed's Kronecker set: half generic
+        (residual-heavy), a quarter in gap interiors and a quarter at gap
+        starts, the gaps taken in turn, so that n/4 >= 2M + 1 samples every
+        gap."""
         tb = self.table
-        pts = [rng.random(n // 2)]  # generic (almost surely residual-heavy)
-        ks = rng.integers(-tb.M, tb.M + 1, size=n // 4)
-        u = rng.random(n // 4)
-        pts.append(np.asarray(tb.lam_of(ks)) + u * np.asarray(tb.ell_of(ks)))
-        ks2 = rng.integers(-tb.M, tb.M + 1, size=n - n // 2 - n // 4)
-        pts.append(np.asarray(tb.lam_of(ks2)))  # endpoints
-        return np.concatenate(pts)
+        v = points(n, seed)
+        half, quarter = n // 2, n // 4
+        ks = _in_turn(n - half, seed, -tb.M, tb.M + 1)
+        inner = ks[:quarter]
+        return np.concatenate([v[:half],
+                               tb.lam_of(inner) + v[half:half + quarter] * tb.ell_of(inner),
+                               tb.lam_of(ks[:n - half - quarter])])
 
     def verify_invariant_curve(self, n_samples: int = 10000, seed: int = 0,
                                translate: int = 0) -> dict:
@@ -131,7 +154,7 @@ class TwistSystem:
         if self.table is not None:
             thetas = self.sample_points(n_samples, seed)
         else:
-            thetas = default_rng(seed).random(n_samples)
+            thetas = points(n_samples, seed)
         fr = thetas % 1.0
         lift1 = self.g.lift_many(fr)
         gam = lift1 - fr
@@ -148,18 +171,14 @@ class TwistSystem:
             "max_r_residual": float(res_r.max()),
         }
 
-    # The sampled checks below evaluate all samples in one array step.
-    # roundtrip and twist draw their (theta, r) pairs as one (n, 2) array,
-    # the same doubles as per-sample random() and uniform() calls. The
-    # vertical translation and det checks keep their per-sample draw loops:
-    # det's draws branch on a draw, and integer draws split 64-bit words in
-    # two (`draws.Generator.integers`). Reductions are np.max, so a NaN
-    # sample fails its check instead of vanishing as in a Python max.
+    # The sampled checks below step all their samples in one array call.
+    # Reductions are np.max, so a NaN sample fails its check instead of
+    # vanishing as in a Python max.
 
     def roundtrip_check(self, n_samples: int = 10000, seed: int = 1) -> float:
         """max over samples of |f^{-1}(f(theta, r)) - (theta, r)| and converse."""
-        u = default_rng(seed).random((n_samples, 2))
-        th, r = u[:, 0], 3.0 * u[:, 1] - 1.5   # r uniform on [-1.5, 1.5)
+        th, v = points(n_samples, seed, 2).T
+        r = 3.0 * v - 1.5   # r on [-1.5, 1.5)
         devs = []
         for first, second in ((self.forward, self.backward),
                               (self.backward, self.forward)):
@@ -174,11 +193,8 @@ class TwistSystem:
         the r-part can still differ in the last bit because r + phi rounds
         at different exponents.
         """
-        rng = default_rng(seed)
-        th, r = np.empty(n_samples), np.empty(n_samples)
-        for i in range(n_samples):
-            th[i] = rng.random()
-            r[i] = rng.integers(-2048, 2048) / 1024.0
+        th, v = points(n_samples, seed, 2).T
+        r = np.floor(4096.0 * v) / 1024.0 - 2.0   # multiples of 1/1024 on [-2, 2)
         t1, r1 = self.forward(th, r)
         t2, r2 = self.forward(th, r + 1.0)
         return {"max_theta_dev": float(np.max(np.abs(t2 - t1), initial=0.0)),
@@ -187,18 +203,15 @@ class TwistSystem:
     def det_check(self, n_samples: int = 1000, seed: int = 3,
                   step: float = 1e-6) -> float:
         """|det Df - 1| by central differences at differentiable points."""
-        rng = default_rng(seed)
-        theta, r = np.empty(n_samples), np.empty(n_samples)
-        for i in range(n_samples):
-            if self.table is not None:
-                # gap interiors with margin: differentiable, and theta +- step
-                # cannot straddle a slope kink there
-                k = int(rng.integers(-min(400, self.table.M), min(400, self.table.M)))
-                s = rng.uniform(0.1, 0.4) if rng.random() < 0.5 else rng.uniform(0.6, 0.9)
-                theta[i] = float(self.table.lam_of(k)) + s * float(self.table.ell_of(k))
-            else:
-                theta[i] = rng.random()
-            r[i] = rng.uniform(-0.5, 0.5)
+        theta, v = points(n_samples, seed, 2).T
+        r = v - 0.5
+        if self.table is not None:
+            # gap interiors with margin, s on [0.1, 0.4) or [0.6, 0.9):
+            # differentiable, and theta +- step cannot straddle a slope kink
+            span = min(400, self.table.M)
+            k = _in_turn(n_samples, seed, -span, span)
+            s = np.where(theta < 0.5, 0.1, 0.3) + 0.6 * theta
+            theta = self.table.lam_of(k) + s * self.table.ell_of(k)
         w = theta - r  # probe at theta+r == theta, away from kinks
         F = self.forward_lift
         (tp, rp), (tm, rm) = F(w + step, r), F(w - step, r)
@@ -210,15 +223,14 @@ class TwistSystem:
     def twist_check(self, n_samples: int = 100, seed: int = 4,
                     step: float = 1e-6) -> dict:
         """d theta' / d r: affine-in-r by the formula; confirmed by differences."""
-        u = default_rng(seed).random((n_samples, 2))
-        th, r = u[:, 0], 2.0 * u[:, 1] - 1.0   # r uniform on [-1, 1)
+        th, v = points(n_samples, seed, 2).T
+        r = 2.0 * v - 1.0   # r on [-1, 1)
         d = (self.forward_lift(th, r + step)[0]
              - self.forward_lift(th, r - step)[0]) / (2 * step)
         return {"max_fd_dev": float(np.max(np.abs(d - 1.0), initial=0.0))}
 
     def periodicity_check(self, n_samples: int = 1000, seed: int = 5) -> float:
-        rng = default_rng(seed)
-        xs = rng.random(n_samples)
+        xs = points(n_samples, seed)
         return float(np.max(np.abs(self.phi(xs + 1.0)
                                    - self.phi(xs))))
 

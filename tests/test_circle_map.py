@@ -10,7 +10,7 @@ from denjoy_twist.circle_map import (_NOT_GAP, CircleHomeo, LocalDiffeo, RigidRo
                                      derivative_jump_table, rotation_number_estimate,
                                      wandering_interval_check)
 from denjoy_twist.cli import build_full_system
-from denjoy_twist.layout import circle_delta
+from denjoy_twist.layout import circle_delta, points
 from denjoy_twist.profiles import _TABLE_PANELS, profile_eval
 from denjoy_twist.reporting import BOUNDS
 from denjoy_twist.sequences import ConstructionError, SeqParams, build_sequences
@@ -241,7 +241,7 @@ def test_derivative_array_form(small):
             assert left[i] == g.local.deriv(g.local.ell[k + g.M], k, side="left")
     # the scan is one array call per side, equal to the per-point maximum
     scan = derivative_jump_scan(g, 500, seed=38)
-    pts = np.random.default_rng(38).random(500)
+    pts = points(500, 38)
     worst = max(abs(g.derivative(float(x), "right") - g.derivative(float(x), "left"))
                 for x in pts)
     assert scan["max_offmid_jump"] == worst

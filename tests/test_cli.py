@@ -58,8 +58,8 @@ def test_run_path_imports_no_scipy(tmp_path):
 
 
 def test_sampling_commands_import_no_numpy_random(tmp_path):
-    # the checks and the portrait draw from the package's own PCG64 stream:
-    # numpy.random, and OpenSSL through secrets and hmac, stay unloaded
+    # the checks and the portrait read a Kronecker point set: numpy.random,
+    # and OpenSSL through secrets and hmac, stay unloaded
     args = ([["verify"] + FAST + ["--set", "params.M=16"]]
             + [["portrait", "--set", "params.M=16", "--set", "portrait.orbits=2",
                 "--set", "portrait.steps=30"]])
@@ -145,6 +145,14 @@ def test_verify_calls_no_numpy_linalg(tmp_path, monkeypatch):
         if callable(f) and not isinstance(f, type):
             monkeypatch.setattr(np.linalg, name, refuse)
     assert run(["verify"] + FAST, tmp_path, "v") == 0
+
+
+@pytest.mark.parametrize("seed", [0, 20260809, 2**70])
+def test_verify_passes_at_any_seed(tmp_path, seed):
+    # the seed shifts every check's Kronecker set: exact on Python ints, so
+    # a seed past 2**64 reaches numpy reduced
+    assert run(["verify"] + FAST + ["--set", "params.M=16",
+                                    "--set", f"params.seed={seed}"], tmp_path, "v") == 0
 
 
 def test_verify_passes_at_large_M(tmp_path):
@@ -393,11 +401,11 @@ PORTRAIT = ["portrait", "--set", "params.M=32", "--set", "portrait.orbits=4",
             "--set", "portrait.steps=100"]
 OUTPUT_DIGESTS = {
     "verify": (["verify"] + FAST, {
-        "verify.json": "8960c3c64335792eb581169357f193bb484aa7e6bc298ffc7bc914a7d5d3b2c1"}),
+        "verify.json": "a3ffc31fb890e70748b4b05a65bfe4ef1bc465d7944fe972d243b34311754dee"}),
     # 599 gaps: the linearity check fits two full blocks of 256 gaps and a
     # partial one
     "verify_blocks": (["verify"] + FAST + ["--set", "params.M=300"], {
-        "verify.json": "a8cc92d7346f03e1111f5c8fa42a586ff8a5668d5be2e203efabaecc3b64ad44"}),
+        "verify.json": "fb0bc14b50ebf846aae841161965b2a9ca250c8d8cf7b9558db9b2dbd0116e19"}),
     "verify_rigid": (["verify"] + FAST + ["--set", "params.mode=rigid_rotation"], {
         "verify.json": "031a07b7f57b1c58f27ca91bc3c04d88c00987b945ad2c7b11f739bfe917f622"}),
     "regularity": (["regularity", "--set", "params.M=32",
@@ -434,9 +442,9 @@ OUTPUT_DIGESTS = {
         "regularity.csv": "3041ee4aed560a6a4de7139a823adc4971b91ce6aee49538d84b7be0e331cbe1",
         "regularity.json": "1ef141ac71301e4ab6895762941e47e8a5463302e36b5cc74de173304dc5c8dd"}),
     "portrait": (PORTRAIT, {
-        "portrait.csv": "2868f5ab46b38d41546976d2988cd7a6e798c5d198eb1245d64671ba76b6a701"}),
+        "portrait.csv": "3d0e65fdaa44d15c8c4c4b27768438365815561fc5492e9937d9f00f871b69d9"}),
     "portrait_swap": (PORTRAIT + ["--set", "params.swap_gamma=true"], {
-        "portrait.csv": "a94fb5be6effc5969f427f2477e23ed90c3f887c1b7a78c45511543004651661"}),
+        "portrait.csv": "f2e3951ea667c6d8d7add9b2c23dc9890b6891bfc5a76ffa8cc35bd50cd47f3d"}),
     "diffusion": (["diffusion", "--set", "params.M=16", "--set", "diffusion.n=2000"], {
         "diffusion.json": DIFFUSION_DIGEST[1]}),
 }

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from denjoy_twist.cli import build_full_system
-from denjoy_twist.layout import (GapTable, SemiConjugacy, build_gap_table,
-                                 circle_delta, dump_gap_table_csv)
+from denjoy_twist.layout import (_KRONECKER, GapTable, SemiConjugacy, build_gap_table,
+                                 circle_delta, dump_gap_table_csv, points)
 from denjoy_twist.sequences import SeqParams, build_sequences
 
 # frozen placement value for the default configuration (M = 500); the scan
@@ -196,3 +196,49 @@ def test_sequences_table_roundtrip(small):
     # the table is built from the same sequences object
     assert small.table.residual_mass == pytest.approx(small.seqs.residual_mass,
                                                       abs=1e-15)
+
+
+# the seeds the point-set tests use: 0, the CLI's default, and seeds whose
+# products with a step pass 2**64 and 2**128 as Python ints
+SEEDS = [0, 20260809, 2**64 + 1, 2**70]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_kronecker_steps_are_the_irrationals_in_fixed_point(d):
+    # 1/phi for d = 1; 1/p and 1/p**2 with p**3 = p + 1 for d = 2
+    if d == 1:
+        steps = [(math.sqrt(5.0) - 1.0) / 2.0]
+    else:
+        p = 1.324717957244746
+        steps = [1.0 / p, 1.0 / p**2]
+    assert [a / 2**64 for a in _KRONECKER[d]] == pytest.approx(steps, abs=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_points_lie_in_the_unit_cube_and_follow_the_seed(d):
+    sets = [points(1000, seed, d) for seed in SEEDS]
+    for x in sets:
+        assert x.shape == ((1000,) if d == 1 else (1000, d)) and x.dtype == np.float64
+        assert np.all((0.0 <= x) & (x < 1.0))
+    # the shift is frac(seed a) in 64-bit fixed point: seeds distinct modulo
+    # 2**64 give distinct sets, and equal ones the same set (2**70 = 0)
+    assert len({x.tobytes() for x in sets[:3]}) == 3
+    assert np.array_equal(sets[3], sets[0])
+    assert np.array_equal(points(50, 2**64 + 1, d), points(50, 1, d))
+    # seed s + 1 is the seed-s set moved on by one index, bitwise
+    for seed in SEEDS:
+        assert np.array_equal(points(999, seed + 1, d), points(1000, seed, d)[1:])
+    assert points(0, 2**70, d).size == 0
+
+
+@pytest.mark.parametrize("seed", SEEDS + [7])
+def test_sample_points_take_every_gap_in_turn(m16, seed):
+    # a quarter of the samples in gap interiors, a quarter at gap starts:
+    # 4 (2M + 1) samples reach every gap in both quarters
+    tb = m16.table
+    n = 4 * (2 * tb.M + 1)
+    x = m16.system.sample_points(n, seed)
+    inner, starts = x[n // 2:3 * n // 4], x[3 * n // 4:]
+    lo, hi = tb.lam, tb.lam + tb.ell
+    assert np.all(((lo[:, None] <= inner) & (inner <= hi[:, None])).any(axis=1))
+    assert sorted(starts.tolist()) == sorted(lo.tolist())

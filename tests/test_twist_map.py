@@ -140,6 +140,23 @@ def test_phi_of_nan_or_inf_is_the_float_routes_nan(small):
         assert np.array_equal(f(xs).view(np.int64), floats.view(np.int64))
 
 
+def test_steps_at_nan_or_inf_give_the_float_routes_nan(small):
+    # every (theta, r) pair of NaN, +-inf and a finite value: each step's
+    # array route gives NaN where the float route does, with no warning, and
+    # the float route's bits elsewhere. A NaN's sign bit is not compared: it
+    # follows which operand an add propagates, which numpy's loops and
+    # Python's float ops pick differently.
+    sysm = small.system
+    values = [np.nan, np.inf, -np.inf, 0.3]
+    th, r = (np.array(a) for a in zip(*[(t, v) for t in values for v in values]))
+    for step in (sysm.forward, sysm.backward, sysm.forward_lift, sysm.backward_lift):
+        arr = np.stack(step(th, r), axis=1)
+        floats = np.array([step(t, v) for t, v in zip(th.tolist(), r.tolist())])
+        nan = np.isnan(floats)
+        assert np.array_equal(np.isnan(arr), nan), step
+        assert np.array_equal(arr[~nan].view(np.int64), floats[~nan].view(np.int64)), step
+
+
 def test_vertical_translation(small):
     rep = small.system.vertical_translation_check(seed=43)
     assert rep["max_theta_dev"] == 0.0
@@ -172,7 +189,7 @@ def test_invariant_curve_translated_near_rational(profiles, omega):
     # with a step formula of its own read 1.58e-10 at omega = 1e-9
     params = SeqParams(truncation_M=16, omega=omega)
     *_, system = build_full_system(params, profiles, False)
-    rep = system.verify_invariant_curve(10000, seed=20260809 + 1, translate=1)
+    rep = system.verify_invariant_curve(10000, seed=20260809, translate=1)
     assert rep["max_residual"] <= 1e-10
 
 
@@ -191,7 +208,7 @@ def test_lift_roundtrip_near_rational(profiles, omega):
     # rational omega is the map's own round trip, not its measurement
     params = SeqParams(truncation_M=16, omega=omega)
     *_, g, system = build_full_system(params, profiles, False)
-    x = system.sample_points(10000, seed=20260809 + 1) % 1.0
+    x = system.sample_points(10000, seed=20260809) % 1.0
     assert np.max(np.abs(g.inverse_lift_many(g.lift_many(x)) - x)) <= 1e-12
 
 
