@@ -25,9 +25,9 @@ from .sequences import ConstructionError
 def circle_delta(a, b):
     """Minimal representative of a - b on the circle, in [-1/2, 1/2]: np.round
     rounds half to even, so a difference of exactly 1/2 may come out as -1/2."""
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    d = d - np.round(d)
-    return d
+    with np.errstate(invalid="ignore"):   # inf - inf: NaN, as the steps give
+        d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+        return d - np.round(d)
 
 
 # round(a * 2**64) for the Kronecker steps a: 1/phi, phi the golden ratio, in
@@ -165,7 +165,8 @@ class SemiConjugacy:
         placement measure, t = (x - gap mass below) / residual mass.
         """
         tb = self.table
-        x = np.asarray(x, dtype=float) % 1.0
+        with np.errstate(invalid="ignore"):   # inf % 1.0: NaN, as g gives
+            x = np.asarray(x, dtype=float) % 1.0
         i, inside = tb.lookup(x)
         k = tb.sorted_to_k[i]
         mass_below = np.where(i >= 0, tb.cum_mass[i] + tb.ell_of(k), 0.0)

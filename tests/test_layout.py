@@ -242,3 +242,19 @@ def test_sample_points_take_every_gap_in_turn(m16, seed):
     lo, hi = tb.lam, tb.lam + tb.ell
     assert np.all(((lo[:, None] <= inner) & (inner <= hi[:, None])).any(axis=1))
     assert sorted(starts.tolist()) == sorted(lo.tolist())
+
+
+@pytest.mark.parametrize("route", ["semiconjugacy", "circle_delta"])
+def test_circle_routes_at_inf_give_nan_without_a_warning(small, route):
+    # inf % 1.0 and inf - inf are NaN, as on every g, phi and step route: on
+    # floats and arrays alike, with no RuntimeWarning (pyproject makes one an
+    # error)
+    if route == "semiconjugacy":
+        f = SemiConjugacy(small.table).eval
+    else:
+        def f(x):
+            return circle_delta(x, 0.25)
+    xs = np.array([np.inf, -np.inf, np.nan, 0.3])
+    arr, floats = f(xs), np.array([f(x) for x in xs.tolist()])
+    assert np.isnan(arr[:3]).all() and np.isnan(floats[:3]).all()
+    assert np.isfinite(arr[3]) and arr[3] == floats[3]

@@ -174,8 +174,8 @@ def test_invariant_curve(small):
 
 
 def test_invariant_curve_translated(small):
-    rep = small.system.verify_invariant_curve(2000, seed=47, translate=1)
-    assert rep["max_residual"] <= 1e-11
+    rep = small.system.verify_invariant_curve(2000, seed=47)
+    assert rep["max_residual_translated"] <= 1e-11
 
 
 @pytest.mark.parametrize("omega", [
@@ -189,8 +189,8 @@ def test_invariant_curve_translated_near_rational(profiles, omega):
     # with a step formula of its own read 1.58e-10 at omega = 1e-9
     params = SeqParams(truncation_M=16, omega=omega)
     *_, system = build_full_system(params, profiles, False)
-    rep = system.verify_invariant_curve(10000, seed=20260809, translate=1)
-    assert rep["max_residual"] <= 1e-10
+    rep = system.verify_invariant_curve(10000, seed=20260809)
+    assert rep["max_residual_translated"] <= 1e-10
 
 
 @pytest.mark.parametrize("omega", [
