@@ -330,7 +330,7 @@ def test_one_sided_agreement_off_midpoints(small):
     assert worst <= 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="uniform samples never fall on a piece edge, "
+@pytest.mark.xfail(strict=True, reason="the Kronecker set never falls on a piece edge, "
                    "so the scan reads 0.0 whatever g' does there (CHANGES.md FOUND 52)")
 def test_jump_scan_sees_an_injected_jump(profiles):
     # a fresh build, as its slope column is edited in place: one transport

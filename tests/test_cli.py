@@ -382,13 +382,13 @@ def _sha256(data: bytes) -> str:
 # profiles exchanged; and, at M=16 with 2000 steps, diffusion.json's probes
 # (json.dumps with indent=2, sort_keys=True) and its deterministic dump
 MANIFOLD_DIGESTS = {
-    "false": ("af10f730d643140555894df6774c8711bd1997c6e2fc236434f85971bb8ffb5b",
-              "2a178d8c61d8e2b9c20390c735d10485804addcf43ae5ac8e6572d1f7ae46795"),
-    "true": ("af10f730d643140555894df6774c8711bd1997c6e2fc236434f85971bb8ffb5b",
-             "59bce850551475a54914afb68f3d2efcacdfc1ec8e58b2ee42811b4c835e5791"),
+    "false": ("609b7b862068f73426a6b20e456febdf5e7d156f75600b0f36d105943027c7a3",
+              "e44600af80561b804b25d0be5ff8f41ca27cac3f66399ac4f20569e36ac99940"),
+    "true": ("609b7b862068f73426a6b20e456febdf5e7d156f75600b0f36d105943027c7a3",
+             "b7d23cce68409a58ff4960cb7e5a19b54cb9d65f1918bafc86369bf5c0b5a650"),
 }
-DIFFUSION_DIGEST = ("392acdffc53afc0acf3343392cc2ac5b4db8b70034c4d5ba9e5e8dc907dd416d",
-                    "dc59414ebd7450276b4780ee341766f13972652ed8ec8e6a81f2acb742807f30")
+DIFFUSION_DIGEST = ("2bd450cb1e49edcb467690ff704e71b8d091fdc856093f2ba9368325e00cae3d",
+                    "2f6730427016ab750fb0e94d34e2faa01f08cf8fb2a17d7fab8a41b545e15c5c")
 
 
 # sha256 of every file a command writes, its report through
@@ -401,50 +401,50 @@ PORTRAIT = ["portrait", "--set", "params.M=32", "--set", "portrait.orbits=4",
             "--set", "portrait.steps=100"]
 OUTPUT_DIGESTS = {
     "verify": (["verify"] + FAST, {
-        "verify.json": "a3ffc31fb890e70748b4b05a65bfe4ef1bc465d7944fe972d243b34311754dee"}),
+        "verify.json": "a79e986289c703bb9d3adb698ff3b71fbb8a63d85e66a4ac94b22a3770347255"}),
     # 599 gaps: the linearity check fits two full blocks of 256 gaps and a
     # partial one
     "verify_blocks": (["verify"] + FAST + ["--set", "params.M=300"], {
-        "verify.json": "fb0bc14b50ebf846aae841161965b2a9ca250c8d8cf7b9558db9b2dbd0116e19"}),
+        "verify.json": "e48767a5501aaa56a0729fadf70997fa797a6b58f6b7fd22861d0d523a3693b5"}),
     "verify_rigid": (["verify"] + FAST + ["--set", "params.mode=rigid_rotation"], {
         "verify.json": "031a07b7f57b1c58f27ca91bc3c04d88c00987b945ad2c7b11f739bfe917f622"}),
     "regularity": (["regularity", "--set", "params.M=32",
                     "--set", "regularity.compare_C_factor=100"], {
-        "regularity.csv": "f57f88eea4554a03c7da35c8ee55897f31c8a9159683fc748ea49a7d690bec1a",
-        "regularity.json": "b68333057c47efd958e37cc5e58d180b35b82864ceec9a1b7a4929918684735f"}),
+        "regularity.csv": "9470c9d034d701dd2924475a20b416a5a717abe953630d922d0e4411dddc38ff",
+        "regularity.json": "7e4257bfb1d0eacb90fa917f9b6fd06e233d8da5b3ea741805d76b406aaa9e34"}),
     # odd M: M // 2 is the tail index of the estimates
     "build_odd": (["build", "--set", "params.M=33"], {
-        "build.json": "4deeb59661827e738c93dfaf47e5f8596d065656a22194f129e073c4750e6eab",
-        "estimates.json": "b5a426bdae1aa97edfe5134f28ea8e24ada15c62fd6075991584d4824ddd1bf4",
-        "gaps.csv": "d1b2d943cee4ee7212121bf8f6c214125f95d21c764f79308c8bfd2a394ce00b",
+        "build.json": "4ee9422c69b17f0f0b22335fd6112402e9c0a8f5fffda9e1c1d24dbf3aea3498",
+        "estimates.json": "7a3f1ae81f7527ef958180dffa4364abb3332e52cfd011841aa75da8693b2099",
+        "gaps.csv": "6f2f431a0baae378de1fb65a554fe33c5eff2a3e16864b19330eedca49208fbe",
         "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
-        "sequences.csv": "02931065fe0a0876137622bf955c7dcafcb0208a80a7d4cd556dd1b91b8ac00b"}),
+        "sequences.csv": "10d36f1d5dcbd039b4a3dea3a379adf186904e5ce5814d6e8761c881ed7ee16c"}),
     # 65 gaps: the scan joins a 64-gap block and a 1-gap block
     "regularity_odd": (["regularity", "--set", "params.M=33"], {
-        "regularity.csv": "3a6c86eeabc838bd97fc83a617a4dc3fab5e99a80550197ad8c6abc189f6b35c",
-        "regularity.json": "8f3c682de55bf750a14df1587c32d77756c2bfa8a2cfd2047021e4f4194f5704"}),
+        "regularity.csv": "5ba62da67fb533824e478538c7559a1f03f022080ae5ce89cb3a77652f357b1f",
+        "regularity.json": "9d50b5fed702f1736daf7fd6a21fc923dd4e754304f42b925945001a1e98952a"}),
     "build": (["build", "--set", "params.M=64"], {
-        "build.json": "75c7da026957bc39eb2b013e6b168009d230dcd5fca8b89e7c24339321632add",
-        "estimates.json": "393b0ad6f067e672ea9a5544b3a2c54e2b136bc1bf033fdfb46bf211cbe8cdc9",
-        "gaps.csv": "8b8bd7609bdb22233b4152749202520f9d5dd5c7bf2bcb836e6164dfc0948411",
+        "build.json": "03b64a43937bc98eb5f7adc2ff06cec7c5b5c7e70f40816f6e1a8bf2e8df06d0",
+        "estimates.json": "b374be38320dd88ecd20181cd9f95dd6842c8d3ee1e510b6ba3f478c53942ad2",
+        "gaps.csv": "8fe8afa8dffd1d17d7ef78bce3dcb372f61dc620c8e36e6416a998b47cb27d9a",
         "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
-        "sequences.csv": "22501defcdba156237345e70e27a6091f2b19d0bdacc1c9c572ebea89737c9ce"}),
+        "sequences.csv": "7495801efd9892479b4f9125241f840d5258e5291d63898ec458777af9c00e1b"}),
     # 10000 gaps and 10001 CSV rows: the breakpoint pass of the gap family
     # and each CSV writer run several full blocks and a partial one
     "build_blocks": (["build", "--set", "params.M=5000"], {
-        "build.json": "5b347ac6484cedf36152b1fd5ec7c922b6b56a488911614cab1e34ab00f9ec40",
-        "estimates.json": "330ed00ec360b707b1e407fbed5155ee0003588da63d8c93dc00a0084230aced",
-        "gaps.csv": "4202ab0bb98c6bac81398b5332629de1c8c3c69c89b00a9165a69495fbc15418",
+        "build.json": "f4299e4ddd1ea40e321662d3ebd6aa795dade98829d8f36a51799da8a53119a1",
+        "estimates.json": "e4c54d60e9d3a7d02960b68903475b29096208cd8637a1887cc871b0fcdae791",
+        "gaps.csv": "a07fdac61cb55b0cbca3c0f7de581e75c6a6b3b8565b156fb0aaecbcc24aa530",
         "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
-        "sequences.csv": "92d4d57b782a8f4fe7cae007dfe4163c0db5da2f17039c7a8418ed971c2bfe87"}),
+        "sequences.csv": "e4a003bb5c58f031e7f67cf5204c3e106e9042bf401db060d25843baf00a7f40"}),
     # 1039 gaps: regularity.csv is written in a full block and a partial one
     "regularity_blocks": (["regularity", "--set", "params.M=520"], {
-        "regularity.csv": "3041ee4aed560a6a4de7139a823adc4971b91ce6aee49538d84b7be0e331cbe1",
-        "regularity.json": "1ef141ac71301e4ab6895762941e47e8a5463302e36b5cc74de173304dc5c8dd"}),
+        "regularity.csv": "170ab0083440fe8c14a57e0832c2261ff45b78c1f974ca1ae2ecf5f99216d14a",
+        "regularity.json": "a84dfa8b15b6276bdbf106da11b4e86581cfbc52baa305093b737513779e121c"}),
     "portrait": (PORTRAIT, {
-        "portrait.csv": "3d0e65fdaa44d15c8c4c4b27768438365815561fc5492e9937d9f00f871b69d9"}),
+        "portrait.csv": "b6f1385d30c2798f2c99d0290214666cc2fa8024a3b4233ec5ac3420f0248ea3"}),
     "portrait_swap": (PORTRAIT + ["--set", "params.swap_gamma=true"], {
-        "portrait.csv": "f2e3951ea667c6d8d7add9b2c23dc9890b6891bfc5a76ffa8cc35bd50cd47f3d"}),
+        "portrait.csv": "983b767f68f44747848dbed3de91ff7c6d5d4efa60ee4f47b8102a1c61fd0c4c"}),
     "diffusion": (["diffusion", "--set", "params.M=16", "--set", "diffusion.n=2000"], {
         "diffusion.json": DIFFUSION_DIGEST[1]}),
 }
@@ -682,19 +682,25 @@ def test_seed_outside_the_admissible_range_exits_2(tmp_path, capsys, seed):
     assert err.startswith("error: seed alpha1=") and "admissible range" in err
 
 
-@pytest.mark.parametrize("override, message", [
-    ("C=nan", "C must be finite and at least 10"),
-    ("delta=inf", "delta must be positive and finite"),
-    ("B=inf", "B must be finite and at least 3"),
-    ("delta=1e300", "delta=1e+300 is too large: the length normalizer overflows"),
-    ("delta=300", "delta=300 is too large: the length normalizer overflows"),
-    ("delta=280", "delta=280 is too large: the length normalizer overflows"),
-], ids=["C=nan", "delta=inf", "B=inf", "delta=1e300", "delta=300", "delta=280"])
-def test_non_finite_parameter_exits_2_by_name(tmp_path, override, message):
+@pytest.mark.parametrize("overrides, message", [
+    (["C=nan"], "C must be finite and at least 10"),
+    (["delta=inf"], "delta must be positive and finite"),
+    (["B=inf"], "B must be finite and at least 3"),
+    (["delta=1e300"], "delta=1e+300 is too large: the length normalizer overflows"),
+    (["delta=330"], "delta=330 is too large: the length normalizer overflows"),
+    (["delta=300"], "h_0 is not monotone"),
+    (["delta=280"], "h_0 is not monotone"),
+    # the gap lengths reach past the normalizer's head
+    (["delta=300", "M=200000"],
+     "delta=300 is too large at M=200000: the gap lengths overflow"),
+], ids=["C=nan", "delta=inf", "B=inf", "delta=1e300", "delta=330", "delta=300",
+        "delta=280", "delta=300,M=200000"])
+def test_non_finite_parameter_exits_2_by_name(tmp_path, overrides, message):
     # stderr is the one error line: no numpy warning from a NaN running on,
-    # nor from an overflowing length normalizer
-    out = _python("-m", "denjoy_twist.cli", "build", "--set", "params.M=16",
-                  "--set", f"params.{override}", "--out", str(tmp_path))
+    # nor from an overflowing length normalizer or gap length
+    sets = [a for o in overrides for a in ("--set", f"params.{o}")]
+    out = _python("-m", "denjoy_twist.cli", "build", "--set", "params.M=16", *sets,
+                  "--out", str(tmp_path))
     assert out.returncode == 2
     assert out.stderr.startswith(f"error: {message}")
     assert out.stderr.count("\n") == 1 and out.stderr.endswith("\n")

@@ -181,7 +181,7 @@ def test_invariant_curve_translated(small):
 @pytest.mark.parametrize("omega", [
     1e-9,
     pytest.param(0.999999999, marks=pytest.mark.xfail(
-        strict=True, reason="the translated residual stays at 2.3e-10 for omega "
+        strict=True, reason="the translated residual stays at 2.5e-10 for omega "
         "near 1 (CHANGES.md FOUND 26, ROADMAP item 1)")),
 ])
 def test_invariant_curve_translated_near_rational(profiles, omega):
@@ -197,7 +197,7 @@ def test_invariant_curve_translated_near_rational(profiles, omega):
     SeqParams().omega,
     1e-9,
     pytest.param(0.999999999, marks=pytest.mark.xfail(
-        strict=True, reason="g~^{-1}(g~(x)) misses x by 8.4e-11 for omega near 1 "
+        strict=True, reason="g~^{-1}(g~(x)) misses x by 8.1e-11 for omega near 1 "
         "(CHANGES.md FOUND 47)")),
     pytest.param(0.500000001, marks=pytest.mark.xfail(
         strict=True, reason="g~^{-1}(g~(x)) misses x by 2.1e-11 for omega near 1/2 "
