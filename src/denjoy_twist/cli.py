@@ -207,14 +207,14 @@ def _verify(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
     def structural(rb):
         rb.check_leq("roundtrip", sysm.roundtrip_check(v["roundtrip_samples"], seed=seed),
                      BOUNDS["roundtrip"])
-        rb.check_leq("det_df", sysm.det_check(v["det_samples"], seed=seed,
-                                              step=v["fd_step"]), BOUNDS["det_df"])
+        rb.check_leq("det_df", sysm.det_check(v["det_samples"], seed=seed),
+                     BOUNDS["det_df"])
         vt = sysm.vertical_translation_check(seed=seed)
         rb.check_leq("vertical_translate_theta", vt["max_theta_dev"],
                      BOUNDS["vertical_translate_theta"])
         rb.check_leq("vertical_translate_r", vt["max_r_dev"],
                      BOUNDS["vertical_translate_r"])
-        tw = sysm.twist_check(seed=seed, step=v["fd_step"])
+        tw = sysm.twist_check(seed=seed)
         rb.check_leq("twist_positive", tw["max_fd_dev"], BOUNDS["twist_fd"])
         rb.check_leq("phi_periodicity", sysm.periodicity_check(seed=seed),
                      BOUNDS["phi_periodicity"])
@@ -257,10 +257,8 @@ def _verify(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
 
 
 def _scan(system, cfg: RunConfig, rb: ReportBuilder, name: str):
-    r = cfg["regularity"]
     with timed(rb.timings, name):
-        return system.second_derivative_scan(n_grid=r["grid"],
-                                             fd_step_rel=r["fd_step_rel"])
+        return system.second_derivative_scan(n_grid=cfg["regularity"]["grid"])
 
 
 def _regularity(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:

@@ -1,10 +1,11 @@
 """Run configuration: one INI-style file plus command-line overrides.
 
 Every figure and report is reproducible from a single config file. Unknown
-sections or keys are rejected. No setting is an acceptance bound: those are
-the program's own (reporting.BOUNDS). Every sampled check and portrait's
-start points read one Kronecker point set (`layout.points`), shifted by the
-seed recorded in [params].
+sections or keys are rejected. No setting is an acceptance bound or a
+difference step: those are the program's own (reporting.BOUNDS, FD_STEP and
+FD_STEP_REL). Every sampled check and portrait's start points read one
+Kronecker point set (`layout.points`), shifted by the seed recorded in
+[params].
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
+from .reporting import FD_STEP_REL
 from .sequences import SeqParams
 
 
@@ -25,10 +27,10 @@ _SEQ_FIELDS = {"omega": "omega", "delta": "delta", "C": "bigC", "B": "bigB",
                "M": "truncation_M", "alpha1_policy": "alpha1_policy"}
 
 # the rule each value must meet, with the message naming what it failed: the
-# sample counts, orbit lengths and difference steps are positive (at zero a
-# check would pass having measured nothing); counts, widths and factors for
-# which 0 means none or off, and the sampling seed, are 0 or more; lists are
-# comma-separated numbers, kept as written, some needing at least one
+# sample counts and orbit lengths are positive (at zero a check would pass
+# having measured nothing); counts, widths and factors for which 0 means none
+# or off, and the sampling seed, are 0 or more; lists are comma-separated
+# numbers, kept as written, some needing at least one
 _RULES = {
     "positive": (lambda v: 0 < v < math.inf, "must be positive and finite"),
     "non-negative": (lambda v: 0 <= v < math.inf, "must be finite and 0 or more"),
@@ -38,8 +40,8 @@ _RULES = {
                      "expected finite numbers separated by commas, at least one"),
 }
 
-# section -> key -> (default, rule or None); the cross-field rules are in
-# _check_values
+# section -> key -> (default, rule or None); the rules that read a string or
+# the grid's parity are in _check_values
 _SETTINGS = {
     "params": {
         **{key: (getattr(SeqParams, name), None) for key, name in _SEQ_FIELDS.items()},
@@ -54,11 +56,9 @@ _SETTINGS = {
         "jump_scan_samples": (10000, "positive"),
         "roundtrip_samples": (10000, "positive"),
         "det_samples": (1000, "positive"),
-        "fd_step": (1e-6, "positive"),
     },
     "regularity": {
         "grid": (256, "positive"),
-        "fd_step_rel": (1e-4, "positive"),
         "compare_C_factor": (0.0, "non-negative"),
     },
     "portrait": {
@@ -151,22 +151,12 @@ def _check_values(sections) -> None:
         for key, (_, rule) in rows.items():
             if rule is not None and not _RULES[rule][0](sections[sec][key]):
                 raise bad(sec, key, _RULES[rule][1])
-    # an odd grid puts a point on the midpoint of the gap, and a wider step
-    # takes a finite-difference stencil out of its half-gap (taken about
-    # h_{k-1}^{-1}(u), its step over h_{k-1}' puts the stencil's image at
-    # u +- 2 hstep where h_{k-1} is affine: next to the gap ends and midpoint,
-    # 2 (1/(4 grid) - fd_step_rel) ell from them). Rounding moved the ends by
-    # up to 1.004 eps ell, onto the kink at a step just below 1/(4 grid); the
-    # margin of 2 eps keeps them 4 eps ell clear
+    # an odd grid puts a point on a gap midpoint, and where h_{k-1} is affine
+    # the scan's five-point stencil lands on u +- 2 FD_STEP_REL ell, inside
+    # its half-gap while 4 grid FD_STEP_REL < 1
     grid = sections["regularity"]["grid"]
-    if grid % 2:
-        raise bad("regularity", "grid", "must be even")
-    widest = 0.25 / grid - 2 * math.ulp(1.0)
-    if not sections["regularity"]["fd_step_rel"] <= widest:
-        raise bad("regularity", "fd_step_rel",
-                  f"must be at most 1/(4 grid) - 2 eps = {widest!r} (a stencil "
-                  f"end then lies 4 eps ell inside its half-gap, and rounding "
-                  f"moves it by up to 1.004 eps ell)")
+    if grid % 2 or 4 * grid * FD_STEP_REL >= 1:
+        raise bad("regularity", "grid", f"must be even and below {0.25 / FD_STEP_REL:g}")
     theta0 = sections["diffusion"]["theta0"]
     if theta0 != "mu1" and not _one_finite(theta0):
         raise bad("diffusion", "theta0", "expected 'mu1' or a finite number")
@@ -180,9 +170,13 @@ def load_config(path=None, overrides=()) -> RunConfig:
     """
     sections = {s: dict(kv) for s, kv in _DEFAULTS.items()}
     if path is not None:
-        parser = configparser.ConfigParser()
+        # values are literal, as --set takes them ('out50%' is a directory)
+        parser = configparser.ConfigParser(interpolation=None)
         parser.optionxform = str  # keys are case-sensitive (C vs c)
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from None
         if not read:
             raise ConfigError(f"config file {path} not found or unreadable")
         for sec in parser.sections():

@@ -55,6 +55,11 @@ BOUNDS = {
     "regularity_term_rel": 1e-6, "c_comparison_factor_min": 5.0,
 }
 
+# The difference steps of det_df and twist_positive, and of the regularity
+# scan relative to ell_k: the program's, as the bounds are
+FD_STEP = 1e-6
+FD_STEP_REL = 1e-4
+
 
 @contextmanager
 def timed(timings: dict, name: str):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .layout import circle_delta, points
 from .profiles import profile_eval
-from .reporting import csv_lines, fork_map, write_csv, write_csv_blocks
+from .reporting import FD_STEP, FD_STEP_REL, csv_lines, fork_map, write_csv, write_csv_blocks
 
 # grid points per array pass of the linearity check and the second-derivative
 # scan, in whole gaps (256 x 64 and 64 x 256 at the default grids): their
@@ -198,8 +198,7 @@ class TwistSystem:
         return {"max_theta_dev": float(np.max(np.abs(t2 - t1), initial=0.0)),
                 "max_r_dev": float(np.max(np.abs((r2 - r1) - 1.0), initial=0.0))}
 
-    def det_check(self, n_samples: int = 1000, seed: int = 3,
-                  step: float = 1e-6) -> float:
+    def det_check(self, n_samples: int = 1000, seed: int = 3) -> float:
         """|det Df - 1| by central differences at differentiable points."""
         theta, v = points(n_samples, seed, 2).T
         r = v - 0.5
@@ -211,20 +210,19 @@ class TwistSystem:
             s = np.where(theta < 0.5, 0.1, 0.3) + 0.6 * theta
             theta = self.table.lam_of(k) + s * self.table.ell_of(k)
         w = theta - r  # probe at theta+r == theta, away from kinks
-        F = self.forward_lift
+        F, step = self.forward_lift, FD_STEP
         (tp, rp), (tm, rm) = F(w + step, r), F(w - step, r)
         (tu, ru), (td, rd) = F(w, r + step), F(w, r - step)
         a, c = (tp - tm) / (2 * step), (rp - rm) / (2 * step)
         b, d = (tu - td) / (2 * step), (ru - rd) / (2 * step)
         return float(np.max(np.abs(a * d - b * c - 1.0), initial=0.0))
 
-    def twist_check(self, n_samples: int = 100, seed: int = 4,
-                    step: float = 1e-6) -> dict:
+    def twist_check(self, n_samples: int = 100, seed: int = 4) -> dict:
         """d theta' / d r: affine-in-r by the formula; confirmed by differences."""
         th, v = points(n_samples, seed, 2).T
         r = 2.0 * v - 1.0   # r on [-1, 1)
-        d = (self.forward_lift(th, r + step)[0]
-             - self.forward_lift(th, r - step)[0]) / (2 * step)
+        d = (self.forward_lift(th, r + FD_STEP)[0]
+             - self.forward_lift(th, r - FD_STEP)[0]) / (2 * FD_STEP)
         return {"max_fd_dev": float(np.max(np.abs(d - 1.0), initial=0.0))}
 
     def periodicity_check(self, n_samples: int = 1000, seed: int = 5) -> float:
@@ -289,7 +287,7 @@ class TwistSystem:
     # -- regularity scan -----------------------------------------------------
 
     def second_derivative_scan(self, n_grid: int = 256,
-                               fd_step_rel: float = 1e-4) -> "RegularityReport":
+                               fd_step_rel: float = FD_STEP_REL) -> "RegularityReport":
         """Per-gap second-derivative data for zeta_k = h_k + h_{k-1}^{-1} - 2 Id.
 
         Evaluates the four closed-form terms on an interior grid u that avoids

@@ -383,12 +383,12 @@ def _sha256(data: bytes) -> str:
 # (json.dumps with indent=2, sort_keys=True) and its deterministic dump
 MANIFOLD_DIGESTS = {
     "false": ("609b7b862068f73426a6b20e456febdf5e7d156f75600b0f36d105943027c7a3",
-              "e44600af80561b804b25d0be5ff8f41ca27cac3f66399ac4f20569e36ac99940"),
+              "027f2bee322d7a8603376811ea3ee29d86aa58b21f42b423e101b10f2523f57f"),
     "true": ("609b7b862068f73426a6b20e456febdf5e7d156f75600b0f36d105943027c7a3",
-             "b7d23cce68409a58ff4960cb7e5a19b54cb9d65f1918bafc86369bf5c0b5a650"),
+             "c4f514000b3e6c06d5fc2fc2ce50b7d56c92ff9d49346a6e33b78afc6af781b6"),
 }
 DIFFUSION_DIGEST = ("2bd450cb1e49edcb467690ff704e71b8d091fdc856093f2ba9368325e00cae3d",
-                    "2f6730427016ab750fb0e94d34e2faa01f08cf8fb2a17d7fab8a41b545e15c5c")
+                    "01dd8d28e9f6030622a94bf14c22c33b103ce138174b8c7225db45581ea9d46d")
 
 
 # sha256 of every file a command writes, its report through
@@ -401,20 +401,20 @@ PORTRAIT = ["portrait", "--set", "params.M=32", "--set", "portrait.orbits=4",
             "--set", "portrait.steps=100"]
 OUTPUT_DIGESTS = {
     "verify": (["verify"] + FAST, {
-        "verify.json": "a79e986289c703bb9d3adb698ff3b71fbb8a63d85e66a4ac94b22a3770347255"}),
+        "verify.json": "0cee16144a3d34b11b62de6f0ea5d2e54a967ab58bc9080566ee9677d90f0268"}),
     # 599 gaps: the linearity check fits two full blocks of 256 gaps and a
     # partial one
     "verify_blocks": (["verify"] + FAST + ["--set", "params.M=300"], {
-        "verify.json": "e48767a5501aaa56a0729fadf70997fa797a6b58f6b7fd22861d0d523a3693b5"}),
+        "verify.json": "3cd56885e24050923f4e7b3090e28a1ca6852e7970d30152accc48c87bde67eb"}),
     "verify_rigid": (["verify"] + FAST + ["--set", "params.mode=rigid_rotation"], {
-        "verify.json": "031a07b7f57b1c58f27ca91bc3c04d88c00987b945ad2c7b11f739bfe917f622"}),
+        "verify.json": "d5adbea6a290b2436d71ccc23c1bcd7a9ac58cffaf77da6977e1fe27cc66c147"}),
     "regularity": (["regularity", "--set", "params.M=32",
                     "--set", "regularity.compare_C_factor=100"], {
         "regularity.csv": "9470c9d034d701dd2924475a20b416a5a717abe953630d922d0e4411dddc38ff",
-        "regularity.json": "7e4257bfb1d0eacb90fa917f9b6fd06e233d8da5b3ea741805d76b406aaa9e34"}),
+        "regularity.json": "d9920fac00d9de4c7446ec8baa53558aba6f96fc0b23ff76d0b818d5e983d9c0"}),
     # odd M: M // 2 is the tail index of the estimates
     "build_odd": (["build", "--set", "params.M=33"], {
-        "build.json": "4ee9422c69b17f0f0b22335fd6112402e9c0a8f5fffda9e1c1d24dbf3aea3498",
+        "build.json": "93dc50e75fdfaa80188023cfc325ad9c787348f551bacb033c549c1d5766f941",
         "estimates.json": "7a3f1ae81f7527ef958180dffa4364abb3332e52cfd011841aa75da8693b2099",
         "gaps.csv": "6f2f431a0baae378de1fb65a554fe33c5eff2a3e16864b19330eedca49208fbe",
         "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
@@ -422,9 +422,9 @@ OUTPUT_DIGESTS = {
     # 65 gaps: the scan joins a 64-gap block and a 1-gap block
     "regularity_odd": (["regularity", "--set", "params.M=33"], {
         "regularity.csv": "5ba62da67fb533824e478538c7559a1f03f022080ae5ce89cb3a77652f357b1f",
-        "regularity.json": "9d50b5fed702f1736daf7fd6a21fc923dd4e754304f42b925945001a1e98952a"}),
+        "regularity.json": "0029b9198e2c303577bdaa13a3be733f3f52c4ce24119940a6a806584ab76094"}),
     "build": (["build", "--set", "params.M=64"], {
-        "build.json": "03b64a43937bc98eb5f7adc2ff06cec7c5b5c7e70f40816f6e1a8bf2e8df06d0",
+        "build.json": "86d2eef784de65aae3016b27f884cb59a962c8507b6a0d91ee5865cc0aae0bc5",
         "estimates.json": "b374be38320dd88ecd20181cd9f95dd6842c8d3ee1e510b6ba3f478c53942ad2",
         "gaps.csv": "8fe8afa8dffd1d17d7ef78bce3dcb372f61dc620c8e36e6416a998b47cb27d9a",
         "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
@@ -432,7 +432,7 @@ OUTPUT_DIGESTS = {
     # 10000 gaps and 10001 CSV rows: the breakpoint pass of the gap family
     # and each CSV writer run several full blocks and a partial one
     "build_blocks": (["build", "--set", "params.M=5000"], {
-        "build.json": "f4299e4ddd1ea40e321662d3ebd6aa795dade98829d8f36a51799da8a53119a1",
+        "build.json": "bd90652b106dcec2d42e526bac9eddacfbfa8ec8395623bdb456cb76b8903448",
         "estimates.json": "e4c54d60e9d3a7d02960b68903475b29096208cd8637a1887cc871b0fcdae791",
         "gaps.csv": "a07fdac61cb55b0cbca3c0f7de581e75c6a6b3b8565b156fb0aaecbcc24aa530",
         "profiles.csv": "ed9725c2f5e9a24860f7d8878323f814572fb1c28473c23ee42d5620e0e8d51a",
@@ -440,7 +440,7 @@ OUTPUT_DIGESTS = {
     # 1039 gaps: regularity.csv is written in a full block and a partial one
     "regularity_blocks": (["regularity", "--set", "params.M=520"], {
         "regularity.csv": "170ab0083440fe8c14a57e0832c2261ff45b78c1f974ca1ae2ecf5f99216d14a",
-        "regularity.json": "a84dfa8b15b6276bdbf106da11b4e86581cfbc52baa305093b737513779e121c"}),
+        "regularity.json": "2102f5db7fd4696c36e212235d52651786185cb937a6d5bb4d32861be09b3ea7"}),
     "portrait": (PORTRAIT, {
         "portrait.csv": "b6f1385d30c2798f2c99d0290214666cc2fa8024a3b4233ec5ac3420f0248ea3"}),
     "portrait_swap": (PORTRAIT + ["--set", "params.swap_gamma=true"], {
@@ -562,6 +562,28 @@ def test_config_file_cannot_set_a_bound(tmp_path, capsys):
     assert "[tolerances]" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [
+    "[params]\nM = 16\nM = 32\n",
+    "[params]\nM = 16\n\n[params]\nB = 3\n",
+    "M = 16\n",
+    "[params]\nM\n",
+    "[params]\nM = 16\xff\n",
+    "[params]\nM = 16\n\n[output]\ndirectory = out50%\n",
+], ids=["repeated-option", "repeated-section", "no-section-header", "no-equals",
+        "not-utf8", "percent"])
+def test_malformed_config_file_exits_2_naming_it(tmp_path, capsys, text):
+    # configparser's own errors are config errors, on one stderr line naming
+    # the file; a value is literal, as --set reads it, so '%' is no error
+    ini = tmp_path / "f.ini"
+    ini.write_bytes(text.encode("latin-1"))
+    if "%" in text:
+        assert load_config(str(ini))["output"]["directory"] == "out50%"
+        return
+    assert run(["build", "--config", str(ini)], tmp_path, "c") == 2
+    err = capsys.readouterr().err
+    assert str(ini) in err and err.count("\n") == 1 and "Traceback" not in err
+
+
 _BAD_SETTINGS = [
     ("verify", "verify.rotation_starts="),
     ("verify", "verify.rotation_starts= , "),
@@ -571,11 +593,8 @@ _BAD_SETTINGS = [
     ("verify", "verify.det_samples=0"),
     ("verify", "verify.invariance_samples=0"),
     ("verify", "manifolds.k_max=0"),
-    ("verify", "verify.fd_step=0"),
-    ("verify", "verify.fd_step=nan"),
     ("manifolds", "manifolds.k_max=0"),
     ("regularity", "regularity.grid=0"),
-    ("regularity", "regularity.fd_step_rel=-1e-4"),
     ("verify", "params.M=abc"),
     ("verify", "verify.rotation_starts=a,b"),
     ("diffusion", "diffusion.thresholds=a"),
@@ -586,29 +605,23 @@ _BAD_SETTINGS = [
     ("portrait", "portrait.steps=-3"),
     ("portrait", "portrait.r_band=-1"),
     ("portrait", "portrait.r_band=inf"),
-    ("verify", "verify.fd_step=inf"),
     ("portrait", "portrait.curve_samples=-1"),
     # the sampling stream is seeded by a non-negative integer
     ("portrait", "params.seed=-1"),
     ("regularity", "regularity.compare_C_factor=-3"),
-    # an odd grid puts a point on a gap midpoint, and a step of 1/(4 grid)
-    # or more takes the first five-point stencil out of its gap: the scan's
-    # stencil, taken in h_{k-1}^{-1} coordinates with its step divided by
-    # h_{k-1}', lands on u +- 2 hstep there, where h_{k-1} is affine. A step
-    # less than 2 eps below 1/(4 grid) is refused too: at the step just below
-    # it rounding took the stencil's ends onto the midpoint, and the
-    # cross-check read 1.0
+    # an odd grid puts a point on a gap midpoint, and from 1/(4 FD_STEP_REL)
+    # = 2500 on the scan's five-point stencil, which lands on u +- 2 hstep
+    # where h_{k-1} is affine, leaves its half-gap
     ("regularity", "regularity.grid=3"),
-    ("regularity", "regularity.fd_step_rel=0.001"),
-    ("regularity", "regularity.fd_step_rel=0.00099"),
-    ("regularity", "regularity.fd_step_rel=0.0009765624999999999"),
+    ("regularity", "regularity.grid=2500"),
     # the large-C rebuild is refused by the construction: C * factor < 10,
     # and a C so large that the seed underflows
     ("regularity", "regularity.compare_C_factor=1e-3"),
     ("regularity", "regularity.compare_C_factor=1e300"),
     # deleted keys: no code read the first two, verify's manifold checks
-    # read manifolds.k_max, and every acceptance bound is the program's own
-    # (reporting.BOUNDS), which no run can set, loosened or not
+    # read manifolds.k_max, and every acceptance bound and difference step is
+    # the program's own (reporting.BOUNDS, FD_STEP and FD_STEP_REL), which no
+    # run can set, loosened or not
     ("manifolds", "manifolds.extend_to=5"),
     ("build", "tolerances.normalizer_rel=1e-10"),
     ("verify", "verify.manifold_k_max=50"),
@@ -619,6 +632,11 @@ _BAD_SETTINGS = [
     ("build", "params.quadrature_tolerance=1"),
     ("build", "params.quadrature_tolerance=inf"),
     ("build", "params.quadrature_tolerance=-1"),
+    ("verify", "verify.fd_step=0"),
+    ("verify", "verify.fd_step=nan"),
+    ("verify", "verify.fd_step=inf"),
+    ("regularity", "regularity.fd_step_rel=0"),
+    ("regularity", "regularity.fd_step_rel=-1e-4"),
 ]
 # and one value against each setting's own rule in config's table, under the
 # command of its section

@@ -6,8 +6,10 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 from denjoy_twist import cli
-from denjoy_twist.config import _DEFAULTS, load_config
+from denjoy_twist.config import _DEFAULTS, _SETTINGS, load_config
 from denjoy_twist.reporting import BOUNDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -75,12 +77,12 @@ def test_every_setting_is_read(tmp_path, monkeypatch, one_cpu):
 
 def test_rigid_verify_reads_the_verify_settings(tmp_path, monkeypatch, one_cpu):
     # rigid-rotation verify runs the shared invariance and structural blocks,
-    # with their sample counts and finite-difference step
+    # with their sample counts
     seen = _record_setting_reads(monkeypatch)
     assert cli.main(_VERIFY + ["--set", "params.mode=rigid_rotation",
                                "--out", str(tmp_path)]) == 0
     read = {("verify", key) for key in ("invariance_samples", "roundtrip_samples",
-                                        "det_samples", "fd_step")}
+                                        "det_samples")}
     assert read <= seen
 
 
@@ -97,6 +99,37 @@ def test_every_bound_is_read(tmp_path, monkeypatch, one_cpu):
         assert cli.main(args + _SMALL + ["--out", str(tmp_path / str(i))]) == 0
     unread = {("bounds", key) for key in BOUNDS} - seen
     assert not unread, f"bounds no check reads: {sorted(unread)}"
+
+
+def _sets(*overrides):
+    return [arg for item in overrides for arg in ("--set", item)]
+
+
+# every setting a check reads, at the low end of what load_config accepts:
+# each verify count at 1, one manifold segment, far rotation starts, and the
+# smallest and largest grids
+_LOW_ENDS = {
+    "verify": ["verify"] + _sets(
+        *(f"verify.{key}=1" for key, (_, rule) in _SETTINGS["verify"].items()
+          if rule == "positive"),
+        "manifolds.k_max=1", "verify.rotation_starts=1e300,-1e300"),
+    "manifolds": ["manifolds"] + _sets("manifolds.k_max=1"),
+    "grid=2": ["regularity"] + _sets("regularity.grid=2"),
+    "grid=2498": ["regularity"] + _sets("regularity.grid=2498"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOW_ENDS))
+def test_low_end_settings_pass_the_sound_map(tmp_path, name):
+    assert cli.main(_LOW_ENDS[name] + _SMALL + ["--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND 38: at compare_C_factor=1 the "
+                   "rebuild is the same map, so c_comparison_off_crossing reads "
+                   "1.0 against its floor 5 (ROADMAP item 6)")
+def test_compare_C_factor_1_passes_the_sound_map(tmp_path):
+    args = ["regularity"] + _sets("regularity.compare_C_factor=1")
+    assert cli.main(args + _SMALL + ["--out", str(tmp_path)]) == 0
 
 
 def test_readme_example_config_gives_the_defaults(tmp_path):

@@ -25,9 +25,9 @@ def test_length_symmetry_and_formula(desk):
 
 
 def test_normalizer_against_oracle(desk):
-    # independent brute-force summation to |k| <= 1e7 with integral tail
+    # independent brute-force summation to |k| <= 1e6 with integral tail
     delta, C = 0.5, 100.0
-    head = 10**7
+    head = 10**6
     ks = np.arange(1, head + 1, dtype=float)
     terms = 1.0 / ((ks + C) * np.log(ks + C) ** (1.0 + delta))
     s = 1.0 / (C * math.log(C) ** 1.5) + 2.0 * float(np.sum(terms))
@@ -56,8 +56,8 @@ def test_normalizer_bits_pinned(delta, C):
 
 
 def test_normalizer_head_working_set(traced_peak):
-    # the 10**6-term head is summed node by node: three 2**16-term buffers
-    # (1.5 MB), where one array of all its terms took 8 MB
+    # the 4096-term head is one array of its terms (32 KB) and the tail is
+    # scalar: no working set grows with M or with the head
     assert traced_peak(normalizer, 0.5, 100.0) <= 2 * 2**20
 
 

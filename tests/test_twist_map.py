@@ -10,6 +10,7 @@ from denjoy_twist.circle_map import _INVERT_REL_TOL, RigidRotation
 from denjoy_twist.cli import build_full_system
 from denjoy_twist.config import ConfigError, load_config
 from denjoy_twist.layout import circle_delta
+from denjoy_twist.reporting import FD_STEP_REL
 from denjoy_twist.twist_map import (base_segments, build_twist_system,
                                     curve_side_check, diffusion_probe,
                                     dump_phase_portrait_csv, dump_segments_csv,
@@ -318,20 +319,16 @@ def test_regularity_fd_check_not_floored_by_inversion(profiles):
 @pytest.mark.parametrize("swap", [False, True])
 def test_regularity_stencil_stays_in_its_half_gap(profiles, swap):
     # the scan's stencil is v + c delta, c in {+-1, +-2}, about
-    # v = h_{k-1}^{-1}(u) with delta = hstep / h_{k-1}'(v). At the widest step
-    # the config accepts, 1/(4 grid) - 2 eps, its ends lie strictly inside
-    # v's half of gap k-1, and h_{k-1} takes them strictly inside u's half of
-    # gap k: 4 eps ell inside less rounding, 2.97 eps ell at least here. At
-    # the step just below 1/(4 grid) rounding took the ends nearest a gap end
-    # or the midpoint 1.004 eps ell past it, and the cross-check read 1.0. A
-    # step hstep not divided by h_{k-1}'(v) overshoots by 6e10 eps ell
-    n_grid = 256
-    fd_step_rel = 0.25 / n_grid - 2 * math.ulp(1.0)
-    load_config(overrides=[f"regularity.grid={n_grid}",
-                           f"regularity.fd_step_rel={fd_step_rel!r}"])
-    with pytest.raises(ConfigError, match="1.004 eps ell"):
-        load_config(overrides=[f"regularity.grid={n_grid}",
-                               f"regularity.fd_step_rel={math.nextafter(fd_step_rel, 1.0)!r}"])
+    # v = h_{k-1}^{-1}(u) with delta = hstep / h_{k-1}'(v). At the largest
+    # grid the config accepts, 2498 (4 grid FD_STEP_REL < 1), its ends lie
+    # strictly inside v's half of gap k-1, and h_{k-1} takes them strictly
+    # inside u's half of gap k: where h_{k-1} is affine, 2 (1/(4 grid) -
+    # FD_STEP_REL) ell = 1.6e-7 ell inside. A step hstep not divided by
+    # h_{k-1}'(v) overshoots by 2.5e-6 ell
+    n_grid = 2498
+    load_config(overrides=[f"regularity.grid={n_grid}"])
+    with pytest.raises(ConfigError, match="regularity.grid"):
+        load_config(overrides=[f"regularity.grid={n_grid + 2}"])
     M = 125
     *_, system = build_full_system(SeqParams(truncation_M=M), profiles, swap)
     h, eps = system.g.local, np.finfo(float).eps
@@ -339,7 +336,7 @@ def test_regularity_stencil_stays_in_its_half_gap(profiles, swap):
     ell_k, ell_km1 = h.ell[k + M], h.ell[k - 1 + M]
     u = (np.arange(n_grid) + 0.5) / n_grid * ell_k
     v = h.invert(u, k - 1)
-    delta = fd_step_rel * ell_k / h.deriv(v, k - 1)
+    delta = FD_STEP_REL * ell_k / h.deriv(v, k - 1)
 
     def outside_half(x, at, ell):
         """How far x lies outside the half of [0, ell] that holds at, in
