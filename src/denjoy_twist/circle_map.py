@@ -199,20 +199,59 @@ class LocalDiffeo:
         del v1, v3, v4, slack, far   # the passes below hold only what they read
         out = np.full_like(v, np.nan)
         if lin.any():
-            out[lin] = self._invert_linear(v[lin], j[lin])
-        if sh.size:
-            out[sh] = self._newton(v[sh], j[sh], left[sh], tol[sh])
-        return out.reshape(shape)[()]
-
-    def _invert_linear(self, v, j):
-        """The inverse on the linear pieces, for points v of the gaps j - M:
-        slope 1+K, and 1+K+alpha on the jump side (right of the midpoint for
-        gamma_plus, left for gamma_minus)."""
-        K, alpha = self.K[j], self.alpha[j]
-        right = v > self._bp_v[j, 1]
-        slope = 1.0 + K + np.where(right == self.plus[j], alpha, 0.0)
-        intercept = np.where(slope == 1.0 + K, 0.0, -alpha * self.ell[j] / 2.0)
-        return (v - intercept) / slope
+            # slope 1+K, and 1+K+alpha on the jump side (right of the
+            # midpoint for gamma_plus, left for gamma_minus)
+            vl, jl = v[lin], j[lin]
+            K, alpha = self.K[jl], self.alpha[jl]
+            right = vl > self._bp_v[jl, 1]
+            slope = 1.0 + K + np.where(right == self.plus[jl], alpha, 0.0)
+            intercept = np.where(slope == 1.0 + K, 0.0, -alpha * self.ell[jl] / 2.0)
+            out[lin] = (vl - intercept) / slope
+            del vl, jl, K, alpha, right, slope, intercept   # as above
+        if not sh.size:
+            return out.reshape(shape)[()]
+        # safeguarded Newton on the shoulders, all points in one pass. Each
+        # point keeps its own bracket, the two breakpoints ending its
+        # shoulder, and leaves the pass once converged, so its result does
+        # not depend on which other points share the call. The gap columns
+        # are gathered once and compacted with the points, one array at a time
+        v, j, left, tol = v[sh], j[sh], left[sh], tol[sh]
+        a = np.where(left, 0, 3)   # the shoulder is breakpoints a, a + 1
+        ell = self.ell[j]
+        lo, hi = ell * _BREAKS[a], ell * _BREAKS[a + 1]
+        lo_v = np.where(left, 0.0, self._bp_v[j, 2])   # h_k(0) is 0.0
+        u = lo + (hi - lo) * (v - lo_v) / (self._bp_v[j, a] - lo_v)   # the secant
+        del a, left, lo_v   # as above
+        idx, cols = np.arange(len(v)), [ell, self.K[j], self.alpha[j], ~self.plus[j]]
+        res = np.empty_like(v)
+        for _ in range(_INVERT_MAX_ITER):
+            f, d = self._h(u, cols, (_ANTI, 0))
+            f -= v
+            done = np.abs(f) <= tol
+            res[idx[done]] = u[done]
+            if done.all():
+                out[sh] = res
+                return out.reshape(shape)[()]
+            above = f > 0.0
+            np.copyto(hi, u, where=above)
+            np.copyto(lo, u, where=~above)
+            f /= d
+            np.subtract(u, f, out=u)
+            np.copyto(u, 0.5 * (lo + hi), where=(u <= lo) | (u >= hi))
+            if done.any():
+                keep = ~done
+                del f, d, above   # each old array goes as its new one is made
+                idx = idx[keep]
+                u = u[keep]
+                v = v[keep]
+                tol = tol[keep]
+                lo = lo[keep]
+                hi = hi[keep]
+                for i, c in enumerate(cols):
+                    cols[i] = c[keep]
+        raise ConstructionError(
+            f"inversion of h_{int(j[idx[0]]) - self.M} failed to converge: "
+            f"{len(idx)} of {len(res)} points after {_INVERT_MAX_ITER} Newton steps")
 
     def _invert_one(self, v, k):
         """invert at one point on Python floats: the array route's range
@@ -242,60 +281,6 @@ class LocalDiffeo:
             u = 0.5 * (lo + hi) if un <= lo or un >= hi else un
         raise ConstructionError(f"inversion of h_{k} failed to converge after "
                                 f"{_INVERT_MAX_ITER} Newton steps")
-
-    def _newton(self, v, j, left, tol):
-        """Safeguarded Newton on the shoulders, all points in one pass, for
-        points v of the gaps j - M.
-
-        Each point keeps its own bracket and leaves the pass once converged,
-        so its result does not depend on which other points share the call.
-        The bracket is the two breakpoints ending each point's shoulder; the
-        gap columns are gathered once and compacted with the points, one
-        array at a time.
-        """
-        out = np.empty_like(v)
-        state = self._newton_start(v, j, left, tol)
-        for _ in range(_INVERT_MAX_ITER):
-            done = self._newton_step(state, out)
-            if done.all():
-                return out
-            if done.any():
-                keep = ~done
-                for i, a in enumerate(state):
-                    state[i] = a[keep]
-        idx = state[0]
-        raise ConstructionError(
-            f"inversion of h_{int(j[idx[0]]) - self.M} failed to converge: "
-            f"{len(idx)} of {len(out)} points after {_INVERT_MAX_ITER} Newton steps")
-
-    def _newton_start(self, v, j, left, tol):
-        """The Newton state of the points: their indices, first iterates
-        (the secant of the shoulder), targets, tolerances, brackets and gap
-        columns, as a list."""
-        a = np.where(left, 0, 3)   # the shoulder is breakpoints a, a + 1
-        ell = self.ell[j]
-        lo, hi = ell * _BREAKS[a], ell * _BREAKS[a + 1]
-        lo_v = np.where(left, 0.0, self._bp_v[j, 2])   # h_k(0) is 0.0
-        u = lo + (hi - lo) * (v - lo_v) / (self._bp_v[j, a] - lo_v)
-        return [np.arange(len(v)), u, v, tol, lo, hi, ell, self.K[j],
-                self.alpha[j], ~self.plus[j]]
-
-    def _newton_step(self, state, out):
-        """One Newton iteration on the state, in place: the converged
-        points' iterates go to out; every point's bracket and iterate are
-        updated. Returns the converged mask."""
-        idx, u, v, tol, lo, hi, *cols = state
-        f, d = self._h(u, cols, (_ANTI, 0))
-        f -= v
-        done = np.abs(f) <= tol
-        out[idx[done]] = u[done]
-        above = f > 0.0
-        np.copyto(hi, u, where=above)
-        np.copyto(lo, u, where=~above)
-        f /= d
-        np.subtract(u, f, out=u)
-        np.copyto(u, 0.5 * (lo + hi), where=(u <= lo) | (u >= hi))
-        return done
 
 
 # ---------------------------------------------------------------------------

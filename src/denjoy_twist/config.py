@@ -170,8 +170,9 @@ def load_config(path=None, overrides=()) -> RunConfig:
     """
     sections = {s: dict(kv) for s, kv in _DEFAULTS.items()}
     if path is not None:
-        # values are literal, as --set takes them ('out50%' is a directory)
-        parser = configparser.ConfigParser(interpolation=None)
+        # values are literal, as --set takes them ('out50%' is a directory);
+        # no header is empty, so [DEFAULT] is a section like any other
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
         parser.optionxform = str  # keys are case-sensitive (C vs c)
         try:
             read = parser.read(path)
@@ -181,10 +182,11 @@ def load_config(path=None, overrides=()) -> RunConfig:
             raise ConfigError(f"config file {path} not found or unreadable")
         for sec in parser.sections():
             if sec not in sections:
-                raise ConfigError(f"unknown config section [{sec}]")
+                raise ConfigError(f"config file {path}: unknown section [{sec}]")
             for key, raw in parser.items(sec):
                 if key not in sections[sec]:
-                    raise ConfigError(f"unknown key {key!r} in section [{sec}]")
+                    raise ConfigError(f"config file {path}: unknown key {key!r} "
+                                      f"in section [{sec}]")
                 sections[sec][key] = _coerce(f"{sec}.{key}", sections[sec][key], raw)
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:

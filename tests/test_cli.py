@@ -45,6 +45,16 @@ def test_build_writes_summary_and_csvs(tmp_path, capsys):
         assert (tmp_path / "b" / name).exists()
 
 
+def test_package_import_loads_nothing_else():
+    # the package is its docstring: each module is imported by its own name
+    code = ("import sys, denjoy_twist\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('denjoy_twist', 'numpy')))\n")
+    out = _python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "['denjoy_twist']"
+
+
 def test_run_path_imports_no_scipy(tmp_path):
     # a fresh interpreter: importing the CLI and running a build loads no scipy
     code = ("import sys\n"
@@ -377,28 +387,16 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# sha256 of outputs that no benchmark workload pins: segments.csv and the
-# deterministic manifolds.json dump at M=32, without and with the jump
-# profiles exchanged; and, at M=16 with 2000 steps, diffusion.json's probes
-# (json.dumps with indent=2, sort_keys=True) and its deterministic dump
-MANIFOLD_DIGESTS = {
-    "false": ("609b7b862068f73426a6b20e456febdf5e7d156f75600b0f36d105943027c7a3",
-              "027f2bee322d7a8603376811ea3ee29d86aa58b21f42b423e101b10f2523f57f"),
-    "true": ("609b7b862068f73426a6b20e456febdf5e7d156f75600b0f36d105943027c7a3",
-             "c4f514000b3e6c06d5fc2fc2ce50b7d56c92ff9d49346a6e33b78afc6af781b6"),
-}
-DIFFUSION_DIGEST = ("2bd450cb1e49edcb467690ff704e71b8d091fdc856093f2ba9368325e00cae3d",
-                    "01dd8d28e9f6030622a94bf14c22c33b103ce138174b8c7225db45581ea9d46d")
-
-
 # sha256 of every file a command writes, its report through
 # deterministic_dump and the other files as bytes: verify under FAST in full
 # (at M=32 and M=300) and in rigid-rotation mode, regularity at M=32 with
 # the large-C comparison, build at M=64, portrait at M=32 (4 orbits x 100
-# steps) without and with the jump profiles exchanged, and diffusion as
-# DIFFUSION_DIGEST pins it
+# steps) and manifolds at M=32, each without and with the jump profiles
+# exchanged, and diffusion at M=16 with 2000 steps, whose probes are in its
+# report
 PORTRAIT = ["portrait", "--set", "params.M=32", "--set", "portrait.orbits=4",
             "--set", "portrait.steps=100"]
+MANIFOLDS = ["manifolds", "--set", "params.M=32"]
 OUTPUT_DIGESTS = {
     "verify": (["verify"] + FAST, {
         "verify.json": "0cee16144a3d34b11b62de6f0ea5d2e54a967ab58bc9080566ee9677d90f0268"}),
@@ -445,8 +443,14 @@ OUTPUT_DIGESTS = {
         "portrait.csv": "b6f1385d30c2798f2c99d0290214666cc2fa8024a3b4233ec5ac3420f0248ea3"}),
     "portrait_swap": (PORTRAIT + ["--set", "params.swap_gamma=true"], {
         "portrait.csv": "983b767f68f44747848dbed3de91ff7c6d5d4efa60ee4f47b8102a1c61fd0c4c"}),
+    "manifolds": (MANIFOLDS, {
+        "segments.csv": "609b7b862068f73426a6b20e456febdf5e7d156f75600b0f36d105943027c7a3",
+        "manifolds.json": "027f2bee322d7a8603376811ea3ee29d86aa58b21f42b423e101b10f2523f57f"}),
+    "manifolds_swap": (MANIFOLDS + ["--set", "params.swap_gamma=true"], {
+        "segments.csv": "609b7b862068f73426a6b20e456febdf5e7d156f75600b0f36d105943027c7a3",
+        "manifolds.json": "c4f514000b3e6c06d5fc2fc2ce50b7d56c92ff9d49346a6e33b78afc6af781b6"}),
     "diffusion": (["diffusion", "--set", "params.M=16", "--set", "diffusion.n=2000"], {
-        "diffusion.json": DIFFUSION_DIGEST[1]}),
+        "diffusion.json": "01dd8d28e9f6030622a94bf14c22c33b103ce138174b8c7225db45581ea9d46d"}),
 }
 
 
@@ -510,24 +514,6 @@ def test_portrait_pinned_across_fork_map_calls(tmp_path, monkeypatch, rows):
     _assert_outputs_pinned(tmp_path, "portrait")
 
 
-@pytest.mark.parametrize("swap", sorted(MANIFOLD_DIGESTS))
-def test_manifold_outputs_byte_identical(tmp_path, swap):
-    assert run(["manifolds", "--set", "params.M=32", "--set",
-                f"params.swap_gamma={swap}"], tmp_path, "m") == 0
-    rep = json.loads((tmp_path / "m" / "manifolds.json").read_text())
-    assert (_sha256((tmp_path / "m" / "segments.csv").read_bytes()),
-            _sha256(deterministic_dump(rep).encode())) == MANIFOLD_DIGESTS[swap]
-
-
-def test_diffusion_output_byte_identical(tmp_path):
-    assert run(["diffusion", "--set", "params.M=16", "--set", "diffusion.n=2000"],
-               tmp_path, "d") == 0
-    rep = json.loads((tmp_path / "d" / "diffusion.json").read_text())
-    probes = json.dumps(rep["summary"]["probes"], indent=2, sort_keys=True)
-    assert (_sha256(probes.encode()),
-            _sha256(deterministic_dump(rep).encode())) == DIFFUSION_DIGEST
-
-
 def test_config_file_roundtrip(tmp_path):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text("[params]\nM = 16\ndelta = 0.5\n\n[verify]\n"
@@ -569,11 +555,15 @@ def test_config_file_cannot_set_a_bound(tmp_path, capsys):
     "[params]\nM\n",
     "[params]\nM = 16\xff\n",
     "[params]\nM = 16\n\n[output]\ndirectory = out50%\n",
+    "[DEFAULT]\nM = 16\n",
+    "[DEFAULT]\nM = 16\n\n[verify]\nrotation_n = 100\n",
 ], ids=["repeated-option", "repeated-section", "no-section-header", "no-equals",
-        "not-utf8", "percent"])
+        "not-utf8", "percent", "default-section", "default-beside-verify"])
 def test_malformed_config_file_exits_2_naming_it(tmp_path, capsys, text):
     # configparser's own errors are config errors, on one stderr line naming
-    # the file; a value is literal, as --set reads it, so '%' is no error
+    # the file; a value is literal, as --set reads it, so '%' is no error;
+    # [DEFAULT], whose keys configparser would hand to every other section
+    # and to none of ours, is refused by name
     ini = tmp_path / "f.ini"
     ini.write_bytes(text.encode("latin-1"))
     if "%" in text:
@@ -582,6 +572,7 @@ def test_malformed_config_file_exits_2_naming_it(tmp_path, capsys, text):
     assert run(["build", "--config", str(ini)], tmp_path, "c") == 2
     err = capsys.readouterr().err
     assert str(ini) in err and err.count("\n") == 1 and "Traceback" not in err
+    assert "[DEFAULT]" in err or "[DEFAULT]" not in text
 
 
 _BAD_SETTINGS = [

@@ -9,7 +9,7 @@ from denjoy_twist import twist_map
 from denjoy_twist.circle_map import _INVERT_REL_TOL, RigidRotation
 from denjoy_twist.cli import build_full_system
 from denjoy_twist.config import ConfigError, load_config
-from denjoy_twist.layout import circle_delta
+from denjoy_twist.layout import circle_delta, points
 from denjoy_twist.reporting import FD_STEP_REL
 from denjoy_twist.twist_map import (base_segments, build_twist_system,
                                     curve_side_check, diffusion_probe,
@@ -79,6 +79,36 @@ def test_phi_periodic(small):
     assert small.system.periodicity_check() <= 1e-13
 
 
+def _shear_samples():
+    """theta on [-4, 4) and r on [-3, 3) from a Kronecker set, then the
+    signed zeros, an ulp below 1, a negative theta and |r| ~ 1e6."""
+    th, v = points(512, 11, 2).T
+    edge = [(0.0, -0.0), (-0.0, 0.0), (math.nextafter(1.0, 0.0), -1.0),
+            (-3.7, -0.4), (0.61, 1e6 + 0.3), (0.12, -1e6 - 0.7)]
+    return (np.append(8.0 * th - 4.0, [t for t, _ in edge]),
+            np.append(6.0 * v - 3.0, [r for _, r in edge]))
+
+
+def _bits(*xs):
+    return [np.asarray(x, dtype=float).view(np.int64).tolist() for x in xs]
+
+
+def test_phi_reads_the_fractional_part(small):
+    # phi(x) == phi(x % 1.0) bitwise, as phi reads x % 1.0 first, on floats
+    # and arrays; which is why phi_periodicity reads only rounding
+    phi = small.system.phi
+    th, r = _shear_samples()
+    xs = np.concatenate([th, r, th + 1e6])
+    assert _bits(phi(xs)) == _bits(phi(xs % 1.0))
+    for x in xs.tolist():
+        assert _bits(phi(x)) == _bits(phi(x % 1.0)), x
+    # the exception: below an integer by under half an ulp of 1, x % 1.0
+    # rounds up to 1.0, where phi reads g at 1, not 0, to within an ulp of 1
+    tiny = -1e-20
+    assert tiny % 1.0 == 1.0
+    assert abs(phi(tiny) - phi(0.0)) <= 2.0**-52
+
+
 def test_phi_mean_within_budget(small):
     assert abs(small.system.mean_check()) <= small.seqs.residual_mass + 1e-6
 
@@ -128,6 +158,21 @@ def test_scalar_and_array_steps_agree_bitwise(small):
             assert type(ft) is float and type(fr) is float
             assert np.array_equal(np.array([ft, fr]).view(np.int64),
                                   np.array([arr_t[i], arr_r[i]]).view(np.int64)), (step, t, v)
+
+
+def test_lifts_are_the_shear_form(small):
+    # f~ is two shears, whatever phi is: forward_lift(theta, r) is
+    # (theta + r, r + phi(theta + r)) and backward_lift(theta, r) is
+    # (theta - r + phi(theta), r - phi(theta)), bitwise on floats and arrays;
+    # which is why det_df and twist_positive, differenced over forward_lift,
+    # read only rounding
+    sysm, phi = small.system, small.system.phi
+    th, r = _shear_samples()
+    assert _bits(*sysm.forward_lift(th, r)) == _bits(th + r, r + phi(th + r))
+    assert _bits(*sysm.backward_lift(th, r)) == _bits(th - r + phi(th), r - phi(th))
+    for t, v in zip(th.tolist(), r.tolist()):
+        assert _bits(*sysm.forward_lift(t, v)) == _bits(t + v, v + phi(t + v))
+        assert _bits(*sysm.backward_lift(t, v)) == _bits(t - v + phi(t), v - phi(t))
 
 
 def test_phi_of_nan_or_inf_is_the_float_routes_nan(small):
@@ -183,7 +228,7 @@ def test_invariant_curve_translated(small):
     1e-9,
     pytest.param(0.999999999, marks=pytest.mark.xfail(
         strict=True, reason="the translated residual stays at 2.5e-10 for omega "
-        "near 1 (CHANGES.md FOUND 26, ROADMAP item 1)")),
+        "near 1 (CHANGES.md FOUND 26, ROADMAP item 3)")),
 ])
 def test_invariant_curve_translated_near_rational(profiles, omega):
     # the verify check at the CLI's default seed and sample count: stepping
@@ -245,7 +290,7 @@ def test_phi_slope_sound_maps(profiles, params):
 
 def test_phi_linearity_catches_band_violation(profiles):
     # h_{k-1}^{-1}(J_k) leaves the linear middle of gap k-1 here, so phi is
-    # not affine on J_k (ROADMAP item 3): the gap-local fit still sees it
+    # not affine on J_k (ROADMAP item 6): the gap-local fit still sees it
     params = SeqParams(omega=0.7071067811865476, delta=1.0, bigC=20.0,
                        truncation_M=64)
     *_, system = build_full_system(params, profiles, False)
