@@ -514,6 +514,18 @@ def test_portrait_pinned_across_fork_map_calls(tmp_path, monkeypatch, rows):
     _assert_outputs_pinned(tmp_path, "portrait")
 
 
+def test_diffusion_output_byte_identical(tmp_path):
+    # diffusion.json's probes alone (json.dumps with indent=2, sort_keys=True)
+    # and the whole report as OUTPUT_DIGESTS pins it
+    args, digests = OUTPUT_DIGESTS["diffusion"]
+    assert run(args, tmp_path, "d") == 0
+    rep = json.loads((tmp_path / "d" / "diffusion.json").read_text())
+    probes = json.dumps(rep["summary"]["probes"], indent=2, sort_keys=True)
+    assert (_sha256(probes.encode()), _sha256(deterministic_dump(rep).encode())) == (
+        "2bd450cb1e49edcb467690ff704e71b8d091fdc856093f2ba9368325e00cae3d",
+        digests["diffusion.json"])
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text("[params]\nM = 16\ndelta = 0.5\n\n[verify]\n"
