@@ -2,10 +2,10 @@
 
 A report is a plain dict with a fixed schema: config echo, construction
 summary, one entry per check (name, measured value, tolerance, pass flag),
-and an overall flag; each tolerance is a row of BOUNDS or computed from one.
-Timings live in a separate top-level key excluded from determinism
-comparisons; everything else is byte-identical across runs of the same
-config.
+and an overall flag; each tolerance is the BOUNDS row of the entry's name,
+or computed from a row or a parameter. Timings live in a separate top-level
+key excluded from determinism comparisons; everything else is
+byte-identical across runs of the same config.
 
 The CSV rows that the commands write are made here, and so is fork_map, the
 one way a command body shares its independent parts over the CPUs the
@@ -25,34 +25,38 @@ from itertools import chain
 
 SCHEMA_VERSION = 1
 
-# The acceptance bound of every check, by name: the program's, not a run's,
-# so no config value can loosen one. Two bounds are computed where they are
-# used: beta_scaled_bound's params.B, and phi_mean's residual mass plus
-# mean_budget_extra.
+# The acceptance bound of every check, keyed by the name of the report entry
+# it judges: the program's, not a run's, so no config value can loosen one.
+# Two tolerances are computed by their callers: beta_scaled_bound's params.B,
+# and phi_mean's residual mass plus mean_budget_extra. The rows that name no
+# report entry judge the estimate chain and the kernel masses.
 BOUNDS = {
     # sequences: the recurrence, its zero-seed oracle, the identities of the
     # estimate chain and the slack windows of its constants at desk scale
-    "recurrence_residual": 1e-13, "zero_seed_drift": 1e-12,
+    "recurrence_residual": 1e-13, "zero_seed_fixed_point": 1e-12,
     "length_formula": 1e-12, "m_identity": 1e-14, "crossing_identity": 1e-14,
     "ratio_bound_lo": 0.5, "ratio_bound_hi": 5.0,
     "ratio_step_lo": 0.05, "ratio_step_hi": 20.0, "m_slack": 10.0,
     # profiles: the independent check of the two kernel masses
     "kernel_mass": 1e-13,
     # verify on the full map
-    "invariance_residual": 1e-10, "rotation_number_gap_times_n": 1.0,
-    "roundtrip": 1e-12, "det_df": 1e-9, "twist_fd": 1e-9,
+    "invariance_residual": 1e-10, "invariance_residual_translated": 1e-10,
+    "rotation_number_gap_times_n": 1.0,
+    "roundtrip": 1e-12, "det_df": 1e-9, "twist_positive": 1e-9,
     "vertical_translate_theta": 0.0, "vertical_translate_r": 5e-16,
     "phi_periodicity": 1e-13, "phi_fit_deviation": 1e-11,
-    "phi_slope_deviation": 1e-10, "mean_budget_extra": 1e-6,
-    "semiconjugacy": 1e-10, "wandering": 1e-10,
-    "jump_match": 1e-14, "jump_detect": 1e-6,
+    "phi_local_offset_k1": 1e-11, "phi_slope_deviation": 1e-10,
+    "mean_budget_extra": 1e-6, "semiconjugacy_midpoints": 1e-10,
+    "wandering_forward": 1e-10, "wandering_backward": 1e-10,
+    "jump_match": 1e-14, "jump_no_spurious": 1e-6,
     # verify in rigid-rotation mode
     "phi_identically_zero": 1e-15, "rotation_number_exact": 1e-12,
     # verify and manifolds
-    "manifold_map": 1e-10, "contraction_ratio": 1e-10, "curve_side": 1e-12,
+    "manifold_image_distance": 1e-10, "manifold_base_orbit": 1e-10,
+    "manifold_ratio_error": 1e-10, "curve_side_formula": 1e-12,
     "orbit_convergence_rel": 1e-6,
     # regularity
-    "regularity_term_rel": 1e-6, "c_comparison_factor_min": 5.0,
+    "term_sum_vs_fd_rel": 1e-6, "c_comparison_off_crossing": 5.0,
 }
 
 # The difference steps of det_df and twist_positive, and of the regularity
@@ -92,13 +96,17 @@ class ReportBuilder:
             self.report["pass"] = False
         return bool(passed)
 
-    def check_leq(self, name: str, measured: float, tolerance: float,
+    def check_leq(self, name: str, measured: float, tolerance=None,
                   detail=None) -> bool:
+        """measured <= BOUNDS[name], or <= tolerance where it is computed."""
+        if tolerance is None:
+            tolerance = BOUNDS[name]
         return self.add_check(name, measured, tolerance,
                               measured <= tolerance, detail)
 
-    def check_geq(self, name: str, measured: float, floor: float,
-                  detail=None) -> bool:
+    def check_geq(self, name: str, measured: float, detail=None) -> bool:
+        """measured >= BOUNDS[name], a floor."""
+        floor = BOUNDS[name]
         return self.add_check(name, measured, floor, measured >= floor, detail)
 
     def check_true(self, name: str, flag: bool, detail=None) -> bool:

@@ -38,6 +38,18 @@ _BLOCK_POINTS = 2**14
 _PORTRAIT_ROWS = 2**16
 
 
+def _frac(x):
+    """The fractional part of a float or an array, in [0, 1): x % 1.0, less 1
+    where that rounds up to 1.0 (x below an integer by less than half an ulp
+    of 1). NaN at +-inf, on floats and arrays alike, without a warning."""
+    if isinstance(x, float):
+        fr = x % 1.0
+    else:
+        with np.errstate(invalid="ignore"):   # inf % 1.0: the float route's NaN
+            fr = x % 1.0
+    return fr - (fr >= 1.0)
+
+
 def _in_turn(n, seed, lo, hi):
     """n gap indices taken in turn from [lo, hi), the first lo + seed mod
     (hi - lo): n >= hi - lo of them take every index."""
@@ -52,8 +64,9 @@ class TwistSystem:
     the one scalar-or-array rule of the twist layer (`_lifts`): a scalar x
     is read as a Python float through g's scalar lifts, an array through its
     _many lifts, with the same arithmetic, so the two agree bitwise.
-    Fractional parts are x % 1.0, bitwise x - floor(x) for floats and arrays
-    alike.
+    Fractional parts are `_frac`'s: x % 1.0, bitwise x - floor(x) for floats
+    and arrays alike, except where that rounds up to 1.0, which reads 0.0, so
+    every fractional part lies in [0, 1).
     """
 
     def __init__(self, g, table=None, seqs=None):
@@ -64,10 +77,8 @@ class TwistSystem:
     def _lifts(self, x):
         """frac(x), and g's lift and inverse lift to evaluate there."""
         if isinstance(x, float) or np.ndim(x) == 0:
-            return float(x) % 1.0, self.g.lift, self.g.inverse_lift
-        with np.errstate(invalid="ignore"):   # inf % 1.0: the float route's NaN
-            fr = np.asarray(x, dtype=float) % 1.0
-        return fr, self.g.lift_many, self.g.inverse_lift_many
+            return _frac(float(x)), self.g.lift, self.g.inverse_lift
+        return _frac(np.asarray(x, dtype=float)), self.g.lift_many, self.g.inverse_lift_many
 
     def _phi_terms(self, x):
         """g~ - Id and g~^{-1} - Id at the fractional part of x, whose sum is
@@ -92,13 +103,10 @@ class TwistSystem:
     def _step(self, theta, r):
         """forward's step, and gamma(theta1) = g~(theta1) - theta1: phi's
         first term, which the step computes anyway."""
-        # split r into integer and fractional parts (both exact) so the
-        # theta output commutes bitwise with vertical integer translation
-        if isinstance(theta, float):
-            w = theta % 1.0 + r % 1.0
-        else:
-            with np.errstate(invalid="ignore"):   # inf % 1.0: the float route's NaN
-                w = theta % 1.0 + r % 1.0
+        # theta and r enter by their fractional parts, both in [0, 1), so
+        # the theta output commutes bitwise with vertical integer
+        # translation, r below an integer by under half an ulp of 1 included
+        w = _frac(theta) + _frac(r)
         theta1 = w - (w >= 1.0)   # back into [0, 1)
         height, down = self._phi_terms(theta1)
         return theta1, r + (height + down), height
@@ -108,14 +116,10 @@ class TwistSystem:
         return theta1, r1
 
     def backward(self, theta, r):
-        if isinstance(theta, float):
-            th, fr = theta % 1.0, r % 1.0
-        else:
-            with np.errstate(invalid="ignore"):   # inf % 1.0: the float route's NaN
-                th, fr = theta % 1.0, r % 1.0
+        th = _frac(theta)
         p = self.phi(th)
-        w = th - fr + p
-        return w % 1.0, r - p
+        w = th - _frac(r) + p
+        return _frac(w), r - p
 
     def forward_lift(self, theta, r):
         if isinstance(theta, float):

@@ -237,6 +237,7 @@ def test_rigid_rotation_refused_where_the_full_map_is_needed(tmp_path, capsys,
 
 def test_verify_unattainable_tolerance_fails(tmp_path, monkeypatch):
     monkeypatch.setitem(BOUNDS, "invariance_residual", 1e-20)
+    monkeypatch.setitem(BOUNDS, "invariance_residual_translated", 1e-20)
     code = run(["verify"] + FAST, tmp_path, "vf")
     assert code == 1
     rep = json.loads((tmp_path / "vf" / "verify.json").read_text())

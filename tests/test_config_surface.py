@@ -1,7 +1,9 @@
 """The config surface holds only settings that some command reads, the bound
-table only bounds that some check reads, and the README documents only
-settings that exist."""
+table only bounds that some check reads, each report entry is judged by the
+bound of its own name, and the README documents only settings that exist and
+claims only checks that the reports hold."""
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -101,6 +103,55 @@ def test_every_bound_is_read(tmp_path, monkeypatch, one_cpu):
     assert not unread, f"bounds no check reads: {sorted(unread)}"
 
 
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    """(command, report) of each report that the runs of
+    test_every_bound_is_read write."""
+    out = tmp_path_factory.mktemp("reports")
+    found = []
+    for i, args in enumerate(_RUNS + [_VERIFY + ["--set", "params.mode=rigid_rotation"]]):
+        assert cli.main(args + _SMALL + ["--out", str(out / str(i))]) == 0
+        report_file = cli._COMMANDS[args[0]][1]
+        if report_file:
+            found.append((args[0], json.loads((out / str(i) / report_file).read_text())))
+    return found
+
+
+def test_each_entry_is_judged_by_the_bound_of_its_name(reports):
+    # a check_true entry's tolerance is True; two tolerances are computed,
+    # and every other entry carries the BOUNDS row of its own name
+    computed = {"beta_scaled_bound", "phi_mean"}
+    fixed = {(e["name"], e["tolerance"]) for _, rep in reports for e in rep["checks"]
+             if e["name"] not in computed and not isinstance(e["tolerance"], bool)}
+    assert len(fixed) >= 20
+    wrong = sorted((name, tol, BOUNDS.get(name)) for name, tol in fixed
+                   if tol != BOUNDS.get(name))
+    assert not wrong, f"entries not judged by their own row: {wrong}"
+    for _, rep in reports:
+        for e in rep["checks"]:
+            if e["name"] == "beta_scaled_bound":
+                assert e["tolerance"] == rep["config"]["params"]["B"]
+            elif e["name"] == "phi_mean":
+                assert e["tolerance"] == (rep["summary"].get("residual_mass", 0.0)
+                                          + BOUNDS["mean_budget_extra"])
+
+
+def test_readme_claims_name_reported_checks(reports):
+    # each check in the last column of the claims table is an entry of a
+    # verify, regularity or manifolds report
+    text = README.read_text().split("## What the checks evidence", 1)[1]
+    table = [line for line in text.split("\n## ", 1)[0].splitlines()
+             if line.startswith("|")]
+    named = {name for line in table[2:]
+             for name in re.findall(r"`(\w+)`", line.rstrip(" |").rsplit("|", 1)[1])}
+    assert len(named) >= 20
+    reported = {e["name"] for command, rep in reports
+                if command in ("verify", "regularity", "manifolds")
+                for e in rep["checks"]}
+    missing = sorted(named - reported)
+    assert not missing, f"the README's claims table names unreported checks: {missing}"
+
+
 def _sets(*overrides):
     return [arg for item in overrides for arg in ("--set", item)]
 
@@ -124,9 +175,10 @@ def test_low_end_settings_pass_the_sound_map(tmp_path, name):
     assert cli.main(_LOW_ENDS[name] + _SMALL + ["--out", str(tmp_path)]) == 0
 
 
-@pytest.mark.xfail(strict=True, reason="FOUND 38: at compare_C_factor=1 the "
-                   "rebuild is the same map, so c_comparison_off_crossing reads "
-                   "1.0 against its floor 5 (ROADMAP item 6)")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="FOUND 38: at compare_C_factor=1 the rebuild is the "
+                   "same map, so c_comparison_off_crossing reads 1.0 against "
+                   "its floor 5 (ROADMAP item 6)")
 def test_compare_C_factor_1_passes_the_sound_map(tmp_path):
     args = ["regularity"] + _sets("regularity.compare_C_factor=1")
     assert cli.main(args + _SMALL + ["--out", str(tmp_path)]) == 0

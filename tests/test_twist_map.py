@@ -102,11 +102,35 @@ def test_phi_reads_the_fractional_part(small):
     assert _bits(phi(xs)) == _bits(phi(xs % 1.0))
     for x in xs.tolist():
         assert _bits(phi(x)) == _bits(phi(x % 1.0)), x
-    # the exception: below an integer by under half an ulp of 1, x % 1.0
-    # rounds up to 1.0, where phi reads g at 1, not 0, to within an ulp of 1
+    # below an integer by under half an ulp of 1, x % 1.0 rounds up to 1.0,
+    # and phi reads the fractional part 0.0 there (the test below)
     tiny = -1e-20
     assert tiny % 1.0 == 1.0
     assert abs(phi(tiny) - phi(0.0)) <= 2.0**-52
+
+
+# below zero by under half an ulp of 1: x % 1.0 rounds each up to 1.0
+_JUST_BELOW_ZERO = [-1e-20, -2.0**-54, -5e-324]
+
+
+@pytest.mark.parametrize("route", [float, lambda x: np.array([x])],
+                         ids=["float", "array"])
+def test_fractional_part_just_below_an_integer(small, route):
+    # the twist layer's fractional part reads 0.0 where x % 1.0 rounds up
+    # to 1.0: phi reads g at 0, not at 1; theta' commutes bitwise with the
+    # integer translation of r; and backward's theta stays in [0, 1)
+    sysm = small.system
+    phi0 = sysm.phi(0.0)
+    for x in _JUST_BELOW_ZERO:
+        assert x % 1.0 == 1.0
+        assert _bits(sysm.phi(route(x))) == _bits(route(phi0))
+        theta1 = sysm.forward(route(0.3), route(x))[0]
+        assert _bits(theta1) == _bits(sysm.forward(route(0.3), route(1.0 + x))[0])
+        assert _bits(theta1) == _bits(route(0.3))
+    # w = phi(0) - r is below zero by an ulp of phi(0), far under half an
+    # ulp of 1
+    theta, _ = sysm.backward(route(0.0), route(math.nextafter(phi0, 1.0)))
+    assert _bits(theta) == _bits(route(0.0))
 
 
 def test_phi_mean_within_budget(small):
@@ -227,7 +251,8 @@ def test_invariant_curve_translated(small):
 @pytest.mark.parametrize("omega", [
     1e-9,
     pytest.param(0.999999999, marks=pytest.mark.xfail(
-        strict=True, reason="the translated residual stays at 2.5e-10 for omega "
+        strict=True, raises=AssertionError,
+        reason="the translated residual stays at 2.5e-10 for omega "
         "near 1 (CHANGES.md FOUND 26, ROADMAP item 3)")),
 ])
 def test_invariant_curve_translated_near_rational(profiles, omega):
@@ -243,10 +268,12 @@ def test_invariant_curve_translated_near_rational(profiles, omega):
     SeqParams().omega,
     1e-9,
     pytest.param(0.999999999, marks=pytest.mark.xfail(
-        strict=True, reason="g~^{-1}(g~(x)) misses x by 8.1e-11 for omega near 1 "
+        strict=True, raises=AssertionError,
+        reason="g~^{-1}(g~(x)) misses x by 8.1e-11 for omega near 1 "
         "(CHANGES.md FOUND 47)")),
     pytest.param(0.500000001, marks=pytest.mark.xfail(
-        strict=True, reason="g~^{-1}(g~(x)) misses x by 2.1e-11 for omega near 1/2 "
+        strict=True, raises=AssertionError,
+        reason="g~^{-1}(g~(x)) misses x by 2.1e-11 for omega near 1/2 "
         "(CHANGES.md FOUND 47)")),
 ])
 def test_lift_roundtrip_near_rational(profiles, omega):
