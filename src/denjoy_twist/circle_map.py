@@ -35,7 +35,7 @@ from array import array
 
 import numpy as np
 
-from .layout import GapTable, circle_delta, points
+from .layout import GapTable, circle_delta, frac, points
 from .profiles import (_ANTI, _TABLE_PANELS, ProfileSet, _check_side, _read, _read_array,
                        profile_eval)
 from .sequences import ConstructionError
@@ -318,8 +318,8 @@ class CircleHomeo:
         res, psi = tb.residual_mass, tb.placement
         omega = tb.omega
 
-        t_star = float((tb.t_of(-M) - omega) % 1.0)   # preimage of the -M atom
-        t_prime = float((tb.t_of(M) + omega) % 1.0)   # image of the M atom
+        t_star = float(frac(tb.t_of(-M) - omega))   # preimage of the -M atom
+        t_prime = float(frac(tb.t_of(M) + omega))   # image of the M atom
         t_gap_hi = float(tb.t_of(M))
         t_gap_lo = float(tb.t_of(-M))
 
@@ -358,7 +358,7 @@ class CircleHomeo:
         t_x_hi[-1] += 1.0
         if np.any(t_x_hi < a_x_hi - 1e-12):
             raise ConstructionError("anchor pieces overlap")
-        t_y_lo = (a_y_lo + a_y_w) % 1.0
+        t_y_lo = frac(a_y_lo + a_y_w)
         keep = t_x_hi - a_x_hi > 0.0
         # a transport piece empty in x is dropped: its image must be empty too
         lost = np.abs(circle_delta(np.roll(a_y_lo, -1), t_y_lo)[~keep])
@@ -403,12 +403,9 @@ class CircleHomeo:
     # -- evaluation --------------------------------------------------------
 
     def lift(self, x: float) -> float:
-        """Continuous increasing lift with g~(x+1) = g~(x)+1 exactly; NaN or inf gives NaN."""
-        try:
-            n = math.floor(x)
-        except (ValueError, OverflowError):
-            return x - x
-        fr = x - n
+        """Increasing lift, g~(x+1) = g~(x)+1 exactly, read at frac(x); NaN or inf gives NaN."""
+        fr = frac(x)
+        n = x - fr
         x_lo, y_lo, slope, gap_k = self._columns
         i = bisect.bisect_right(x_lo, fr) - 1
         k = gap_k[i]
@@ -438,9 +435,8 @@ class CircleHomeo:
     def lift_many(self, xs) -> np.ndarray:
         """Vectorized lift: affine pieces inline, all gap points in one call."""
         xs = np.asarray(xs, dtype=float)
-        ns = np.floor(xs)
-        with np.errstate(invalid="ignore"):   # inf - inf: the scalar lift's NaN
-            fr = xs - ns
+        fr = frac(xs)
+        ns = xs - fr
         idx = np.searchsorted(self._x_lo, fr, side="right") - 1
         out = np.empty_like(fr)
         aff = self._gap_k[idx] == _NOT_GAP
@@ -480,8 +476,7 @@ class CircleHomeo:
         NaN or inf gives NaN.
         """
         _check_side(side)
-        with np.errstate(invalid="ignore"):   # inf % 1.0 is NaN
-            fr = np.atleast_1d(x) % 1.0
+        fr = frac(np.atleast_1d(x))
         i = np.searchsorted(self._x_lo, fr, side="right") - 1
         u = fr - self._x_lo[i]
         edge = np.zeros(fr.shape, dtype=bool)
@@ -538,11 +533,11 @@ def build_circle_homeo(table, seqs, profiles, swap_gamma=False) -> CircleHomeo:
 
 def rotation_number_estimate(g, x0: float, n: int) -> float:
     """(g~^n(x) - x)/n with exact winding bookkeeping, from the circle point
-    x = x0 % 1.0: the lift commutes with integer shifts, while far from
+    x = frac(x0): the lift commutes with integer shifts, while far from
     [0, 1) each step rounds to the start's ulp (1.2e-4 at 1e12)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = start = float(x0) % 1.0
+    x = start = frac(float(x0))
     for _ in range(n):
         x = g.lift(x)
     return float((x - start) / n)
@@ -560,7 +555,7 @@ def wandering_interval_check(g: CircleHomeo, n_max: int) -> dict:
         a = float(tb.lam_of(0))
         b = a + float(tb.ell_of(0))
         for n in range(1, n_max + 1):
-            a, b = lift(a) % 1.0, lift(b) % 1.0
+            a, b = frac(lift(a)), frac(lift(b))
             lam = float(tb.lam_of(sign * n))
             worst = max(worst, abs(a - lam),
                         abs(b - (lam + float(tb.ell_of(sign * n)))))

@@ -2,7 +2,7 @@
 
 Subcommands: build | verify | regularity | portrait | manifolds | diffusion,
 each driven by one config file plus --set overrides. Exit codes: 0 all checks
-pass, 1 a check failed, 2 construction or configuration error.
+pass, 1 a check failed, 2 a construction, configuration or output error.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ def _verify(built: BuiltSystem, rb: ReportBuilder, outdir: str) -> None:
     def wandering(rb):
         j = SemiConjugacy(table)
         mu = table.mu_of(np.arange(-table.M, table.M))
-        d = j.eval(g.lift_many(mu) % 1.0) - (j.eval(mu) + p["omega"])
+        d = j.eval(g.lift_many(mu)) - (j.eval(mu) + p["omega"])
         rb.check_leq("semiconjugacy_midpoints", float(np.max(np.abs(d - np.round(d)))))
         wr = wandering_interval_check(g, min(50, table.M))
         rb.check_leq("wandering_forward", wr["max_endpoint_deviation_forward"])
@@ -383,6 +383,11 @@ def main(argv=None) -> int:
         return run(args.command, cfg, outdir)
     except (ConfigError, ConstructionError, CalibrationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:   # an output that cannot be written, here or in a fork_map share
+        if exc.filename is None:
+            raise
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

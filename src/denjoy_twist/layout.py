@@ -30,6 +30,19 @@ def circle_delta(a, b):
         return d - np.round(d)
 
 
+def frac(x):
+    """The circle point of a real x in [0, 1), a float for a float, else an
+    array: x % 1.0, which is x - floor(x) to the bit, less 1 where that rounds
+    up to 1.0 (x below an integer by under half an ulp of 1), so such an x
+    reads 0.0. NaN at +-inf, without a warning."""
+    if isinstance(x, float):
+        fr = x % 1.0
+    else:
+        with np.errstate(invalid="ignore"):   # inf % 1.0: the float route's NaN
+            fr = np.asarray(x, dtype=float) % 1.0
+    return fr - (fr >= 1.0)
+
+
 # round(a * 2**64) for the Kronecker steps a: 1/phi, phi the golden ratio, in
 # one dimension, and the R2 pair 1/p, 1/p**2, p**3 = p + 1 the plastic
 # number, in two
@@ -85,7 +98,7 @@ class GapTable:
         return self.lam_of(k) + self.ell_of(k) / 2.0
 
     def t_of(self, k):
-        return (np.asarray(k) * self.omega) % 1.0
+        return frac(np.asarray(k) * self.omega)
 
     def J_of(self, k):
         """The middle segment of gap k: [mu - ell/8, mu + ell/8]."""
@@ -116,7 +129,7 @@ def build_gap_table(seqs) -> GapTable:
     """
     M, omega = seqs.M, seqs.params.omega
     ks = np.arange(-M, M + 1)
-    orbit_t = (ks * omega) % 1.0
+    orbit_t = frac(ks * omega)
     order_idx = np.argsort(orbit_t, kind="stable")
     sorted_t = orbit_t[order_idx]
     if np.any(np.diff(sorted_t) <= 0.0):
@@ -159,14 +172,13 @@ class SemiConjugacy:
     table: GapTable
 
     def eval(self, x):
-        """j at circle points: a float for a scalar x, else an array.
+        """j at the circle point frac(x): a float for a scalar x, else an array.
 
         Gap points map to their orbit point; residual points invert the
         placement measure, t = (x - gap mass below) / residual mass.
         """
         tb = self.table
-        with np.errstate(invalid="ignore"):   # inf % 1.0: NaN, as g gives
-            x = np.asarray(x, dtype=float) % 1.0
+        x = frac(x)
         i, inside = tb.lookup(x)
         k = tb.sorted_to_k[i]
         mass_below = np.where(i >= 0, tb.cum_mass[i] + tb.ell_of(k), 0.0)

@@ -24,7 +24,7 @@ from itertools import chain, count, repeat
 
 import numpy as np
 
-from .layout import circle_delta, points
+from .layout import circle_delta, frac, points
 from .profiles import profile_eval
 from .reporting import FD_STEP, FD_STEP_REL, csv_lines, fork_map, write_csv, write_csv_blocks
 
@@ -36,18 +36,6 @@ _BLOCK_POINTS = 2**14
 # portrait rows per fork_map call, in whole orbits: the texts of one call, a
 # few MB, are held until written; an orbit longer than this is streamed
 _PORTRAIT_ROWS = 2**16
-
-
-def _frac(x):
-    """The fractional part of a float or an array, in [0, 1): x % 1.0, less 1
-    where that rounds up to 1.0 (x below an integer by less than half an ulp
-    of 1). NaN at +-inf, on floats and arrays alike, without a warning."""
-    if isinstance(x, float):
-        fr = x % 1.0
-    else:
-        with np.errstate(invalid="ignore"):   # inf % 1.0: the float route's NaN
-            fr = x % 1.0
-    return fr - (fr >= 1.0)
 
 
 def _in_turn(n, seed, lo, hi):
@@ -64,9 +52,7 @@ class TwistSystem:
     the one scalar-or-array rule of the twist layer (`_lifts`): a scalar x
     is read as a Python float through g's scalar lifts, an array through its
     _many lifts, with the same arithmetic, so the two agree bitwise.
-    Fractional parts are `_frac`'s: x % 1.0, bitwise x - floor(x) for floats
-    and arrays alike, except where that rounds up to 1.0, which reads 0.0, so
-    every fractional part lies in [0, 1).
+    A real is read at its circle point `layout.frac(x)`, in [0, 1).
     """
 
     def __init__(self, g, table=None, seqs=None):
@@ -77,8 +63,8 @@ class TwistSystem:
     def _lifts(self, x):
         """frac(x), and g's lift and inverse lift to evaluate there."""
         if isinstance(x, float) or np.ndim(x) == 0:
-            return _frac(float(x)), self.g.lift, self.g.inverse_lift
-        return _frac(np.asarray(x, dtype=float)), self.g.lift_many, self.g.inverse_lift_many
+            return frac(float(x)), self.g.lift, self.g.inverse_lift
+        return frac(x), self.g.lift_many, self.g.inverse_lift_many
 
     def _phi_terms(self, x):
         """g~ - Id and g~^{-1} - Id at the fractional part of x, whose sum is
@@ -106,7 +92,7 @@ class TwistSystem:
         # theta and r enter by their fractional parts, both in [0, 1), so
         # the theta output commutes bitwise with vertical integer
         # translation, r below an integer by under half an ulp of 1 included
-        w = _frac(theta) + _frac(r)
+        w = frac(theta) + frac(r)
         theta1 = w - (w >= 1.0)   # back into [0, 1)
         height, down = self._phi_terms(theta1)
         return theta1, r + (height + down), height
@@ -116,10 +102,10 @@ class TwistSystem:
         return theta1, r1
 
     def backward(self, theta, r):
-        th = _frac(theta)
+        th = frac(theta)
         p = self.phi(th)
-        w = th - _frac(r) + p
-        return _frac(w), r - p
+        w = th - frac(r) + p
+        return frac(w), r - p
 
     def forward_lift(self, theta, r):
         if isinstance(theta, float):
@@ -159,12 +145,12 @@ class TwistSystem:
             thetas = self.sample_points(n_samples, seed)
         else:
             thetas = points(n_samples, seed)
-        fr = thetas % 1.0
+        fr = frac(thetas)
         lift1 = self.g.lift_many(fr)
         gam = lift1 - fr
         # the target point (g(theta), g^2(theta) - g(theta)), its r shifted by
         # the translate of the step
-        target_theta = lift1 % 1.0
+        target_theta = frac(lift1)
         target_r = self.curve_height(target_theta)
         rep = {"n_samples": int(n_samples)}
         for key, translate in (("max_residual", 0), ("max_residual_translated", 1)):
@@ -504,7 +490,7 @@ def _segment_images(system: TwistSystem, ks, step, n_points: int) -> dict:
     xs = mu[src, None] + np.linspace(-hw[src], hw[src], n_points, axis=1)
     x1, r1 = step(xs, base_r[src, None] + slope[src, None] * (xs - mu[src, None]))
     image = np.abs(r1 - (base_r[dst, None]
-                         + slope[dst, None] * (x1 % 1.0 - mu[dst, None])))
+                         + slope[dst, None] * (frac(x1) - mu[dst, None])))
     ells = system.seqs.ell(ks)
     ratio = (x1[:, -1] - x1[:, 0]) / (xs[:, -1] - xs[:, 0])
     bx, br = step(mu[src], base_r[src])
@@ -580,7 +566,7 @@ def diffusion_probe(system: TwistSystem, theta0: float, offset: float, n: int,
     the untruncated system, so nothing here is asserted; the report records
     the excursion series and first crossing times.
     """
-    theta0 = th = float(theta0) % 1.0
+    theta0 = th = frac(float(theta0))
     r = float(system.curve_height(th)) + offset
     max_exc = abs(offset)
     keys = [(t, repr(t)) for t in thresholds]
@@ -636,7 +622,7 @@ def dump_phase_portrait_csv(system: TwistSystem, orbits, n_steps: int, path,
     header = ("orbit", "step", "theta", "r")
     ths = (np.arange(curve_samples) + 0.5) / curve_samples
     curve = zip(repeat(0), count(), ths.tolist(), system.curve_height(ths).tolist())
-    starts = [(i, float(th) % 1.0, float(r)) for i, (th, r) in enumerate(orbits, 1)]
+    starts = [(i, frac(float(th)), float(r)) for i, (th, r) in enumerate(orbits, 1)]
 
     def rows(start):
         i, th, r = start

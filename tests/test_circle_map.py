@@ -10,7 +10,7 @@ from denjoy_twist.circle_map import (_NOT_GAP, CircleHomeo, LocalDiffeo, RigidRo
                                      derivative_jump_table, rotation_number_estimate,
                                      wandering_interval_check)
 from denjoy_twist.cli import build_full_system
-from denjoy_twist.layout import circle_delta, points
+from denjoy_twist.layout import SemiConjugacy, circle_delta, points
 from denjoy_twist.profiles import _TABLE_PANELS, profile_eval
 from denjoy_twist.reporting import BOUNDS
 from denjoy_twist.sequences import ConstructionError, SeqParams, build_sequences
@@ -552,6 +552,26 @@ def test_derivative_of_nan_or_inf_is_nan(m16):
         assert all(math.isnan(g.derivative(x, side)) for x in bad)
         got = g.derivative(np.array(bad + [0.3]), side)
         assert np.isnan(got[:3]).all() and got[3] == g.derivative(0.3, side)
+
+
+# below zero by under half an ulp of 1: x % 1.0 and x - floor(x) round each
+# up to 1.0
+_JUST_BELOW_ZERO = [-1e-20, -2.0**-54, -5e-324]
+
+
+def test_circle_point_just_below_an_integer(small):
+    # g, j and g' read such an x at the circle point 0.0, not at 1.0: the
+    # lift stays monotone there, the array lift gives the scalar's bits, j
+    # gives j(0) and g' the one-sided slopes at 0
+    g, j = small.g, SemiConjugacy(small.table)
+    for x in _JUST_BELOW_ZERO:
+        assert x - math.floor(x) == 1.0
+        assert g.lift(x) <= g.lift(0.0)
+        assert _same(g.lift_many([x, 0.0]), [g.lift(x), g.lift(0.0)])
+        assert j.eval(x) == 0.0 and j.eval(np.array([x])).tolist() == [0.0]
+        for side in ("left", "right"):
+            assert g.derivative(x, side) == g.derivative(0.0, side)
+            assert g.derivative(np.array([x]), side)[0] == g.derivative(0.0, side)
 
 
 def _same(a, b):

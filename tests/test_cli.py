@@ -110,6 +110,27 @@ def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, command,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, name", [("build", "build.json"),
+                                           ("portrait", "portrait.csv"),
+                                           ("build", "gaps.csv")])
+def test_output_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch,
+                                               command, name):
+    # a directory where a report or a CSV should be, on two CPUs: the
+    # parent writes the first two, build's child share writes gaps.csv. The
+    # run says so in one line naming the path, not as a failed check, and
+    # the child is reaped
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    path = tmp_path / "o" / name
+    path.mkdir(parents=True)
+    assert run([command, "--set", "params.M=16", "--set", "portrait.orbits=2",
+                "--set", "portrait.steps=5"], tmp_path, "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_build_asserts_its_estimates(tmp_path, capsys):
     # at delta = 20 the ratio bound leaves its window: the estimates.json that
     # build writes reads false, and so must its report, exit code and the

@@ -58,7 +58,7 @@ def test_normalizer_bits_pinned(delta, C):
 def test_normalizer_head_working_set(traced_peak):
     # the 4096-term head is one array of its terms (32 KB) and the tail is
     # scalar: no working set grows with M or with the head
-    assert traced_peak(normalizer, 0.5, 100.0) <= 2 * 2**20
+    assert traced_peak(normalizer, 0.5, 100.0) <= 256 * 2**10
 
 
 @pytest.mark.parametrize("delta", [0.01, 0.37, 0.5, 2.0, 13.7])

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_circle_map import _JUST_BELOW_ZERO
 
 from denjoy_twist import twist_map
 from denjoy_twist.circle_map import _INVERT_REL_TOL, RigidRotation
@@ -107,10 +108,6 @@ def test_phi_reads_the_fractional_part(small):
     tiny = -1e-20
     assert tiny % 1.0 == 1.0
     assert abs(phi(tiny) - phi(0.0)) <= 2.0**-52
-
-
-# below zero by under half an ulp of 1: x % 1.0 rounds each up to 1.0
-_JUST_BELOW_ZERO = [-1e-20, -2.0**-54, -5e-324]
 
 
 @pytest.mark.parametrize("route", [float, lambda x: np.array([x])],
